@@ -225,7 +225,7 @@ def _run_recovery_replicate(design: RecoveryDesign, models: list[PairModel], rid
         cls.append(CompositeLikelihood(_singleton_partition(model.locus, xs), model))
     fits = fit_all_loci(cls, level=design.level, alpha_mode="common")
     joint = joint_fit(cls, fits, level=design.level)
-    variation = variation_test(cls, fits)
+    variation = variation_test(cls, fits, joint)
     rows = []
     for fit in fits:
         rows.append(

@@ -40,8 +40,6 @@ from .numerics import (
     t_to_lam,
 )
 
-chi2_upper_tail = chi2_sf
-
 
 @dataclass(frozen=True)
 class JointFit:
@@ -159,22 +157,23 @@ class VariationTestResult:
 def variation_test(
     cls: Sequence[CompositeLikelihood],
     fits: Sequence[LocusFit],
+    joint: JointFit,
     tol: Tolerances = DEFAULT_TOL,
 ) -> VariationTestResult:
     """Likelihood-ratio test of a common rate across loci.
 
-    Loci enter in the order given; callers should have excluded loci with
-    no SLV pairs (they carry no information and would make the
-    information matrices singular).
+    ``joint`` is the ``joint_fit`` of the same loci; its constrained
+    maximum is the null side of the test. Loci enter in the order given;
+    callers should have excluded loci with no SLV pairs (they carry no
+    information and would make the information matrices singular).
     """
     if len(cls) != len(fits):
         raise ModelError("per-locus fits do not match likelihood objects")
     n_loci = len(cls)
     if n_loci < 2:
         raise TooFewLociError(f"variation test needs >= 2 loci with data, got {n_loci}")
-    joint_lam, joint_max, _ = joint_maximize(cls, tol)
     sum_max = sum(f.cl_max for f in fits)
-    lr_star = 2.0 * (sum_max - joint_max)
+    lr_star = 2.0 * (sum_max - joint.cl_max)
     if lr_star < -tol.lr_negative_slack:
         raise ModelError(
             f"constrained maximum exceeds per-locus maxima by {-lr_star:.3g}; "
@@ -201,5 +200,5 @@ def variation_test(
         p_value=chi2_sf(lr, n_loci - 1),
         eta=tuple(float(v) for v in eta),
         per_locus_lambda=tuple(f.lam_hat for f in fits),
-        joint_lambda=joint_lam,
+        joint_lambda=joint.lam_hat,
     )

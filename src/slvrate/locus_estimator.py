@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +45,51 @@ from .slv import SlvPartition
 
 
 @dataclass(frozen=True)
+class GroupedScores:
+    """Per-pair scores with a dense group index.
+
+    Every group in 0..G-1 holds at least one score. The per-group sums
+    the compound-symmetry model needs (pair count k, score sum s1 and sum
+    of squared scores s2) do not depend on alpha, so they are built once
+    and cached.
+    """
+
+    u: np.ndarray
+    group: np.ndarray
+
+    @classmethod
+    def of(cls, scores_by_group: ScoreGroups) -> GroupedScores:
+        """Accept either grouped scores or one score array per group."""
+        if isinstance(scores_by_group, GroupedScores):
+            return scores_by_group
+        groups = [np.asarray(v, dtype=float).ravel() for v in scores_by_group]
+        groups = [v for v in groups if len(v) > 0]
+        if not groups:
+            return cls(np.zeros(0), np.zeros(0, dtype=np.int64))
+        sizes = [len(v) for v in groups]
+        return cls(np.concatenate(groups), np.repeat(np.arange(len(groups)), sizes))
+
+    @property
+    def n(self) -> int:
+        return len(self.u)
+
+    @cached_property
+    def k(self) -> np.ndarray:
+        return np.bincount(self.group).astype(float)
+
+    @cached_property
+    def s1(self) -> np.ndarray:
+        return np.bincount(self.group, weights=self.u)
+
+    @cached_property
+    def s2(self) -> np.ndarray:
+        return np.bincount(self.group, weights=self.u * self.u)
+
+
+ScoreGroups = Sequence[np.ndarray] | GroupedScores
+
+
+@dataclass(frozen=True)
 class CompositeLikelihood:
     """Weighted per-pair log-likelihood for one locus."""
 
@@ -52,13 +98,25 @@ class CompositeLikelihood:
     weights: tuple[float, ...] | None = None  # override; defaults to group weights
 
     def __post_init__(self):
-        for pair in self.partition.pairs:
-            if not 1 <= pair.x <= self.model.m:
-                raise InvalidParamsError(
-                    f"pair ({pair.st_a},{pair.st_b}) has x={pair.x} outside 1..{self.model.m}"
-                )
-        if self.weights is not None and len(self.weights) != len(self.partition.pairs):
+        xs = self.partition.x
+        outside = np.flatnonzero((xs < 1) | (xs > self.model.m))
+        if outside.size:
+            pair = self.partition.pairs[int(outside[0])]
+            raise InvalidParamsError(
+                f"pair ({pair.st_a},{pair.st_b}) has x={pair.x} outside 1..{self.model.m}"
+            )
+        if self.weights is None:
+            w = self.partition.w
+        elif len(self.weights) != len(xs):
             raise InvalidParamsError("weight override length does not match pair count")
+        else:
+            w = np.array(self.weights, dtype=float)
+            w.flags.writeable = False
+        index = xs - 1
+        index.flags.writeable = False
+        # built once here; every likelihood and score evaluation reads them
+        object.__setattr__(self, "_w", w)
+        object.__setattr__(self, "_index", index)
 
     @property
     def locus(self) -> str:
@@ -68,37 +126,21 @@ class CompositeLikelihood:
     def n_pairs(self) -> int:
         return self.partition.n_pairs
 
-    def pair_xs(self) -> np.ndarray:
-        return np.array([p.x for p in self.partition.pairs], dtype=np.int64)
-
-    def pair_weights(self) -> np.ndarray:
-        if self.weights is not None:
-            return np.asarray(self.weights, dtype=float)
-        return np.asarray(self.partition.weights, dtype=float)
-
     def loglik(self, lam: float) -> float:
         if self.n_pairs == 0:
             raise EmptyPartitionError(f"locus {self.locus} has no SLV pairs")
         logp = log_pmf(self.model, lam)
-        return float(np.dot(self.pair_weights(), logp[self.pair_xs() - 1]))
+        return float(np.dot(self._w, logp[self._index]))
 
-    def scores_by_group(self, lam: float) -> list[np.ndarray]:
+    def scores_by_group(self, lam: float) -> GroupedScores:
         """Unweighted per-pair scores at lam, grouped by dependence group.
 
         Only groups that contribute at least one pair appear.
         """
         if self.n_pairs == 0:
             raise EmptyPartitionError(f"locus {self.locus} has no SLV pairs")
-        full = score_vector(self.model, lam)
-        per_pair = full[self.pair_xs() - 1]
-        grouped: dict[int, list[float]] = {}
-        for pair, u in zip(self.partition.pairs, per_pair):
-            grouped.setdefault(pair.group_id, []).append(float(u))
-        return [np.asarray(grouped[gid]) for gid in sorted(grouped)]
-
-
-def composite_loglik(cl: CompositeLikelihood, lam: float) -> float:
-    return cl.loglik(lam)
+        u = score_vector(self.model, lam)[self._index]
+        return GroupedScores(u, self.partition.group_index)
 
 
 def maximize(
@@ -114,39 +156,32 @@ def maximize(
 # -- compound-symmetry score model ---------------------------------------------
 
 
-def _quad_form(scores_by_group: Sequence[np.ndarray], alpha: float) -> float:
+def _quad_form(scores_by_group: ScoreGroups, alpha: float) -> float:
     """sigma^2-free quadratic form of the compound-symmetry Gaussian."""
-    total = 0.0
-    for v in scores_by_group:
-        k = len(v)
-        s2 = float(np.dot(v, v))
-        t = float(np.sum(v))
-        a_k = 1.0 / (1.0 - alpha)
-        b_k = -alpha / ((1.0 - alpha) * (1.0 + (k - 1) * alpha))
-        total += a_k * s2 + b_k * t * t
-    return total
+    g = GroupedScores.of(scores_by_group)
+    a = 1.0 / (1.0 - alpha)
+    b = -alpha / ((1.0 - alpha) * (1.0 + (g.k - 1.0) * alpha))
+    return float(np.sum(a * g.s2 + b * g.s1 * g.s1))
 
 
-def loglik_alpha_sigma(
-    scores_by_group: Sequence[np.ndarray], alpha: float, sigma2: float
-) -> float:
+def _log_det(g: GroupedScores, alpha: float) -> float:
+    """Sum over groups of log det of the unit-variance correlation matrix."""
+    return float(np.sum((g.k - 1.0) * math.log(1.0 - alpha) + np.log1p((g.k - 1.0) * alpha)))
+
+
+def loglik_alpha_sigma(scores_by_group: ScoreGroups, alpha: float, sigma2: float) -> float:
     """Gaussian log-likelihood (additive constants dropped) of grouped scores."""
-    total = 0.0
-    for v in scores_by_group:
-        k = len(v)
-        total -= 0.5 * k * math.log(sigma2 * (1.0 - alpha))
-        total -= 0.5 * math.log((1.0 + (k - 1) * alpha) / (1.0 - alpha))
-    total -= 0.5 * _quad_form(scores_by_group, alpha) / sigma2
-    return total
+    g = GroupedScores.of(scores_by_group)
+    return -0.5 * (g.n * math.log(sigma2) + _log_det(g, alpha) + _quad_form(g, alpha) / sigma2)
 
 
-def sigma2_given_alpha(scores_by_group: Sequence[np.ndarray], alpha: float) -> float:
+def sigma2_given_alpha(scores_by_group: ScoreGroups, alpha: float) -> float:
     """Closed-form maximizer of the Gaussian likelihood in sigma^2."""
-    n = sum(len(v) for v in scores_by_group)
-    q = _quad_form(scores_by_group, alpha)
+    g = GroupedScores.of(scores_by_group)
+    q = _quad_form(g, alpha)
     if q <= 0.0:
         raise DegenerateScoresError("score quadratic form is not positive")
-    return q / n
+    return q / g.n
 
 
 @dataclass(frozen=True)
@@ -157,40 +192,33 @@ class AlphaSigmaFit:
 
 
 def fit_alpha_sigma(
-    scores_by_group: Sequence[np.ndarray], tol: Tolerances = DEFAULT_TOL
+    scores_by_group: ScoreGroups, tol: Tolerances = DEFAULT_TOL
 ) -> AlphaSigmaFit:
     """Maximize the compound-symmetry Gaussian likelihood over (alpha, sigma^2).
 
     sigma^2 is profiled out in closed form, leaving a 1-D bounded search
     over alpha in [0, 1). Deterministic for identical inputs.
     """
-    groups = [np.asarray(v, dtype=float) for v in scores_by_group if len(v) > 0]
-    n = sum(len(v) for v in groups)
-    if max((len(v) for v in groups), default=0) < 2:
+    g = GroupedScores.of(scores_by_group)
+    n = g.n
+    if n == 0 or float(g.k.max()) < 2:
         raise AlphaUnidentifiableError(
             "every group contributes a single pair; within-group correlation drops out"
         )
-    if n < 2:
-        raise DegenerateScoresError(f"need at least 2 scores, got {n}")
-    pooled = np.concatenate(groups)
-    if float(pooled.max()) == float(pooled.min()):
+    if float(g.u.max()) == float(g.u.min()):
         raise DegenerateScoresError("all scores identical")
 
     def profile(alpha: float) -> float:
-        q = _quad_form(groups, alpha)
+        # loglik_alpha_sigma at sigma^2 = q/n
+        q = _quad_form(g, alpha)
         if q <= 0.0:
             return -math.inf  # not reachable for alpha in [0, 1), guards rounding
-        value = -0.5 * n * (math.log(q / n) + 1.0)
-        for v in groups:
-            k = len(v)
-            value -= 0.5 * k * math.log(1.0 - alpha)
-            value -= 0.5 * math.log((1.0 + (k - 1) * alpha) / (1.0 - alpha))
-        return value
+        return -0.5 * (n * (math.log(q / n) + 1.0) + _log_det(g, alpha))
 
     res = maximize_scalar(profile, 0.0, tol.alpha_cap, tol=1e-10)
     alpha = res.argmax
-    sigma2 = sigma2_given_alpha(groups, alpha)
-    return AlphaSigmaFit(alpha=alpha, sigma2=sigma2, loglik_at_max=loglik_alpha_sigma(groups, alpha, sigma2))
+    sigma2 = sigma2_given_alpha(g, alpha)
+    return AlphaSigmaFit(alpha=alpha, sigma2=sigma2, loglik_at_max=loglik_alpha_sigma(g, alpha, sigma2))
 
 
 # -- information quantities ------------------------------------------------------
@@ -208,17 +236,11 @@ def godambe(
     """
     if partition.n_pairs == 0:
         raise EmptyPartitionError(f"locus {partition.locus} has no SLV pairs")
-    i_unit = 0.0
-    j_unit = 0.0
-    by_group: dict[int, list[float]] = {}
-    for pair in partition.pairs:
-        by_group.setdefault(pair.group_id, []).append(partition.weight(pair))
-    for ws in by_group.values():
-        w = np.asarray(ws)
-        sum_w = float(w.sum())
-        sum_w2 = float(np.dot(w, w))
-        i_unit += sum_w
-        j_unit += sum_w2 + alpha * (sum_w * sum_w - sum_w2)
+    w, group = partition.w, partition.group_index
+    sum_w = np.bincount(group, weights=w)
+    sum_w2 = np.bincount(group, weights=w * w)
+    i_unit = float(np.sum(sum_w))
+    j_unit = float(np.sum(sum_w2 + alpha * (sum_w * sum_w - sum_w2)))
     return sigma2 * i_unit, sigma2 * j_unit, j_unit / i_unit
 
 
@@ -322,7 +344,7 @@ class _Prefit:
     lam_hat: float
     cl_max: float
     at_boundary: bool
-    score_groups: tuple[np.ndarray, ...]
+    scores: GroupedScores
 
 
 def _prefit(cl: CompositeLikelihood, tol: Tolerances) -> _Prefit:
@@ -331,7 +353,7 @@ def _prefit(cl: CompositeLikelihood, tol: Tolerances) -> _Prefit:
         lam_hat=lam_hat,
         cl_max=cl_max,
         at_boundary=at_boundary,
-        score_groups=tuple(cl.scores_by_group(lam_hat)),
+        scores=cl.scores_by_group(lam_hat),
     )
 
 
@@ -346,7 +368,6 @@ def _assemble(
 ) -> LocusFit:
     info_i, info_j, gamma = godambe(cl.partition, alpha, sigma2)
     lower, upper = deviance_ci(cl, pre.lam_hat, pre.cl_max, gamma, level, tol)
-    pooled = np.concatenate(pre.score_groups)
     return LocusFit(
         locus=cl.locus,
         lam_hat=pre.lam_hat,
@@ -362,7 +383,7 @@ def _assemble(
         n_groups=cl.partition.n_groups,
         at_boundary=pre.at_boundary,
         alpha_source=source,
-        raw_score_variance=float(np.var(pooled)),
+        raw_score_variance=float(np.var(pre.scores.u)),
     )
 
 
@@ -380,11 +401,11 @@ def fit_locus(
     """
     pre = _prefit(cl, tol)
     if alpha_override is None:
-        fit = fit_alpha_sigma(pre.score_groups, tol)
+        fit = fit_alpha_sigma(pre.scores, tol)
         alpha, sigma2, source = fit.alpha, fit.sigma2, "locus"
     else:
         alpha = alpha_override
-        sigma2 = sigma2_given_alpha(pre.score_groups, alpha)
+        sigma2 = sigma2_given_alpha(pre.scores, alpha)
         source = "common"
     return _assemble(cl, pre, alpha, sigma2, source, level, tol)
 
@@ -409,7 +430,7 @@ def fit_all_loci(
     own: list[AlphaSigmaFit | None] = []
     for pre in prefits:
         try:
-            own.append(fit_alpha_sigma(pre.score_groups, tol))
+            own.append(fit_alpha_sigma(pre.scores, tol))
         except AlphaUnidentifiableError:
             own.append(None)
     alphas = [fit.alpha for fit in own if fit is not None]
@@ -423,6 +444,6 @@ def fit_all_loci(
             )
             continue
         source = "common" if own_fit is not None or alphas else "fallback"
-        sigma2 = sigma2_given_alpha(pre.score_groups, common_alpha)
+        sigma2 = sigma2_given_alpha(pre.scores, common_alpha)
         results.append(_assemble(cl, pre, common_alpha, sigma2, source, level, tol))
     return results

@@ -13,6 +13,7 @@ than by whatever LAPACK happens to be linked.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -283,8 +284,12 @@ def chi2_sf(x: float, df: float) -> float:
     return reg_inc_gamma_upper(0.5 * df, 0.5 * x)
 
 
+@functools.lru_cache(maxsize=64)
 def chi2_quantile(p: float, df: float) -> float:
-    """Inverse chi-squared CDF by bisection on the incomplete gamma."""
+    """Inverse chi-squared CDF by bisection on the incomplete gamma.
+
+    Cached: every confidence interval asks for the same few thresholds.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     hi = df + 10.0

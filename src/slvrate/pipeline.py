@@ -122,7 +122,7 @@ def analyze_dataset(
     variation = None
     if len(cls) >= 2:
         joint = joint_fit(cls, fits, level=opts.level, tol=tol)
-        variation = variation_test(cls, fits, tol=tol)
+        variation = variation_test(cls, fits, joint, tol=tol)
     return AnalysisResult(
         locus_fits=tuple(fits),
         joint=joint,

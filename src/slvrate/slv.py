@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import DataError, ZeroDifferencePairError
 from .mlst_io import MlstDataset, hamming
@@ -54,9 +57,30 @@ class SlvPartition:
     def weight(self, pair: SlvPair) -> float:
         return self.groups[pair.group_id].pair_count ** -0.5
 
+    # Per-pair arrays, built once and read-only: the likelihood and the
+    # group-level score model evaluate over these, never over the pair tuple.
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        """Focal-locus nucleotide differences, one per pair (int64)."""
+        return _frozen(np.array([p.x for p in self.pairs], dtype=np.int64))
+
+    @cached_property
+    def group_index(self) -> np.ndarray:
+        """Dense group index per pair: the rank of the pair's group among
+        the groups that hold at least one pair, in group_id order."""
+        ids = np.array([p.group_id for p in self.pairs], dtype=np.int64)
+        return _frozen(np.unique(ids, return_inverse=True)[1].astype(np.int64))
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """Pair weights {n_g(n_g-1)/2}^(-1/2), as ``weight`` gives them."""
+        per_group = [g.pair_count ** -0.5 for g in self.groups]
+        return _frozen(np.array([per_group[p.group_id] for p in self.pairs], dtype=float))
+
     @property
     def weights(self) -> tuple[float, ...]:
-        return tuple(self.weight(p) for p in self.pairs)
+        return tuple(self.w.tolist())
 
     @property
     def n_pairs(self) -> int:
@@ -65,6 +89,11 @@ class SlvPartition:
     @property
     def n_groups(self) -> int:
         return len(self.groups)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def extract_slv(dataset: MlstDataset, locus: str, mode: str = "strict") -> SlvPartition:

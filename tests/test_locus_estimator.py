@@ -1,14 +1,23 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from slvrate import locus_estimator as le
 from slvrate import pair_likelihood as pl
-from slvrate.errors import AlphaUnidentifiableError, DegenerateScoresError, EmptyPartitionError
+from slvrate.errors import (
+    AlphaUnidentifiableError,
+    DegenerateScoresError,
+    EmptyPartitionError,
+    InvalidParamsError,
+)
 from slvrate.numerics import DEFAULT_TOL, chi2_quantile, lam_to_t, t_to_lam
+from slvrate.slv import SlvGroup, SlvPair, SlvPartition
 
 from helpers import make_model, make_partition, make_q, random_q, singleton_partition
 
@@ -40,6 +49,33 @@ def test_three_pair_group_weighted_sum(demo_dataset):
     w = 3.0 ** -0.5
     expected = w * sum(pl.loglik(model, 1.0, x) for x in (5, 6, 1))
     assert abs(cl.loglik(1.0) - expected) < 1e-12
+
+
+def test_loglik_is_the_pairwise_dot_product():
+    # the cached arrays must give exactly the per-pair sum, in pair order
+    model = make_model(0.2, list(range(1, 16)))
+    rng = np.random.default_rng(4)
+    part = make_partition(
+        "loc", [rng.integers(1, 16, size=k).tolist() for k in rng.choice([1, 3, 6], size=60)]
+    )
+    xs = np.array([p.x for p in part.pairs], dtype=np.int64)
+    override = tuple(rng.uniform(0.1, 2.0, size=part.n_pairs).tolist())
+    for weights in (None, override):
+        ws = [part.weight(p) for p in part.pairs] if weights is None else list(weights)
+        cl = le.CompositeLikelihood(part, model, weights=weights)
+        for lam in (0.0, 0.3, 1.0, 12.0):
+            expected = float(np.dot(np.asarray(ws, dtype=float), pl.log_pmf(model, lam)[xs - 1]))
+            assert cl.loglik(lam) == expected
+
+
+def test_out_of_range_x_names_the_pair():
+    model = make_model(0.2, [0.2, 0.3, 0.5])
+    # pairs (1,2) x=1; (3,4) x=2, (3,5) x=3, (4,5) x=4; (6,7) x=5: the first
+    # pair outside 1..m is named
+    with pytest.raises(InvalidParamsError, match=r"pair \(4,5\) has x=4 outside 1\.\.3"):
+        le.CompositeLikelihood(make_partition("loc", [[1], [2, 3, 4], [5]]), model)
+    with pytest.raises(InvalidParamsError, match=r"pair \(1,2\) has x=0 outside 1\.\.3"):
+        le.CompositeLikelihood(singleton_partition("loc", [0, 2]), model)
 
 
 def test_empty_partition_raises():
@@ -135,6 +171,108 @@ def test_fit_beats_alpha_zero_moment_start():
     mom_sigma2 = le.sigma2_given_alpha(groups, 0.0)
     baseline = le.loglik_alpha_sigma(groups, 0.0, mom_sigma2)
     assert fit.loglik_at_max >= baseline - 1e-12
+
+
+# -- vectorised group sums against per-group loops -----------------------------------
+
+
+def _loop_quad_form(groups, alpha):
+    total = 0.0
+    for v in groups:
+        k = len(v)
+        a_k = 1.0 / (1.0 - alpha)
+        b_k = -alpha / ((1.0 - alpha) * (1.0 + (k - 1) * alpha))
+        t = float(np.sum(v))
+        total += a_k * float(np.dot(v, v)) + b_k * t * t
+    return total
+
+
+def _loop_loglik_alpha_sigma(groups, alpha, sigma2):
+    total = 0.0
+    for v in groups:
+        k = len(v)
+        total -= 0.5 * k * math.log(sigma2 * (1.0 - alpha))
+        total -= 0.5 * math.log((1.0 + (k - 1) * alpha) / (1.0 - alpha))
+    return total - 0.5 * _loop_quad_form(groups, alpha) / sigma2
+
+
+def _loop_godambe(partition, alpha, sigma2):
+    by_group = {}
+    for pair in partition.pairs:
+        by_group.setdefault(pair.group_id, []).append(partition.weight(pair))
+    i_unit = j_unit = 0.0
+    for ws in by_group.values():
+        w = np.asarray(ws)
+        sum_w, sum_w2 = float(w.sum()), float(np.dot(w, w))
+        i_unit += sum_w
+        j_unit += sum_w2 + alpha * (sum_w * sum_w - sum_w2)
+    return sigma2 * i_unit, sigma2 * j_unit, j_unit / i_unit
+
+
+def _rel_close(got, want):
+    return abs(got - want) <= 1e-12 * max(abs(got), abs(want), 1.0)
+
+
+# scores on a 1/8 lattice sum exactly in any order, so only the order of the
+# cross-group sum differs between the loop and the vectorised form
+ragged_groups = st.lists(
+    st.lists(st.integers(-40, 40).map(lambda v: v / 8.0), min_size=1, max_size=6).map(np.array),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ragged_groups, st.floats(0.0, 0.9), st.floats(0.5, 4.0))
+def test_group_sums_match_per_group_loops(groups, alpha, sigma2):
+    assert _rel_close(le._quad_form(groups, alpha), _loop_quad_form(groups, alpha))
+    assert _rel_close(
+        le.loglik_alpha_sigma(groups, alpha, sigma2),
+        _loop_loglik_alpha_sigma(groups, alpha, sigma2),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(ragged_groups)
+def test_fit_alpha_sigma_matches_per_group_loop(groups):
+    # Two golden-section runs on objectives that differ in the last bits may
+    # stop at different points within the optimizer tolerance, so the loop
+    # reference is compared on the profile and at the returned alpha, not by
+    # a second maximization.
+    assume(max(len(v) for v in groups) >= 2)
+    pooled = np.concatenate(groups)
+    assume(pooled.max() > pooled.min())
+    n = len(pooled)
+    fit = le.fit_alpha_sigma(groups)
+    assert _rel_close(fit.sigma2, _loop_quad_form(groups, fit.alpha) / n)
+    assert _rel_close(fit.loglik_at_max, _loop_loglik_alpha_sigma(groups, fit.alpha, fit.sigma2))
+    for alpha in (0.0, 0.3, 0.9, 0.999, DEFAULT_TOL.alpha_cap):
+        sigma2 = le.sigma2_given_alpha(groups, alpha)
+        assert _rel_close(sigma2, _loop_quad_form(groups, alpha) / n)
+        assert _rel_close(
+            le.loglik_alpha_sigma(groups, alpha, sigma2),
+            _loop_loglik_alpha_sigma(groups, alpha, sigma2),
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=12), st.floats(0.0, 0.99))
+def test_godambe_matches_per_group_loop(present, alpha):
+    # a group of n members keeps k of its n(n-1)/2 pairs (k = 0 drops it)
+    assume(sum(present) > 0)
+    groups, pairs, st_id = [], [], 1
+    for gid, k in enumerate(present):
+        n = 2
+        while n * (n - 1) // 2 < k:
+            n += 1
+        members = tuple(range(st_id, st_id + n))
+        st_id += n
+        groups.append(SlvGroup("loc", gid, members))
+        pairs += [SlvPair("loc", a, b, 1, gid) for a, b in itertools.combinations(members, 2)][:k]
+    part = SlvPartition("loc", tuple(groups), tuple(pairs))
+    got = le.godambe(part, alpha, sigma2=1.7)
+    want = _loop_godambe(part, alpha, sigma2=1.7)
+    assert all(_rel_close(g, w) for g, w in zip(got, want))
 
 
 # -- information quantities -----------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,6 +68,38 @@ def test_four_st_group_enumerates_six_pairs():
     expected_pairs = list(itertools.combinations([1, 2, 3, 4], 2))
     assert [(p.st_a, p.st_b) for p in part.pairs] == expected_pairs
     assert all(abs(w - 6 ** -0.5) < 1e-15 for w in part.weights)
+
+
+def test_pair_arrays_follow_the_pairs():
+    # group 1 lost its only pair (lenient mode drops zero-difference pairs),
+    # so the dense index skips it
+    groups = (
+        slv.SlvGroup("l", 0, (1, 2, 3)),
+        slv.SlvGroup("l", 1, (4, 5)),
+        slv.SlvGroup("l", 2, (6, 7)),
+    )
+    pairs = (
+        slv.SlvPair("l", 1, 2, 5, 0),
+        slv.SlvPair("l", 1, 3, 6, 0),
+        slv.SlvPair("l", 2, 3, 1, 0),
+        slv.SlvPair("l", 6, 7, 4, 2),
+    )
+    part = slv.SlvPartition("l", groups, pairs)
+    assert part.x.dtype == np.int64
+    assert part.x.tolist() == [5, 6, 1, 4]
+    assert part.group_index.tolist() == [0, 0, 0, 1]
+    assert part.w.tolist() == [part.weight(p) for p in pairs]
+    assert part.weights == (3 ** -0.5,) * 3 + (1.0,)
+
+
+def test_pair_arrays_are_cached_and_read_only(demo_dataset):
+    glt = slv.extract_slv(demo_dataset, "gltA")
+    for name in ("x", "group_index", "w"):
+        arr = getattr(glt, name)
+        assert arr is getattr(glt, name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_weights_for_small_groups():
