@@ -157,10 +157,6 @@ class NonFiniteError(NumericsError):
     pass
 
 
-class NoBracketError(NumericsError):
-    pass
-
-
 class SingularMatrixError(NumericsError):
     pass
 

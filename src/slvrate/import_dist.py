@@ -127,38 +127,49 @@ class ImportDistribution:
         )
 
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+_F32_EXACT = 1 << 24  # float32 holds every integer below this exactly
 
 
 def allele_distance_matrix(dataset: MlstDataset, locus: str) -> tuple[list[int], np.ndarray]:
     """Dense Hamming distances between all usable alleles at a locus.
 
-    Positions carrying a non-ACGT code on either side are ignored.
-    Only alleles of the locus's modal length participate. Pure-ACGT data
-    takes a packed-bit popcount path (XOR of one-hot rows counts each
-    mismatch twice), which keeps simulated datasets with many alleles fast.
+    Only alleles of the locus's modal length participate, and positions
+    carrying a non-ACGT code on either side are ignored. For alleles i, j
+    the distance is (#positions valid in both) - (#positions with equal
+    valid bases), which in matrix form is the Gram identity
+
+        D = V V^T - sum_b H_b H_b^T,  V = (codes != 255),  H_b = (codes == b),
+
+    over the bases b = A, C, G, T. Pure-ACGT and masked (lenient) data
+    take this one path. The products run as float32 BLAS matmuls: every
+    term is 0 or 1, so every partial sum is an integer no larger than the
+    locus length m and is exact while m < 2**24. The result is therefore
+    bit-exact whatever the BLAS blocking or thread count; longer loci
+    raise InvalidParamsError. One (A, m) indicator buffer and one (A, A)
+    product buffer are reused across the five products.
     """
     meta = dataset.locus_meta(locus)
     enc = dataset.encoded_alleles(locus)
     ids = sorted(aid for aid, codes in enc.items() if len(codes) == meta.length)
     if not ids:
         return [], np.zeros((0, 0), dtype=np.int64)
+    if meta.length >= _F32_EXACT:
+        raise InvalidParamsError(
+            f"locus {locus} has length {meta.length}; allele distances are exact "
+            f"only below {_F32_EXACT}"
+        )
     stack = np.stack([enc[aid] for aid in ids])
     n = len(ids)
-    dist = np.zeros((n, n), dtype=np.int64)
-    if not np.any(stack == 255):
-        onehot = (stack[:, :, None] == np.arange(4, dtype=np.uint8)).reshape(n, -1)
-        packed = np.packbits(onehot, axis=1)
-        for i in range(n):
-            dist[i] = _POPCOUNT[packed[i] ^ packed].sum(axis=1, dtype=np.int64) >> 1
-    else:
-        valid = stack != 255
-        for i in range(n):
-            neq = stack[i] != stack
-            both = valid[i] & valid
-            dist[i] = np.count_nonzero(neq & both, axis=1)
-    np.fill_diagonal(dist, 0)
-    return ids, dist
+    hot = np.empty(stack.shape, dtype=np.float32)
+    prod = np.empty((n, n), dtype=np.float32)
+    np.not_equal(stack, 255, out=hot)
+    acc = np.matmul(hot, hot.T)
+    for base in range(4):
+        np.equal(stack, base, out=hot)
+        np.matmul(hot, hot.T, out=prod)
+        acc -= prod
+    del hot, prod  # free before the int64 copy to keep peak memory flat
+    return ids, acc.astype(np.int64)
 
 
 def pairwise_diffs(

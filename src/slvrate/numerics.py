@@ -1,9 +1,9 @@
 """Shared numeric kernels.
 
 Everything estimation-critical funnels through here: bounded scalar
-maximization, monotone root bracketing, the regularized incomplete gamma
-function (chi-squared CDF/quantile), small dense matrix inversion, and the
-symmetric-definite eigenvalue reduction used by the cross-locus test.
+maximization, the regularized incomplete gamma function (chi-squared
+CDF/quantile), small dense matrix inversion, and the symmetric-definite
+eigenvalue reduction used by the cross-locus test.
 
 All kernels are pure functions with no global state. numpy is used as the
 array carrier only; the algorithms themselves are implemented here so that
@@ -16,12 +16,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import (
-    NoBracketError,
     NonFiniteError,
     NotSPDError,
     SingularMatrixError,
@@ -32,13 +31,11 @@ __all__ = [
     "DEFAULT_TOL",
     "OptResult",
     "maximize_scalar",
-    "bisect_crossing",
     "reg_inc_gamma",
     "reg_inc_gamma_upper",
     "chi2_cdf",
     "chi2_sf",
     "chi2_quantile",
-    "log_sum_exp",
     "invert",
     "cholesky_lower",
     "jacobi_eigenvalues",
@@ -167,41 +164,6 @@ def maximize_scalar(
     return OptResult(argmax=best_x, value=best_f, iterations=n_iter, at_boundary=at_boundary)
 
 
-def bisect_crossing(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = DEFAULT_TOL.ci_t,
-    max_iter: int = 200,
-) -> float:
-    """Locate a sign change of g on [lo, hi] by bisection.
-
-    Requires g(lo) * g(hi) <= 0; raises NoBracketError otherwise.
-    """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    g_lo = float(g(lo))
-    g_hi = float(g(hi))
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if (g_lo > 0.0) == (g_hi > 0.0):
-        raise NoBracketError(f"no sign change on [{lo}, {hi}]: g={g_lo:.6g}, {g_hi:.6g}")
-    for _ in range(max_iter):
-        if (hi - lo) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        g_mid = float(g(mid))
-        if g_mid == 0.0:
-            return mid
-        if (g_mid > 0.0) == (g_hi > 0.0):
-            hi, g_hi = mid, g_mid
-        else:
-            lo, g_lo = mid, g_mid
-    return 0.5 * (lo + hi)
-
-
 # -- regularized incomplete gamma --------------------------------------------
 
 _GAMMA_EPS = 1e-16
@@ -307,14 +269,6 @@ def chi2_quantile(p: float, df: float) -> float:
         if hi - lo <= 1e-12 * (1.0 + hi):
             break
     return 0.5 * (lo + hi)
-
-
-def log_sum_exp(values: np.ndarray | Sequence[float]) -> float:
-    arr = np.asarray(values, dtype=float)
-    m = float(np.max(arr)) if arr.size else -math.inf
-    if not math.isfinite(m):
-        return m  # all -inf (or a +inf, which propagates)
-    return m + math.log(float(np.sum(np.exp(arr - m))))
 
 
 # -- small dense matrices -----------------------------------------------------

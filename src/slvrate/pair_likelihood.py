@@ -76,10 +76,6 @@ def theta_ratios(dataset: MlstDataset, method: str = "length") -> dict[str, Thet
     return {name: ThetaRatio(locus=name, r=w / denom, method=method) for name, w in weights.items()}
 
 
-def theta_ratio(dataset: MlstDataset, locus: str, method: str = "length") -> ThetaRatio:
-    return theta_ratios(dataset, method)[locus]
-
-
 @dataclass(frozen=True)
 class PairModel:
     locus: str
@@ -126,11 +122,16 @@ def _check_x(model: PairModel, x: int) -> None:
         raise InvalidParamsError(f"x must be in 1..{model.m}, got {x}")
 
 
+def _log_mutation_term(model: PairModel, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """x = 1..m as floats and log (r / (1+lam))^x."""
+    xs = np.arange(1, model.m + 1, dtype=float)
+    return xs, xs * (math.log(model.r) - math.log1p(lam))
+
+
 def log_mass_vector(model: PairModel, lam: float) -> np.ndarray:
     """log f(lam, x) for x = 1..m, stable for any magnitudes."""
     _check_lam(lam)
-    xs = np.arange(1, model.m + 1, dtype=float)
-    log_mut = xs * (math.log(model.r) - math.log1p(lam))
+    _, log_mut = _log_mutation_term(model, lam)
     c = mixture_coeff(model.r, lam)
     if c <= 0.0:
         return log_mut
@@ -138,11 +139,14 @@ def log_mass_vector(model: PairModel, lam: float) -> np.ndarray:
     return np.logaddexp(log_mut, log_rec)
 
 
+def _log_normaliser(logf: np.ndarray) -> float:
+    mx = float(np.max(logf))
+    return mx + math.log(float(np.sum(np.exp(logf - mx))))
+
+
 def log_pmf(model: PairModel, lam: float) -> np.ndarray:
     logf = log_mass_vector(model, lam)
-    mx = float(np.max(logf))
-    z = mx + math.log(float(np.sum(np.exp(logf - mx))))
-    return logf - z
+    return logf - _log_normaliser(logf)
 
 
 def pmf(model: PairModel, lam: float) -> np.ndarray:
@@ -160,8 +164,7 @@ def _mass_ratio_vector(model: PairModel, lam: float) -> np.ndarray:
     Both mixture terms are scaled by the larger one before dividing, so
     the ratio survives even when the mutation term has log-mass -3000.
     """
-    xs = np.arange(1, model.m + 1, dtype=float)
-    log_mut = xs * (math.log(model.r) - math.log1p(lam))
+    xs, log_mut = _log_mutation_term(model, lam)
     c = mixture_coeff(model.r, lam)
     c_dash = mixture_coeff_deriv(model.r, lam)
     mut_slope = -xs / (1.0 + lam)  # d/dlam log of the mutation term
@@ -178,11 +181,20 @@ def _mass_ratio_vector(model: PairModel, lam: float) -> np.ndarray:
 
 
 def score_vector(model: PairModel, lam: float) -> np.ndarray:
-    """u(lam, x) for x = 1..m: per-x mass ratio centered by its pmf mean."""
+    """u(lam, x) for x = 1..m: per-x mass ratio centered by its pmf mean.
+
+    The mean E[f'/f] is taken as sum_x f'(x) / Z on the log scale, Z being
+    the normaliser of f. Weighting the ratios by the pmf instead fails at
+    lam = 0, where the import term switches on against r^x: the ratio
+    overflows to inf at large x while its pmf weight underflows to 0.
+    """
     _check_lam(lam)
     ratios = _mass_ratio_vector(model, lam)
-    probs = pmf(model, lam)
-    return ratios - float(np.dot(probs, ratios))
+    log_z = _log_normaliser(log_mass_vector(model, lam))
+    xs, log_mut = _log_mutation_term(model, lam)
+    mut_mean = float(np.dot(-xs / (1.0 + lam), np.exp(log_mut - log_z)))
+    rec_mean = mixture_coeff_deriv(model.r, lam) * float(np.sum(np.exp(np.log(model.q.q) - log_z)))
+    return ratios - (mut_mean + rec_mean)
 
 
 def score(model: PairModel, lam: float, x: int) -> float:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slvrate import import_dist as imp
 from slvrate import mlst_io
@@ -13,6 +15,79 @@ from slvrate.errors import InvalidParamsError, TooFewUnitsError
 def _table(locus, x):
     n = len(x)
     return imp.PairwiseDiffTable.from_matrix(locus, list(range(1, n + 1)), np.array(x))
+
+
+def _one_locus_dataset(sequences, mode="strict"):
+    """Dataset whose locus ``locA`` carries ``sequences`` as alleles 1..n."""
+    alleles = {
+        "locA": [mlst_io.AlleleSequence("locA", i + 1, seq) for i, seq in enumerate(sequences)],
+        "locB": [mlst_io.AlleleSequence("locB", 1, "AAAA")],
+    }
+    profiles = [mlst_io.StProfile(1, (1, 1)), mlst_io.StProfile(2, (2, 1))]
+    dataset, _ = mlst_io.build_dataset(profiles, alleles, mode=mode)
+    return dataset, alleles["locA"]
+
+
+@st.composite
+def _lenient_alleles(draw):
+    # mostly ACGT with ambiguity codes and gaps, and some off-length alleles
+    length = draw(st.integers(1, 40))
+    sizes = st.sampled_from([length, length, length, length + 1, max(1, length - 2)])
+    return [
+        draw(st.text(alphabet="ACGTACGTN-RY", min_size=size, max_size=size))
+        for size in draw(st.lists(sizes, min_size=2, max_size=12))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sequences=_lenient_alleles())
+def test_allele_distance_matrix_matches_per_pair_hamming(sequences):
+    dataset, records = _one_locus_dataset(sequences, mode="lenient")
+    modal = dataset.locus_meta("locA").length
+    usable = [rec for rec in records if len(rec.sequence) == modal]
+    ids, dist = imp.allele_distance_matrix(dataset, "locA")
+    assert ids == [rec.allele_id for rec in usable]  # off-length alleles are left out
+    assert dist.dtype == np.int64
+    ref = [[mlst_io.hamming(a, b) for b in usable] for a in usable]
+    assert dist.tolist() == ref
+
+
+def _per_row_reference(stack):
+    valid = stack != 255
+    return np.stack(
+        [np.count_nonzero((row != stack) & valid[i] & valid, axis=1) for i, row in enumerate(stack)]
+    )
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_allele_distance_matrix_at_mlst_scale(masked):
+    # the benchmark's N = 50 000 geometry: ~500 alleles of a 450 bp locus,
+    # descended from one ancestor so distances spread over 0..~60
+    rng = np.random.default_rng(12)
+    n, m = 520, 450
+    codes = np.tile(rng.integers(0, 4, size=m, dtype=np.uint8), (n, 1))
+    hits = rng.random((n, m)) < rng.uniform(0.0, 0.08, size=(n, 1))
+    codes[hits] = rng.integers(0, 4, size=int(hits.sum()), dtype=np.uint8)
+    if masked:
+        codes[rng.random((n, m)) < 0.002] = 255
+    sequences = ["".join("ACGTN"[min(c, 4)] for c in row) for row in codes]
+    dataset, _ = _one_locus_dataset(sequences, mode="lenient" if masked else "strict")
+    ids, dist = imp.allele_distance_matrix(dataset, "locA")
+    assert ids == list(range(1, n + 1))
+    assert dist.dtype == np.int64
+    assert np.array_equal(dist, dist.T)
+    assert not np.any(np.diag(dist))
+    assert np.array_equal(dist, _per_row_reference(codes))
+    assert dist.max() > 40
+
+
+def test_allele_distance_matrix_refuses_loci_beyond_float32_exactness(monkeypatch):
+    dataset, _ = _one_locus_dataset(["ACGT", "ACGA"])
+    monkeypatch.setattr(imp, "_F32_EXACT", 5)
+    assert imp.allele_distance_matrix(dataset, "locA")[1].tolist() == [[0, 1], [1, 0]]
+    monkeypatch.setattr(imp, "_F32_EXACT", 4)
+    with pytest.raises(InvalidParamsError, match="exact"):
+        imp.allele_distance_matrix(dataset, "locA")
 
 
 def test_pairwise_diffs_two_sts():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import special as sp_special
 from scipy import stats as sp_stats
 
-from slvrate.errors import NoBracketError, NonFiniteError, NotSPDError, SingularMatrixError
+from slvrate.errors import NonFiniteError, NotSPDError, SingularMatrixError
 from slvrate import numerics as nm
 
 
@@ -74,23 +74,6 @@ def test_maximize_property_random_parabolas(peak, scale):
     assert abs(res.argmax - peak) < 1e-7
 
 
-# -- bisect_crossing ----------------------------------------------------------
-
-
-def test_bisect_linear():
-    assert abs(nm.bisect_crossing(lambda x: x - 0.5, 0.0, 1.0, tol=1e-10) - 0.5) < 1e-9
-
-
-def test_bisect_sqrt2():
-    root = nm.bisect_crossing(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-9)
-    assert abs(root - math.sqrt(2.0)) < 1e-8
-
-
-def test_bisect_no_bracket():
-    with pytest.raises(NoBracketError):
-        nm.bisect_crossing(lambda x: 1.0 + x * x, 0.0, 1.0)
-
-
 # -- incomplete gamma / chi-squared -------------------------------------------
 
 
@@ -133,19 +116,6 @@ def test_chi2_sf_small_tail_relative_accuracy():
 def test_chi2_quantile_anchors():
     assert abs(nm.chi2_quantile(0.95, 1) - 3.8414588206941245) < 1e-6
     assert abs(nm.chi2_quantile(0.95, 6) - sp_stats.chi2.ppf(0.95, 6)) < 1e-6
-
-
-# -- log_sum_exp ---------------------------------------------------------------
-
-
-def test_log_sum_exp_matches_direct():
-    vals = np.array([-1000.0, -1001.0, -1002.5])
-    ref = sp_special.logsumexp(vals)
-    assert abs(nm.log_sum_exp(vals) - ref) < 1e-12
-
-
-def test_log_sum_exp_all_neg_inf():
-    assert nm.log_sum_exp(np.array([-math.inf, -math.inf])) == -math.inf
 
 
 # -- matrices ------------------------------------------------------------------

@@ -225,6 +225,18 @@ def test_score_at_zero_matches_high_precision_oracle():
                 assert err <= 1e-6 * max(1.0, abs(scores[x - 1]), abs(ref))
 
 
+def test_score_at_zero_at_mlst_geometry():
+    # m = 450, r = 1/7: at lam = 0 the mass ratio overflows to inf from
+    # x = 369 on while its pmf weight underflows, which once made every score NaN
+    model = pl.PairModel(locus="loc", r=1.0 / 7.0, q=random_q(450, 11), m=450)
+    scores = pl.score_vector(model, 0.0)
+    assert not np.any(np.isnan(scores))
+    assert np.all(np.isfinite(scores[:300]))
+    for x in (1, 2, 5, 20, 60, 150, 300):
+        ref = _mp_score_at_zero(model, x)
+        assert abs(scores[x - 1] - ref) <= 1e-6 * max(1.0, abs(ref))
+
+
 def test_score_worked_example_against_fd():
     model = make_model(0.2, [0.2, 0.3, 0.5])
     got = pl.score(model, 1.0, 1)

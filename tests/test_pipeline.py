@@ -4,6 +4,7 @@ import numpy as np
 
 from slvrate import pipeline as pp
 from slvrate import simulate as sim
+from slvrate.errors import SingularInfoError
 from slvrate.pipeline import AnalysisOptions
 
 
@@ -44,6 +45,7 @@ def test_zero_recombination_gives_small_estimates():
     # null check: with no recombination the per-locus rate estimates
     # should collapse toward zero
     estimates = []
+    singular = 0
     for rep in range(50):
         cfg = sim.SimConfig(
             n_samples=120,
@@ -58,9 +60,13 @@ def test_zero_recombination_gives_small_estimates():
             analysis = pp.analyze_dataset(
                 res.dataset, AnalysisOptions(draws=4000, seed=rep)
             )
-        except Exception:
+        except SingularInfoError:
+            # a near-zero-information locus drives the Gauss-Jordan pivot of
+            # the variation test to ~1e-17; known in 2 of these replicates
+            singular += 1
             continue
         estimates.extend(f.lam_hat for f in analysis.locus_fits)
+    assert singular == 2
     assert len(estimates) > 30
     assert float(np.median(estimates)) <= 0.1
 
