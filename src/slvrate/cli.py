@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 from . import __version__
 from .errors import ConfigError, SlvRateError
 from .experiment import ExperimentReport, RecoveryDesign, SimDesign, run_experiment
-from .import_dist import ImportDistribution
+from .import_dist import DEFAULT_DRAWS, DEFAULT_PA, ImportDistribution
 from .joint_inference import JointFit, VariationTestResult
 from .locus_estimator import LocusFit
 from .mlst_io import (
@@ -188,8 +188,8 @@ def _analysis_options(args) -> AnalysisOptions:
 
 def _add_analysis_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dists", help="directory or file(s) of import-distribution JSON")
-    sub.add_argument("--pa", type=float, default=0.8, help="full-locus import probability")
-    sub.add_argument("-M", "--draws", type=int, default=100_000, help="Monte Carlo draws")
+    sub.add_argument("--pa", type=float, default=DEFAULT_PA, help="full-locus import probability")
+    sub.add_argument("-M", "--draws", type=int, default=DEFAULT_DRAWS, help="Monte Carlo draws")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--weighting", choices=("by_st", "by_isolate"), default="by_st")
     sub.add_argument("--theta-ratio", choices=("length", "pairwise"), default="length")
@@ -408,7 +408,7 @@ def _parse_import_spec(spec) -> ImportModel | dict[str, ImportModel]:
     if model == "empirical":
         return EmpiricalImport(pmf=tuple(float(v) for v in spec["pmf"]))
     if model == "complete":
-        return CompleteImport(p_a=float(spec.get("p_a", 0.8)))
+        return CompleteImport(p_a=float(spec.get("p_a", DEFAULT_PA)))
     raise ConfigError(f"unknown import model {model!r}")
 
 
@@ -471,8 +471,8 @@ def cmd_simulate(args) -> int:
 def _analysis_from_config(cfg: dict) -> AnalysisOptions:
     sub = cfg.get("analysis", {})
     return AnalysisOptions(
-        p_a=float(sub.get("pa", 0.8)),
-        draws=int(sub.get("draws", 100_000)),
+        p_a=float(sub.get("pa", DEFAULT_PA)),
+        draws=int(sub.get("draws", DEFAULT_DRAWS)),
         seed=int(sub.get("seed", 0)),
         weighting=sub.get("weighting", "by_st"),
         theta_method=sub.get("theta_method", "length"),
@@ -563,8 +563,8 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("import-dist", help="estimate per-locus import difference pmf")
     _add_dataset_args(sub)
     sub.add_argument("--locus", default="all", help="locus name or 'all'")
-    sub.add_argument("--pa", type=float, default=0.8)
-    sub.add_argument("-M", "--draws", type=int, default=100_000)
+    sub.add_argument("--pa", type=float, default=DEFAULT_PA)
+    sub.add_argument("-M", "--draws", type=int, default=DEFAULT_DRAWS)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--weighting", choices=("by_st", "by_isolate"), default="by_st")
     sub.add_argument("--out", help="output file for one locus, directory for all")

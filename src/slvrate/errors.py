@@ -134,10 +134,6 @@ class NonMonotoneDevianceError(ModelError):
     """The deviance failed to bracket the confidence threshold."""
 
 
-class SingularInfoError(ModelError):
-    pass
-
-
 class NonPositiveInfoError(ModelError):
     pass
 
@@ -154,12 +150,4 @@ class NumericsError(SlvRateError):
 
 
 class NonFiniteError(NumericsError):
-    pass
-
-
-class SingularMatrixError(NumericsError):
-    pass
-
-
-class NotSPDError(NumericsError):
     pass

@@ -6,12 +6,19 @@ and its deviance is rescaled by the ratio of summed score variances to
 summed informations.
 
 The variation test compares the sum of per-locus maxima against the
-constrained maximum. Its statistic is asymptotically a weighted sum of
-independent chi-squared(1) variables; the weights are the eigenvalues of
-H^-1 G built from two arrowhead matrices that encode per-locus
-information under the "first locus free, others offsets" parameterization.
-Mean-matching the weighted sum to a chi-squared with L-1 degrees of
-freedom gives the reported p-value.
+constrained maximum. Under the null of a common rate its statistic is
+asymptotically a weighted sum of L-1 independent chi-squared(1) variables,
+the law of a likelihood-ratio test under a misspecified (composite)
+likelihood (Varin, Reid & Firth, 2011, "An overview of composite
+likelihood methods", Stat. Sinica). Each locus contributes a scalar
+information I_l and score variance J_l, so the weights have a closed form:
+they are the nonzero eigenvalues of diag(J/I) - u u^T with
+u_l = sqrt(J_l / sum(I)), and their mean is
+
+    nu1 = (sum(J_l / I_l) - sum(J) / sum(I)) / (L - 1).
+
+Dividing the statistic by nu1 and referring it to a chi-squared with L-1
+degrees of freedom gives the reported p-value.
 """
 
 from __future__ import annotations
@@ -21,20 +28,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ModelError,
-    NonPositiveInfoError,
-    SingularMatrixError,
-    SingularInfoError,
-    TooFewLociError,
-)
+from .errors import ModelError, NonFiniteError, NonPositiveInfoError, TooFewLociError
 from .locus_estimator import CompositeLikelihood, LocusFit, deviance_ci
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
     chi2_sf,
-    gen_eigen_spd,
-    invert,
     lam_to_t,
     maximize_scalar,
     t_to_lam,
@@ -50,41 +49,6 @@ class JointFit:
     ci_upper: float
     n_loci: int
     at_boundary: bool
-
-
-@dataclass(frozen=True)
-class ArrowheadInfo:
-    """Arrowhead matrix assembled from per-locus information values.
-
-    Entry (0,0) is the total across loci; the first row/column and the
-    remaining diagonal repeat the values of loci 2..L; everything else
-    is zero.
-    """
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.values) < 2:
-            raise TooFewLociError(f"need at least 2 loci, got {len(self.values)}")
-        if any(v <= 0.0 for v in self.values):
-            raise NonPositiveInfoError(f"non-positive information among {self.values}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
-    def matrix(self) -> np.ndarray:
-        vals = np.asarray(self.values, dtype=float)
-        mat = np.zeros((self.dim, self.dim))
-        mat[0, 0] = float(vals.sum())
-        mat[0, 1:] = vals[1:]
-        mat[1:, 0] = vals[1:]
-        mat[np.arange(1, self.dim), np.arange(1, self.dim)] = vals[1:]
-        return mat
-
-
-def build_arrowhead(values: Sequence[float]) -> ArrowheadInfo:
-    return ArrowheadInfo(values=tuple(float(v) for v in values))
 
 
 class _SummedCl:
@@ -154,6 +118,37 @@ class VariationTestResult:
     joint_lambda: float
 
 
+def variation_weights(
+    info_i: Sequence[float], info_j: Sequence[float]
+) -> tuple[float, np.ndarray]:
+    """Weights of the variation test's chi-squared(1) mixture from per-locus I and J.
+
+    Returns ``(nu1, eta)``: the L-1 weights ``eta`` in ascending order and
+    their mean ``nu1``. ``diag(J/I) - u u^T`` is positive semi-definite
+    with exactly one zero eigenvalue (eigenvector proportional to I/sqrt(J)),
+    so dropping the smallest eigenvalue leaves the weights.
+    """
+    i_arr = np.asarray(info_i, dtype=float)
+    j_arr = np.asarray(info_j, dtype=float)
+    n_loci = i_arr.size
+    if n_loci < 2:
+        raise TooFewLociError(f"need at least 2 loci, got {n_loci}")
+    if not (np.all(np.isfinite(i_arr)) and np.all(np.isfinite(j_arr))):
+        raise NonFiniteError("per-locus information is not finite")
+    bad = (i_arr <= 0.0) | (j_arr <= 0.0)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NonPositiveInfoError(
+            f"non-positive information at locus {k}: I={i_arr[k]:.3g}, J={j_arr[k]:.3g}"
+        )
+    ratio = j_arr / i_arr
+    total_i = float(i_arr.sum())
+    nu1 = (float(ratio.sum()) - float(j_arr.sum()) / total_i) / (n_loci - 1)
+    u = np.sqrt(j_arr / total_i)
+    eta = np.linalg.eigvalsh(np.diag(ratio) - np.outer(u, u))[1:]
+    return nu1, eta
+
+
 def variation_test(
     cls: Sequence[CompositeLikelihood],
     fits: Sequence[LocusFit],
@@ -165,7 +160,7 @@ def variation_test(
     ``joint`` is the ``joint_fit`` of the same loci; its constrained
     maximum is the null side of the test. Loci enter in the order given;
     callers should have excluded loci with no SLV pairs (they carry no
-    information and would make the information matrices singular).
+    information, which ``variation_weights`` rejects).
     """
     if len(cls) != len(fits):
         raise ModelError("per-locus fits do not match likelihood objects")
@@ -181,16 +176,7 @@ def variation_test(
         )
     lr_star = max(lr_star, 0.0)
 
-    i_phi = build_arrowhead([f.info_i for f in fits]).matrix()
-    j_phi = build_arrowhead([f.info_j for f in fits]).matrix()
-    try:
-        h = invert(i_phi, tol)[1:, 1:]
-        mid = i_phi @ invert(j_phi, tol) @ i_phi
-        g = invert(mid, tol)[1:, 1:]
-        nu1 = float(np.trace(invert(h, tol) @ g)) / (n_loci - 1)
-        eta = gen_eigen_spd(g, h, tol)
-    except SingularMatrixError as err:
-        raise SingularInfoError(f"information matrices are singular: {err}") from err
+    nu1, eta = variation_weights([f.info_i for f in fits], [f.info_j for f in fits])
     lr = lr_star / nu1
     return VariationTestResult(
         lr_star=lr_star,

@@ -1,30 +1,24 @@
-"""Shared numeric kernels.
+"""Shared scalar numerics.
 
-Everything estimation-critical funnels through here: bounded scalar
-maximization, the regularized incomplete gamma function (chi-squared
-CDF/quantile), small dense matrix inversion, and the symmetric-definite
-eigenvalue reduction used by the cross-locus test.
+Everything estimation-critical funnels through here: the central
+tolerances, bounded scalar maximization, the regularized incomplete gamma
+function (chi-squared tail probabilities) and the chi-squared(1) quantile
+behind every deviance interval. The cross-locus test needs no matrix
+kernel of its own: its weights have a closed form (see
+``joint_inference``).
 
-All kernels are pure functions with no global state. numpy is used as the
-array carrier only; the algorithms themselves are implemented here so that
-accuracy and failure behavior are pinned by this module's tests rather
-than by whatever LAPACK happens to be linked.
+All functions are pure, with no global state, and each is checked against
+an independent oracle (scipy or closed forms) in the tests.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable
 
-import numpy as np
-
-from .errors import (
-    NonFiniteError,
-    NotSPDError,
-    SingularMatrixError,
-)
+from .errors import InvalidParamsError, NonFiniteError
 
 __all__ = [
     "Tolerances",
@@ -33,13 +27,8 @@ __all__ = [
     "maximize_scalar",
     "reg_inc_gamma",
     "reg_inc_gamma_upper",
-    "chi2_cdf",
     "chi2_sf",
     "chi2_quantile",
-    "invert",
-    "cholesky_lower",
-    "jacobi_eigenvalues",
-    "gen_eigen_spd",
     "lam_to_t",
     "t_to_lam",
 ]
@@ -54,9 +43,7 @@ class Tolerances:
     ci_w_slack: float = 1e-4     # allowed |W(endpoint) - threshold| at a CI bound
     lambda_max: float = 1e4      # search ceiling for lam
     alpha_cap: float = 1.0 - 1e-9
-    pivot_eps: float = 1e-12     # relative pivot threshold for inversion
     lr_negative_slack: float = 1e-9
-    max_matrix_dim: int = 16
 
 
 DEFAULT_TOL = Tolerances()
@@ -238,147 +225,19 @@ def reg_inc_gamma_upper(s: float, x: float) -> float:
     return _gamma_cf(s, x)
 
 
-def chi2_cdf(x: float, df: float) -> float:
-    return reg_inc_gamma(0.5 * df, 0.5 * x)
-
-
 def chi2_sf(x: float, df: float) -> float:
     return reg_inc_gamma_upper(0.5 * df, 0.5 * x)
 
 
-@functools.lru_cache(maxsize=64)
 def chi2_quantile(p: float, df: float) -> float:
-    """Inverse chi-squared CDF by bisection on the incomplete gamma.
+    """Inverse chi-squared(1) CDF.
 
-    Cached: every confidence interval asks for the same few thresholds.
+    A chi-squared(1) variable is the square of a standard normal, so its
+    p-quantile is the square of the normal (1+p)/2-quantile. Only df = 1
+    is supported: every deviance interval is one-dimensional.
     """
+    if df != 1:
+        raise InvalidParamsError(f"chi2_quantile supports df = 1 only, got {df}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    hi = df + 10.0
-    while chi2_cdf(hi, df) < p:
-        hi *= 2.0
-        if hi > 1e12:
-            raise NonFiniteError("chi2_quantile failed to bracket")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if chi2_cdf(mid, df) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * (1.0 + hi):
-            break
-    return 0.5 * (lo + hi)
-
-
-# -- small dense matrices -----------------------------------------------------
-
-
-def _as_square(mat: np.ndarray, max_dim: int) -> np.ndarray:
-    a = np.array(mat, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] > max_dim:
-        raise ValueError(f"dimension {a.shape[0]} exceeds supported maximum {max_dim}")
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteError("matrix has non-finite entries")
-    return a
-
-
-def invert(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Invert a small dense matrix by Gauss-Jordan with partial pivoting.
-
-    Raises SingularMatrixError when the best available pivot falls below
-    ``tol.pivot_eps`` relative to the matrix scale.
-    """
-    a = _as_square(mat, tol.max_matrix_dim)
-    n = a.shape[0]
-    scale = max(1.0, float(np.max(np.abs(a))))
-    aug = np.hstack([a, np.eye(n)])
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[piv, col]) <= tol.pivot_eps * scale:
-            raise SingularMatrixError(f"pivot {aug[piv, col]:.3e} below threshold at column {col}")
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] /= aug[col, col]
-        for row in range(n):
-            if row != col and aug[row, col] != 0.0:
-                aug[row] -= aug[row, col] * aug[col]
-    return aug[:, n:]
-
-
-def cholesky_lower(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Lower-triangular Cholesky factor; raises NotSPDError if not SPD."""
-    a = _as_square(mat, tol.max_matrix_dim)
-    n = a.shape[0]
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a - a.T)) > 1e-8 * scale:
-        raise NotSPDError("matrix is not symmetric")
-    low = np.zeros_like(a)
-    for i in range(n):
-        for j in range(i + 1):
-            acc = a[i, j] - float(np.dot(low[i, :j], low[j, :j]))
-            if i == j:
-                if acc <= tol.pivot_eps * scale:
-                    raise NotSPDError(f"non-positive pivot {acc:.3e} at index {i}")
-                low[i, j] = math.sqrt(acc)
-            else:
-                low[i, j] = acc / low[j, j]
-    return low
-
-
-def jacobi_eigenvalues(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi sweeps, ascending."""
-    a = _as_square(mat, tol.max_matrix_dim)
-    n = a.shape[0]
-    a = 0.5 * (a + a.T)
-    if n == 1:
-        return a[0, :1].copy()
-    for _ in range(100):
-        off = math.sqrt(float(np.sum(np.tril(a, -1) ** 2)))
-        if off <= 1e-14 * max(1.0, float(np.max(np.abs(np.diag(a))))):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if a[p, q] == 0.0:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / a[p, q]
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                a = 0.5 * (a + a.T)
-    return np.sort(np.diag(a))
-
-
-def _solve_lower(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve low @ x = rhs for lower-triangular low (rhs may be a matrix)."""
-    n = low.shape[0]
-    x = np.array(rhs, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    out = np.zeros_like(x)
-    for i in range(n):
-        out[i] = (x[i] - low[i, :i] @ out[:i]) / low[i, i]
-    return out
-
-
-def gen_eigen_spd(g: np.ndarray, h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of H^-1 G for symmetric G and SPD H, ascending.
-
-    Uses triangular whitening: with H = L L^T the eigenvalues of H^-1 G
-    equal those of the symmetric matrix L^-1 G L^-T.
-    """
-    g_arr = _as_square(g, tol.max_matrix_dim)
-    h_arr = _as_square(h, tol.max_matrix_dim)
-    if g_arr.shape != h_arr.shape:
-        raise ValueError("G and H must have matching shapes")
-    low = cholesky_lower(h_arr, tol)
-    half = _solve_lower(low, g_arr)          # L^-1 G
-    white = _solve_lower(low, half.T).T      # (L^-1 (L^-1 G)^T)^T = L^-1 G L^-T
-    return jacobi_eigenvalues(0.5 * (white + white.T), tol)
+    return NormalDist().inv_cdf(0.5 * (1.0 + p)) ** 2

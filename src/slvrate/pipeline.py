@@ -15,7 +15,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import TooFewUnitsError
-from .import_dist import ImportDistribution, estimate_import_dist, pairwise_diffs
+from .import_dist import (
+    DEFAULT_DRAWS,
+    DEFAULT_PA,
+    ImportDistribution,
+    estimate_import_dist,
+    pairwise_diffs,
+)
 from .joint_inference import JointFit, VariationTestResult, joint_fit, variation_test
 from .locus_estimator import CompositeLikelihood, LocusFit, fit_all_loci
 from .mlst_io import MlstDataset
@@ -28,8 +34,8 @@ _IMPORT_SEED_DOMAIN = 3
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    p_a: float = 0.8
-    draws: int = 100_000
+    p_a: float = DEFAULT_PA
+    draws: int = DEFAULT_DRAWS
     seed: int = 0
     weighting: str = "by_st"
     theta_method: str = "length"

@@ -23,6 +23,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import InvalidImportModelError, InvalidParamsError
+from .import_dist import DEFAULT_PA
 from .mlst_io import (
     AlleleSequence,
     LocusMeta,
@@ -67,7 +68,7 @@ class CompleteImport:
     random bases (so D ~ Binomial(m, 3/4)); otherwise only a Uniform
     fraction of it, thinning D binomially."""
 
-    p_a: float = 0.8
+    p_a: float = DEFAULT_PA
 
     def __post_init__(self):
         if not 0.0 <= self.p_a <= 1.0:

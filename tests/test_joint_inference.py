@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import make_partition, random_q
 
 from slvrate import joint_inference as ji
 from slvrate import locus_estimator as le
 from slvrate import pair_likelihood as pl
-from slvrate.errors import NonPositiveInfoError, TooFewLociError
+from slvrate.errors import NonFiniteError, NonPositiveInfoError, TooFewLociError
 
 
 def sampled_cl(locus, lam_true, n, seed, m=25, group_sizes=(1,)):
@@ -27,41 +28,119 @@ def sampled_cl(locus, lam_true, n, seed, m=25, group_sizes=(1,)):
     return le.CompositeLikelihood(make_partition(locus, groups), model)
 
 
-# -- arrowhead ---------------------------------------------------------------
+# -- variation weights ------------------------------------------------------
 
 
-def test_arrowhead_structure():
-    arrow = ji.build_arrowhead([1.0, 2.0, 3.0])
-    assert arrow.matrix().tolist() == [
-        [6.0, 2.0, 3.0],
-        [2.0, 2.0, 0.0],
-        [3.0, 0.0, 3.0],
-    ]
+def _arrowhead(values):
+    """Information under the "first locus free, others offsets" parameterization."""
+    vals = np.asarray(values, dtype=float)
+    mat = np.diag(np.concatenate([[vals.sum()], vals[1:]]))
+    mat[0, 1:] = mat[1:, 0] = vals[1:]
+    return mat
 
 
-def test_arrowhead_two_equal():
-    c = 1.7
-    arrow = ji.build_arrowhead([c, c]).matrix()
-    assert arrow.tolist() == [[2 * c, c], [c, c]]
-    det = arrow[0, 0] * arrow[1, 1] - arrow[0, 1] * arrow[1, 0]
-    assert abs(det - c * c) < 1e-12
+def _arrowhead_weights(info_i, info_j):
+    """Reference route: nu1 = tr(H^-1 G)/(L-1), eta = eig(H^-1 G), from the
+    arrowhead matrices inverted in full."""
+    i_phi, j_phi = _arrowhead(info_i), _arrowhead(info_j)
+    h = np.linalg.inv(i_phi)[1:, 1:]
+    g = np.linalg.inv(i_phi @ np.linalg.inv(j_phi) @ i_phi)[1:, 1:]
+    nu1 = float(np.trace(np.linalg.inv(h) @ g)) / (len(info_i) - 1)
+    return nu1, np.sort(scipy.linalg.eigh(g, h, eigvals_only=True))
 
 
-def test_arrowhead_rejects_bad_values():
-    with pytest.raises(NonPositiveInfoError):
-        ji.build_arrowhead([1.0, 0.0])
+def test_variation_weights_match_arrowhead_reference():
+    rng = np.random.default_rng(4)
+    for n_loci in range(2, 17):
+        for _ in range(8):
+            info_i = rng.uniform(0.1, 10.0, size=n_loci)
+            info_j = info_i * rng.uniform(0.5, 3.0, size=n_loci)
+            nu1, eta = ji.variation_weights(info_i, info_j)
+            ref_nu1, ref_eta = _arrowhead_weights(info_i, info_j)
+            assert abs(nu1 - ref_nu1) <= 1e-10 * ref_nu1
+            assert eta.shape == (n_loci - 1,)
+            assert np.all(np.abs(eta - ref_eta) <= 1e-10 * ref_eta)
+
+
+def test_variation_weights_two_equal_loci():
+    nu1, eta = ji.variation_weights([1.7, 1.7], [1.7, 1.7])
+    assert abs(nu1 - 1.0) <= 1e-12
+    assert np.allclose(eta, [1.0], atol=1e-12)
+
+
+def test_variation_weights_reject_bad_values():
+    for info_i, info_j in (
+        ([1.0, 0.0], [1.0, 1.0]),
+        ([1.0, -2.0], [1.0, 1.0]),
+        ([1.0, 1.0], [0.0, 1.0]),
+        ([1.0, 1.0], [1.0, -0.5]),
+    ):
+        with pytest.raises(NonPositiveInfoError):
+            ji.variation_weights(info_i, info_j)
     with pytest.raises(TooFewLociError):
-        ji.build_arrowhead([1.0])
+        ji.variation_weights([1.0], [1.0])
+    with pytest.raises(NonFiniteError):
+        ji.variation_weights([1.0, math.inf], [1.0, 1.0])
+    with pytest.raises(NonFiniteError):
+        ji.variation_weights([1.0, 1.0], [math.nan, 1.0])
 
 
-def test_arrowhead_inverse_residual_at_max_dim():
-    from slvrate.numerics import invert
+def _synthetic_fit(locus, info_i, info_j, cl_max):
+    return le.LocusFit(
+        locus=locus,
+        lam_hat=1.0,
+        ci_lower=0.5,
+        ci_upper=2.0,
+        cl_max=cl_max,
+        gamma=info_j / info_i,
+        info_i=info_i,
+        info_j=info_j,
+        alpha=0.0,
+        sigma2=1.0,
+        n_pairs=10,
+        n_groups=10,
+        at_boundary=False,
+        alpha_source="common",
+        raw_score_variance=1.0,
+    )
 
-    rng = np.random.default_rng(2)
-    values = rng.uniform(0.5, 4.0, size=16)
-    mat = ji.build_arrowhead(values).matrix()
-    inv = invert(mat)
-    assert np.max(np.abs(mat @ inv - np.eye(16))) <= 1e-10
+
+def _synthetic_joint(fits, deficit):
+    return ji.JointFit(
+        lam_hat=1.0,
+        cl_max=sum(f.cl_max for f in fits) - deficit,
+        gamma=1.0,
+        ci_lower=0.5,
+        ci_upper=2.0,
+        n_loci=len(fits),
+        at_boundary=False,
+    )
+
+
+@pytest.mark.parametrize("n_loci", [17, 40])
+def test_variation_test_beyond_sixteen_loci(n_loci):
+    rng = np.random.default_rng(n_loci)
+    fits = [
+        _synthetic_fit(f"l{k}", i, i * rng.uniform(1.0, 2.0), -50.0)
+        for k, i in enumerate(rng.uniform(0.5, 5.0, size=n_loci))
+    ]
+    result = ji.variation_test([None] * n_loci, fits, _synthetic_joint(fits, 9.0))
+    assert result.df == n_loci - 1
+    assert len(result.eta) == n_loci - 1
+    assert np.all(np.isfinite(result.eta)) and math.isfinite(result.nu1)
+    assert 0.0 < result.p_value < 1.0
+
+
+def test_variation_test_near_zero_information_locus():
+    # a locus whose scores collapse at its maximum reports I, J ~ 1e-17
+    fits = [
+        _synthetic_fit("flat", 1e-17, 2e-17, -10.0),
+        _synthetic_fit("b", 3.0, 4.5, -40.0),
+        _synthetic_fit("c", 2.0, 2.5, -30.0),
+    ]
+    result = ji.variation_test([None] * 3, fits, _synthetic_joint(fits, 2.0))
+    assert math.isfinite(result.nu1) and math.isfinite(result.p_value)
+    assert len(result.eta) == 2 and np.all(np.isfinite(result.eta))
 
 
 # -- joint fit ----------------------------------------------------------------
