@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -60,6 +59,18 @@ class _Parser(argparse.ArgumentParser):
 
 def render_json(obj, indent: int = 0) -> str:
     """JSON with floats at 12 significant digits and insertion-order keys."""
+    # scalars first: a large int list would otherwise pay the Mapping ABC
+    # check once per element
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return '"inf"' if obj > 0 else '"-inf"'
+        if math.isnan(obj):
+            return '"nan"'
+        return format(obj, ".12g")
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, Mapping):
@@ -72,16 +83,6 @@ def render_json(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{inner}{render_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return '"inf"' if obj > 0 else '"-inf"'
-        if math.isnan(obj):
-            return '"nan"'
-        return format(obj, ".12g")
-    if isinstance(obj, int):
-        return str(obj)
     if obj is None:
         return "null"
     return json.dumps(obj)
@@ -510,7 +511,7 @@ def cmd_experiment(args) -> int:
         )
     else:
         raise ConfigError(f"unknown design {kind!r} in {args.config}")
-    report = run_experiment(design, threads=args.threads)
+    report = run_experiment(design)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "report.json", _report_doc(report, cfg, args))
@@ -596,8 +597,7 @@ def build_parser() -> _Parser:
     sub.add_argument(
         "--threads",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker bound; results are independent of this",
+        help="ignored: replicates run serially; accepted so existing command lines still parse",
     )
     sub.set_defaults(func=cmd_experiment)
     return parser

@@ -13,14 +13,13 @@ Four designs:
   estimator sees exactly the data-generating process it assumes. This is
   the oracle-equivalence check for the estimation stack.
 
-Replicates are independent; each gets a deterministically derived Philox
-stream, so reports are reproducible and unaffected by the worker count.
+Replicates are independent and run one after another; each gets a
+deterministically derived Philox stream, so reports are reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -317,8 +316,8 @@ def _collect(design_kind: str, level: float, replicate_outputs: list[dict]) -> E
     )
 
 
-def run_experiment(design: SimDesign | RecoveryDesign, threads: int = 1) -> ExperimentReport:
-    """Run all replicates and aggregate; identical whatever ``threads`` is."""
+def run_experiment(design: SimDesign | RecoveryDesign) -> ExperimentReport:
+    """Run all replicates serially and aggregate them."""
     if isinstance(design, RecoveryDesign):
         models = recovery_models(design)
         worker = lambda ridx: _run_recovery_replicate(design, models, ridx)
@@ -326,10 +325,4 @@ def run_experiment(design: SimDesign | RecoveryDesign, threads: int = 1) -> Expe
     else:
         worker = lambda ridx: _run_sim_replicate(design, ridx)
         level = design.analysis.level
-    indices = range(design.replicates)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(worker, indices))
-    else:
-        outputs = [worker(i) for i in indices]
-    return _collect(design.kind, level, outputs)
+    return _collect(design.kind, level, [worker(i) for i in range(design.replicates)])

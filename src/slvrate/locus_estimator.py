@@ -30,6 +30,7 @@ from .errors import (
     DegenerateScoresError,
     EmptyPartitionError,
     InvalidParamsError,
+    NonFiniteError,
     NonMonotoneDevianceError,
 )
 from .numerics import (
@@ -135,11 +136,20 @@ class CompositeLikelihood:
     def scores_by_group(self, lam: float) -> GroupedScores:
         """Unweighted per-pair scores at lam, grouped by dependence group.
 
-        Only groups that contribute at least one pair appear.
+        Only groups that contribute at least one pair appear. A score beyond
+        float range (at lam = 0, x near m) raises NonFiniteError naming the
+        first such pair, instead of giving sigma^2 = inf downstream.
         """
         if self.n_pairs == 0:
             raise EmptyPartitionError(f"locus {self.locus} has no SLV pairs")
         u = score_vector(self.model, lam)[self._index]
+        bad = np.flatnonzero(~np.isfinite(u))
+        if bad.size:
+            pair = self.partition.pairs[int(bad[0])]
+            raise NonFiniteError(
+                f"locus {self.locus}: score at lam={lam!r} is {u[bad[0]]} for pair "
+                f"({pair.st_a},{pair.st_b}) with x={pair.x}"
+            )
         return GroupedScores(u, self.partition.group_index)
 
 

@@ -10,13 +10,29 @@ sequence types are assigned by exact sequence identity, which round-trips
 through the standard dataset builder.
 
 Determinism: everything is driven by one numpy Philox generator per
-replicate; draw order is fixed (per-branch counts first, then event
-details in ascending node order), so a seed pins the output bit-for-bit.
+replicate, and the draw order is fixed, so a seed pins the output
+bit-for-bit:
+
+1. the tree: per coalescence, one exponential waiting time, then two
+   integers picking the merging pair;
+2. the root sequence of each locus, in locus order;
+3. the per-branch mutation counts, then import counts, locus by locus;
+4. the event details of each busy (node, locus) cell, one that holds at
+   least one event, node-major and then by locus: the offsets of its
+   mutations, then of its imports, then per event from the oldest on
+   (site and shift of a mutation, or D, sites and shifts of an import).
+
+Cost: after the vectorised per-branch counts, the overlay does Python work
+only per event and per busy cell, not per (node, locus) cell. A node
+without events shares its nearest eventful ancestor's sequences, stored as
+one byte string per locus, and a leaf's sequence type is looked up once
+per distinct tuple of those strings.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
@@ -157,10 +173,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class CoalescentTree:
+    """Nodes 0..n-1 are the leaves and 2n-2 is the root; every node's
+    parent has a larger id than the node."""
+
     n_leaves: int
     parent: np.ndarray        # (2n-1,) int, -1 at the root
     time: np.ndarray          # (2n-1,) float, 0 at leaves
-    children: tuple[tuple[int, ...], ...]
 
     @property
     def n_nodes(self) -> int:
@@ -191,30 +209,29 @@ def simulate_coalescent_tree(n: int, rng: np.random.Generator) -> CoalescentTree
     if n < 2:
         raise InvalidParamsError(f"need n >= 2 leaves, got {n}")
     n_nodes = 2 * n - 1
-    parent = np.full(n_nodes, -1, dtype=np.int64)
-    time = np.zeros(n_nodes)
-    children: list[tuple[int, ...]] = [() for _ in range(n_nodes)]
+    parent = [-1] * n_nodes
+    time = [0.0] * n_nodes
     active = list(range(n))
+    exponential, integers = rng.exponential, rng.integers
     now = 0.0
-    nxt = n
-    while len(active) > 1:
+    for nxt in range(n, n_nodes):
         k = len(active)
-        now += rng.exponential(2.0 / (k * (k - 1)))
-        i = int(rng.integers(k))
-        j = int(rng.integers(k - 1))
+        now += exponential(2.0 / (k * (k - 1)))
+        i = int(integers(k))
+        j = int(integers(k - 1))
         if j >= i:
             j += 1
         a, b = active[i], active[j]
         parent[a] = parent[b] = nxt
         time[nxt] = now
-        children[nxt] = (a, b)
         # replace the smaller index, drop the larger, preserving order
         lo, hi = min(i, j), max(i, j)
         active[lo] = nxt
         del active[hi]
-        nxt += 1
     return CoalescentTree(
-        n_leaves=n, parent=parent, time=time, children=tuple(children)
+        n_leaves=n,
+        parent=np.array(parent, dtype=np.int64),
+        time=np.array(time, dtype=float),
     )
 
 
@@ -235,62 +252,64 @@ def overlay_events(
         mut_counts[li] = rng.poisson(blen * (config.theta[li] / 2.0))
         rec_counts[li] = rng.poisson(blen * (config.lam[li] * config.theta[li] / 2.0))
 
-    # per-(node, locus) event scripts, drawn in canonical order
-    scripts: dict[tuple[int, int], list[tuple]] = {}
+    # per-node event scripts for the busy (node, locus) cells only, drawn in
+    # canonical order: nonzero() on the (node, locus) matrix is node-major
+    busy_nodes, busy_loci = np.nonzero((mut_counts + rec_counts).T)
+    scripts: dict[int, list[tuple[int, list[tuple]]]] = {}
     log: list[tuple] = []
-    for node in range(tree.n_nodes):
-        if tree.parent[node] < 0:
-            continue
-        for li in range(n_loci):
-            n_mut = int(mut_counts[li, node])
-            n_rec = int(rec_counts[li, node])
-            if n_mut == 0 and n_rec == 0:
-                continue
-            name, m = loci[li]
-            marks = [(float(u), "mut") for u in rng.random(n_mut)]
-            marks += [(float(u), "rec") for u in rng.random(n_rec)]
-            marks.sort(reverse=True)  # larger offset = older; apply root-to-tip
-            ops: list[tuple] = []
-            for u, kind in marks:
-                if kind == "mut":
-                    site = int(rng.integers(m))
-                    delta = int(rng.integers(1, 4))
-                    ops.append(("mut", site, delta))
-                    if config.track_events:
-                        log.append((node, u, name, "mut", site))
-                else:
-                    d = samplers[li](rng)
-                    sites = rng.choice(m, size=d, replace=False)
-                    deltas = rng.integers(1, 4, size=d)
-                    ops.append(("rec", sites, deltas))
-                    if config.track_events:
-                        log.append((node, u, name, "rec", d))
-            scripts[(node, li)] = ops
-
-    # root-to-tip materialization; arrays shared until a branch edits them
-    leaf_vectors: list[tuple[bytes, ...] | None] = [None] * tree.n_leaves
-    stack: list[tuple[int, list[np.ndarray]]] = [(tree.root, roots)]
-    while stack:
-        node, seqs = stack.pop()
-        for child in tree.children[node]:
-            child_seqs = seqs
-            edits = [li for li in range(n_loci) if (child, li) in scripts]
-            if edits:
-                child_seqs = list(seqs)
-                for li in edits:
-                    arr = seqs[li].copy()
-                    for op in scripts[(child, li)]:
-                        if op[0] == "mut":
-                            _, site, delta = op
-                            arr[site] = (arr[site] + delta) % 4
-                        else:
-                            _, sites, deltas = op
-                            arr[sites] = (arr[sites] + deltas) % 4
-                    child_seqs[li] = arr
-            if child < tree.n_leaves:
-                leaf_vectors[child] = tuple(arr.tobytes() for arr in child_seqs)
+    for node, li, n_mut, n_rec in zip(
+        busy_nodes.tolist(),
+        busy_loci.tolist(),
+        mut_counts[busy_loci, busy_nodes].tolist(),
+        rec_counts[busy_loci, busy_nodes].tolist(),
+    ):
+        name, m = loci[li]
+        marks = [(float(u), "mut") for u in rng.random(n_mut)]
+        marks += [(float(u), "rec") for u in rng.random(n_rec)]
+        marks.sort(reverse=True)  # larger offset = older; apply root-to-tip
+        ops: list[tuple] = []
+        for u, kind in marks:
+            if kind == "mut":
+                site = int(rng.integers(m))
+                delta = int(rng.integers(1, 4))
+                ops.append(("mut", site, delta))
+                if config.track_events:
+                    log.append((node, u, name, "mut", site))
             else:
-                stack.append((child, child_seqs))
+                d = samplers[li](rng)
+                sites = rng.choice(m, size=d, replace=False)
+                deltas = rng.integers(1, 4, size=d)
+                ops.append(("rec", sites, deltas))
+                if config.track_events:
+                    log.append((node, u, name, "rec", d))
+        scripts.setdefault(node, []).append((li, ops))
+
+    # each leaf inherits the sequences of its nearest ancestor-or-self whose
+    # branch carries events (the root counts as one), found by pointer
+    # jumping; only those nodes get sequences, as per-locus byte strings
+    # that a node without an edit at a locus shares with its ancestor
+    busy = np.zeros(tree.n_nodes, dtype=bool)
+    busy[busy_nodes] = True
+    busy[tree.root] = True
+    anchor = np.where(busy, np.arange(tree.n_nodes), tree.parent)
+    while not busy[anchor].all():
+        anchor = np.where(busy[anchor], anchor, anchor[anchor])
+    anchor = anchor.tolist()
+    raws_at = {tree.root: tuple(arr.tobytes() for arr in roots)}
+    for node in reversed(scripts):  # descending ids: ancestors first
+        raws = list(raws_at[anchor[tree.parent[node]]])
+        for li, ops in scripts[node]:
+            arr = np.frombuffer(raws[li], dtype=np.uint8).copy()
+            for op in ops:
+                if op[0] == "mut":
+                    _, site, delta = op
+                    arr[site] = (arr[site] + delta) % 4
+                else:
+                    _, sites, deltas = op
+                    arr[sites] = (arr[sites] + deltas) % 4
+            raws[li] = arr.tobytes()
+        raws_at[node] = tuple(raws)
+    leaf_vectors = [raws_at[a] for a in anchor[: tree.n_leaves]]
 
     return _materialize(config, leaf_vectors, tuple(log))
 
@@ -301,27 +320,26 @@ def _materialize(
     loci_names = [name for name, _ in config.loci]
     allele_ids: list[dict[bytes, int]] = [{} for _ in loci_names]
     st_ids: dict[tuple[int, ...], int] = {}
+    # leaves below an event-free path share one tuple object: look each
+    # tuple up once (every tuple stays alive in leaf_vectors, so ids are unique)
+    st_of_vector: dict[int, int] = {}
     st_of_sample: list[int] = []
-    counts: dict[int, int] = {}
-    vectors: dict[int, tuple[int, ...]] = {}
     for vec in leaf_vectors:
-        key = []
-        for li, raw in enumerate(vec):
-            table = allele_ids[li]
-            if raw not in table:
-                table[raw] = len(table) + 1
-            key.append(table[raw])
-        key = tuple(key)
-        if key not in st_ids:
-            st_ids[key] = len(st_ids) + 1
-            vectors[st_ids[key]] = key
-        sid = st_ids[key]
+        sid = st_of_vector.get(id(vec))
+        if sid is None:
+            key = []
+            for table, raw in zip(allele_ids, vec):
+                if raw not in table:
+                    table[raw] = len(table) + 1
+                key.append(table[raw])
+            sid = st_ids.setdefault(tuple(key), len(st_ids) + 1)
+            st_of_vector[id(vec)] = sid
         st_of_sample.append(sid)
-        counts[sid] = counts.get(sid, 0) + 1
 
+    counts = Counter(st_of_sample)
     profiles = [
-        StProfile(st_id=sid, alleles=vec, isolate_count=counts[sid])
-        for sid, vec in sorted(vectors.items())
+        StProfile(st_id=sid, alleles=key, isolate_count=counts[sid])
+        for key, sid in st_ids.items()
     ]
     alleles_by_locus = {}
     for li, name in enumerate(loci_names):

@@ -15,6 +15,7 @@ from slvrate.errors import (
     DegenerateScoresError,
     EmptyPartitionError,
     InvalidParamsError,
+    NonFiniteError,
 )
 from slvrate.numerics import DEFAULT_TOL, chi2_quantile, lam_to_t, t_to_lam
 from slvrate.slv import SlvGroup, SlvPair, SlvPartition
@@ -76,6 +77,20 @@ def test_out_of_range_x_names_the_pair():
         le.CompositeLikelihood(make_partition("loc", [[1], [2, 3, 4], [5]]), model)
     with pytest.raises(InvalidParamsError, match=r"pair \(1,2\) has x=0 outside 1\.\.3"):
         le.CompositeLikelihood(singleton_partition("loc", [0, 2]), model)
+
+
+def test_non_finite_score_at_zero_names_the_pair():
+    # m = 450, r = 1/7: at lam = 0 the true score exceeds float range from
+    # x = 369 on, so a pair there must stop the fit rather than give sigma^2 = inf
+    model = pl.PairModel(locus="loc", r=1.0 / 7.0, q=random_q(450, 11), m=450)
+    cl = le.CompositeLikelihood(make_partition("loc", [[3], [20, 400, 370], [450]]), model)
+    with pytest.raises(
+        NonFiniteError, match=r"locus loc: score at lam=0\.0 is inf for pair \(3,5\) with x=400"
+    ):
+        cl.scores_by_group(0.0)
+    assert np.all(np.isfinite(cl.scores_by_group(0.5).u))
+    below = le.CompositeLikelihood(singleton_partition("loc", [3, 20, 368]), model)
+    assert np.all(np.isfinite(below.scores_by_group(0.0).u))
 
 
 def test_empty_partition_raises():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from slvrate import simulate as sim
 from slvrate import slv
+from slvrate.cli import main as cli_main
 from slvrate.errors import InvalidImportModelError, InvalidParamsError
 
 
@@ -50,9 +53,11 @@ def test_leaf_count_and_topology():
     assert tree.n_nodes == 33
     assert (tree.parent[: tree.root] >= 0).all()
     assert tree.parent[tree.root] == -1
-    # every internal node has exactly two children
-    assert all(len(tree.children[v]) == 2 for v in range(17, 33))
-    assert all(len(tree.children[v]) == 0 for v in range(17))
+    # every internal node has exactly two children, each with a smaller id
+    n_children = np.bincount(tree.parent[: tree.root], minlength=33)
+    assert (n_children[17:] == 2).all()
+    assert (n_children[:17] == 0).all()
+    assert (tree.parent[: tree.root] > np.arange(tree.root)).all()
     # branch lengths non-negative, times increase toward the root
     assert (tree.branch_lengths() >= 0).all()
 
@@ -214,3 +219,113 @@ def test_per_locus_import_models():
     assert len(res.dataset.profiles) >= 1
     with pytest.raises(InvalidImportModelError):
         small_config(import_model={"l1": sim.GeometricImport(mean=4.0)}).import_for("l2")
+
+
+# -- golden outputs ------------------------------------------------------------
+#
+# SHA-256 digests of simulate() output and of the simulate command's files.
+# They pin the draw order documented in the simulate module and the
+# materialisation bit for bit. They also depend on numpy's Generator
+# streams, which NEP 19 lets numpy change between releases (recorded with
+# numpy 2.4).
+
+_EMPIRICAL_PMF = tuple((np.arange(50, 0, -1) / np.arange(50, 0, -1).sum()).tolist())
+
+GOLDEN_CONFIGS = {
+    "geometric": dict(n_samples=300, theta=(6.0, 6.0), lam=(1.5, 0.0)),
+    "complete": dict(
+        n_samples=300,
+        loci=(("l1", 120), ("l2", 90), ("l3", 150)),
+        theta=(5.0, 4.0, 6.0),
+        lam=(1.0, 2.0, 0.5),
+        import_model=sim.CompleteImport(p_a=0.8),
+    ),
+    "empirical": dict(
+        n_samples=300,
+        loci=(("l1", 50), ("l2", 50)),
+        theta=(4.0, 3.0),
+        lam=(2.0, 1.0),
+        import_model=sim.EmpiricalImport(_EMPIRICAL_PMF),
+    ),
+    "per_locus": dict(
+        n_samples=300,
+        loci=(("l1", 80), ("l2", 100), ("l3", 50)),
+        theta=(5.0, 5.0, 5.0),
+        lam=(1.0, 1.0, 3.0),
+        import_model={
+            "l1": sim.GeometricImport(mean=4.0),
+            "l2": sim.CompleteImport(p_a=0.5),
+            "l3": sim.EmpiricalImport(_EMPIRICAL_PMF),
+        },
+    ),
+    "track_events": dict(n_samples=200, theta=(5.0, 3.0), lam=(1.0, 2.0), track_events=True),
+    "zero_rates": dict(n_samples=50, theta=(0.0, 0.0), lam=(0.0, 0.0)),
+    "n5000": dict(
+        n_samples=5000,
+        loci=tuple((f"g{i}", 450) for i in range(7)),
+        theta=tuple(100.0 / 7.0 for _ in range(7)),
+        lam=tuple(1.0 for _ in range(7)),
+        import_model=sim.CompleteImport(p_a=0.8),
+        seed=123,
+    ),
+}
+
+GOLDEN_DIGESTS = {
+    "complete": "2e1c0f66a6b2d5e9f97e34cb36fe95c62476d90154c599605a234d6ca5bc37aa",
+    "empirical": "3ba09a2d45a2a6532ea64da461deae67a0c12325025cf9ed0577ee4bcd181d74",
+    "geometric": "ab44c1518b82dc7f989a7c17e4c66d08a3ef1b14607778dd05ab3c7aca29f0fa",
+    "n5000": "28e7bb918b1ee00afa832b750feab1fbf7156e6a4ffc46982d8b628c961cbc2e",
+    "per_locus": "25cc2663cefefff4677b3b3d05603685e9c75eaac355a9c0ee8e25c17d9686e6",
+    "track_events": "5cb78136f4bac8cc0c2dd25413c85de35f424ff666ab42b10b7f597e9508618c",
+    "zero_rates": "8cb3444beb0a6a3d867569c47ff5ba99dd40cd7ba73e1ca3f7a95ccebc3d1d4f",
+}
+
+
+def simulation_digest(res: sim.SimResult) -> str:
+    """SHA-256 over the profiles, allele sequences (in dataset order), locus
+    metadata, the sample-to-ST map and the event log."""
+    digest = hashlib.sha256()
+    for part in (
+        [(p.st_id, p.alleles, p.isolate_count) for p in res.dataset.profiles],
+        [(key, rec.sequence) for key, rec in res.dataset.alleles.items()],
+        [(meta.name, meta.length, meta.allele_count) for meta in res.dataset.loci],
+        res.st_of_sample,
+        res.event_log,
+    ):
+        digest.update(repr(part).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_simulation_matches_golden_digest(name):
+    res = sim.simulate(small_config(**GOLDEN_CONFIGS[name]))
+    assert simulation_digest(res) == GOLDEN_DIGESTS[name]
+
+
+CLI_CONFIG = {
+    "n_samples": 2000,
+    "loci": [{"name": "a", "length": 300}, {"name": "b", "length": 250}, {"name": "c", "length": 200}],
+    "theta": [8.0, 6.0, 5.0],
+    "lambda": [1.0, 0.5, 2.0],
+    "import": {"per_locus": {
+        "a": {"model": "complete", "p_a": 0.8},
+        "b": {"model": "geometric", "mean": 6.0},
+        "c": {"model": "complete"},
+    }},
+    "seed": 4,
+}
+CLI_DIGEST = "a5842c0fca6a8a5f06db653f929021eeb752c91111744b27335bbadfed6056cc"
+
+
+def test_simulate_cli_outputs_match_golden_digest(tmp_path, monkeypatch):
+    # relative paths keep the input digest in truth.json's meta block stable
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(CLI_CONFIG), encoding="utf-8")
+    assert cli_main(["simulate", "--config", "config.json", "--out-dir", "out"]) == 0
+    digest = hashlib.sha256()
+    for path in sorted((tmp_path / "out").iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert [p.name for p in sorted((tmp_path / "out").iterdir())] == [
+        "a.fas", "b.fas", "c.fas", "profiles.tsv", "truth.json"
+    ]
+    assert digest.hexdigest() == CLI_DIGEST
