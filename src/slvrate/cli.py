@@ -24,7 +24,7 @@ from . import __version__
 from .errors import ConfigError, SlvRateError
 from .experiment import ExperimentReport, RecoveryDesign, SimDesign, run_experiment
 from .import_dist import DEFAULT_DRAWS, DEFAULT_PA, ImportDistribution
-from .joint_inference import JointFit, VariationTestResult
+from .joint_inference import JointFit, VariationTestResult, joint_fit
 from .locus_estimator import LocusFit
 from .mlst_io import (
     build_dataset,
@@ -33,7 +33,7 @@ from .mlst_io import (
     write_allele_fasta,
     write_profiles,
 )
-from .pipeline import AnalysisOptions, analyze_dataset, build_import_dists
+from .pipeline import AnalysisOptions, analyze_dataset, build_import_dists, fit_loci
 from .simulate import (
     CompleteImport,
     EmpiricalImport,
@@ -280,12 +280,10 @@ def cmd_extract(args) -> int:
     dataset, report, inputs = _load_dataset(args)
     lines = ["locus\tgroup_id\tst_a\tst_b\tx\tweight"]
     for meta in dataset.loci:
-        partition = extract_slv(dataset, meta.name, mode=args.mode)
-        for pair in partition.pairs:
-            weight = partition.weight(pair)
-            lines.append(
-                f"{pair.locus}\t{pair.group_id}\t{pair.st_a}\t{pair.st_b}\t{pair.x}\t{weight:.10g}"
-            )
+        part = extract_slv(dataset, meta.name, mode=args.mode)
+        columns = (part.group_id, part.st_a, part.st_b, part.x, part.w)
+        for gid, st_a, st_b, x, weight in zip(*(col.tolist() for col in columns)):
+            lines.append(f"{part.locus}\t{gid}\t{st_a}\t{st_b}\t{x}\t{weight:.10g}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -333,21 +331,21 @@ def cmd_import_dist(args) -> int:
     return 0
 
 
-def _analyze(args):
+def _analyze(args, step):
+    """Run a pipeline step (``fit_loci`` or ``analyze_dataset``) on the
+    command's dataset and optional stored import distributions."""
     dataset, _report, inputs = _load_dataset(args)
     loaded = _load_dists(args)
     opts = _analysis_options(args)
-    if loaded is None:
-        result = analyze_dataset(dataset, opts)
-    else:
+    dists = None
+    if loaded is not None:
         dists, dist_paths = loaded
         inputs = inputs + dist_paths
-        result = analyze_dataset(dataset, opts, dists=dists)
-    return result, opts, inputs
+    return step(dataset, opts, dists=dists), opts, inputs
 
 
 def cmd_estimate(args) -> int:
-    result, opts, inputs = _analyze(args)
+    result, opts, inputs = _analyze(args, fit_loci)
     doc = {
         "meta": _meta("estimate", opts.to_dict(), inputs),
         "loci": [_fit_doc(fit) for fit in result.locus_fits],
@@ -358,19 +356,20 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_joint(args) -> int:
-    result, opts, inputs = _analyze(args)
-    if result.joint is None:
+    result, opts, inputs = _analyze(args, fit_loci)
+    if len(result.likelihoods) < 2:
         raise SlvRateError(
             f"joint estimate needs >= 2 informative loci; "
             f"got {len(result.locus_fits)} (skipped: {', '.join(result.skipped_loci) or 'none'})"
         )
-    doc = {"meta": _meta("joint", opts.to_dict(), inputs), **_joint_doc(result.joint)}
+    joint = joint_fit(result.likelihoods, result.locus_fits, level=opts.level)
+    doc = {"meta": _meta("joint", opts.to_dict(), inputs), **_joint_doc(joint)}
     write_json(Path(args.out) if args.out else None, doc)
     return 0
 
 
 def cmd_test_variation(args) -> int:
-    result, opts, inputs = _analyze(args)
+    result, opts, inputs = _analyze(args, analyze_dataset)
     if result.variation is None:
         raise SlvRateError(
             f"variation test needs >= 2 informative loci; "

@@ -31,7 +31,7 @@ from .locus_estimator import CompositeLikelihood, fit_all_loci
 from .pair_likelihood import PairModel, pmf as model_pmf
 from .pipeline import AnalysisOptions, analyze_dataset
 from .simulate import ImportModel, SimConfig, simulate
-from .slv import SlvGroup, SlvPair, SlvPartition
+from .slv import SlvPartition
 
 _ANALYSIS_SEED_DOMAIN = 5
 _RECOVERY_SEED_DOMAIN = 13
@@ -205,13 +205,16 @@ def recovery_models(design: RecoveryDesign) -> list[PairModel]:
 
 
 def _singleton_partition(locus: str, xs: np.ndarray) -> SlvPartition:
-    groups = []
-    pairs = []
-    for i, x in enumerate(xs):
-        st_a, st_b = 2 * i + 1, 2 * i + 2
-        groups.append(SlvGroup(locus, i, (st_a, st_b)))
-        pairs.append(SlvPair(locus, st_a, st_b, int(x), i))
-    return SlvPartition(locus, tuple(groups), tuple(pairs))
+    """Pair i is STs (2i+1, 2i+2), alone in group i."""
+    index = np.arange(len(xs))
+    return SlvPartition(
+        locus,
+        st_a=2 * index + 1,
+        st_b=2 * index + 2,
+        x=xs,
+        group_id=index,
+        group_size=np.full(len(xs), 2),
+    )
 
 
 def _run_recovery_replicate(design: RecoveryDesign, models: list[PairModel], ridx: int) -> dict:

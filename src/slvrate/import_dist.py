@@ -36,8 +36,8 @@ class PairwiseDiffTable:
     """Pairwise nucleotide-difference counts between K sampled units.
 
     Stored in factored form: per-unit allele index plus an allele-level
-    distance matrix, which is what the sampler needs; ``matrix()``
-    materializes the dense K x K table.
+    distance matrix, which is what the sampler needs; the dense K x K
+    table is never materialized.
     """
 
     locus: str
@@ -49,26 +49,8 @@ class PairwiseDiffTable:
     def k(self) -> int:
         return len(self.units)
 
-    def matrix(self) -> np.ndarray:
-        idx = self.allele_index
-        return self.allele_dist[np.ix_(idx, idx)]
-
     def max_diff(self) -> int:
         return int(self.allele_dist.max()) if self.allele_dist.size else 0
-
-    @classmethod
-    def from_matrix(cls, locus: str, units, x: np.ndarray) -> "PairwiseDiffTable":
-        x = np.asarray(x, dtype=np.int64)
-        if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] != len(units):
-            raise InvalidParamsError("difference matrix shape does not match units")
-        if np.any(x != x.T) or np.any(np.diag(x) != 0) or np.any(x < 0):
-            raise InvalidParamsError("difference matrix must be symmetric with zero diagonal")
-        return cls(
-            locus=locus,
-            units=tuple(units),
-            allele_index=np.arange(len(units)),
-            allele_dist=x,
-        )
 
 
 @dataclass(frozen=True)

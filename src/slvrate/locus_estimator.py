@@ -8,8 +8,10 @@ variance and alpha the within-group score correlation, the expected
 information is I = sigma^2 * sum w_i while the score variance is
 J = sigma^2 * (G + alpha * sum_g (k_g - 1)). The deviance scaled by
 gamma = J/I is asymptotically chi-squared(1), which gives confidence
-intervals by bisecting the scaled deviance against the chi-squared
-quantile on each side of the maximum.
+intervals where the scaled deviance crosses the chi-squared quantile on
+each side of the maximum. Each crossing is found by Brent's bracketed
+root finder on the signed root of the deviance, to within ci_t/2 in t
+and half the endpoint slack ci_w_slack in deviance.
 
 alpha and sigma^2 come from a compound-symmetry Gaussian model of the
 per-pair scores at the fitted maximum, maximized in closed form over
@@ -102,9 +104,9 @@ class CompositeLikelihood:
         xs = self.partition.x
         outside = np.flatnonzero((xs < 1) | (xs > self.model.m))
         if outside.size:
-            pair = self.partition.pairs[int(outside[0])]
             raise InvalidParamsError(
-                f"pair ({pair.st_a},{pair.st_b}) has x={pair.x} outside 1..{self.model.m}"
+                f"pair {self._pair_label(int(outside[0]))} has x={int(xs[outside[0]])} "
+                f"outside 1..{self.model.m}"
             )
         if self.weights is None:
             w = self.partition.w
@@ -118,6 +120,9 @@ class CompositeLikelihood:
         # built once here; every likelihood and score evaluation reads them
         object.__setattr__(self, "_w", w)
         object.__setattr__(self, "_index", index)
+
+    def _pair_label(self, i: int) -> str:
+        return f"({int(self.partition.st_a[i])},{int(self.partition.st_b[i])})"
 
     @property
     def locus(self) -> str:
@@ -145,10 +150,10 @@ class CompositeLikelihood:
         u = score_vector(self.model, lam)[self._index]
         bad = np.flatnonzero(~np.isfinite(u))
         if bad.size:
-            pair = self.partition.pairs[int(bad[0])]
+            i = int(bad[0])
             raise NonFiniteError(
-                f"locus {self.locus}: score at lam={lam!r} is {u[bad[0]]} for pair "
-                f"({pair.st_a},{pair.st_b}) with x={pair.x}"
+                f"locus {self.locus}: score at lam={lam!r} is {u[i]} for pair "
+                f"{self._pair_label(i)} with x={int(self.partition.x[i])}"
             )
         return GroupedScores(u, self.partition.group_index)
 
@@ -257,6 +262,56 @@ def godambe(
 # -- confidence interval ----------------------------------------------------------
 
 
+def _zeroin(f, a: float, b: float, xtol: float, accept) -> float:
+    """Root of f in the bracket [a, b] by Brent's zeroin.
+
+    f(a) and f(b) must have opposite signs. Each step is a secant or
+    inverse quadratic interpolation when that lands well inside the
+    bracket and shrinks it fast enough, and a bisection otherwise (Brent,
+    1973, Algorithms for Minimization without Derivatives, ch. 4).
+    Returns the bracket end with the smaller |f| once the bracket is at
+    most ``xtol`` wide and ``accept`` holds there. While ``accept`` fails,
+    the bracket keeps shrinking, down to adjacent floats.
+    """
+    fa, fb = f(a), f(b)
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(200):
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        half = 0.5 * (c - b)
+        narrow = abs(c - b) <= xtol
+        if fb == 0.0 or (narrow and accept(b)) or b + half in (b, c):
+            return b
+        # the shortest step; once the bracket is narrow, one float
+        step_min = math.ulp(b) if narrow else 0.5 * xtol
+        if abs(e) >= step_min and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(step_min * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = half
+        else:
+            d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > step_min else math.copysign(step_min, half)
+        fb = f(b)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+    return b
+
+
 def deviance_ci(
     cl: CompositeLikelihood,
     lam_hat: float,
@@ -267,24 +322,40 @@ def deviance_ci(
 ) -> tuple[float, float]:
     """Confidence interval from the scaled deviance.
 
-    Returns (lower, upper); the lower bound clamps to 0 and the upper is
-    math.inf when the deviance never reaches the chi-squared threshold
-    before the search ceiling.
+    Each endpoint is the crossing of W(t) = (2/gamma)(cl_max - loglik(t))
+    with the chi-squared quantile between t_hat and a search edge. It is
+    found as the root of the signed-root deviance sqrt(W) - sqrt(quantile),
+    which has the same sign as W - quantile but is close to linear in t,
+    so Brent's interpolation needs few evaluations. Returns (lower, upper);
+    the lower bound clamps to 0 and the upper is math.inf when the
+    deviance never reaches the quantile before the search ceiling.
     """
     if not 0.0 < level < 1.0:
         raise InvalidParamsError(f"level must be in (0,1), got {level}")
     threshold = chi2_quantile(level, 1)
+    root_threshold = math.sqrt(threshold)
     t_max = lam_to_t(tol.lambda_max)
     t_hat = min(lam_to_t(lam_hat), t_max)
+    # W per evaluated t: the edge checks below feed the root finder, and W is
+    # 0 at t_hat by definition of cl_max, so that point is never evaluated
+    memo = {t_hat: 0.0}
+
+    def deviance(t: float) -> float:
+        if t not in memo:
+            memo[t] = (2.0 / gamma) * (cl_max - cl.loglik(t_to_lam(t)))
+        return memo[t]
 
     def excess(t: float) -> float:
-        w = (2.0 / gamma) * (cl_max - cl.loglik(t_to_lam(t)))
-        return w - threshold
+        return deviance(t) - threshold
+
+    def signed_root(t: float) -> float:
+        return math.sqrt(max(deviance(t), 0.0)) - root_threshold
 
     def locate(side_lo: float, side_hi: float, side: str) -> float:
-        # bisect until the bracket is below the t tolerance AND the deviance
-        # sits within the endpoint slack; a steep deviance needs the extra
-        # refinement to honor the second contract
+        # stop once the bracket around the returned end is at most ci_t/2
+        # wide (so the end is within ci_t/2 of the crossing) AND the
+        # deviance there is within half the endpoint slack; a steep deviance
+        # needs refinement past ci_t to honor the second contract
         lo_val, hi_val = excess(side_lo), excess(side_hi)
         if lo_val == 0.0:
             return side_lo
@@ -296,25 +367,20 @@ def deviance_ci(
                 f"(t in [{side_lo:.6g}, {side_hi:.6g}], "
                 f"excess {lo_val:.3g} and {hi_val:.3g})"
             )
-        lo, hi = side_lo, side_hi
-        mid, mid_val = 0.5 * (lo + hi), excess(0.5 * (lo + hi))
-        for _ in range(200):
-            if (hi - lo) <= tol.ci_t and abs(mid_val) <= 0.5 * tol.ci_w_slack:
-                break
-            if (mid_val > 0.0) == (hi_val > 0.0):
-                hi, hi_val = mid, mid_val
-            else:
-                lo, lo_val = mid, mid_val
-            mid = 0.5 * (lo + hi)
-            mid_val = excess(mid)
-            if mid == lo or mid == hi:
-                break  # float resolution exhausted
-        if abs(mid_val) > tol.ci_w_slack:
+        t = _zeroin(
+            signed_root,
+            side_lo,
+            side_hi,
+            xtol=0.5 * tol.ci_t,
+            accept=lambda t: abs(excess(t)) <= 0.5 * tol.ci_w_slack,
+        )
+        off = abs(excess(t))
+        if off > tol.ci_w_slack:
             raise NonMonotoneDevianceError(
-                f"locus {cl.locus}: {side} deviance crossing off by {abs(mid_val):.3g} "
+                f"locus {cl.locus}: {side} deviance crossing off by {off:.3g} "
                 f"(> {tol.ci_w_slack}); deviance may be non-monotone"
             )
-        return mid
+        return t
 
     if t_hat <= 0.0 or excess(0.0) <= 0.0:
         lower = 0.0

@@ -39,7 +39,7 @@ class Tolerances:
     """Central tolerance configuration; every module cites these defaults."""
 
     opt_t: float = 1e-8          # maximizer bracket width on t = lam/(1+lam)
-    ci_t: float = 1e-6           # CI endpoint bisection tolerance on t
+    ci_t: float = 1e-6           # CI endpoint tolerance on t (root-finder bracket)
     ci_w_slack: float = 1e-4     # allowed |W(endpoint) - threshold| at a CI bound
     lambda_max: float = 1e4      # search ceiling for lam
     alpha_cap: float = 1.0 - 1e-9

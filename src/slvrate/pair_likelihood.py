@@ -22,7 +22,7 @@ identity E[u] = 0 holds to rounding by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,6 +82,10 @@ class PairModel:
     r: float
     q: ImportDistribution
     m: int
+    # constants of every evaluation, built once in __post_init__
+    xs: np.ndarray = field(init=False, repr=False, compare=False)      # x = 1..m as floats
+    log_r: float = field(init=False, repr=False, compare=False)
+    log_q: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.q.m != self.m:
@@ -90,6 +94,9 @@ class PairModel:
             )
         if not 0.0 < self.r < 1.0:
             raise DegenerateRatioError(f"r={self.r} out of (0,1)")
+        object.__setattr__(self, "xs", np.arange(1, self.m + 1, dtype=float))
+        object.__setattr__(self, "log_r", math.log(self.r))
+        object.__setattr__(self, "log_q", np.log(self.q.q))
 
     @classmethod
     def from_parts(cls, ratio: ThetaRatio, q: ImportDistribution) -> "PairModel":
@@ -105,13 +112,6 @@ def mixture_coeff_deriv(r: float, lam: float) -> float:
     return r / (1.0 + lam - r) ** 2
 
 
-def unnormalized_mass(model: PairModel, lam: float, x: int) -> float:
-    """f(lam, x) in linear space; fine for moderate x, tests and display."""
-    _check_lam(lam)
-    _check_x(model, x)
-    return (model.r / (1.0 + lam)) ** x + mixture_coeff(model.r, lam) * model.q.q[x - 1]
-
-
 def _check_lam(lam: float) -> None:
     if not (lam >= 0.0 and math.isfinite(lam)):
         raise InvalidParamsError(f"lam must be finite and >= 0, got {lam}")
@@ -122,26 +122,24 @@ def _check_x(model: PairModel, x: int) -> None:
         raise InvalidParamsError(f"x must be in 1..{model.m}, got {x}")
 
 
-def _log_mutation_term(model: PairModel, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """x = 1..m as floats and log (r / (1+lam))^x."""
-    xs = np.arange(1, model.m + 1, dtype=float)
-    return xs, xs * (math.log(model.r) - math.log1p(lam))
+def _log_mutation_term(model: PairModel, lam: float) -> np.ndarray:
+    """log (r / (1+lam))^x for x = 1..m."""
+    return model.xs * (model.log_r - math.log1p(lam))
 
 
 def log_mass_vector(model: PairModel, lam: float) -> np.ndarray:
     """log f(lam, x) for x = 1..m, stable for any magnitudes."""
     _check_lam(lam)
-    _, log_mut = _log_mutation_term(model, lam)
+    log_mut = _log_mutation_term(model, lam)
     c = mixture_coeff(model.r, lam)
     if c <= 0.0:
         return log_mut
-    log_rec = math.log(c) + np.log(model.q.q)
-    return np.logaddexp(log_mut, log_rec)
+    return np.logaddexp(log_mut, math.log(c) + model.log_q)
 
 
 def _log_normaliser(logf: np.ndarray) -> float:
-    mx = float(np.max(logf))
-    return mx + math.log(float(np.sum(np.exp(logf - mx))))
+    mx = float(logf.max())
+    return mx + math.log(float(np.exp(logf - mx).sum()))
 
 
 def log_pmf(model: PairModel, lam: float) -> np.ndarray:
@@ -153,30 +151,25 @@ def pmf(model: PairModel, lam: float) -> np.ndarray:
     return np.exp(log_pmf(model, lam))
 
 
-def loglik(model: PairModel, lam: float, x: int) -> float:
-    _check_x(model, x)
-    return float(log_pmf(model, lam)[x - 1])
-
-
 def _mass_ratio_vector(model: PairModel, lam: float) -> np.ndarray:
     """f'(lam, x) / f(lam, x) for x = 1..m, computed without underflow.
 
     Both mixture terms are scaled by the larger one before dividing, so
     the ratio survives even when the mutation term has log-mass -3000.
     """
-    xs, log_mut = _log_mutation_term(model, lam)
+    log_mut = _log_mutation_term(model, lam)
     c = mixture_coeff(model.r, lam)
     c_dash = mixture_coeff_deriv(model.r, lam)
-    mut_slope = -xs / (1.0 + lam)  # d/dlam log of the mutation term
+    mut_slope = -model.xs / (1.0 + lam)  # d/dlam log of the mutation term
     if c <= 0.0:
         log_rec = np.full(model.m, -math.inf)
     else:
-        log_rec = math.log(c) + np.log(model.q.q)
+        log_rec = math.log(c) + model.log_q
     top = np.maximum(log_mut, log_rec)
     wa = np.exp(log_mut - top)
     wb = np.exp(log_rec - top) if c > 0.0 else np.zeros(model.m)
     with np.errstate(over="ignore"):
-        rec_num = np.exp(math.log(c_dash) + np.log(model.q.q) - top)
+        rec_num = np.exp(math.log(c_dash) + model.log_q - top)
     return (mut_slope * wa + rec_num) / (wa + wb)
 
 
@@ -191,9 +184,9 @@ def score_vector(model: PairModel, lam: float) -> np.ndarray:
     _check_lam(lam)
     ratios = _mass_ratio_vector(model, lam)
     log_z = _log_normaliser(log_mass_vector(model, lam))
-    xs, log_mut = _log_mutation_term(model, lam)
-    mut_mean = float(np.dot(-xs / (1.0 + lam), np.exp(log_mut - log_z)))
-    rec_mean = mixture_coeff_deriv(model.r, lam) * float(np.sum(np.exp(np.log(model.q.q) - log_z)))
+    log_mut = _log_mutation_term(model, lam)
+    mut_mean = float(np.dot(-model.xs / (1.0 + lam), np.exp(log_mut - log_z)))
+    rec_mean = mixture_coeff_deriv(model.r, lam) * float(np.sum(np.exp(model.log_q - log_z)))
     return ratios - (mut_mean + rec_mean)
 
 

@@ -9,8 +9,8 @@ of freedom reduced accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -64,6 +64,7 @@ class AnalysisResult:
     skipped_loci: tuple[str, ...]
     partitions: Mapping[str, SlvPartition] = field(default_factory=dict)
     import_dists: Mapping[str, ImportDistribution] = field(default_factory=dict)
+    likelihoods: tuple[CompositeLikelihood, ...] = ()   # one per fitted locus
 
 
 def locus_import_seed(seed: int, locus_index: int) -> int:
@@ -114,26 +115,39 @@ def build_composite_likelihoods(
     return cls, skipped, partitions
 
 
+def fit_loci(
+    dataset: MlstDataset,
+    opts: AnalysisOptions = AnalysisOptions(),
+    dists: Mapping[str, ImportDistribution] | None = None,
+    tol: Tolerances = DEFAULT_TOL,
+) -> AnalysisResult:
+    """Per-locus fits only; ``joint`` and ``variation`` are left None."""
+    if dists is None:
+        dists = build_import_dists(dataset, opts)
+    cls, skipped, partitions = build_composite_likelihoods(dataset, dists, opts)
+    fits = fit_all_loci(cls, level=opts.level, alpha_mode=opts.alpha_mode, tol=tol)
+    return AnalysisResult(
+        locus_fits=tuple(fits),
+        joint=None,
+        variation=None,
+        skipped_loci=tuple(skipped),
+        partitions=partitions,
+        import_dists=dict(dists),
+        likelihoods=tuple(cls),
+    )
+
+
 def analyze_dataset(
     dataset: MlstDataset,
     opts: AnalysisOptions = AnalysisOptions(),
     dists: Mapping[str, ImportDistribution] | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> AnalysisResult:
-    if dists is None:
-        dists = build_import_dists(dataset, opts)
-    cls, skipped, partitions = build_composite_likelihoods(dataset, dists, opts)
-    fits = fit_all_loci(cls, level=opts.level, alpha_mode=opts.alpha_mode, tol=tol)
-    joint = None
-    variation = None
-    if len(cls) >= 2:
-        joint = joint_fit(cls, fits, level=opts.level, tol=tol)
-        variation = variation_test(cls, fits, joint, tol=tol)
-    return AnalysisResult(
-        locus_fits=tuple(fits),
-        joint=joint,
-        variation=variation,
-        skipped_loci=tuple(skipped),
-        partitions=partitions,
-        import_dists=dict(dists),
-    )
+    """Per-locus fits, then the pooled fit and the variation test when at
+    least two loci carry information."""
+    result = fit_loci(dataset, opts, dists, tol)
+    cls, fits = result.likelihoods, result.locus_fits
+    if len(cls) < 2:
+        return result
+    joint = joint_fit(cls, fits, level=opts.level, tol=tol)
+    return replace(result, joint=joint, variation=variation_test(cls, fits, joint, tol=tol))

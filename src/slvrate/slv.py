@@ -7,6 +7,11 @@ in SLV pairs split into groups: within a group every pair is an SLV pair,
 across groups none is. Groups are the dependence unit for downstream
 variance estimation, and each pair in a group of n_g sequence types gets
 weight {n_g(n_g-1)/2}^(-1/2).
+
+A partition is columnar: one read-only int64 array per pair field
+(``st_a``, ``st_b``, ``x``, ``group_id``) and the member count of every
+group (``group_size``). The likelihood, the score model and the
+``extract`` table read these arrays; nothing holds per-pair objects.
 """
 
 from __future__ import annotations
@@ -23,72 +28,46 @@ from .mlst_io import MlstDataset, hamming
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class SlvPair:
-    locus: str
-    st_a: int
-    st_b: int
-    x: int          # nucleotide differences at the focal locus
-    group_id: int
-
-
-@dataclass(frozen=True)
-class SlvGroup:
-    locus: str
-    group_id: int
-    members: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def pair_count(self) -> int:
-        n = len(self.members)
-        return n * (n - 1) // 2
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlvPartition:
+    """SLV pairs of one focal locus, as columns.
+
+    Pairs are ordered by (group_id, st_a, st_b). ``group_id`` indexes
+    ``group_size``; a group may hold no pair when lenient mode dropped
+    its zero-difference pairs. Every array is copied to int64 and made
+    read-only on construction.
+    """
+
     locus: str
-    groups: tuple[SlvGroup, ...]
-    pairs: tuple[SlvPair, ...]
+    st_a: np.ndarray          # (P,) smaller ST id of each pair
+    st_b: np.ndarray          # (P,) larger ST id
+    x: np.ndarray             # (P,) focal-locus nucleotide differences
+    group_id: np.ndarray      # (P,) index into group_size
+    group_size: np.ndarray    # (G,) member count of each group
 
-    def weight(self, pair: SlvPair) -> float:
-        return self.groups[pair.group_id].pair_count ** -0.5
+    def __post_init__(self):
+        for name in ("st_a", "st_b", "x", "group_id", "group_size"):
+            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=np.int64)))
 
-    # Per-pair arrays, built once and read-only: the likelihood and the
-    # group-level score model evaluate over these, never over the pair tuple.
+    @property
+    def n_pairs(self) -> int:
+        return len(self.x)
 
-    @cached_property
-    def x(self) -> np.ndarray:
-        """Focal-locus nucleotide differences, one per pair (int64)."""
-        return _frozen(np.array([p.x for p in self.pairs], dtype=np.int64))
+    @property
+    def n_groups(self) -> int:
+        return len(self.group_size)
 
     @cached_property
     def group_index(self) -> np.ndarray:
         """Dense group index per pair: the rank of the pair's group among
         the groups that hold at least one pair, in group_id order."""
-        ids = np.array([p.group_id for p in self.pairs], dtype=np.int64)
-        return _frozen(np.unique(ids, return_inverse=True)[1].astype(np.int64))
+        return _frozen(np.unique(self.group_id, return_inverse=True)[1].astype(np.int64))
 
     @cached_property
     def w(self) -> np.ndarray:
-        """Pair weights {n_g(n_g-1)/2}^(-1/2), as ``weight`` gives them."""
-        per_group = [g.pair_count ** -0.5 for g in self.groups]
-        return _frozen(np.array([per_group[p.group_id] for p in self.pairs], dtype=float))
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(self.w.tolist())
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
+        """Pair weights {n_g(n_g-1)/2}^(-1/2), one Python pow per group."""
+        per_group = [(n * (n - 1) // 2) ** -0.5 for n in self.group_size.tolist()]
+        return _frozen(np.array(per_group, dtype=float)[self.group_id])
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -120,8 +99,10 @@ def extract_slv(dataset: MlstDataset, locus: str, mode: str = "strict") -> SlvPa
         key=lambda sts: sts[0],
     )
 
-    groups: list[SlvGroup] = []
-    pairs: list[SlvPair] = []
+    st_a_col: list[int] = []
+    st_b_col: list[int] = []
+    x_col: list[int] = []
+    gid_col: list[int] = []
     for gid, members in enumerate(member_lists):
         focal_ids = [allele_of[st] for st in members]
         if len(set(focal_ids)) != len(focal_ids):
@@ -130,7 +111,6 @@ def extract_slv(dataset: MlstDataset, locus: str, mode: str = "strict") -> SlvPa
                 f"locus {locus}: sequence types {members} repeat a focal allele; "
                 "allele vectors are not unique"
             )
-        kept = []
         for i, st_a in enumerate(members):
             for st_b in members[i + 1 :]:
                 seq_a = dataset.allele(locus, allele_of[st_a])
@@ -146,13 +126,15 @@ def extract_slv(dataset: MlstDataset, locus: str, mode: str = "strict") -> SlvPa
                         raise ZeroDifferencePairError(msg)
                     logger.warning("%s; pair dropped", msg)
                     continue
-                kept.append(SlvPair(locus=locus, st_a=st_a, st_b=st_b, x=x, group_id=gid))
-        groups.append(SlvGroup(locus=locus, group_id=gid, members=tuple(members)))
-        pairs.extend(kept)
-    return SlvPartition(locus=locus, groups=tuple(groups), pairs=tuple(pairs))
-
-
-def partition_summary(partition: SlvPartition) -> tuple[int, tuple[int, ...], int]:
-    """(number of groups, group sizes, total SLV pair count)."""
-    sizes = tuple(g.size for g in partition.groups)
-    return len(partition.groups), sizes, len(partition.pairs)
+                st_a_col.append(st_a)
+                st_b_col.append(st_b)
+                x_col.append(x)
+                gid_col.append(gid)
+    return SlvPartition(
+        locus=locus,
+        st_a=st_a_col,
+        st_b=st_b_col,
+        x=x_col,
+        group_id=gid_col,
+        group_size=[len(members) for members in member_lists],
+    )

@@ -1,4 +1,4 @@
-"""Shared fabrication helpers for model and partition objects."""
+"""Shared fabrication helpers and per-pair oracles for the tests."""
 
 from __future__ import annotations
 
@@ -8,8 +8,9 @@ import math
 import numpy as np
 
 from slvrate import pair_likelihood as pl
-from slvrate.import_dist import ImportDistribution, Provenance
-from slvrate.slv import SlvGroup, SlvPair, SlvPartition
+from slvrate.errors import InvalidParamsError
+from slvrate.import_dist import ImportDistribution, PairwiseDiffTable, Provenance
+from slvrate.slv import SlvPartition
 
 
 def make_q(values, locus="loc"):
@@ -28,22 +29,71 @@ def random_q(m, seed):
     return make_q(rng.random(m) + 0.01)
 
 
+def partition_from_groups(locus, groups):
+    """Partition from per-group (member count, pair x list) entries; the
+    pairs are the first member combinations in lexicographic order, so a
+    group may keep fewer than all of its pairs."""
+    st = 1
+    cols = {"st_a": [], "st_b": [], "x": [], "group_id": []}
+    for gid, (n, xs) in enumerate(groups):
+        members = range(st, st + n)
+        st += n
+        for (a, b), x in zip(itertools.combinations(members, 2), xs):
+            cols["st_a"].append(a)
+            cols["st_b"].append(b)
+            cols["x"].append(int(x))
+            cols["group_id"].append(gid)
+    return SlvPartition(locus, group_size=[n for n, _ in groups], **cols)
+
+
 def make_partition(locus, groups_x):
     """Fabricate a partition from per-group pair x lists (pair order =
     lexicographic member combinations)."""
-    st = 1
-    groups, pairs = [], []
-    for gid, xs in enumerate(groups_x):
+    groups = []
+    for xs in groups_x:
         k = len(xs)
         n = round((1 + math.sqrt(1 + 8 * k)) / 2)
         assert n * (n - 1) // 2 == k, f"{k} pairs is not a full clique"
-        members = list(range(st, st + n))
-        st += n
-        for (a, b), x in zip(itertools.combinations(members, 2), xs):
-            pairs.append(SlvPair(locus, a, b, int(x), gid))
-        groups.append(SlvGroup(locus, gid, tuple(members)))
-    return SlvPartition(locus, tuple(groups), tuple(pairs))
+        groups.append((n, xs))
+    return partition_from_groups(locus, groups)
 
 
 def singleton_partition(locus, xs):
     return make_partition(locus, [[x] for x in xs])
+
+
+# -- per-pair oracles ------------------------------------------------------------
+
+
+def unnormalized_mass(model, lam, x):
+    """f(lam, x) in linear space; fine for moderate x."""
+    if not (lam >= 0.0 and math.isfinite(lam)):
+        raise InvalidParamsError(f"lam must be finite and >= 0, got {lam}")
+    if not 1 <= x <= model.m:
+        raise InvalidParamsError(f"x must be in 1..{model.m}, got {x}")
+    return (model.r / (1.0 + lam)) ** x + pl.mixture_coeff(model.r, lam) * model.q.q[x - 1]
+
+
+def loglik(model, lam, x):
+    """Log pmf of one pair's difference count."""
+    if not 1 <= x <= model.m:
+        raise InvalidParamsError(f"x must be in 1..{model.m}, got {x}")
+    return float(pl.log_pmf(model, lam)[x - 1])
+
+
+def diff_matrix(table: PairwiseDiffTable) -> np.ndarray:
+    """The dense K x K difference table of a factored one."""
+    idx = table.allele_index
+    return table.allele_dist[np.ix_(idx, idx)]
+
+
+def table_from_matrix(locus, units, x) -> PairwiseDiffTable:
+    """A table whose units are all distinct alleles with distances ``x``."""
+    x = np.asarray(x, dtype=np.int64)
+    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] != len(units):
+        raise InvalidParamsError("difference matrix shape does not match units")
+    if np.any(x != x.T) or np.any(np.diag(x) != 0) or np.any(x < 0):
+        raise InvalidParamsError("difference matrix must be symmetric with zero diagonal")
+    return PairwiseDiffTable(
+        locus=locus, units=tuple(units), allele_index=np.arange(len(units)), allele_dist=x
+    )

@@ -11,10 +11,12 @@ from slvrate import import_dist as imp
 from slvrate import mlst_io
 from slvrate.errors import InvalidParamsError, TooFewUnitsError
 
+from helpers import diff_matrix, table_from_matrix
+
 
 def _table(locus, x):
     n = len(x)
-    return imp.PairwiseDiffTable.from_matrix(locus, list(range(1, n + 1)), np.array(x))
+    return table_from_matrix(locus, list(range(1, n + 1)), np.array(x))
 
 
 def _one_locus_dataset(sequences, mode="strict"):
@@ -99,7 +101,7 @@ def test_pairwise_diffs_two_sts():
     dataset, _ = mlst_io.build_dataset(profiles, alleles)
     table = imp.pairwise_diffs(dataset, "locA")
     assert table.k == 2
-    assert table.matrix().tolist() == [[0, 1], [1, 0]]
+    assert diff_matrix(table).tolist() == [[0, 1], [1, 0]]
 
 
 def test_pairwise_diffs_isolate_expansion():
@@ -114,14 +116,14 @@ def test_pairwise_diffs_isolate_expansion():
     dataset, _ = mlst_io.build_dataset(profiles, alleles)
     table = imp.pairwise_diffs(dataset, "locA", weighting="by_isolate")
     assert table.k == 4
-    mat = table.matrix()
+    mat = diff_matrix(table)
     assert mat[:3, :3].sum() == 0  # three copies of the same allele
     assert mat[3, 0] == 1
 
 
 def test_pairwise_diffs_demo_matches_slv_x(demo_dataset):
     table = imp.pairwise_diffs(demo_dataset, "gltA")
-    mat = table.matrix()
+    mat = diff_matrix(table)
     sts = list(table.units)
     i4, i5, i6 = sts.index(4), sts.index(5), sts.index(6)
     assert mat[i4, i5] == 5

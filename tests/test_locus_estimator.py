@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -18,9 +17,15 @@ from slvrate.errors import (
     NonFiniteError,
 )
 from slvrate.numerics import DEFAULT_TOL, chi2_quantile, lam_to_t, t_to_lam
-from slvrate.slv import SlvGroup, SlvPair, SlvPartition
-
-from helpers import make_model, make_partition, make_q, random_q, singleton_partition
+from helpers import (
+    loglik,
+    make_model,
+    make_partition,
+    make_q,
+    partition_from_groups,
+    random_q,
+    singleton_partition,
+)
 
 
 # -- composite log-likelihood ----------------------------------------------------
@@ -30,7 +35,7 @@ def test_single_pair_equals_pair_loglik():
     model = make_model(0.2, [0.2, 0.3, 0.5])
     cl = le.CompositeLikelihood(singleton_partition("loc", [2]), model)
     for lam in (0.0, 0.7, 3.0):
-        assert abs(cl.loglik(lam) - pl.loglik(model, lam, 2)) < 1e-14
+        assert abs(cl.loglik(lam) - loglik(model, lam, 2)) < 1e-14
 
 
 def test_duplicating_data_doubles_value():
@@ -48,7 +53,7 @@ def test_three_pair_group_weighted_sum(demo_dataset):
     model = make_model(0.25, np.arange(12, 0, -1))
     cl = le.CompositeLikelihood(make_partition("loc", [[5, 6, 1]]), model)
     w = 3.0 ** -0.5
-    expected = w * sum(pl.loglik(model, 1.0, x) for x in (5, 6, 1))
+    expected = w * sum(loglik(model, 1.0, x) for x in (5, 6, 1))
     assert abs(cl.loglik(1.0) - expected) < 1e-12
 
 
@@ -59,10 +64,10 @@ def test_loglik_is_the_pairwise_dot_product():
     part = make_partition(
         "loc", [rng.integers(1, 16, size=k).tolist() for k in rng.choice([1, 3, 6], size=60)]
     )
-    xs = np.array([p.x for p in part.pairs], dtype=np.int64)
+    xs = part.x
     override = tuple(rng.uniform(0.1, 2.0, size=part.n_pairs).tolist())
     for weights in (None, override):
-        ws = [part.weight(p) for p in part.pairs] if weights is None else list(weights)
+        ws = part.w if weights is None else list(weights)
         cl = le.CompositeLikelihood(part, model, weights=weights)
         for lam in (0.0, 0.3, 1.0, 12.0):
             expected = float(np.dot(np.asarray(ws, dtype=float), pl.log_pmf(model, lam)[xs - 1]))
@@ -136,7 +141,7 @@ def test_weight_scaling_leaves_argmax_unchanged():
     part = make_partition("loc", [[5, 9, 2], [12], [3]])
     cl = le.CompositeLikelihood(part, model)
     scaled = le.CompositeLikelihood(
-        part, model, weights=tuple(3.7 * w for w in part.weights)
+        part, model, weights=tuple(3.7 * w for w in part.w.tolist())
     )
     lam_a, _, _ = le.maximize(cl)
     lam_b, _, _ = le.maximize(scaled)
@@ -213,8 +218,8 @@ def _loop_loglik_alpha_sigma(groups, alpha, sigma2):
 
 def _loop_godambe(partition, alpha, sigma2):
     by_group = {}
-    for pair in partition.pairs:
-        by_group.setdefault(pair.group_id, []).append(partition.weight(pair))
+    for gid, w in zip(partition.group_id.tolist(), partition.w.tolist()):
+        by_group.setdefault(gid, []).append(w)
     i_unit = j_unit = 0.0
     for ws in by_group.values():
         w = np.asarray(ws)
@@ -275,16 +280,13 @@ def test_fit_alpha_sigma_matches_per_group_loop(groups):
 def test_godambe_matches_per_group_loop(present, alpha):
     # a group of n members keeps k of its n(n-1)/2 pairs (k = 0 drops it)
     assume(sum(present) > 0)
-    groups, pairs, st_id = [], [], 1
-    for gid, k in enumerate(present):
+    groups = []
+    for k in present:
         n = 2
         while n * (n - 1) // 2 < k:
             n += 1
-        members = tuple(range(st_id, st_id + n))
-        st_id += n
-        groups.append(SlvGroup("loc", gid, members))
-        pairs += [SlvPair("loc", a, b, 1, gid) for a, b in itertools.combinations(members, 2)][:k]
-    part = SlvPartition("loc", tuple(groups), tuple(pairs))
+        groups.append((n, [1] * k))
+    part = partition_from_groups("loc", groups)
     got = le.godambe(part, alpha, sigma2=1.7)
     want = _loop_godambe(part, alpha, sigma2=1.7)
     assert all(_rel_close(g, w) for g, w in zip(got, want))

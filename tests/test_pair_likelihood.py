@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_model, make_q, random_q
+from helpers import loglik, make_model, make_q, random_q, unnormalized_mass
 
 from slvrate import mlst_io, pair_likelihood as pl
 from slvrate.errors import DegenerateRatioError, InvalidParamsError
+from slvrate.numerics import DEFAULT_TOL
 
 
 GRID_LAM = [0.0, 0.1, 1.0, 10.0, 100.0]
@@ -79,7 +80,7 @@ def test_theta_ratio_cap():
 def test_mass_at_lam_zero_is_pure_geometric():
     model = make_model(0.3, [0.2, 0.3, 0.5])
     for x in (1, 2, 3):
-        assert abs(pl.unnormalized_mass(model, 0.0, x) - 0.3 ** x) < 1e-15
+        assert abs(unnormalized_mass(model, 0.0, x) - 0.3 ** x) < 1e-15
     assert pl.mixture_coeff(0.3, 0.0) == 0.0
 
 
@@ -87,14 +88,14 @@ def test_mass_worked_example():
     model = make_model(0.2, [0.2, 0.3, 0.5])
     c = pl.mixture_coeff(0.2, 1.0)
     assert abs(c - (0.25 - 0.2 / 1.8)) < 1e-15
-    f1 = pl.unnormalized_mass(model, 1.0, 1)
-    f2 = pl.unnormalized_mass(model, 1.0, 2)
-    f3 = pl.unnormalized_mass(model, 1.0, 3)
+    f1 = unnormalized_mass(model, 1.0, 1)
+    f2 = unnormalized_mass(model, 1.0, 2)
+    f3 = unnormalized_mass(model, 1.0, 3)
     assert abs(f1 - 0.1277777777777778) < 1e-14
     assert abs(f2 - 0.051666666666666666) < 1e-14
     assert abs(f3 - 0.07044444444444445) < 1e-14
     # normalized probability of one difference
-    assert abs(math.exp(pl.loglik(model, 1.0, 1)) - f1 / (f1 + f2 + f3)) < 1e-14
+    assert abs(math.exp(loglik(model, 1.0, 1)) - f1 / (f1 + f2 + f3)) < 1e-14
     assert abs(f1 / (f1 + f2 + f3) - 0.5113) < 5e-4
 
 
@@ -127,7 +128,26 @@ def test_log_mass_matches_linear_where_linear_is_safe():
     for lam in (0.0, 0.5, 2.0):
         logf = pl.log_mass_vector(model, lam)
         for x in (1, 2, 3, 4):
-            assert abs(math.exp(logf[x - 1]) - pl.unnormalized_mass(model, lam, x)) < 1e-14
+            assert abs(math.exp(logf[x - 1]) - unnormalized_mass(model, lam, x)) < 1e-14
+
+
+def _uncached_log_mass_and_pmf(model, lam):
+    """log f and log pmf by the formula with no cached model constants."""
+    xs = np.arange(1, model.m + 1, dtype=float)
+    log_mut = xs * (math.log(model.r) - math.log1p(lam))
+    c = pl.mixture_coeff(model.r, lam)
+    logf = log_mut if c <= 0.0 else np.logaddexp(log_mut, math.log(c) + np.log(model.q.q))
+    mx = float(np.max(logf))
+    return logf, logf - (mx + math.log(float(np.sum(np.exp(logf - mx)))))
+
+
+def test_log_pmf_bit_identical_at_mlst_geometry():
+    # the model's cached x grid, log r and log q must not move a single bit
+    model = pl.PairModel(locus="loc", r=1.0 / 7.0, q=random_q(450, 11), m=450)
+    for lam in (0.0, 1e-9, 0.2, 1.0, 5.0, 123.4, DEFAULT_TOL.lambda_max):
+        logf, logp = _uncached_log_mass_and_pmf(model, lam)
+        assert np.array_equal(pl.log_mass_vector(model, lam), logf)
+        assert np.array_equal(pl.log_pmf(model, lam), logp)
 
 
 def test_mixture_coeff_properties():
@@ -155,7 +175,7 @@ def test_tv_distance_to_import_nonincreasing():
 
 def _fd_score(model, lam, x):
     h = 1e-5 * (1.0 + lam)
-    return (pl.loglik(model, lam + h, x) - pl.loglik(model, lam - h, x)) / (2.0 * h)
+    return (loglik(model, lam + h, x) - loglik(model, lam - h, x)) / (2.0 * h)
 
 
 def _mp_score_at_zero(model, x):
@@ -254,8 +274,8 @@ def test_score_flat_in_lam_limit():
 def test_domain_checks():
     model = make_model(0.2, [0.5, 0.5])
     with pytest.raises(InvalidParamsError):
-        pl.loglik(model, -0.5, 1)
+        loglik(model, -0.5, 1)
     with pytest.raises(InvalidParamsError):
-        pl.loglik(model, 1.0, 3)
+        loglik(model, 1.0, 3)
     with pytest.raises(InvalidParamsError):
-        pl.unnormalized_mass(model, 1.0, 0)
+        unnormalized_mass(model, 1.0, 0)

@@ -33,6 +33,16 @@ def test_analysis_reproducible(demo_dataset):
     assert a.variation == b.variation
 
 
+def test_fit_loci_is_the_per_locus_part_of_the_analysis(demo_dataset):
+    opts = AnalysisOptions(draws=2000, seed=9)
+    fitted = pp.fit_loci(demo_dataset, opts)
+    full = pp.analyze_dataset(demo_dataset, opts)
+    assert fitted.joint is None and fitted.variation is None
+    assert fitted.locus_fits == full.locus_fits
+    assert fitted.skipped_loci == full.skipped_loci
+    assert [cl.locus for cl in fitted.likelihoods] == ["glnA", "gltA"]
+
+
 def test_import_seed_depends_on_locus_and_seed():
     seeds = {pp.locus_import_seed(7, i) for i in range(5)}
     assert len(seeds) == 5

@@ -17,18 +17,27 @@ def test_demo_dataset_matches_known_pairs(demo_dataset):
     gln = slv.extract_slv(demo_dataset, "glnA")
     glt = slv.extract_slv(demo_dataset, "gltA")
 
-    assert asp.pairs == ()
-    assert [(p.st_a, p.st_b, p.x) for p in gln.pairs] == [(2, 3, 1)]
-    assert [(p.st_a, p.st_b, p.x) for p in glt.pairs] == [(4, 5, 5), (4, 6, 6), (5, 6, 1)]
-    assert gln.weights == (1.0,)
-    assert glt.weights == (3 ** -0.5,) * 3
+    assert asp.n_pairs == 0
+    assert _rows(gln) == [(2, 3, 1)]
+    assert _rows(glt) == [(4, 5, 5), (4, 6, 6), (5, 6, 1)]
+    assert gln.w.tolist() == [1.0]
+    assert glt.w.tolist() == [3 ** -0.5] * 3
+
+
+def _rows(part):
+    return list(zip(part.st_a.tolist(), part.st_b.tolist(), part.x.tolist()))
+
+
+def _summary(part):
+    """(number of groups, group sizes, total SLV pair count)."""
+    return part.n_groups, tuple(part.group_size.tolist()), part.n_pairs
 
 
 def test_partition_summary_demo(demo_dataset):
     glt = slv.extract_slv(demo_dataset, "gltA")
-    assert slv.partition_summary(glt) == (1, (3,), 3)
+    assert _summary(glt) == (1, (3,), 3)
     asp = slv.extract_slv(demo_dataset, "aspA")
-    assert slv.partition_summary(asp) == (0, (), 0)
+    assert _summary(asp) == (0, (), 0)
 
 
 def _dataset_from_vectors(vectors, seqs_per_locus):
@@ -52,7 +61,7 @@ def test_all_unique_vectors_give_empty_partition():
     dataset = _dataset_from_vectors(vectors, seqs)
     for locus in ("locA", "locB"):
         part = slv.extract_slv(dataset, locus)
-        assert part.pairs == () and part.groups == ()
+        assert part.n_pairs == 0 and part.n_groups == 0
 
 
 def test_four_st_group_enumerates_six_pairs():
@@ -64,37 +73,33 @@ def test_four_st_group_enumerates_six_pairs():
     }
     dataset = _dataset_from_vectors(vectors, seqs)
     part = slv.extract_slv(dataset, "locA")
-    assert slv.partition_summary(part) == (1, (4,), 6)
+    assert _summary(part) == (1, (4,), 6)
     expected_pairs = list(itertools.combinations([1, 2, 3, 4], 2))
-    assert [(p.st_a, p.st_b) for p in part.pairs] == expected_pairs
-    assert all(abs(w - 6 ** -0.5) < 1e-15 for w in part.weights)
+    assert list(zip(part.st_a.tolist(), part.st_b.tolist())) == expected_pairs
+    assert all(abs(w - 6 ** -0.5) < 1e-15 for w in part.w.tolist())
 
 
 def test_pair_arrays_follow_the_pairs():
     # group 1 lost its only pair (lenient mode drops zero-difference pairs),
     # so the dense index skips it
-    groups = (
-        slv.SlvGroup("l", 0, (1, 2, 3)),
-        slv.SlvGroup("l", 1, (4, 5)),
-        slv.SlvGroup("l", 2, (6, 7)),
+    part = slv.SlvPartition(
+        "l",
+        st_a=[1, 1, 2, 6],
+        st_b=[2, 3, 3, 7],
+        x=[5, 6, 1, 4],
+        group_id=[0, 0, 0, 2],
+        group_size=[3, 2, 2],
     )
-    pairs = (
-        slv.SlvPair("l", 1, 2, 5, 0),
-        slv.SlvPair("l", 1, 3, 6, 0),
-        slv.SlvPair("l", 2, 3, 1, 0),
-        slv.SlvPair("l", 6, 7, 4, 2),
-    )
-    part = slv.SlvPartition("l", groups, pairs)
     assert part.x.dtype == np.int64
     assert part.x.tolist() == [5, 6, 1, 4]
     assert part.group_index.tolist() == [0, 0, 0, 1]
-    assert part.w.tolist() == [part.weight(p) for p in pairs]
-    assert part.weights == (3 ** -0.5,) * 3 + (1.0,)
+    assert (part.n_pairs, part.n_groups) == (4, 3)
+    assert part.w.tolist() == [3 ** -0.5] * 3 + [1.0]
 
 
 def test_pair_arrays_are_cached_and_read_only(demo_dataset):
     glt = slv.extract_slv(demo_dataset, "gltA")
-    for name in ("x", "group_index", "w"):
+    for name in ("st_a", "st_b", "x", "group_id", "group_size", "group_index", "w"):
         arr = getattr(glt, name)
         assert arr is getattr(glt, name)
         assert not arr.flags.writeable
@@ -103,7 +108,8 @@ def test_pair_arrays_are_cached_and_read_only(demo_dataset):
 
 
 def test_weights_for_small_groups():
-    assert slv.SlvGroup("l", 0, (1, 2)).pair_count == 1
+    part = slv.SlvPartition("l", st_a=[1], st_b=[2], x=[3], group_id=[0], group_size=[2])
+    assert part.w.tolist() == [1.0]
     assert abs(3 ** -0.5 - 0.5773502691896258) < 1e-15
 
 
@@ -115,7 +121,7 @@ def test_two_groups_pair_count():
     }
     dataset = _dataset_from_vectors(vectors, seqs)
     part = slv.extract_slv(dataset, "locA")
-    n_groups, sizes, n_pairs = slv.partition_summary(part)
+    n_groups, sizes, n_pairs = _summary(part)
     assert n_groups == 2 and sizes == (3, 2) and n_pairs == 3 + 1
 
 
@@ -126,8 +132,8 @@ def test_zero_difference_pair_strict_and_lenient():
     with pytest.raises(ZeroDifferencePairError):
         slv.extract_slv(dataset, "locA", mode="strict")
     part = slv.extract_slv(dataset, "locA", mode="lenient")
-    assert part.pairs == ()
-    assert len(part.groups) == 1
+    assert part.n_pairs == 0
+    assert part.n_groups == 1
 
 
 def test_sum_squared_weights_equals_group_count():
@@ -143,8 +149,77 @@ def test_sum_squared_weights_equals_group_count():
     }
     dataset = _dataset_from_vectors(vectors, seqs)
     part = slv.extract_slv(dataset, "locA")
-    total = sum(w * w for w in part.weights)
+    total = sum(w * w for w in part.w.tolist())
     assert abs(total - part.n_groups) < 1e-12
+
+
+def _per_pair_columns(dataset, locus, mode):
+    """x, dense group index and weight of every SLV pair, computed one pair
+    at a time from the definitions."""
+    focal = dataset.locus_index(locus)
+    usable = sorted(
+        (p for p in dataset.profiles if dataset.usable_at(locus, p.st_id)), key=lambda p: p.st_id
+    )
+
+    def rest(prof):
+        return prof.alleles[:focal] + prof.alleles[focal + 1 :]
+
+    groups = []  # in order of smallest member
+    for prof in usable:
+        members = [q for q in usable if rest(q) == rest(prof)]
+        if len(members) >= 2 and members[0] is prof:
+            groups.append(members)
+    xs, gids, ws = [], [], []
+    for gid, members in enumerate(groups):
+        n = len(members)
+        for a, b in itertools.combinations(members, 2):
+            x = mlst_io.hamming(
+                dataset.allele(locus, a.alleles[focal]), dataset.allele(locus, b.alleles[focal])
+            )
+            if x == 0 and mode == "lenient":
+                continue
+            xs.append(x)
+            gids.append(gid)
+            ws.append((n * (n - 1) // 2) ** -0.5)
+    dense = [sorted(set(gids)).index(g) for g in gids]
+    return np.array(xs, dtype=np.int64), np.array(dense, dtype=np.int64), np.array(ws)
+
+
+def _lenient_dataset():
+    # locA: allele 3 repeats allele 2's sequence, 6 repeats 5's, 4 carries an
+    # ambiguous base; ST 8 names a missing allele and is left out at locA
+    seqs = {
+        "locA": {1: "AAAAAAAA", 2: "AAAAAAAC", 3: "AAAAAAAC", 4: "NAAAAACC",
+                 5: "CCCCAAAA", 6: "CCCCAAAA"},
+        "locB": {1: "AAAA", 2: "CCCC", 3: "GGGG"},
+    }
+    vectors = [(1, 1), (2, 1), (3, 1), (4, 1), (5, 2), (6, 2), (1, 3), (99, 3), (5, 3)]
+    profiles = [mlst_io.StProfile(i + 1, v) for i, v in enumerate(vectors)]
+    alleles = {
+        locus: [mlst_io.AlleleSequence(locus, aid, seq) for aid, seq in ids.items()]
+        for locus, ids in seqs.items()
+    }
+    dataset, report = mlst_io.build_dataset(profiles, alleles, mode="lenient")
+    assert report
+    return dataset
+
+
+def test_columns_match_per_pair_reference(demo_dataset):
+    lenient = _lenient_dataset()
+    cases = [(demo_dataset, locus, "strict") for locus in demo_dataset.locus_names]
+    cases += [(lenient, locus, "lenient") for locus in lenient.locus_names]
+    for dataset, locus, mode in cases:
+        part = slv.extract_slv(dataset, locus, mode=mode)
+        x, group_index, w = _per_pair_columns(dataset, locus, mode)
+        assert np.array_equal(part.x, x)
+        assert np.array_equal(part.group_index, group_index)
+        assert np.array_equal(part.w, w)
+    # the lenient locus keeps 6 of 8 pairs: two zero-difference pairs go,
+    # and with them the whole (5, 6) group, which the dense index skips
+    part = slv.extract_slv(lenient, "locA", mode="lenient")
+    assert _rows(part) == [(1, 2, 1), (1, 3, 1), (1, 4, 2), (2, 4, 1), (3, 4, 1), (7, 9, 4)]
+    assert part.group_id.tolist() == [0] * 5 + [2]
+    assert part.group_index.tolist() == [0] * 5 + [1]
 
 
 def _random_dataset(rng: random.Random):
@@ -193,16 +268,18 @@ def test_groups_match_bruteforce_slv_relation(seed):
             vb = b.alleles[:focal] + b.alleles[focal + 1 :]
             if va == vb and a.alleles[focal] != b.alleles[focal]:
                 expected.add((a.st_id, b.st_id))
-        got = {(p.st_a, p.st_b) for p in part.pairs}
+        got = set(zip(part.st_a.tolist(), part.st_b.tolist()))
         assert got == expected
-        # clique structure: every in-group pair is an SLV pair
-        for g in part.groups:
-            for st_a, st_b in itertools.combinations(g.members, 2):
-                assert (st_a, st_b) in expected
-        # focal alleles pairwise distinct within groups
+        # clique structure: a group of n members holds all n(n-1)/2 pairs,
+        # every one an SLV pair, so its members are those of its pairs
         allele_of = {p.st_id: p.alleles[focal] for p in dataset.profiles}
-        for g in part.groups:
-            ids = [allele_of[m] for m in g.members]
+        for gid, size in enumerate(part.group_size.tolist()):
+            in_group = part.group_id == gid
+            members = set(part.st_a[in_group].tolist()) | set(part.st_b[in_group].tolist())
+            assert len(members) == size
+            assert int(in_group.sum()) == size * (size - 1) // 2
+            # focal alleles pairwise distinct within groups
+            ids = [allele_of[m] for m in members]
             assert len(set(ids)) == len(ids)
 
 
@@ -219,7 +296,7 @@ def test_relabeling_invariance(demo_dataset):
     relabeled, _ = mlst_io.build_dataset(profiles, alleles, mode="strict")
     part = slv.extract_slv(relabeled, "gltA")
     original = slv.extract_slv(demo_dataset, "gltA")
-    got = {(mapping[p.st_a], mapping[p.st_b], p.x) for p in original.pairs}
+    got = {(mapping[a], mapping[b], x) for a, b, x in _rows(original)}
     # canonical st_a < st_b ordering flips under the reversal
     got = {(min(a, b), max(a, b), x) for a, b, x in got}
-    assert {(p.st_a, p.st_b, p.x) for p in part.pairs} == got
+    assert set(_rows(part)) == got
