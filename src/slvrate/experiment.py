@@ -26,8 +26,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .import_dist import ImportDistribution, Provenance
-from .joint_inference import joint_fit, variation_test
-from .locus_estimator import CompositeLikelihood, fit_all_loci
+from .joint_inference import JointFit, joint_fit, variation_test
+from .locus_estimator import CompositeLikelihood, LocusFit, fit_all_loci
 from .pair_likelihood import PairModel, pmf as model_pmf
 from .pipeline import AnalysisOptions, analyze_dataset
 from .simulate import ImportModel, SimConfig, simulate
@@ -118,6 +118,39 @@ def _analysis_seed(seed: int, ridx: int) -> int:
     return int(state[0] ^ (state[1] << 1)) & 0x7FFFFFFFFFFFFFFF
 
 
+def _fit_rows(
+    ridx: int,
+    fits: Sequence[LocusFit],
+    truth: Mapping[str, float],
+    joint: JointFit | None,
+    joint_truth: float,
+    joint_pairs: int,
+) -> list[dict]:
+    """One row per locus fit, then the pooled fit's row when there is one.
+    ``covered`` is left blank where the true rate is NaN (no common rate)."""
+    entries = [("locus", fit.locus, truth[fit.locus], fit, fit.n_pairs) for fit in fits]
+    if joint is not None:
+        entries.append(("joint", "_all_", joint_truth, joint, joint_pairs))
+    return [
+        {
+            "replicate": ridx,
+            "kind": kind,
+            "locus": locus,
+            "lam_true": lam_true,
+            "lam_hat": fit.lam_hat,
+            "ci_lo": fit.ci_lower,
+            "ci_hi": fit.ci_upper,
+            "covered": (
+                "" if math.isnan(lam_true) else int(fit.ci_lower <= lam_true <= fit.ci_upper)
+            ),
+            "gamma": fit.gamma,
+            "n_pairs": n_pairs,
+            "boundary": int(fit.at_boundary),
+        }
+        for kind, locus, lam_true, fit, n_pairs in entries
+    ]
+
+
 def _run_sim_replicate(design: SimDesign, ridx: int) -> dict:
     config = SimConfig(
         n_samples=design.n_samples,
@@ -131,47 +164,9 @@ def _run_sim_replicate(design: SimDesign, ridx: int) -> dict:
     opts = replace(design.analysis, seed=_analysis_seed(design.seed, ridx))
     analysis = analyze_dataset(result.dataset, opts)
     truth = {name: lam for (name, _), lam in zip(design.loci, design.lam)}
-    rows = []
     n_slv = sum(p.n_pairs for p in analysis.partitions.values())
-    for fit in analysis.locus_fits:
-        lam_true = truth[fit.locus]
-        rows.append(
-            {
-                "replicate": ridx,
-                "kind": "locus",
-                "locus": fit.locus,
-                "lam_true": lam_true,
-                "lam_hat": fit.lam_hat,
-                "ci_lo": fit.ci_lower,
-                "ci_hi": fit.ci_upper,
-                "covered": int(fit.ci_lower <= lam_true <= fit.ci_upper),
-                "gamma": fit.gamma,
-                "n_pairs": fit.n_pairs,
-                "boundary": int(fit.at_boundary),
-            }
-        )
     common = design.lam[0] if len(set(design.lam)) == 1 else math.nan
-    if analysis.joint is not None:
-        covered = (
-            int(analysis.joint.ci_lower <= common <= analysis.joint.ci_upper)
-            if not math.isnan(common)
-            else ""
-        )
-        rows.append(
-            {
-                "replicate": ridx,
-                "kind": "joint",
-                "locus": "_all_",
-                "lam_true": common,
-                "lam_hat": analysis.joint.lam_hat,
-                "ci_lo": analysis.joint.ci_lower,
-                "ci_hi": analysis.joint.ci_upper,
-                "covered": covered,
-                "gamma": analysis.joint.gamma,
-                "n_pairs": n_slv,
-                "boundary": int(analysis.joint.at_boundary),
-            }
-        )
+    rows = _fit_rows(ridx, analysis.locus_fits, truth, analysis.joint, common, n_slv)
     return {
         "rows": rows,
         "p_value": analysis.variation.p_value if analysis.variation else math.nan,
@@ -228,38 +223,8 @@ def _run_recovery_replicate(design: RecoveryDesign, models: list[PairModel], rid
     fits = fit_all_loci(cls, level=design.level, alpha_mode="common")
     joint = joint_fit(cls, fits, level=design.level)
     variation = variation_test(cls, fits, joint)
-    rows = []
-    for fit in fits:
-        rows.append(
-            {
-                "replicate": ridx,
-                "kind": "locus",
-                "locus": fit.locus,
-                "lam_true": design.lam,
-                "lam_hat": fit.lam_hat,
-                "ci_lo": fit.ci_lower,
-                "ci_hi": fit.ci_upper,
-                "covered": int(fit.ci_lower <= design.lam <= fit.ci_upper),
-                "gamma": fit.gamma,
-                "n_pairs": fit.n_pairs,
-                "boundary": int(fit.at_boundary),
-            }
-        )
-    rows.append(
-        {
-            "replicate": ridx,
-            "kind": "joint",
-            "locus": "_all_",
-            "lam_true": design.lam,
-            "lam_hat": joint.lam_hat,
-            "ci_lo": joint.ci_lower,
-            "ci_hi": joint.ci_upper,
-            "covered": int(joint.ci_lower <= design.lam <= joint.ci_upper),
-            "gamma": joint.gamma,
-            "n_pairs": design.n_pairs * len(models),
-            "boundary": int(joint.at_boundary),
-        }
-    )
+    truth = {fit.locus: design.lam for fit in fits}
+    rows = _fit_rows(ridx, fits, truth, joint, design.lam, design.n_pairs * len(models))
     return {"rows": rows, "p_value": variation.p_value, "informative": True}
 
 

@@ -131,8 +131,9 @@ def allele_distance_matrix(dataset: MlstDataset, locus: str) -> tuple[list[int],
     product buffer are reused across the five products.
     """
     meta = dataset.locus_meta(locus)
-    enc = dataset.encoded_alleles(locus)
-    ids = sorted(aid for aid, codes in enc.items() if len(codes) == meta.length)
+    all_ids, lengths, codes = dataset.allele_codes(locus)
+    modal = lengths == meta.length
+    ids = all_ids[modal].tolist()
     if not ids:
         return [], np.zeros((0, 0), dtype=np.int64)
     if meta.length >= _F32_EXACT:
@@ -140,7 +141,7 @@ def allele_distance_matrix(dataset: MlstDataset, locus: str) -> tuple[list[int],
             f"locus {locus} has length {meta.length}; allele distances are exact "
             f"only below {_F32_EXACT}"
         )
-    stack = np.stack([enc[aid] for aid in ids])
+    stack = codes[modal, : meta.length]
     n = len(ids)
     hot = np.empty(stack.shape, dtype=np.float32)
     prod = np.empty((n, n), dtype=np.float32)
@@ -165,24 +166,19 @@ def pairwise_diffs(
     if weighting not in ("by_st", "by_isolate"):
         raise InvalidParamsError(f"weighting must be by_st or by_isolate, got {weighting!r}")
     ids, dist = allele_distance_matrix(dataset, locus)
-    pos = {aid: i for i, aid in enumerate(ids)}
-    focal = dataset.locus_index(locus)
-    units: list[int] = []
-    index: list[int] = []
-    for prof in dataset.profiles:
-        aid = prof.alleles[focal]
-        if aid not in pos or not dataset.usable_at(locus, prof.st_id):
-            continue
-        copies = prof.isolate_count if weighting == "by_isolate" else 1
-        for _ in range(copies):
-            units.append(prof.st_id)
-            index.append(pos[aid])
+    st_ids, alleles, counts = dataset.profile_matrix()
+    focal_ids = alleles[:, dataset.locus_index(locus)]
+    pos = np.searchsorted(ids, focal_ids)
+    keep = dataset.usable_mask(locus) & np.isin(focal_ids, ids)
+    copies = counts[keep] if weighting == "by_isolate" else 1
+    units = np.repeat(st_ids[keep], copies).tolist()
+    index = np.repeat(pos[keep], copies)
     if len(units) < 2:
         raise TooFewUnitsError(f"locus {locus} has {len(units)} usable units; need at least 2")
     return PairwiseDiffTable(
         locus=locus,
         units=tuple(units),
-        allele_index=np.asarray(index, dtype=np.int64),
+        allele_index=index,
         allele_dist=dist,
     )
 

@@ -463,6 +463,14 @@ def _assemble(
     )
 
 
+def _at_locus(locus: str, fit, *args):
+    """Call an (alpha, sigma^2) fit step; a degenerate-scores error names the locus."""
+    try:
+        return fit(*args)
+    except DegenerateScoresError as err:
+        raise DegenerateScoresError(f"locus {locus}: {err}") from err
+
+
 def fit_locus(
     cl: CompositeLikelihood,
     level: float = 0.95,
@@ -477,11 +485,11 @@ def fit_locus(
     """
     pre = _prefit(cl, tol)
     if alpha_override is None:
-        fit = fit_alpha_sigma(pre.scores, tol)
+        fit = _at_locus(cl.locus, fit_alpha_sigma, pre.scores, tol)
         alpha, sigma2, source = fit.alpha, fit.sigma2, "locus"
     else:
         alpha = alpha_override
-        sigma2 = sigma2_given_alpha(pre.scores, alpha)
+        sigma2 = _at_locus(cl.locus, sigma2_given_alpha, pre.scores, alpha)
         source = "common"
     return _assemble(cl, pre, alpha, sigma2, source, level, tol)
 
@@ -504,9 +512,9 @@ def fit_all_loci(
         raise InvalidParamsError(f"alpha_mode must be common or per-locus, got {alpha_mode!r}")
     prefits = [_prefit(cl, tol) for cl in cls]
     own: list[AlphaSigmaFit | None] = []
-    for pre in prefits:
+    for cl, pre in zip(cls, prefits):
         try:
-            own.append(fit_alpha_sigma(pre.scores, tol))
+            own.append(_at_locus(cl.locus, fit_alpha_sigma, pre.scores, tol))
         except AlphaUnidentifiableError:
             own.append(None)
     alphas = [fit.alpha for fit in own if fit is not None]
@@ -520,6 +528,6 @@ def fit_all_loci(
             )
             continue
         source = "common" if own_fit is not None or alphas else "fallback"
-        sigma2 = sigma2_given_alpha(pre.scores, common_alpha)
+        sigma2 = _at_locus(cl.locus, sigma2_given_alpha, pre.scores, common_alpha)
         results.append(_assemble(cl, pre, common_alpha, sigma2, source, level, tol))
     return results

@@ -64,7 +64,13 @@ class AlleleSequence:
 
     def encoded(self) -> np.ndarray:
         """Sequence as uint8 codes (A=0 C=1 G=2 T=3, other=255)."""
-        return _ENCODE[np.frombuffer(self.sequence.encode("ascii"), dtype=np.uint8)]
+        return _ENCODE[np.frombuffer(_ascii(self.sequence), dtype=np.uint8)]
+
+
+def _ascii(sequence: str) -> bytes:
+    """One byte per character; each non-ASCII character becomes '?', which
+    is not a base, so it is masked like any other non-ACGT character."""
+    return sequence.encode("ascii", "replace")
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,8 @@ class MlstDataset:
     profiles: tuple[StProfile, ...]
     # st_ids that cannot be analysed with the given locus as the focal one
     excluded_at: Mapping[str, frozenset[int]] = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # derived arrays; not an init field, so dataclasses.replace starts afresh
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def locus_names(self) -> tuple[str, ...]:
@@ -117,16 +124,82 @@ class MlstDataset:
     def usable_at(self, locus: str, st_id: int) -> bool:
         return st_id not in self.excluded_at.get(locus, frozenset())
 
-    def encoded_alleles(self, locus: str) -> dict[int, np.ndarray]:
-        """Per-allele uint8 code arrays for one locus, cached."""
-        key = ("enc", locus)
-        if key not in self._cache:
-            self._cache[key] = {
-                aid: seq.encoded()
-                for (loc, aid), seq in self.alleles.items()
-                if loc == locus
-            }
-        return self._cache[key]
+    def profile_matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(st_ids, alleles, isolate_counts) of the profiles, in profile
+        order, as int64 arrays; ``alleles`` is (STs, loci). Cached."""
+        if "profiles" not in self._cache:
+            n = len(self.profiles)
+            self._cache["profiles"] = (
+                _frozen(np.array([p.st_id for p in self.profiles], dtype=np.int64)),
+                _frozen(np.array([p.alleles for p in self.profiles], dtype=np.int64)
+                        .reshape(n, len(self.loci))),
+                _frozen(np.array([p.isolate_count for p in self.profiles], dtype=np.int64)),
+            )
+        return self._cache["profiles"]
+
+    def rest_labels(self) -> np.ndarray:
+        """(STs, loci) int64 labels, cached: column f labels each profile
+        row by its allele ids at every locus but f, so two rows share a
+        label in column f exactly when they agree at all other loci.
+
+        Exact and O(n L log n) for n STs and L loci in all: label column f
+        pairs the dense label of the loci before f with that of the loci
+        after it, and both chains are built one locus at a time.
+        """
+        if "rest_labels" not in self._cache:
+            alleles = self.profile_matrix()[1]
+            n, n_loci = alleles.shape
+            ranks = [np.unique(col, return_inverse=True)[1] for col in alleles.T]
+
+            def chain(columns):
+                labels = [np.zeros(n, dtype=np.int64)]
+                for rank in columns:  # every label and rank is below n
+                    labels.append(np.unique(labels[-1] * n + rank, return_inverse=True)[1])
+                return labels
+
+            before, after = chain(ranks), chain(ranks[::-1])
+            self._cache["rest_labels"] = _frozen(np.stack(
+                [before[f] * n + after[n_loci - 1 - f] for f in range(n_loci)], axis=1
+            ))
+        return self._cache["rest_labels"]
+
+    def usable_mask(self, locus: str) -> np.ndarray:
+        """Per profile row: may the ST be analysed with ``locus`` as focal?"""
+        st_ids = self.profile_matrix()[0]
+        return ~np.isin(st_ids, list(self.excluded_at.get(locus, ())))
+
+    def allele_codes(self, locus: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ids, lengths, codes) of one locus's alleles in id order.
+
+        ``codes`` is an (alleles, longest) uint8 matrix: A=0 C=1 G=2 T=3,
+        anything else 255, and 255 past the end of a shorter allele, so a
+        comparison between two equal-length alleles never sees the padding.
+        All loci are encoded together on the first call, in one pass over
+        the alleles, and cached.
+        """
+        if "codes" not in self._cache:
+            by_locus: dict[str, list[AlleleSequence]] = {name: [] for name in self.locus_names}
+            for (loc, _aid), rec in sorted(self.alleles.items()):
+                by_locus.setdefault(loc, []).append(rec)
+            self._cache["codes"] = {loc: _code_matrix(recs) for loc, recs in by_locus.items()}
+        return self._cache["codes"][locus]
+
+
+def _code_matrix(records: Sequence[AlleleSequence]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    lengths = np.array([len(rec.sequence) for rec in records], dtype=np.int64)
+    width = int(lengths.max(initial=0))
+    raw = b"".join(_ascii(rec.sequence).ljust(width, b"N") for rec in records)
+    return (
+        _frozen(np.array([rec.allele_id for rec in records], dtype=np.int64)),
+        _frozen(lengths),
+        _frozen(_ENCODE[np.frombuffer(raw, dtype=np.uint8)].reshape(len(records), width)),
+    )
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only: every caller shares it."""
+    arr.flags.writeable = False
+    return arr
 
 
 # -- parsing ------------------------------------------------------------------
@@ -322,8 +395,8 @@ def build_dataset(
                     f"locus {name}: allele {rec.allele_id} off-length "
                     f"({len(rec.sequence)} vs modal {modal})"
                 )
-            bad = set(rec.sequence) - _ACGT
-            if bad:
+            if _ascii(rec.sequence).translate(None, b"ACGT"):
+                bad = set(rec.sequence) - _ACGT
                 if mode == "strict":
                     raise DataError(
                         f"allele {name}_{rec.allele_id} contains non-ACGT characters {sorted(bad)}"
@@ -377,7 +450,7 @@ def build_dataset(
         LocusMeta(
             name=name,
             length=modal_len[name],
-            allele_count=sum(1 for (loc, _aid) in allele_map if loc == name),
+            allele_count=len(alleles_by_locus[name]),
         )
         for name in locus_names
     )

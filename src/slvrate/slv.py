@@ -12,6 +12,16 @@ A partition is columnar: one read-only int64 array per pair field
 (``st_a``, ``st_b``, ``x``, ``group_id``) and the member count of every
 group (``group_size``). The likelihood, the score model and the
 ``extract`` table read these arrays; nothing holds per-pair objects.
+
+Extraction is a few array passes over the dataset's cached (STs x loci)
+allele-id matrix, with no loop over STs or pairs. Grouping reads the
+dataset's exact rest labels (``MlstDataset.rest_labels``: one label per
+ST and focal locus, equal exactly when the other loci agree), built once
+per dataset in O(n L log n) for n STs and L loci; each locus then costs
+one two-key ``lexsort`` (ST id the last key), O(n log n). The pairs of
+all groups come from ``repeat``/``cumsum`` index arithmetic, and their
+difference counts from one comparison of the two alleles' cached code
+rows, O(P m) for P pairs of m-base alleles.
 """
 
 from __future__ import annotations
@@ -22,8 +32,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, ZeroDifferencePairError
-from .mlst_io import MlstDataset, hamming
+from .errors import DataError, LengthMismatchError, ZeroDifferencePairError
+from .mlst_io import MlstDataset, _frozen
+from .mlst_io import hamming  # noqa: F401  (the benchmark tracer binds slv.hamming)
 
 logger = logging.getLogger(__name__)
 
@@ -70,9 +81,35 @@ class SlvPartition:
         return _frozen(np.array(per_group, dtype=float)[self.group_id])
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+# pairs whose focal alleles are compared per batch: bounds the (pairs, m)
+# temporaries when one group is large
+_PAIR_BATCH = 4096
+
+
+def _groups(st_ids: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of every group of two or more rows with one label, group after
+    group, and the group sizes. Groups are ordered by their smallest ST
+    id, members by ascending ST id, whatever the row order."""
+    order = np.lexsort((st_ids, labels))  # ST id last: a group is one run
+    labels = labels[order]
+    starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
+    sizes = np.diff(np.r_[starts, len(order)])
+    starts, sizes = starts[sizes >= 2], sizes[sizes >= 2]
+    by_smallest = np.argsort(st_ids[order[starts]], kind="stable")
+    starts, sizes = starts[by_smallest], sizes[by_smallest]
+    rank = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return order[np.repeat(starts, sizes) + rank], sizes
+
+
+def _pairs(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, group) of every within-group pair a < b of members laid out
+    group after group: member r of a group of n pairs with the n - 1 - r
+    members after it, so the pairs come out in (group, a, b) order."""
+    rank = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    later = np.repeat(sizes, sizes) - 1 - rank
+    a = np.repeat(np.arange(len(rank)), later)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+    return a, b, np.repeat(np.repeat(np.arange(len(sizes)), sizes), later)
 
 
 def extract_slv(dataset: MlstDataset, locus: str, mode: str = "strict") -> SlvPartition:
@@ -86,55 +123,64 @@ def extract_slv(dataset: MlstDataset, locus: str, mode: str = "strict") -> SlvPa
     by (group_id, st_a, st_b).
     """
     focal = dataset.locus_index(locus)
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for prof in dataset.profiles:
-        if not dataset.usable_at(locus, prof.st_id):
-            continue
-        reduced = prof.alleles[:focal] + prof.alleles[focal + 1 :]
-        classes.setdefault(reduced, []).append(prof.st_id)
+    st_ids, alleles, _counts = dataset.profile_matrix()
+    usable = dataset.usable_mask(locus)
+    st_ids, alleles = st_ids[usable], alleles[usable]
+    members, sizes = _groups(st_ids, dataset.rest_labels()[usable, focal])
+    member_st, member_allele = st_ids[members], alleles[members, focal]
+    a, b, gid = _pairs(sizes)
+    st_a, st_b = member_st[a], member_st[b]
+    allele_a, allele_b = member_allele[a], member_allele[b]
 
-    allele_of = {prof.st_id: prof.alleles[focal] for prof in dataset.profiles}
-    member_lists = sorted(
-        (sorted(sts) for sts in classes.values() if len(sts) >= 2),
-        key=lambda sts: sts[0],
-    )
+    # x as in mlst_io.hamming: mismatches at positions valid on both sides
+    ids, lengths, codes = dataset.allele_codes(locus)
+    absent = np.flatnonzero(~np.isin(member_allele, ids))
+    if absent.size:
+        i = absent[0]
+        raise DataError(f"locus {locus}: ST {member_st[i]} references allele {member_allele[i]}, "
+                        "which the dataset does not hold")
+    row = np.searchsorted(ids, member_allele)
+    row_a, row_b = row[a], row[b]
+    x = np.empty(len(a), dtype=np.int64)
+    for lo in range(0, len(a), _PAIR_BATCH):
+        ca, cb = codes[row_a[lo : lo + _PAIR_BATCH]], codes[row_b[lo : lo + _PAIR_BATCH]]
+        x[lo : lo + _PAIR_BATCH] = np.count_nonzero((ca != cb) & (ca != 255) & (cb != 255), axis=1)
 
-    st_a_col: list[int] = []
-    st_b_col: list[int] = []
-    x_col: list[int] = []
-    gid_col: list[int] = []
-    for gid, members in enumerate(member_lists):
-        focal_ids = [allele_of[st] for st in members]
-        if len(set(focal_ids)) != len(focal_ids):
-            # same focal allele plus identical elsewhere would be one ST
-            raise DataError(
-                f"locus {locus}: sequence types {members} repeat a focal allele; "
-                "allele vectors are not unique"
+    def zero_message(i: int) -> str:
+        return (
+            f"locus {locus}: alleles {allele_a[i]} and {allele_b[i]} "
+            f"have distinct ids but identical sequences (STs {st_a[i]}, {st_b[i]})"
+        )
+
+    # faults surface in the order a pair-by-pair pass meets them: a group
+    # that repeats a focal allele before its first pair, then each pair
+    off_length = lengths[row_a] != lengths[row_b]
+    zero = (x == 0) & ~off_length
+    fault = np.flatnonzero(off_length | (zero & (mode == "strict")))
+    stop = int(fault[0]) if fault.size else len(a)
+    repeat = np.flatnonzero(np.bincount(gid[allele_a == allele_b], minlength=len(sizes)))
+    repeat_at = int(np.searchsorted(gid, repeat[0])) if repeat.size else len(a) + 1
+    for i in np.flatnonzero(zero[: min(stop, repeat_at)]).tolist():
+        logger.warning("%s; pair dropped", zero_message(i))
+    if repeat_at <= stop:
+        first = int(sizes[: repeat[0]].sum())
+        group = member_st[first : first + sizes[repeat[0]]].tolist()
+        raise DataError(
+            f"locus {locus}: sequence types {group} repeat a focal allele; "
+            "allele vectors are not unique"
+        )
+    if stop < len(a):
+        if off_length[stop]:
+            raise LengthMismatchError(
+                f"{locus}_{allele_a[stop]} and {locus}_{allele_b[stop]} differ in length "
+                f"({lengths[row_a[stop]]} vs {lengths[row_b[stop]]})"
             )
-        for i, st_a in enumerate(members):
-            for st_b in members[i + 1 :]:
-                seq_a = dataset.allele(locus, allele_of[st_a])
-                seq_b = dataset.allele(locus, allele_of[st_b])
-                assert seq_a is not None and seq_b is not None
-                x = hamming(seq_a, seq_b)
-                if x == 0:
-                    msg = (
-                        f"locus {locus}: alleles {allele_of[st_a]} and {allele_of[st_b]} "
-                        f"have distinct ids but identical sequences (STs {st_a}, {st_b})"
-                    )
-                    if mode == "strict":
-                        raise ZeroDifferencePairError(msg)
-                    logger.warning("%s; pair dropped", msg)
-                    continue
-                st_a_col.append(st_a)
-                st_b_col.append(st_b)
-                x_col.append(x)
-                gid_col.append(gid)
+        raise ZeroDifferencePairError(zero_message(stop))
     return SlvPartition(
         locus=locus,
-        st_a=st_a_col,
-        st_b=st_b_col,
-        x=x_col,
-        group_id=gid_col,
-        group_size=[len(members) for members in member_lists],
+        st_a=st_a[~zero],
+        st_b=st_b[~zero],
+        x=x[~zero],
+        group_id=gid[~zero],
+        group_size=sizes,
     )

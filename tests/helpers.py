@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 
+from slvrate import mlst_io
 from slvrate import pair_likelihood as pl
-from slvrate.errors import InvalidParamsError
+from slvrate.errors import (
+    DataError,
+    InvalidParamsError,
+    TooFewStsError,
+    ZeroDifferencePairError,
+)
 from slvrate.import_dist import ImportDistribution, PairwiseDiffTable, Provenance
 from slvrate.slv import SlvPartition
 
@@ -97,3 +104,119 @@ def table_from_matrix(locus, units, x) -> PairwiseDiffTable:
     return PairwiseDiffTable(
         locus=locus, units=tuple(units), allele_index=np.arange(len(units)), allele_dist=x
     )
+
+
+def reference_slv(dataset, locus, mode, warnings):
+    """SLV columns built pair by pair: a dict of reduced allele tuples for
+    the grouping and ``mlst_io.hamming`` for every pair.
+
+    Returns a dict of int64 arrays (st_a, st_b, x, group_id, group_size).
+    The message of every zero-difference pair lenient mode drops is
+    appended to ``warnings`` as it is met, also when a later pair or
+    group then raises.
+    """
+    focal = dataset.locus_index(locus)
+    classes = {}
+    for prof in dataset.profiles:
+        if dataset.usable_at(locus, prof.st_id):
+            reduced = prof.alleles[:focal] + prof.alleles[focal + 1 :]
+            classes.setdefault(reduced, []).append(prof.st_id)
+    allele_of = {prof.st_id: prof.alleles[focal] for prof in dataset.profiles}
+    groups = sorted((sorted(sts) for sts in classes.values() if len(sts) >= 2), key=lambda g: g[0])
+    cols = {"st_a": [], "st_b": [], "x": [], "group_id": []}
+    for gid, members in enumerate(groups):
+        focal_ids = [allele_of[st] for st in members]
+        if len(set(focal_ids)) != len(focal_ids):
+            raise DataError(
+                f"locus {locus}: sequence types {members} repeat a focal allele; "
+                "allele vectors are not unique"
+            )
+        for st_a, st_b in itertools.combinations(members, 2):
+            x = mlst_io.hamming(
+                dataset.allele(locus, allele_of[st_a]), dataset.allele(locus, allele_of[st_b])
+            )
+            if x == 0:
+                msg = (
+                    f"locus {locus}: alleles {allele_of[st_a]} and {allele_of[st_b]} "
+                    f"have distinct ids but identical sequences (STs {st_a}, {st_b})"
+                )
+                if mode == "strict":
+                    raise ZeroDifferencePairError(msg)
+                warnings.append(f"{msg}; pair dropped")
+                continue
+            for name, value in zip(cols, (st_a, st_b, x, gid)):
+                cols[name].append(value)
+    cols["group_size"] = [len(members) for members in groups]
+    return {name: np.array(v, dtype=np.int64) for name, v in cols.items()}
+
+
+def reference_units(dataset, locus, weighting="by_st"):
+    """(units, allele_index) of a pairwise difference table, one profile at
+    a time: a unit per usable ST (per isolate under ``by_isolate``) whose
+    focal allele has the modal length, indexing the sorted modal alleles."""
+    modal = dataset.locus_meta(locus).length
+    ids = sorted(
+        aid for (loc, aid), rec in dataset.alleles.items()
+        if loc == locus and len(rec.sequence) == modal
+    )
+    focal = dataset.locus_index(locus)
+    units, index = [], []
+    for prof in dataset.profiles:
+        aid = prof.alleles[focal]
+        if aid in ids and dataset.usable_at(locus, prof.st_id):
+            copies = prof.isolate_count if weighting == "by_isolate" else 1
+            units += [prof.st_id] * copies
+            index += [ids.index(aid)] * copies
+    return tuple(units), np.array(index, dtype=np.int64)
+
+
+def random_lenient_dataset(rng):
+    """A small lenient dataset that exercises every extraction path.
+
+    Alleles carry ambiguous bases (one of them non-ASCII), some repeat
+    another id's sequence (zero-difference pairs), some are off-length
+    and some profiles name missing alleles (both excluded at that locus).
+    Isolate counts vary and the profiles are shuffled out of ST order.
+    Sometimes a second ST repeats a profile's allele vector, which only a
+    dataset assembled without ``build_dataset`` can hold; it is excluded
+    only where an allele is missing, so its off-length alleles stay in
+    play. Returns None when fewer than two STs survive validation.
+    """
+    n_loci = int(rng.integers(2, 5))
+    loci = [f"loc{i}" for i in range(n_loci)]
+    alleles = {}
+    for locus in loci:
+        length = int(rng.integers(3, 12))
+        seqs = []
+        for _ in range(int(rng.integers(1, 7))):
+            if seqs and rng.random() < 0.15:
+                seqs.append(seqs[int(rng.integers(len(seqs)))])
+                continue
+            size = length + 1 if rng.random() < 0.1 else length
+            seqs.append("".join(rng.choice(list("ACGTACGTACGTNRÉ"), size=size)))
+        alleles[locus] = [
+            mlst_io.AlleleSequence(locus, aid, seq) for aid, seq in enumerate(seqs, start=1)
+        ]
+    n_sts = int(rng.integers(2, 60))
+    profiles = [
+        mlst_io.StProfile(
+            st_id,
+            tuple(int(rng.integers(1, len(alleles[locus]) + 2)) for locus in loci),
+            isolate_count=int(rng.integers(1, 4)),
+        )
+        for st_id in rng.permutation(np.arange(1, n_sts + 1) * 3).tolist()
+    ]
+    try:
+        dataset, _report = mlst_io.build_dataset(profiles, alleles, mode="lenient")
+    except TooFewStsError:
+        return None
+    profiles = [dataset.profiles[i] for i in rng.permutation(len(dataset.profiles))]
+    excluded = dict(dataset.excluded_at)
+    if rng.random() < 0.2:
+        twin = profiles[int(rng.integers(len(profiles)))]
+        st_id = 3 * n_sts + 1
+        profiles.append(mlst_io.StProfile(st_id, twin.alleles, twin.isolate_count))
+        for locus, aid in zip(loci, twin.alleles):
+            if dataset.allele(locus, aid) is None:
+                excluded[locus] = excluded[locus] | {st_id}
+    return dataclasses.replace(dataset, profiles=tuple(profiles), excluded_at=excluded)

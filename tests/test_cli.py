@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
+import shutil
+
 from conftest import DEMO
 
 from slvrate.cli import main, render_json
@@ -227,6 +230,23 @@ def test_estimate_pairwise_theta_and_lenient_mode(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["meta"]["config"]["theta_method"] == "pairwise"
     assert len(doc["loci"]) == 2
+
+
+def test_non_ascii_base_is_masked_in_lenient_mode_and_named_in_strict(tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(DEMO, data)
+    fasta = data / "aspA.fas"
+    header, first, *rest = fasta.read_text(encoding="utf-8").split("\n")
+    fasta.write_text("\n".join([header, first[:5] + "É" + first[6:], *rest]), encoding="utf-8")
+    argv = ["estimate", "--profiles", data / "profiles.tsv", "--alleles-dir", data, "-M", "2000"]
+    out = tmp_path / "est.json"
+    assert run(*argv, "--mode", "lenient", "--out", out) == 0
+    loci = json.loads(out.read_text())["loci"]
+    assert [fit["locus"] for fit in loci] == ["glnA", "gltA"]
+    assert all(math.isfinite(fit["lambda_hat"]) for fit in loci)
+    capsys.readouterr()
+    assert run(*argv, "--mode", "strict") == 2
+    assert "DataError: allele aspA_1 contains non-ACGT characters ['É']" in capsys.readouterr().err
 
 
 def test_joint_single_informative_locus_exits_two(tmp_path, capsys):

@@ -4,14 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slvrate import import_dist as imp
 from slvrate import mlst_io
 from slvrate.errors import InvalidParamsError, TooFewUnitsError
 
-from helpers import diff_matrix, table_from_matrix
+from helpers import diff_matrix, random_lenient_dataset, reference_units, table_from_matrix
 
 
 def _table(locus, x):
@@ -52,6 +52,23 @@ def test_allele_distance_matrix_matches_per_pair_hamming(sequences):
     assert dist.dtype == np.int64
     ref = [[mlst_io.hamming(a, b) for b in usable] for a in usable]
     assert dist.tolist() == ref
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_pairwise_diffs_matches_per_profile_reference(seed):
+    dataset = random_lenient_dataset(np.random.default_rng(seed))
+    assume(dataset is not None)
+    for locus in dataset.locus_names:
+        for weighting in ("by_st", "by_isolate"):
+            units, index = reference_units(dataset, locus, weighting)
+            if len(units) < 2:
+                with pytest.raises(TooFewUnitsError):
+                    imp.pairwise_diffs(dataset, locus, weighting)
+                continue
+            table = imp.pairwise_diffs(dataset, locus, weighting)
+            assert table.units == units
+            assert np.array_equal(table.allele_index, index)
 
 
 def _per_row_reference(stack):

@@ -185,6 +185,23 @@ def test_degenerate_scores():
         le.fit_alpha_sigma([np.array([1.0, 1.0]), np.array([1.0, 1.0])])
 
 
+def test_degenerate_scores_name_the_locus_at_mlst_geometry():
+    # m = 450, r = 1/7: a group of three STs whose three pairs all differ
+    # at 4 sites has identical scores, whatever lambda-hat is
+    q = make_q(np.exp(-np.arange(450) / 12.0), locus="flat")
+    flat = le.CompositeLikelihood(
+        make_partition("flat", [[4, 4, 4], [4]]), pl.PairModel("flat", 1.0 / 7.0, q, 450)
+    )
+    message = "locus flat: all scores identical"
+    with pytest.raises(DegenerateScoresError) as err:
+        le.fit_locus(flat)
+    assert str(err.value) == message
+    for mode in ("common", "per-locus"):
+        with pytest.raises(DegenerateScoresError) as err:
+            le.fit_all_loci([_grouped_cl(seed=5), flat], alpha_mode=mode)
+        assert str(err.value) == message
+
+
 def test_fit_beats_alpha_zero_moment_start():
     groups = equicorrelated_groups(0.5, 2.0, [3, 3, 6, 10, 1, 3], seed=11)
     fit = le.fit_alpha_sigma(groups)

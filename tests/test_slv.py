@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import logging
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slvrate import mlst_io, slv
-from slvrate.errors import ZeroDifferencePairError
+from slvrate.errors import DataError, LengthMismatchError, ZeroDifferencePairError
+
+from helpers import random_lenient_dataset, reference_slv
 
 
 def test_demo_dataset_matches_known_pairs(demo_dataset):
@@ -300,3 +304,76 @@ def test_relabeling_invariance(demo_dataset):
     # canonical st_a < st_b ordering flips under the reversal
     got = {(min(a, b), max(a, b), x) for a, b, x in got}
     assert set(_rows(part)) == got
+
+
+class _Messages(logging.Handler):
+    """Collects the messages of the records the SLV module logs."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+        self.logger = logging.getLogger(slv.__name__)
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+    def __enter__(self):
+        self.logger.addHandler(self)
+        return self.messages
+
+    def __exit__(self, *exc):
+        self.logger.removeHandler(self)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_extraction_matches_per_pair_reference(seed):
+    dataset = random_lenient_dataset(np.random.default_rng(seed))
+    assume(dataset is not None)
+    for locus in dataset.locus_names:
+        for mode in ("strict", "lenient"):
+            warnings = []
+            try:
+                want = reference_slv(dataset, locus, mode, warnings)
+            except DataError as err:
+                with _Messages() as seen, pytest.raises(DataError) as got:
+                    slv.extract_slv(dataset, locus, mode)
+                assert (type(got.value), str(got.value)) == (type(err), str(err))
+                assert seen == warnings
+                continue
+            with _Messages() as seen:
+                part = slv.extract_slv(dataset, locus, mode)
+            for name, column in want.items():
+                assert np.array_equal(getattr(part, name), column), name
+            assert seen == warnings
+
+
+def test_typed_errors_keep_their_messages():
+    seqs = {
+        "locA": {1: "AAAA", 2: "AAAA", 3: "ACGT", 4: "ACGA"},
+        "locB": {1: "CCCC", 2: "GGGG"},
+    }
+    dataset = _dataset_from_vectors([(1, 1), (2, 1), (3, 2), (4, 2)], seqs)
+    zero = "locus locA: alleles 1 and 2 have distinct ids but identical sequences (STs 1, 2)"
+    with pytest.raises(ZeroDifferencePairError) as err:
+        slv.extract_slv(dataset, "locA", mode="strict")
+    assert str(err.value) == zero
+    # ST 5 repeats ST 3's allele vector: its group fails before any of its
+    # pairs, after lenient mode has dropped group 0's pair
+    twin = dataclasses.replace(dataset, profiles=(*dataset.profiles, mlst_io.StProfile(5, (3, 2))))
+    with _Messages() as seen, pytest.raises(DataError) as err:
+        slv.extract_slv(twin, "locA", mode="lenient")
+    assert str(err.value) == (
+        "locus locA: sequence types [3, 4, 5] repeat a focal allele; allele vectors are not unique"
+    )
+    assert seen == [f"{zero}; pair dropped"]
+    short = dataclasses.replace(
+        dataset, alleles={**dataset.alleles, ("locA", 4): mlst_io.AlleleSequence("locA", 4, "ACG")}
+    )
+    with pytest.raises(LengthMismatchError) as err:
+        slv.extract_slv(short, "locA", mode="lenient")
+    assert str(err.value) == "locA_3 and locA_4 differ in length (4 vs 3)"
+    stray = dataclasses.replace(dataset, profiles=(*dataset.profiles, mlst_io.StProfile(6, (9, 2))))
+    with pytest.raises(DataError) as err:
+        slv.extract_slv(stray, "locA", mode="lenient")
+    assert str(err.value) == "locus locA: ST 6 references allele 9, which the dataset does not hold"
