@@ -17,13 +17,15 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import __version__
 from .errors import ConfigError, SlvRateError
 from .experiment import ExperimentReport, RecoveryDesign, SimDesign, run_experiment
-from .import_dist import DEFAULT_DRAWS, DEFAULT_PA, ImportDistribution
+from .import_dist import DEFAULT_PA, ImportDistribution
 from .joint_inference import JointFit, VariationTestResult, joint_fit
 from .locus_estimator import LocusFit
 from .mlst_io import (
@@ -46,6 +48,8 @@ from .slv import extract_slv
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
+
+_DEFAULTS = AnalysisOptions()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,7 +127,7 @@ def _add_dataset_args(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--st-column", default="ST")
     sub.add_argument("--count-column", default=None)
-    sub.add_argument("--mode", choices=("strict", "lenient"), default="strict")
+    sub.add_argument("--mode", choices=("strict", "lenient"), default=_DEFAULTS.mode)
 
 
 def _fasta_path(alleles_dir: Path, locus: str) -> Path | None:
@@ -175,27 +179,30 @@ def _load_dataset(args):
 
 
 def _analysis_options(args) -> AnalysisOptions:
+    """The command's analysis flags, whose dests are the AnalysisOptions
+    field names; a field without a flag keeps its default."""
+    given = vars(args)
     return AnalysisOptions(
-        p_a=args.pa,
-        draws=args.draws,
-        seed=args.seed,
-        weighting=args.weighting,
-        theta_method=args.theta_ratio,
-        alpha_mode=args.alpha,
-        level=args.level,
-        mode=args.mode,
+        **{f.name: given[f.name] for f in fields(AnalysisOptions) if f.name in given}
     )
 
 
 def _add_analysis_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dists", help="directory or file(s) of import-distribution JSON")
-    sub.add_argument("--pa", type=float, default=DEFAULT_PA, help="full-locus import probability")
-    sub.add_argument("-M", "--draws", type=int, default=DEFAULT_DRAWS, help="Monte Carlo draws")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--weighting", choices=("by_st", "by_isolate"), default="by_st")
-    sub.add_argument("--theta-ratio", choices=("length", "pairwise"), default="length")
-    sub.add_argument("--alpha", choices=("common", "per-locus"), default="common")
-    sub.add_argument("--level", type=float, default=0.95)
+    _add_import_args(sub)
+    sub.add_argument("--theta-ratio", dest="theta_method", choices=("length", "pairwise"),
+                     default=_DEFAULTS.theta_method)
+    sub.add_argument("--alpha", dest="alpha_mode", choices=("common", "per-locus"),
+                     default=_DEFAULTS.alpha_mode)
+    sub.add_argument("--level", type=float, default=_DEFAULTS.level)
+
+
+def _add_import_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--pa", dest="p_a", type=float, default=_DEFAULTS.p_a,
+                     help="full-locus import probability")
+    sub.add_argument("-M", "--draws", type=int, default=_DEFAULTS.draws, help="Monte Carlo draws")
+    sub.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    sub.add_argument("--weighting", choices=("by_st", "by_isolate"), default=_DEFAULTS.weighting)
 
 
 def _load_dists(args) -> tuple[dict[str, ImportDistribution], list[Path]] | None:
@@ -297,26 +304,18 @@ def cmd_extract(args) -> int:
 
 
 def cmd_import_dist(args) -> int:
-    if not 0.0 <= args.pa <= 1.0:
-        raise ConfigError(f"--pa must be in [0,1], got {args.pa}")
+    if not 0.0 <= args.p_a <= 1.0:
+        raise ConfigError(f"--pa must be in [0,1], got {args.p_a}")
     if args.draws < 1:
         raise ConfigError(f"--draws must be >= 1, got {args.draws}")
     dataset, _report, inputs = _load_dataset(args)
-    opts = AnalysisOptions(
-        p_a=args.pa, draws=args.draws, seed=args.seed, weighting=args.weighting, mode=args.mode
-    )
+    opts = _analysis_options(args)
     dists = build_import_dists(dataset, opts)
     wanted = list(dataset.locus_names) if args.locus == "all" else [args.locus]
     for name in wanted:
         if name not in dists:
             raise ConfigError(f"locus {name!r} unavailable (unknown or fewer than 2 usable units)")
-    config = {
-        "p_a": args.pa,
-        "draws": args.draws,
-        "seed": args.seed,
-        "weighting": args.weighting,
-        "mode": args.mode,
-    }
+    config = {name: value for name, value in asdict(opts).items() if name in vars(args)}
     if args.locus == "all":
         out_dir = Path(args.out) if args.out else Path(".")
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -347,7 +346,7 @@ def _analyze(args, step):
 def cmd_estimate(args) -> int:
     result, opts, inputs = _analyze(args, fit_loci)
     doc = {
-        "meta": _meta("estimate", opts.to_dict(), inputs),
+        "meta": _meta("estimate", asdict(opts), inputs),
         "loci": [_fit_doc(fit) for fit in result.locus_fits],
         "skipped_loci": list(result.skipped_loci),
     }
@@ -363,7 +362,7 @@ def cmd_joint(args) -> int:
             f"got {len(result.locus_fits)} (skipped: {', '.join(result.skipped_loci) or 'none'})"
         )
     joint = joint_fit(result.likelihoods, result.locus_fits, level=opts.level)
-    doc = {"meta": _meta("joint", opts.to_dict(), inputs), **_joint_doc(joint)}
+    doc = {"meta": _meta("joint", asdict(opts), inputs), **_joint_doc(joint)}
     write_json(Path(args.out) if args.out else None, doc)
     return 0
 
@@ -376,80 +375,109 @@ def cmd_test_variation(args) -> int:
             f"got {len(result.locus_fits)} (skipped: {', '.join(result.skipped_loci) or 'none'})"
         )
     doc = {
-        "meta": _meta("test-variation", opts.to_dict(), inputs),
+        "meta": _meta("test-variation", asdict(opts), inputs),
         **_variation_doc(result.variation),
     }
     write_json(Path(args.out) if args.out else None, doc)
     if args.forest_out:
-        lines = ["locus\tlambda_hat\tci_lo\tci_hi"]
-        for fit in result.locus_fits:
-            hi = "inf" if math.isinf(fit.ci_upper) else f"{fit.ci_upper:.10g}"
-            lines.append(f"{fit.locus}\t{fit.lam_hat:.10g}\t{fit.ci_lower:.10g}\t{hi}")
+        rows = [(fit.locus, fit) for fit in result.locus_fits]
         if result.joint is not None:
-            hi = "inf" if math.isinf(result.joint.ci_upper) else f"{result.joint.ci_upper:.10g}"
-            lines.append(
-                f"_all_\t{result.joint.lam_hat:.10g}\t{result.joint.ci_lower:.10g}\t{hi}"
-            )
+            rows.append(("_all_", result.joint))
+        lines = ["locus\tlambda_hat\tci_lo\tci_hi"] + [
+            f"{name}\t{fit.lam_hat:.10g}\t{fit.ci_lower:.10g}\t{fit.ci_upper:.10g}"
+            for name, fit in rows
+        ]
         Path(args.forest_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 
 # -- simulate / experiment --------------------------------------------------------------
 
+_REQUIRED = object()
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"expected a JSON object, got {value!r}")
+    return value
+
+
+def _field(cfg, key: str, convert, default=_REQUIRED):
+    """``convert(cfg[key])``, or ``default`` when the key is absent. A
+    missing required key or a value that ``convert`` rejects is a
+    ConfigError that names the key; nested fields read as ``outer: inner``."""
+    if key not in _object(cfg):
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r}")
+        return default
+    try:
+        return convert(cfg[key])
+    except (ConfigError, TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"{key}: {err}") from None
+
+
+@contextmanager
+def _config(path: str):
+    """Yield the JSON object in the file ``path``. Any fault found while
+    reading or parsing it ends as one ConfigError ``config <path>: ...``."""
+    try:
+        yield _object(json.loads(Path(path).read_text(encoding="utf-8")))
+    except FileNotFoundError:
+        raise ConfigError(f"config {path}: file not found") from None
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"config {path}: line {err.lineno}: {err.msg}") from None
+    except ConfigError as err:
+        raise ConfigError(f"config {path}: {err}") from None
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _loci(entries) -> tuple[tuple[str, int], ...]:
+    return tuple((_field(e, "name", str), _field(e, "length", int)) for e in entries)
+
+
+def _positive_int(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n}")
+    return n
+
 
 def _parse_import_spec(spec) -> ImportModel | dict[str, ImportModel]:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"import spec must be an object, got {spec!r}")
-    if "per_locus" in spec:
-        return {name: _parse_import_spec(sub) for name, sub in spec["per_locus"].items()}
-    model = spec.get("model")
+    if "per_locus" in _object(spec):
+        return _field(spec, "per_locus", lambda specs: {
+            name: _field(specs, name, _parse_import_spec) for name in _object(specs)
+        })
+    model = _field(spec, "model", str, None)
     if model == "geometric":
-        return GeometricImport(mean=float(spec["mean"]))
+        return GeometricImport(mean=_field(spec, "mean", float))
     if model == "empirical":
-        return EmpiricalImport(pmf=tuple(float(v) for v in spec["pmf"]))
+        return EmpiricalImport(pmf=_field(spec, "pmf", _floats))
     if model == "complete":
-        return CompleteImport(p_a=float(spec.get("p_a", DEFAULT_PA)))
+        return CompleteImport(p_a=_field(spec, "p_a", float, DEFAULT_PA))
     raise ConfigError(f"unknown import model {model!r}")
 
 
-def _load_config(path: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"malformed config {path}: line {err.lineno}: {err.msg}")
-
-
-def _require(cfg: dict, key: str, path: str):
-    if key not in cfg:
-        raise ConfigError(f"config {path} is missing required key {key!r}")
-    return cfg[key]
-
-
-def _sim_config_from(cfg: dict, path: str, seed_override: int | None) -> SimConfig:
-    loci = tuple(
-        (entry["name"], int(entry["length"])) for entry in _require(cfg, "loci", path)
+def _sim_config_from(cfg: dict, seed_override: int | None) -> SimConfig:
+    """The one parser of a simulation block, for ``simulate`` and for the
+    simulation designs of ``experiment``."""
+    return SimConfig(
+        n_samples=_field(cfg, "n_samples", int),
+        loci=_field(cfg, "loci", _loci),
+        theta=_field(cfg, "theta", _floats),
+        lam=_field(cfg, "lambda", _floats),
+        import_model=_field(cfg, "import", _parse_import_spec),
+        seed=_field(cfg, "seed", int, 0) if seed_override is None else seed_override,
     )
-    seed = int(cfg.get("seed", 0)) if seed_override is None else seed_override
-    try:
-        return SimConfig(
-            n_samples=int(_require(cfg, "n_samples", path)),
-            loci=loci,
-            theta=tuple(float(v) for v in _require(cfg, "theta", path)),
-            lam=tuple(float(v) for v in _require(cfg, "lambda", path)),
-            import_model=_parse_import_spec(_require(cfg, "import", path)),
-            seed=seed,
-            track_events=bool(cfg.get("track_events", False)),
-        )
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"config {path}: {err}")
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    config = _sim_config_from(cfg, args.config, args.seed)
-    result = simulate(config, replicate=int(cfg.get("replicate", 0)))
+    with _config(args.config) as cfg:
+        config = _sim_config_from(cfg, args.seed)
+        replicate = _field(cfg, "replicate", int, 0)
+    result = simulate(config, replicate=replicate)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_profiles(result.dataset, out_dir / "profiles.tsv")
@@ -468,48 +496,41 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _analysis_from_config(cfg: dict) -> AnalysisOptions:
-    sub = cfg.get("analysis", {})
-    return AnalysisOptions(
-        p_a=float(sub.get("pa", DEFAULT_PA)),
-        draws=int(sub.get("draws", DEFAULT_DRAWS)),
-        seed=int(sub.get("seed", 0)),
-        weighting=sub.get("weighting", "by_st"),
-        theta_method=sub.get("theta_method", "length"),
-        alpha_mode=sub.get("alpha_mode", "common"),
-        level=float(sub.get("level", 0.95)),
-        mode=sub.get("mode", "strict"),
+def _analysis_from_config(sub) -> AnalysisOptions:
+    """The ``analysis`` block: each key is a field name (``pa`` for
+    ``p_a``), read with the type of the field's default."""
+    return AnalysisOptions(**{
+        f.name: _field(sub, "pa" if f.name == "p_a" else f.name, type(f.default), f.default)
+        for f in fields(AnalysisOptions)
+    })
+
+
+def _design_from(cfg: dict, seed_override: int | None) -> SimDesign | RecoveryDesign:
+    kind = _field(cfg, "design", str)
+    replicates = _field(cfg, "replicates", _positive_int)
+    if kind == "recovery":
+        return RecoveryDesign(
+            replicates=replicates,
+            lam=_field(cfg, "lambda", float),
+            loci=_field(cfg, "loci", _loci),
+            import_means=_field(cfg, "import_means", _floats),
+            n_pairs=_field(cfg, "n_pairs", int),
+            seed=_field(cfg, "seed", int, 0) if seed_override is None else seed_override,
+            level=_field(cfg, "level", float, _DEFAULTS.level),
+        )
+    if kind not in ("coverage", "type1", "power"):
+        raise ConfigError(f"design: unknown design {kind!r}")
+    return SimDesign(
+        kind,
+        replicates,
+        sim=_sim_config_from(cfg, seed_override),
+        analysis=_field(cfg, "analysis", _analysis_from_config, _DEFAULTS),
     )
 
 
 def cmd_experiment(args) -> int:
-    cfg = _load_config(args.config)
-    kind = _require(cfg, "design", args.config)
-    seed = int(cfg.get("seed", 0)) if args.seed is None else args.seed
-    if kind == "recovery":
-        design = RecoveryDesign(
-            replicates=int(_require(cfg, "replicates", args.config)),
-            lam=float(_require(cfg, "lambda", args.config)),
-            loci=tuple((e["name"], int(e["length"])) for e in _require(cfg, "loci", args.config)),
-            import_means=tuple(float(v) for v in _require(cfg, "import_means", args.config)),
-            n_pairs=int(_require(cfg, "n_pairs", args.config)),
-            seed=seed,
-            level=float(cfg.get("level", 0.95)),
-        )
-    elif kind in ("coverage", "type1", "power"):
-        design = SimDesign(
-            kind=kind,
-            replicates=int(_require(cfg, "replicates", args.config)),
-            n_samples=int(_require(cfg, "n_samples", args.config)),
-            loci=tuple((e["name"], int(e["length"])) for e in _require(cfg, "loci", args.config)),
-            theta=tuple(float(v) for v in _require(cfg, "theta", args.config)),
-            lam=tuple(float(v) for v in _require(cfg, "lambda", args.config)),
-            import_model=_parse_import_spec(_require(cfg, "import", args.config)),
-            seed=seed,
-            analysis=_analysis_from_config(cfg),
-        )
-    else:
-        raise ConfigError(f"unknown design {kind!r} in {args.config}")
+    with _config(args.config) as cfg:
+        design = _design_from(cfg, args.seed)
     report = run_experiment(design)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -536,14 +557,9 @@ def _write_rows(report: ExperimentReport, path: Path) -> None:
             "covered", "gamma", "n_pairs", "boundary"]
     lines = ["\t".join(cols)]
     for row in report.rows:
-        rendered = []
-        for col in cols:
-            val = row.get(col, "")
-            if isinstance(val, float):
-                rendered.append("inf" if math.isinf(val) else format(val, ".10g"))
-            else:
-                rendered.append(str(val))
-        lines.append("\t".join(rendered))
+        values = (row.get(col, "") for col in cols)
+        lines.append("\t".join(format(v, ".10g") if isinstance(v, float) else str(v)
+                               for v in values))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -563,10 +579,7 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("import-dist", help="estimate per-locus import difference pmf")
     _add_dataset_args(sub)
     sub.add_argument("--locus", default="all", help="locus name or 'all'")
-    sub.add_argument("--pa", type=float, default=DEFAULT_PA)
-    sub.add_argument("-M", "--draws", type=int, default=DEFAULT_DRAWS)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--weighting", choices=("by_st", "by_isolate"), default="by_st")
+    _add_import_args(sub)
     sub.add_argument("--out", help="output file for one locus, directory for all")
     sub.set_defaults(func=cmd_import_dist)
 

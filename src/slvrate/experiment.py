@@ -14,7 +14,8 @@ Four designs:
   the oracle-equivalence check for the estimation stack.
 
 Replicates are independent and run one after another; each gets a
-deterministically derived Philox stream, so reports are reproducible.
+deterministically derived Philox stream (``numerics.derived_rng``), so
+reports are reproducible.
 """
 
 from __future__ import annotations
@@ -28,13 +29,11 @@ import numpy as np
 from .import_dist import ImportDistribution, Provenance
 from .joint_inference import JointFit, joint_fit, variation_test
 from .locus_estimator import CompositeLikelihood, LocusFit, fit_all_loci
+from .numerics import SeedDomain, derived_rng, derived_seed
 from .pair_likelihood import PairModel, pmf as model_pmf
 from .pipeline import AnalysisOptions, analyze_dataset
-from .simulate import ImportModel, SimConfig, simulate
+from .simulate import SimConfig, simulate
 from .slv import SlvPartition
-
-_ANALYSIS_SEED_DOMAIN = 5
-_RECOVERY_SEED_DOMAIN = 13
 
 
 @dataclass(frozen=True)
@@ -47,12 +46,7 @@ class MetricValue:
 class SimDesign:
     kind: str                                   # coverage | type1 | power
     replicates: int
-    n_samples: int
-    loci: tuple[tuple[str, int], ...]
-    theta: tuple[float, ...]
-    lam: tuple[float, ...]
-    import_model: ImportModel | Mapping[str, ImportModel]
-    seed: int = 0
+    sim: SimConfig                              # replicate r simulates sim at replicate=r
     analysis: AnalysisOptions = AnalysisOptions()
 
     def __post_init__(self):
@@ -70,7 +64,7 @@ class RecoveryDesign:
     import_means: tuple[float, ...]             # per-locus pmf means
     n_pairs: int
     seed: int = 0
-    level: float = 0.95
+    level: float = AnalysisOptions.level
     kind: str = "recovery"
 
 
@@ -112,12 +106,6 @@ def _rmse_metric(errors: Sequence[float]) -> MetricValue:
     return MetricValue(rmse, se)
 
 
-def _analysis_seed(seed: int, ridx: int) -> int:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(_ANALYSIS_SEED_DOMAIN, ridx))
-    state = ss.generate_state(2, dtype=np.uint64)
-    return int(state[0] ^ (state[1] << 1)) & 0x7FFFFFFFFFFFFFFF
-
-
 def _fit_rows(
     ridx: int,
     fits: Sequence[LocusFit],
@@ -152,20 +140,13 @@ def _fit_rows(
 
 
 def _run_sim_replicate(design: SimDesign, ridx: int) -> dict:
-    config = SimConfig(
-        n_samples=design.n_samples,
-        loci=design.loci,
-        theta=design.theta,
-        lam=design.lam,
-        import_model=design.import_model,
-        seed=design.seed,
-    )
-    result = simulate(config, replicate=ridx)
-    opts = replace(design.analysis, seed=_analysis_seed(design.seed, ridx))
+    sim = design.sim
+    result = simulate(sim, replicate=ridx)
+    opts = replace(design.analysis, seed=derived_seed(sim.seed, SeedDomain.ANALYSIS_SEED, ridx))
     analysis = analyze_dataset(result.dataset, opts)
-    truth = {name: lam for (name, _), lam in zip(design.loci, design.lam)}
+    truth = {name: lam for (name, _), lam in zip(sim.loci, sim.lam)}
     n_slv = sum(p.n_pairs for p in analysis.partitions.values())
-    common = design.lam[0] if len(set(design.lam)) == 1 else math.nan
+    common = sim.lam[0] if len(set(sim.lam)) == 1 else math.nan
     rows = _fit_rows(ridx, analysis.locus_fits, truth, analysis.joint, common, n_slv)
     return {
         "rows": rows,
@@ -213,8 +194,7 @@ def _singleton_partition(locus: str, xs: np.ndarray) -> SlvPartition:
 
 
 def _run_recovery_replicate(design: RecoveryDesign, models: list[PairModel], ridx: int) -> dict:
-    ss = np.random.SeedSequence(entropy=design.seed, spawn_key=(_RECOVERY_SEED_DOMAIN, ridx))
-    rng = np.random.Generator(np.random.Philox(ss))
+    rng = derived_rng(design.seed, SeedDomain.RECOVERY, ridx)
     cls = []
     for model in models:
         probs = model_pmf(model, design.lam)

@@ -10,7 +10,8 @@ every difference count keeps positive probability, and zero draws are
 excluded (an SLV pair cannot show zero differences by definition).
 
 Draws are generated in fixed-size blocks, each from its own
-counter-derived Philox stream (``SeedSequence(seed, spawn_key=(7, block))``),
+counter-derived Philox stream (``numerics.derived_rng`` in the
+``SeedDomain.IMPORT_DRAWS`` domain),
 so the tally is reproducible bit-for-bit whatever the execution order or
 worker count.
 """
@@ -23,9 +24,9 @@ import numpy as np
 
 from .errors import InvalidParamsError, TooFewUnitsError
 from .mlst_io import MlstDataset
+from .numerics import SeedDomain, derived_rng
 
 _BLOCK = 1 << 16
-_STREAM_DOMAIN = 7  # spawn-key namespace for import-distribution draws
 
 DEFAULT_PA = 0.8
 DEFAULT_DRAWS = 100_000
@@ -77,9 +78,6 @@ class ImportDistribution:
             raise InvalidParamsError("pmf entries must be strictly positive")
         if abs(float(self.q.sum()) - 1.0) > 1e-12:
             raise InvalidParamsError(f"pmf sums to {self.q.sum()!r}, not 1")
-
-    def mean(self) -> float:
-        return float(np.dot(np.arange(1, self.m + 1), self.q))
 
     def to_json_dict(self) -> dict:
         return {
@@ -183,11 +181,6 @@ def pairwise_diffs(
     )
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(_STREAM_DOMAIN, block))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def estimate_import_dist(
     table: PairwiseDiffTable,
     m: int,
@@ -217,7 +210,7 @@ def estimate_import_dist(
     block = 0
     while done < draws:
         nb = min(_BLOCK, draws - done)
-        rng = _block_rng(seed, block)
+        rng = derived_rng(seed, SeedDomain.IMPORT_DRAWS, block)
         ii = rng.integers(0, k, size=nb)
         jj = rng.integers(0, k, size=nb)
         base = table.allele_dist[table.allele_index[ii], table.allele_index[jj]]

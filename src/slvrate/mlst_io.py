@@ -16,6 +16,7 @@ Two validation modes:
 
 from __future__ import annotations
 
+import string
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,6 +48,7 @@ _ENCODE = np.full(256, 255, dtype=np.uint8)
 for _i, _b in enumerate(b"ACGT"):
     _ENCODE[_b] = _i
 _DECODE = np.frombuffer(b"ACGT", dtype=np.uint8)
+_ASCII_UPPER = str.maketrans(string.ascii_lowercase, string.ascii_uppercase)
 
 
 @dataclass(frozen=True)
@@ -286,7 +288,8 @@ def parse_allele_fasta(path: str | Path, locus: str) -> list[AlleleSequence]:
 
     Headers may be ``>{locus}_{allele_id}`` or bare ``>{allele_id}``; the
     allele id is the trailing integer of the first header token. Sequences
-    are uppercased and multi-line records concatenated.
+    have their ASCII letters uppercased (which never changes a line's
+    length) and multi-line records concatenated.
     """
     path = Path(path)
     records: list[AlleleSequence] = []
@@ -330,7 +333,7 @@ def parse_allele_fasta(path: str | Path, locus: str) -> list[AlleleSequence]:
             else:
                 if header_tok is None:
                     raise MalformedHeaderError("sequence data before any header", str(path), lineno)
-                up = line.upper()
+                up = line.translate(_ASCII_UPPER)
                 if not up.isalpha():
                     raise ParseError(f"invalid sequence characters in {up!r}", str(path), lineno)
                 chunks.append(up)

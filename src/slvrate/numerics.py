@@ -1,9 +1,10 @@
 """Shared scalar numerics.
 
 Everything estimation-critical funnels through here: the central
-tolerances, bounded scalar maximization, the regularized incomplete gamma
-function (chi-squared tail probabilities) and the chi-squared(1) quantile
-behind every deviance interval. The cross-locus test needs no matrix
+tolerances, the random streams and seeds derived from a user seed,
+bounded scalar maximization, the regularized incomplete gamma function
+(chi-squared tail probabilities) and the chi-squared(1) quantile behind
+every deviance interval. The cross-locus test needs no matrix
 kernel of its own: its weights have a closed form (see
 ``joint_inference``).
 
@@ -15,14 +16,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import IntEnum
 from statistics import NormalDist
 from typing import Callable
+
+import numpy as np
 
 from .errors import InvalidParamsError, NonFiniteError
 
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
+    "SeedDomain",
+    "derived_rng",
+    "derived_seed",
     "OptResult",
     "maximize_scalar",
     "reg_inc_gamma",
@@ -47,6 +54,31 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+
+class SeedDomain(IntEnum):
+    """Spawn-key domains: every random stream or seed derived from a user
+    seed is SeedSequence(seed, spawn_key=(domain, index)), so streams of
+    different domains never overlap and each index gets its own."""
+
+    IMPORT_SEED = 3      # per-locus seed of the import-distribution sampler
+    ANALYSIS_SEED = 5    # per-replicate analysis seed of a simulation experiment
+    IMPORT_DRAWS = 7     # per-block stream of import-distribution draws
+    SIMULATION = 11      # per-replicate stream of the simulator
+    RECOVERY = 13        # per-replicate stream of the recovery design's draws
+
+
+def derived_rng(seed: int, domain: SeedDomain, index: int) -> np.random.Generator:
+    """Philox stream number ``index`` of ``domain`` under ``seed``."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(domain, index))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def derived_seed(seed: int, domain: SeedDomain, index: int) -> int:
+    """Non-negative 63-bit seed number ``index`` of ``domain`` under ``seed``."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(domain, index))
+    state = ss.generate_state(2, dtype=np.uint64)
+    return int(state[0] ^ (state[1] << 1)) & 0x7FFFFFFFFFFFFFFF
 
 _INVPHI2 = 0.3819660112501051  # 2 - golden ratio
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-import numpy as np
-
 from .errors import TooFewUnitsError
 from .import_dist import (
     DEFAULT_DRAWS,
@@ -25,15 +23,15 @@ from .import_dist import (
 from .joint_inference import JointFit, VariationTestResult, joint_fit, variation_test
 from .locus_estimator import CompositeLikelihood, LocusFit, fit_all_loci
 from .mlst_io import MlstDataset
-from .numerics import DEFAULT_TOL, Tolerances
+from .numerics import DEFAULT_TOL, SeedDomain, Tolerances, derived_seed
 from .pair_likelihood import PairModel, theta_ratios
 from .slv import SlvPartition, extract_slv
-
-_IMPORT_SEED_DOMAIN = 3
 
 
 @dataclass(frozen=True)
 class AnalysisOptions:
+    """Analysis settings; the one home of their defaults."""
+
     p_a: float = DEFAULT_PA
     draws: int = DEFAULT_DRAWS
     seed: int = 0
@@ -42,18 +40,6 @@ class AnalysisOptions:
     alpha_mode: str = "common"
     level: float = 0.95
     mode: str = "strict"
-
-    def to_dict(self) -> dict:
-        return {
-            "p_a": self.p_a,
-            "draws": self.draws,
-            "seed": self.seed,
-            "weighting": self.weighting,
-            "theta_method": self.theta_method,
-            "alpha_mode": self.alpha_mode,
-            "level": self.level,
-            "mode": self.mode,
-        }
 
 
 @dataclass(frozen=True)
@@ -65,13 +51,6 @@ class AnalysisResult:
     partitions: Mapping[str, SlvPartition] = field(default_factory=dict)
     import_dists: Mapping[str, ImportDistribution] = field(default_factory=dict)
     likelihoods: tuple[CompositeLikelihood, ...] = ()   # one per fitted locus
-
-
-def locus_import_seed(seed: int, locus_index: int) -> int:
-    """Stable per-locus seed for the import-distribution sampler."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(_IMPORT_SEED_DOMAIN, locus_index))
-    state = ss.generate_state(2, dtype=np.uint64)
-    return int(state[0] ^ (state[1] << 1)) & 0x7FFFFFFFFFFFFFFF
 
 
 def build_import_dists(
@@ -89,7 +68,7 @@ def build_import_dists(
             m=meta.length,
             p_a=opts.p_a,
             draws=opts.draws,
-            seed=locus_import_seed(opts.seed, index),
+            seed=derived_seed(opts.seed, SeedDomain.IMPORT_SEED, index),
         )
     return out
 

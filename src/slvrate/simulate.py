@@ -48,6 +48,7 @@ from .mlst_io import (
     build_dataset,
     decode_sequence,
 )
+from .numerics import SeedDomain, derived_rng
 
 
 # -- import models ---------------------------------------------------------------
@@ -373,13 +374,7 @@ def _materialize(
     )
 
 
-def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
-    """Deterministic per-replicate stream (spawn-key namespace 11)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(11, replicate))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def simulate(config: SimConfig, replicate: int = 0) -> SimResult:
-    rng = replicate_rng(config.seed, replicate)
+    rng = derived_rng(config.seed, SeedDomain.SIMULATION, replicate)
     tree = simulate_coalescent_tree(config.n_samples, rng)
     return overlay_events(tree, config, rng)

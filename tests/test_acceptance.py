@@ -42,12 +42,14 @@ def null_experiment():
     design = ex.SimDesign(
         kind="coverage",
         replicates=100,
-        n_samples=2000,
-        loci=SEVEN_LOCI,
-        theta=tuple(100.0 / 7.0 for _ in range(7)),
-        lam=tuple(1.0 for _ in range(7)),
-        import_model=sim.CompleteImport(p_a=0.8),
-        seed=20_26,
+        sim=sim.SimConfig(
+            n_samples=2000,
+            loci=SEVEN_LOCI,
+            theta=tuple(100.0 / 7.0 for _ in range(7)),
+            lam=tuple(1.0 for _ in range(7)),
+            import_model=sim.CompleteImport(p_a=0.8),
+            seed=20_26,
+        ),
         analysis=AnalysisOptions(p_a=0.8, draws=30_000),
     )
     return ex.run_experiment(design)
@@ -61,12 +63,14 @@ def power_experiment():
     design = ex.SimDesign(
         kind="power",
         replicates=50,
-        n_samples=10_000,
-        loci=SEVEN_LOCI,
-        theta=(20.0,) + tuple(20.0 / c for _ in range(6)),
-        lam=(1.0,) + tuple(c for _ in range(6)),
-        import_model=sim.CompleteImport(p_a=0.8),
-        seed=9_41,
+        sim=sim.SimConfig(
+            n_samples=10_000,
+            loci=SEVEN_LOCI,
+            theta=(20.0,) + tuple(20.0 / c for _ in range(6)),
+            lam=(1.0,) + tuple(c for _ in range(6)),
+            import_model=sim.CompleteImport(p_a=0.8),
+            seed=9_41,
+        ),
         analysis=AnalysisOptions(p_a=0.8, draws=30_000),
     )
     return ex.run_experiment(design)

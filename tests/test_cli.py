@@ -4,9 +4,11 @@ import json
 import math
 import shutil
 
+import pytest
 from conftest import DEMO
 
 from slvrate.cli import main, render_json
+from slvrate.mlst_io import parse_allele_fasta
 
 
 def run(*argv):
@@ -179,6 +181,46 @@ def test_simulate_malformed_config(tmp_path):
     assert run("simulate", "--config", missing, "--out-dir", tmp_path / "o") == 1
 
 
+RECOVERY_CONFIG = {
+    "design": "recovery",
+    "replicates": 3,
+    "lambda": 1.0,
+    "loci": [{"name": "a", "length": 120}, {"name": "b", "length": 150}],
+    "import_means": [8.0, 10.0],
+    "n_pairs": 80,
+    "seed": 5,
+}
+
+NO_LENGTH_LOCI = [{"name": "locA", "length": 150}, {"name": "locB"}]
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("experiment", {"design": "coverage", "replicates": 2, "n_samples": "abc"}, "n_samples"),
+        ("experiment", {"design": "coverage", "replicates": 0}, "replicates"),
+        ("experiment", {**RECOVERY_CONFIG, "lambda": "x"}, "lambda"),
+        ("simulate", {"loci": NO_LENGTH_LOCI}, "length"),
+        ("experiment", {"design": "type1", "replicates": 2, "loci": NO_LENGTH_LOCI}, "length"),
+        ("simulate", {"import": {"model": "geometric"}}, "mean"),
+        ("experiment", {"design": "coverage", "replicates": 2, "analysis": {"level": "high"}},
+         "level"),
+        ("experiment", ["design", "coverage"], "JSON object"),
+        ("simulate", [], "JSON object"),
+    ],
+)
+def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, command, cfg, key):
+    if isinstance(cfg, dict) and cfg.get("design") != "recovery":
+        cfg = {**json.loads(sim_config(tmp_path).read_text()), **cfg}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert run(command, "--config", path, "--out-dir", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith(f"slvrate: config {path}: ")
+    assert key in err
+
+
 def test_full_pipeline_smoke(tmp_path):
     cfg = sim_config(tmp_path)
     sim_out = tmp_path / "data"
@@ -247,6 +289,25 @@ def test_non_ascii_base_is_masked_in_lenient_mode_and_named_in_strict(tmp_path, 
     capsys.readouterr()
     assert run(*argv, "--mode", "strict") == 2
     assert "DataError: allele aspA_1 contains non-ACGT characters ['É']" in capsys.readouterr().err
+
+
+def test_lowercase_sharp_s_keeps_the_allele_length(tmp_path, capsys):
+    # "ß".upper() is "SS"; only ASCII letters may be uppercased, or the
+    # allele would grow by one base and be reported as off-length
+    data = tmp_path / "data"
+    shutil.copytree(DEMO, data)
+    fasta = data / "aspA.fas"
+    header, first, *rest = fasta.read_text(encoding="utf-8").split("\n")
+    fasta.write_text("\n".join([header, "ß" + first[1:], *rest]), encoding="utf-8")
+    assert len(parse_allele_fasta(fasta, "aspA")[0].sequence) == len(first)
+    argv = ["--profiles", data / "profiles.tsv", "--alleles-dir", data]
+    assert run("estimate", *argv, "-M", "2000") == 2
+    assert "DataError: allele aspA_1 contains non-ACGT characters ['ß']" in capsys.readouterr().err
+    out = tmp_path / "slv.tsv"
+    assert run("extract", *argv, "--mode", "lenient", "--out", out) == 0
+    repairs = json.loads((tmp_path / "slv.tsv.meta.json").read_text())["lenient_repairs"]
+    assert "locus aspA: allele 1 has ambiguous bases ['ß']" in " ".join(repairs)
+    assert not any("off-length" in line for line in repairs)
 
 
 def test_joint_single_informative_locus_exits_two(tmp_path, capsys):

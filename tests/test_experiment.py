@@ -15,12 +15,14 @@ def small_sim_design(kind="coverage", replicates=4, lam=1.0, seed=3):
     return ex.SimDesign(
         kind=kind,
         replicates=replicates,
-        n_samples=250,
-        loci=SMALL_LOCI,
-        theta=tuple(5.0 for _ in SMALL_LOCI),
-        lam=tuple(lam for _ in SMALL_LOCI),
-        import_model=sim.CompleteImport(p_a=0.8),
-        seed=seed,
+        sim=sim.SimConfig(
+            n_samples=250,
+            loci=SMALL_LOCI,
+            theta=tuple(5.0 for _ in SMALL_LOCI),
+            lam=tuple(lam for _ in SMALL_LOCI),
+            import_model=sim.CompleteImport(p_a=0.8),
+            seed=seed,
+        ),
         analysis=AnalysisOptions(draws=4000),
     )
 

@@ -121,3 +121,33 @@ def test_chi2_quantile_anchors():
     # every deviance interval is one-dimensional; other df are not supported
     with pytest.raises(InvalidParamsError):
         nm.chi2_quantile(0.95, 6)
+
+
+# -- derived streams and seeds ------------------------------------------------
+
+
+def test_import_seed_depends_on_locus_and_seed():
+    seeds = {nm.derived_seed(7, nm.SeedDomain.IMPORT_SEED, i) for i in range(5)}
+    assert len(seeds) == 5
+    assert nm.derived_seed(7, nm.SeedDomain.IMPORT_SEED, 0) != nm.derived_seed(
+        8, nm.SeedDomain.IMPORT_SEED, 0
+    )
+    assert nm.derived_seed(7, nm.SeedDomain.IMPORT_SEED, 3) == nm.derived_seed(
+        7, nm.SeedDomain.IMPORT_SEED, 3
+    )
+
+
+def test_every_domain_keeps_its_spawn_key():
+    # values of SeedSequence(7, spawn_key=(domain, 2)); a changed domain
+    # number would change every stored simulation and analysis output
+    assert nm.derived_seed(7, nm.SeedDomain.IMPORT_SEED, 2) == 2026406792582636244
+    assert nm.derived_seed(7, nm.SeedDomain.ANALYSIS_SEED, 2) == 5723311592363115344
+    draws = {
+        domain: int(nm.derived_rng(7, domain, 2).integers(0, 2**62))
+        for domain in (nm.SeedDomain.IMPORT_DRAWS, nm.SeedDomain.SIMULATION, nm.SeedDomain.RECOVERY)
+    }
+    assert draws == {
+        nm.SeedDomain.IMPORT_DRAWS: 1663624916069294764,
+        nm.SeedDomain.SIMULATION: 2942561442799111694,
+        nm.SeedDomain.RECOVERY: 2674561324775420557,
+    }

@@ -43,13 +43,6 @@ def test_fit_loci_is_the_per_locus_part_of_the_analysis(demo_dataset):
     assert [cl.locus for cl in fitted.likelihoods] == ["glnA", "gltA"]
 
 
-def test_import_seed_depends_on_locus_and_seed():
-    seeds = {pp.locus_import_seed(7, i) for i in range(5)}
-    assert len(seeds) == 5
-    assert pp.locus_import_seed(7, 0) != pp.locus_import_seed(8, 0)
-    assert pp.locus_import_seed(7, 3) == pp.locus_import_seed(7, 3)
-
-
 def test_zero_recombination_gives_small_estimates():
     # null check: with no recombination the per-locus rate estimates
     # should collapse toward zero
