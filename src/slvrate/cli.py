@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import __version__
-from .errors import ConfigError, SlvRateError
+from .errors import ConfigError, InvalidParamsError, SlvRateError
 from .experiment import ExperimentReport, RecoveryDesign, SimDesign, run_experiment
 from .import_dist import DEFAULT_PA, ImportDistribution
 from .joint_inference import JointFit, VariationTestResult, joint_fit
@@ -217,10 +217,23 @@ def _load_dists(args) -> tuple[dict[str, ImportDistribution], list[Path]] | None
         raise ConfigError(f"no import-distribution JSON under {spec}")
     dists = {}
     for path in paths:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        dist = ImportDistribution.from_json_dict(doc)
+        with _json_file("dists", path) as doc:
+            dist = _import_dist_from(doc)
         dists[dist.locus] = dist
     return dists, paths
+
+
+def _import_dist_from(doc: dict) -> ImportDistribution:
+    """A stored ``import-dist`` output, every key read through ``_field``;
+    a pmf the model rejects is a fault of the key ``q``."""
+    keys = {key: _field(doc, key, convert) for key, convert in (
+        ("q", _floats), ("locus", str), ("m", int), ("p_a", float), ("M", int), ("seed", int),
+        ("K", int),
+    )}
+    try:
+        return ImportDistribution.from_json_dict(keys)
+    except InvalidParamsError as err:
+        raise ConfigError(f"q: {err}") from None
 
 
 # -- locus fit serialization --------------------------------------------------------
@@ -417,17 +430,18 @@ def _field(cfg, key: str, convert, default=_REQUIRED):
 
 
 @contextmanager
-def _config(path: str):
-    """Yield the JSON object in the file ``path``. Any fault found while
-    reading or parsing it ends as one ConfigError ``config <path>: ...``."""
+def _json_file(kind: str, path):
+    """Yield the JSON object in the file ``path``, a ``config`` or a stored
+    import distribution (``dists``). Any fault found while reading or
+    parsing it ends as one ConfigError ``<kind> <path>: ...``."""
     try:
         yield _object(json.loads(Path(path).read_text(encoding="utf-8")))
     except FileNotFoundError:
-        raise ConfigError(f"config {path}: file not found") from None
+        raise ConfigError(f"{kind} {path}: file not found") from None
     except json.JSONDecodeError as err:
-        raise ConfigError(f"config {path}: line {err.lineno}: {err.msg}") from None
+        raise ConfigError(f"{kind} {path}: line {err.lineno}: {err.msg}") from None
     except ConfigError as err:
-        raise ConfigError(f"config {path}: {err}") from None
+        raise ConfigError(f"{kind} {path}: {err}") from None
 
 
 def _floats(values) -> tuple[float, ...]:
@@ -436,6 +450,12 @@ def _floats(values) -> tuple[float, ...]:
 
 def _loci(entries) -> tuple[tuple[str, int], ...]:
     return tuple((_field(e, "name", str), _field(e, "length", int)) for e in entries)
+
+
+def _per_locus(values: tuple, loci: tuple) -> tuple:
+    if len(values) != len(loci):
+        raise ValueError(f"expected {len(loci)} values, one per locus, got {len(values)}")
+    return values
 
 
 def _positive_int(value) -> int:
@@ -474,7 +494,7 @@ def _sim_config_from(cfg: dict, seed_override: int | None) -> SimConfig:
 
 
 def cmd_simulate(args) -> int:
-    with _config(args.config) as cfg:
+    with _json_file("config", args.config) as cfg:
         config = _sim_config_from(cfg, args.seed)
         replicate = _field(cfg, "replicate", int, 0)
     result = simulate(config, replicate=replicate)
@@ -509,11 +529,12 @@ def _design_from(cfg: dict, seed_override: int | None) -> SimDesign | RecoveryDe
     kind = _field(cfg, "design", str)
     replicates = _field(cfg, "replicates", _positive_int)
     if kind == "recovery":
+        loci = _field(cfg, "loci", _loci)
         return RecoveryDesign(
             replicates=replicates,
             lam=_field(cfg, "lambda", float),
-            loci=_field(cfg, "loci", _loci),
-            import_means=_field(cfg, "import_means", _floats),
+            loci=loci,
+            import_means=_field(cfg, "import_means", lambda v: _per_locus(_floats(v), loci)),
             n_pairs=_field(cfg, "n_pairs", int),
             seed=_field(cfg, "seed", int, 0) if seed_override is None else seed_override,
             level=_field(cfg, "level", float, _DEFAULTS.level),
@@ -529,7 +550,7 @@ def _design_from(cfg: dict, seed_override: int | None) -> SimDesign | RecoveryDe
 
 
 def cmd_experiment(args) -> int:
-    with _config(args.config) as cfg:
+    with _json_file("config", args.config) as cfg:
         design = _design_from(cfg, args.seed)
     report = run_experiment(design)
     out_dir = Path(args.out_dir)
@@ -540,16 +561,19 @@ def cmd_experiment(args) -> int:
 
 
 def _report_doc(report: ExperimentReport, cfg: dict, args) -> dict:
-    return {
+    doc = {
         "meta": _meta("experiment", cfg, [Path(args.config)]),
         "design": report.design,
         "replicates": report.replicates,
         "excluded_replicates": report.excluded_replicates,
-        "per_metric": {
-            name: {"value": metric.value, "mc_stderr": metric.mc_stderr}
-            for name, metric in report.metrics.items()
-        },
     }
+    if report.failed_replicates:  # a clean report keeps its key set
+        doc["failed_replicates"] = report.failed_replicates
+    doc["per_metric"] = {
+        name: {"value": metric.value, "mc_stderr": metric.mc_stderr}
+        for name, metric in report.metrics.items()
+    }
+    return doc
 
 
 def _write_rows(report: ExperimentReport, path: Path) -> None:

@@ -21,11 +21,13 @@ reports are reproducible.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import DataError, ModelError, NumericsError
 from .import_dist import ImportDistribution, Provenance
 from .joint_inference import JointFit, joint_fit, variation_test
 from .locus_estimator import CompositeLikelihood, LocusFit, fit_all_loci
@@ -75,6 +77,7 @@ class ExperimentReport:
     metrics: dict[str, MetricValue]
     rows: tuple[dict, ...]
     excluded_replicates: int
+    failed_replicates: dict[str, int]   # error type -> replicates it ended
 
 
 def _mean_metric(values: Sequence[float]) -> MetricValue:
@@ -169,7 +172,7 @@ def recovery_models(design: RecoveryDesign) -> list[PairModel]:
     """The exact models the recovery design both samples from and fits."""
     total = sum(m for _, m in design.loci)
     models = []
-    for (name, m), mean in zip(design.loci, design.import_means):
+    for (name, m), mean in zip(design.loci, design.import_means, strict=True):
         q = ImportDistribution(
             locus=name,
             m=m,
@@ -209,6 +212,8 @@ def _run_recovery_replicate(design: RecoveryDesign, models: list[PairModel], rid
 
 
 def _collect(design_kind: str, level: float, replicate_outputs: list[dict]) -> ExperimentReport:
+    """Aggregate the replicates that finished; an output holding an
+    ``error`` is counted under its type and adds nothing else."""
     rows: list[dict] = []
     locus_errs: list[float] = []
     locus_cov: list[bool] = []
@@ -218,7 +223,11 @@ def _collect(design_kind: str, level: float, replicate_outputs: list[dict]) -> E
     sts: list[float] = []
     slvs: list[float] = []
     excluded = 0
+    failed: Counter = Counter()
     for out in replicate_outputs:
+        if "error" in out:
+            failed[type(out["error"]).__name__] += 1
+            continue
         if not out.get("informative", False):
             excluded += 1
             continue
@@ -261,11 +270,17 @@ def _collect(design_kind: str, level: float, replicate_outputs: list[dict]) -> E
         metrics=metrics,
         rows=tuple(rows),
         excluded_replicates=excluded,
+        failed_replicates=dict(failed),
     )
 
 
 def run_experiment(design: SimDesign | RecoveryDesign) -> ExperimentReport:
-    """Run all replicates serially and aggregate them."""
+    """Run all replicates serially and aggregate them.
+
+    A replicate that raises a data, model or numerics error is counted
+    under its error type and left out of the metrics; the others go on.
+    When every replicate fails, the first error is raised.
+    """
     if isinstance(design, RecoveryDesign):
         models = recovery_models(design)
         worker = lambda ridx: _run_recovery_replicate(design, models, ridx)
@@ -273,4 +288,12 @@ def run_experiment(design: SimDesign | RecoveryDesign) -> ExperimentReport:
     else:
         worker = lambda ridx: _run_sim_replicate(design, ridx)
         level = design.analysis.level
-    return _collect(design.kind, level, [worker(i) for i in range(design.replicates)])
+    outputs: list[dict] = []
+    for ridx in range(design.replicates):
+        try:
+            outputs.append(worker(ridx))
+        except (DataError, ModelError, NumericsError) as err:
+            outputs.append({"error": err})
+    if all("error" in out for out in outputs):
+        raise outputs[0]["error"]
+    return _collect(design.kind, level, outputs)

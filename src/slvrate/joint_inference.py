@@ -51,27 +51,16 @@ class JointFit:
     at_boundary: bool
 
 
-class _SummedCl:
-    """Adapter exposing the cross-locus sum with the per-locus interface."""
-
-    locus = "joint"
-
-    def __init__(self, cls: Sequence[CompositeLikelihood]):
-        self._cls = list(cls)
-
-    def loglik(self, lam: float) -> float:
-        return sum(cl.loglik(lam) for cl in self._cls)
-
-
 def joint_maximize(
     cls: Sequence[CompositeLikelihood], tol: Tolerances = DEFAULT_TOL
 ) -> tuple[float, float, bool]:
     """Maximize the summed composite log-likelihood; (lam_hat, value, boundary)."""
     if len(cls) < 2:
         raise TooFewLociError(f"joint fit needs >= 2 loci with data, got {len(cls)}")
-    summed = _SummedCl(cls)
     t_max = lam_to_t(tol.lambda_max)
-    res = maximize_scalar(lambda t: summed.loglik(t_to_lam(t)), 0.0, t_max, tol=tol.opt_t)
+    res = maximize_scalar(
+        lambda t: sum(cl.loglik(t_to_lam(t)) for cl in cls), 0.0, t_max, tol=tol.opt_t
+    )
     return t_to_lam(res.argmax), res.value, res.at_boundary
 
 
@@ -94,7 +83,9 @@ def joint_fit(
     if total_i <= 0.0 or total_j <= 0.0:
         raise NonPositiveInfoError("pooled information is not positive")
     gamma = total_j / total_i
-    lower, upper = deviance_ci(_SummedCl(cls), lam_hat, cl_max, gamma, level, tol)
+    lower, upper = deviance_ci(
+        lambda lam: sum(cl.loglik(lam) for cl in cls), "joint", lam_hat, cl_max, gamma, level, tol
+    )
     return JointFit(
         lam_hat=lam_hat,
         cl_max=cl_max,

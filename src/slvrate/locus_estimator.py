@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -313,14 +313,17 @@ def _zeroin(f, a: float, b: float, xtol: float, accept) -> float:
 
 
 def deviance_ci(
-    cl: CompositeLikelihood,
+    loglik: Callable[[float], float],
+    locus: str,
     lam_hat: float,
     cl_max: float,
     gamma: float,
     level: float = 0.95,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[float, float]:
-    """Confidence interval from the scaled deviance.
+    """Confidence interval from the scaled deviance of the objective
+    ``loglik`` of lam: one locus's composite log-likelihood, or the sum
+    over loci for the joint fit. ``locus`` labels the error messages.
 
     Each endpoint is the crossing of W(t) = (2/gamma)(cl_max - loglik(t))
     with the chi-squared quantile between t_hat and a search edge. It is
@@ -342,7 +345,7 @@ def deviance_ci(
 
     def deviance(t: float) -> float:
         if t not in memo:
-            memo[t] = (2.0 / gamma) * (cl_max - cl.loglik(t_to_lam(t)))
+            memo[t] = (2.0 / gamma) * (cl_max - loglik(t_to_lam(t)))
         return memo[t]
 
     def excess(t: float) -> float:
@@ -363,7 +366,7 @@ def deviance_ci(
             return side_hi
         if (lo_val > 0.0) == (hi_val > 0.0):
             raise NonMonotoneDevianceError(
-                f"locus {cl.locus}: no deviance crossing on the {side} side "
+                f"locus {locus}: no deviance crossing on the {side} side "
                 f"(t in [{side_lo:.6g}, {side_hi:.6g}], "
                 f"excess {lo_val:.3g} and {hi_val:.3g})"
             )
@@ -377,7 +380,7 @@ def deviance_ci(
         off = abs(excess(t))
         if off > tol.ci_w_slack:
             raise NonMonotoneDevianceError(
-                f"locus {cl.locus}: {side} deviance crossing off by {off:.3g} "
+                f"locus {locus}: {side} deviance crossing off by {off:.3g} "
                 f"(> {tol.ci_w_slack}); deviance may be non-monotone"
             )
         return t
@@ -393,7 +396,7 @@ def deviance_ci(
     return lower, upper
 
 
-# -- one-locus fit ---------------------------------------------------------------
+# -- per-locus fits --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -415,83 +418,12 @@ class LocusFit:
     raw_score_variance: float   # diagnostic: plain variance of the scores
 
 
-@dataclass(frozen=True)
-class _Prefit:
-    lam_hat: float
-    cl_max: float
-    at_boundary: bool
-    scores: GroupedScores
-
-
-def _prefit(cl: CompositeLikelihood, tol: Tolerances) -> _Prefit:
-    lam_hat, cl_max, at_boundary = maximize(cl, tol)
-    return _Prefit(
-        lam_hat=lam_hat,
-        cl_max=cl_max,
-        at_boundary=at_boundary,
-        scores=cl.scores_by_group(lam_hat),
-    )
-
-
-def _assemble(
-    cl: CompositeLikelihood,
-    pre: _Prefit,
-    alpha: float,
-    sigma2: float,
-    source: str,
-    level: float,
-    tol: Tolerances,
-) -> LocusFit:
-    info_i, info_j, gamma = godambe(cl.partition, alpha, sigma2)
-    lower, upper = deviance_ci(cl, pre.lam_hat, pre.cl_max, gamma, level, tol)
-    return LocusFit(
-        locus=cl.locus,
-        lam_hat=pre.lam_hat,
-        cl_max=pre.cl_max,
-        alpha=alpha,
-        sigma2=sigma2,
-        info_i=info_i,
-        info_j=info_j,
-        gamma=gamma,
-        ci_lower=lower,
-        ci_upper=upper,
-        n_pairs=cl.n_pairs,
-        n_groups=cl.partition.n_groups,
-        at_boundary=pre.at_boundary,
-        alpha_source=source,
-        raw_score_variance=float(np.var(pre.scores.u)),
-    )
-
-
 def _at_locus(locus: str, fit, *args):
     """Call an (alpha, sigma^2) fit step; a degenerate-scores error names the locus."""
     try:
         return fit(*args)
     except DegenerateScoresError as err:
         raise DegenerateScoresError(f"locus {locus}: {err}") from err
-
-
-def fit_locus(
-    cl: CompositeLikelihood,
-    level: float = 0.95,
-    alpha_override: float | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> LocusFit:
-    """Full single-locus fit.
-
-    With ``alpha_override`` the within-group correlation is taken as
-    given (the cross-locus common value) and only sigma^2 is refit, so
-    the (alpha, sigma^2) pair stays coherent.
-    """
-    pre = _prefit(cl, tol)
-    if alpha_override is None:
-        fit = _at_locus(cl.locus, fit_alpha_sigma, pre.scores, tol)
-        alpha, sigma2, source = fit.alpha, fit.sigma2, "locus"
-    else:
-        alpha = alpha_override
-        sigma2 = _at_locus(cl.locus, sigma2_given_alpha, pre.scores, alpha)
-        source = "common"
-    return _assemble(cl, pre, alpha, sigma2, source, level, tol)
 
 
 def fit_all_loci(
@@ -510,24 +442,45 @@ def fit_all_loci(
     """
     if alpha_mode not in ("common", "per-locus"):
         raise InvalidParamsError(f"alpha_mode must be common or per-locus, got {alpha_mode!r}")
-    prefits = [_prefit(cl, tol) for cl in cls]
+    maxima: list[tuple[float, float, bool]] = []
+    scores: list[GroupedScores] = []
+    for cl in cls:
+        maxima.append(maximize(cl, tol))
+        scores.append(cl.scores_by_group(maxima[-1][0]))
     own: list[AlphaSigmaFit | None] = []
-    for cl, pre in zip(cls, prefits):
+    for cl, g in zip(cls, scores):
         try:
-            own.append(_at_locus(cl.locus, fit_alpha_sigma, pre.scores, tol))
+            own.append(_at_locus(cl.locus, fit_alpha_sigma, g, tol))
         except AlphaUnidentifiableError:
             own.append(None)
     alphas = [fit.alpha for fit in own if fit is not None]
     common_alpha = sum(alphas) / len(alphas) if alphas else 0.0
 
     results: list[LocusFit] = []
-    for cl, pre, own_fit in zip(cls, prefits, own):
+    for cl, (lam_hat, cl_max, at_boundary), g, own_fit in zip(cls, maxima, scores, own):
         if alpha_mode == "per-locus" and own_fit is not None:
-            results.append(
-                _assemble(cl, pre, own_fit.alpha, own_fit.sigma2, "locus", level, tol)
-            )
-            continue
-        source = "common" if own_fit is not None or alphas else "fallback"
-        sigma2 = _at_locus(cl.locus, sigma2_given_alpha, pre.scores, common_alpha)
-        results.append(_assemble(cl, pre, common_alpha, sigma2, source, level, tol))
+            alpha, sigma2, source = own_fit.alpha, own_fit.sigma2, "locus"
+        else:
+            alpha = common_alpha
+            sigma2 = _at_locus(cl.locus, sigma2_given_alpha, g, alpha)
+            source = "common" if own_fit is not None or alphas else "fallback"
+        info_i, info_j, gamma = godambe(cl.partition, alpha, sigma2)
+        lower, upper = deviance_ci(cl.loglik, cl.locus, lam_hat, cl_max, gamma, level, tol)
+        results.append(LocusFit(
+            locus=cl.locus,
+            lam_hat=lam_hat,
+            cl_max=cl_max,
+            alpha=alpha,
+            sigma2=sigma2,
+            info_i=info_i,
+            info_j=info_j,
+            gamma=gamma,
+            ci_lower=lower,
+            ci_upper=upper,
+            n_pairs=cl.n_pairs,
+            n_groups=cl.partition.n_groups,
+            at_boundary=at_boundary,
+            alpha_source=source,
+            raw_score_variance=float(np.var(g.u)),
+        ))
     return results

@@ -120,12 +120,6 @@ class MlstDataset:
                 return i
         raise KeyError(f"unknown locus {locus!r}")
 
-    def allele(self, locus: str, allele_id: int) -> AlleleSequence | None:
-        return self.alleles.get((locus, allele_id))
-
-    def usable_at(self, locus: str, st_id: int) -> bool:
-        return st_id not in self.excluded_at.get(locus, frozenset())
-
     def profile_matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(st_ids, alleles, isolate_counts) of the profiles, in profile
         order, as int64 arrays; ``alleles`` is (STs, loci). Cached."""

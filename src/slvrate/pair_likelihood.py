@@ -151,43 +151,31 @@ def pmf(model: PairModel, lam: float) -> np.ndarray:
     return np.exp(log_pmf(model, lam))
 
 
-def _mass_ratio_vector(model: PairModel, lam: float) -> np.ndarray:
-    """f'(lam, x) / f(lam, x) for x = 1..m, computed without underflow.
-
-    Both mixture terms are scaled by the larger one before dividing, so
-    the ratio survives even when the mutation term has log-mass -3000.
-    """
-    log_mut = _log_mutation_term(model, lam)
-    c = mixture_coeff(model.r, lam)
-    c_dash = mixture_coeff_deriv(model.r, lam)
-    mut_slope = -model.xs / (1.0 + lam)  # d/dlam log of the mutation term
-    if c <= 0.0:
-        log_rec = np.full(model.m, -math.inf)
-    else:
-        log_rec = math.log(c) + model.log_q
-    top = np.maximum(log_mut, log_rec)
-    wa = np.exp(log_mut - top)
-    wb = np.exp(log_rec - top) if c > 0.0 else np.zeros(model.m)
-    with np.errstate(over="ignore"):
-        rec_num = np.exp(math.log(c_dash) + model.log_q - top)
-    return (mut_slope * wa + rec_num) / (wa + wb)
-
-
 def score_vector(model: PairModel, lam: float) -> np.ndarray:
-    """u(lam, x) for x = 1..m: per-x mass ratio centered by its pmf mean.
+    """u(lam, x) for x = 1..m: the mass ratio f'/f centered by its pmf mean.
 
+    Both mixture terms are scaled by the larger one before the ratio is
+    taken, so it survives even when the mutation term has log-mass -3000.
     The mean E[f'/f] is taken as sum_x f'(x) / Z on the log scale, Z being
     the normaliser of f. Weighting the ratios by the pmf instead fails at
     lam = 0, where the import term switches on against r^x: the ratio
     overflows to inf at large x while its pmf weight underflows to 0.
     """
     _check_lam(lam)
-    ratios = _mass_ratio_vector(model, lam)
-    log_z = _log_normaliser(log_mass_vector(model, lam))
     log_mut = _log_mutation_term(model, lam)
-    mut_mean = float(np.dot(-model.xs / (1.0 + lam), np.exp(log_mut - log_z)))
-    rec_mean = mixture_coeff_deriv(model.r, lam) * float(np.sum(np.exp(model.log_q - log_z)))
-    return ratios - (mut_mean + rec_mean)
+    c = mixture_coeff(model.r, lam)
+    log_rec = math.log(c) + model.log_q if c > 0.0 else np.full(model.m, -math.inf)
+    log_z = _log_normaliser(np.logaddexp(log_mut, log_rec))  # the one pass over log f
+    top = np.maximum(log_mut, log_rec)
+    wa = np.exp(log_mut - top)
+    wb = np.exp(log_rec - top)
+    c_dash = mixture_coeff_deriv(model.r, lam)
+    with np.errstate(over="ignore"):
+        rec_num = np.exp(math.log(c_dash) + model.log_q - top)
+    mut_slope = -model.xs / (1.0 + lam)  # d/dlam log of the mutation term
+    mut_mean = float(np.dot(mut_slope, np.exp(log_mut - log_z)))
+    rec_mean = c_dash * float(np.sum(np.exp(model.log_q - log_z)))
+    return (mut_slope * wa + rec_num) / (wa + wb) - (mut_mean + rec_mean)
 
 
 def score(model: PairModel, lam: float, x: int) -> float:

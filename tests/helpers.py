@@ -20,6 +20,16 @@ from slvrate.import_dist import ImportDistribution, PairwiseDiffTable, Provenanc
 from slvrate.slv import SlvPartition
 
 
+def allele(dataset, locus, allele_id):
+    """The allele record of ``allele_id`` at ``locus``, or None."""
+    return dataset.alleles.get((locus, allele_id))
+
+
+def usable_at(dataset, locus, st_id):
+    """Whether the ST can be analysed with ``locus`` as the focal locus."""
+    return st_id not in dataset.excluded_at.get(locus, frozenset())
+
+
 def make_q(values, locus="loc"):
     q = np.asarray(values, dtype=float)
     q = q / q.sum()
@@ -118,7 +128,7 @@ def reference_slv(dataset, locus, mode, warnings):
     focal = dataset.locus_index(locus)
     classes = {}
     for prof in dataset.profiles:
-        if dataset.usable_at(locus, prof.st_id):
+        if usable_at(dataset, locus, prof.st_id):
             reduced = prof.alleles[:focal] + prof.alleles[focal + 1 :]
             classes.setdefault(reduced, []).append(prof.st_id)
     allele_of = {prof.st_id: prof.alleles[focal] for prof in dataset.profiles}
@@ -133,7 +143,7 @@ def reference_slv(dataset, locus, mode, warnings):
             )
         for st_a, st_b in itertools.combinations(members, 2):
             x = mlst_io.hamming(
-                dataset.allele(locus, allele_of[st_a]), dataset.allele(locus, allele_of[st_b])
+                allele(dataset, locus, allele_of[st_a]), allele(dataset, locus, allele_of[st_b])
             )
             if x == 0:
                 msg = (
@@ -163,7 +173,7 @@ def reference_units(dataset, locus, weighting="by_st"):
     units, index = [], []
     for prof in dataset.profiles:
         aid = prof.alleles[focal]
-        if aid in ids and dataset.usable_at(locus, prof.st_id):
+        if aid in ids and usable_at(dataset, locus, prof.st_id):
             copies = prof.isolate_count if weighting == "by_isolate" else 1
             units += [prof.st_id] * copies
             index += [ids.index(aid)] * copies
@@ -217,6 +227,6 @@ def random_lenient_dataset(rng):
         st_id = 3 * n_sts + 1
         profiles.append(mlst_io.StProfile(st_id, twin.alleles, twin.isolate_count))
         for locus, aid in zip(loci, twin.alleles):
-            if dataset.allele(locus, aid) is None:
+            if allele(dataset, locus, aid) is None:
                 excluded[locus] = excluded[locus] | {st_id}
     return dataclasses.replace(dataset, profiles=tuple(profiles), excluded_at=excluded)

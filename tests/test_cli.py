@@ -7,7 +7,9 @@ import shutil
 import pytest
 from conftest import DEMO
 
+from slvrate import experiment
 from slvrate.cli import main, render_json
+from slvrate.errors import DegenerateScoresError
 from slvrate.mlst_io import parse_allele_fasta
 
 
@@ -315,3 +317,56 @@ def test_joint_single_informative_locus_exits_two(tmp_path, capsys):
     # carries information, so the pooled estimate must refuse
     code = run("joint", *dataset_args(), "--loci", "aspA,glnA", "-M", "1000")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"locus": "aspA"}, "missing required key 'q'"),
+        ({"locus": "aspA", "m": "abc", "p_a": 0.8, "M": 10, "seed": 1, "K": 2, "q": [1.0]}, "m: "),
+        ({"locus": "aspA", "m": 2, "p_a": 0.8, "M": 10, "seed": 1, "K": 2, "q": [0.2, 0.2]},
+         "q: stored pmf sums to"),
+        ('{"locus": "aspA",', "line 1: "),
+    ],
+)
+def test_malformed_dist_file_exits_one_naming_the_fault(tmp_path, capsys, doc, named):
+    path = tmp_path / "bad.dist.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    assert run("estimate", *dataset_args(), "--dists", path) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith(f"slvrate: dists {path}: {named}")
+
+
+@pytest.mark.parametrize("means", [[8.0], [8.0, 10.0, 12.0]])
+def test_recovery_design_needs_one_import_mean_per_locus(tmp_path, capsys, means):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({**RECOVERY_CONFIG, "import_means": means}))
+    assert run("experiment", "--config", path, "--out-dir", tmp_path / "o") == 1
+    assert capsys.readouterr().err == (
+        f"slvrate: config {path}: import_means: expected 2 values, one per locus, "
+        f"got {len(means)}\n"
+    )
+
+
+def test_report_counts_failed_replicates_only_when_there_are_some(tmp_path, monkeypatch):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(RECOVERY_CONFIG))
+    assert run("experiment", "--config", path, "--out-dir", tmp_path / "clean") == 0
+    clean = json.loads((tmp_path / "clean" / "report.json").read_text())
+    assert "failed_replicates" not in clean
+
+    original = experiment._run_recovery_replicate
+
+    def flaky(design, models, ridx):
+        if ridx == 1:
+            raise DegenerateScoresError("locus a: all scores identical")
+        return original(design, models, ridx)
+
+    monkeypatch.setattr(experiment, "_run_recovery_replicate", flaky)
+    assert run("experiment", "--config", path, "--out-dir", tmp_path / "flaky") == 0
+    report = json.loads((tmp_path / "flaky" / "report.json").read_text())
+    assert report["replicates"] == 3
+    assert report["failed_replicates"] == {"DegenerateScoresError": 1}
+    rows = (tmp_path / "flaky" / "replicates.tsv").read_text().splitlines()
+    assert {line.split("\t")[0] for line in rows[1:]} == {"0", "2"}

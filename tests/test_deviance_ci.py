@@ -29,14 +29,13 @@ MEANS = tuple(8.0 + 2.0 * i for i in range(7))
 
 
 class _Counting:
-    """A likelihood that counts its evaluations."""
+    """An objective that counts its evaluations."""
 
-    def __init__(self, loglik, locus):
+    def __init__(self, loglik):
         self._loglik = loglik
-        self.locus = locus
         self.calls = 0
 
-    def loglik(self, lam):
+    def __call__(self, lam):
         self.calls += 1
         return self._loglik(lam)
 
@@ -107,8 +106,8 @@ def test_evaluation_count_per_locus_interval():
     for replicate in range(3):
         cls, fits, _ = _design_fits(1.0, replicate)
         for cl, fit in zip(cls, fits):
-            counting = _Counting(cl.loglik, cl.locus)
-            interval = le.deviance_ci(counting, fit.lam_hat, fit.cl_max, fit.gamma)
+            counting = _Counting(cl.loglik)
+            interval = le.deviance_ci(counting, cl.locus, fit.lam_hat, fit.cl_max, fit.gamma)
             assert interval == (fit.ci_lower, fit.ci_upper)
             assert counting.calls <= 14, (cl.locus, counting.calls)
 
@@ -130,14 +129,14 @@ def test_lower_clamps_to_zero_and_upper_is_infinite_below_the_quantile():
     assert not at_boundary and lam_hat > 0.0
     assert _deviance(cl, cl_max, 0.0) < THRESHOLD
     assert _deviance(cl, cl_max, T_MAX) < THRESHOLD
-    assert le.deviance_ci(cl, lam_hat, cl_max, gamma=1.0) == (0.0, math.inf)
+    assert le.deviance_ci(cl.loglik, cl.locus, lam_hat, cl_max, gamma=1.0) == (0.0, math.inf)
 
 
 def test_maximum_at_the_ceiling_has_an_infinite_upper_bound():
     cl, lam_hat, cl_max, at_boundary = _small_locus([9, 14, 20])
     assert at_boundary and lam_to_t(lam_hat) >= T_MAX
-    counting = _Counting(cl.loglik, cl.locus)
-    lower, upper = le.deviance_ci(counting, lam_hat, cl_max, gamma=1.0)
+    counting = _Counting(cl.loglik)
+    lower, upper = le.deviance_ci(counting, cl.locus, lam_hat, cl_max, gamma=1.0)
     assert upper == math.inf
     _check_endpoint(lower, 0.0, cl.loglik, lam_hat, cl_max, 1.0)
     assert counting.calls <= 10  # one edge check and one root search
@@ -153,7 +152,7 @@ def test_steep_deviance_is_refined_past_ci_t(lam):
     xs = rng.choice(np.arange(1, model.m + 1), size=400, p=pl.pmf(model, lam))
     cl = le.CompositeLikelihood(singleton_partition("g0", xs.tolist()), model, weights=(1e4,) * 400)
     lam_hat, cl_max, _ = le.maximize(cl)
-    lower, upper = le.deviance_ci(cl, lam_hat, cl_max, gamma=1.0)
+    lower, upper = le.deviance_ci(cl.loglik, cl.locus, lam_hat, cl_max, gamma=1.0)
     for endpoint, edge in ((lower, 0.0), (upper, T_MAX)):
         _check_endpoint(endpoint, edge, cl.loglik, lam_hat, cl_max, 1.0)
         step = math.copysign(0.5 * DEFAULT_TOL.ci_t, edge - lam_to_t(lam_hat))

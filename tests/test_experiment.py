@@ -3,9 +3,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 
 from slvrate import experiment as ex
 from slvrate import simulate as sim
+from slvrate.errors import DegenerateScoresError
 from slvrate.pipeline import AnalysisOptions
 
 SMALL_LOCI = tuple((f"g{i}", 200) for i in range(4))
@@ -110,3 +112,38 @@ def test_metric_helpers():
     assert abs(rmse.value - 1.0) < 1e-12
     empty = ex._mean_metric([])
     assert math.isnan(empty.value)
+
+
+def _failing_on(calls_to_fail, original):
+    """``original``, raising DegenerateScoresError on the given call indices."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        if len(calls) - 1 in calls_to_fail:
+            raise DegenerateScoresError("locus g0: all scores identical")
+        return original(*args, **kwargs)
+
+    return wrapper
+
+
+def test_failed_replicate_is_counted_and_the_others_go_on(monkeypatch):
+    clean = ex.run_experiment(small_sim_design(replicates=3))
+    monkeypatch.setattr(ex, "analyze_dataset", _failing_on({1}, ex.analyze_dataset))
+    report = ex.run_experiment(small_sim_design(replicates=3))
+    assert report.replicates == 3
+    assert report.failed_replicates == {"DegenerateScoresError": 1}
+    assert clean.failed_replicates == {}
+    assert report.rows == tuple(r for r in clean.rows if r["replicate"] != 1)
+    assert {r["replicate"] for r in report.rows} == {0, 2}
+    # metrics come from the finished replicates only: a joint row carries
+    # its replicate's SLV pair count
+    joint_pairs = [r["n_pairs"] for r in report.rows if r["kind"] == "joint"]
+    assert len(joint_pairs) == 2
+    assert report.metrics["mean_slvs"].value == pytest.approx(float(np.mean(joint_pairs)))
+
+
+def test_experiment_raises_the_first_error_when_every_replicate_fails(monkeypatch):
+    monkeypatch.setattr(ex, "analyze_dataset", _failing_on({0, 1}, ex.analyze_dataset))
+    with pytest.raises(DegenerateScoresError):
+        ex.run_experiment(small_sim_design(replicates=2))

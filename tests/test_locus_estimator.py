@@ -194,7 +194,7 @@ def test_degenerate_scores_name_the_locus_at_mlst_geometry():
     )
     message = "locus flat: all scores identical"
     with pytest.raises(DegenerateScoresError) as err:
-        le.fit_locus(flat)
+        le.fit_all_loci([flat], alpha_mode="per-locus")
     assert str(err.value) == message
     for mode in ("common", "per-locus"):
         with pytest.raises(DegenerateScoresError) as err:
@@ -360,7 +360,7 @@ def _fitted(seed=3, lam_true=1.0, n=400, gamma_alpha=0.0):
 
 def test_ci_brackets_and_hits_threshold():
     cl, lam_hat, cl_max = _fitted()
-    lower, upper = le.deviance_ci(cl, lam_hat, cl_max, gamma=1.0, level=0.95)
+    lower, upper = le.deviance_ci(cl.loglik, cl.locus, lam_hat, cl_max, gamma=1.0, level=0.95)
     assert lower <= lam_hat <= upper
     threshold = chi2_quantile(0.95, 1)
     for endpoint in (lower, upper):
@@ -373,7 +373,7 @@ def test_ci_lower_clamps_at_zero():
     model = pl.PairModel(locus="loc", r=0.2, q=q, m=q.m)
     cl = le.CompositeLikelihood(singleton_partition("loc", [1] * 20), model)
     lam_hat, cl_max, _ = le.maximize(cl)
-    lower, upper = le.deviance_ci(cl, lam_hat, cl_max, gamma=1.0)
+    lower, upper = le.deviance_ci(cl.loglik, cl.locus, lam_hat, cl_max, gamma=1.0)
     assert lam_hat == 0.0
     assert lower == 0.0
     assert upper > 0.0
@@ -381,8 +381,8 @@ def test_ci_lower_clamps_at_zero():
 
 def test_doubling_gamma_widens_interval():
     cl, lam_hat, cl_max = _fitted(seed=13)
-    lo1, hi1 = le.deviance_ci(cl, lam_hat, cl_max, gamma=1.0)
-    lo2, hi2 = le.deviance_ci(cl, lam_hat, cl_max, gamma=2.0)
+    lo1, hi1 = le.deviance_ci(cl.loglik, cl.locus, lam_hat, cl_max, gamma=1.0)
+    lo2, hi2 = le.deviance_ci(cl.loglik, cl.locus, lam_hat, cl_max, gamma=2.0)
     assert lo2 < lo1 and hi2 > hi1
 
 
@@ -413,7 +413,7 @@ def _grouped_cl(seed=5, lam_true=1.0):
 
 def test_fit_locus_end_to_end():
     cl = _grouped_cl()
-    fit = le.fit_locus(cl, level=0.95)
+    [fit] = le.fit_all_loci([cl], level=0.95, alpha_mode="per-locus")
     assert fit.ci_lower <= fit.lam_hat <= fit.ci_upper
     assert 0.0 <= fit.alpha < 1.0
     assert fit.sigma2 > 0.0
@@ -424,8 +424,8 @@ def test_fit_locus_end_to_end():
 
 
 def test_fit_locus_reproducible():
-    a = le.fit_locus(_grouped_cl(), level=0.95)
-    b = le.fit_locus(_grouped_cl(), level=0.95)
+    a = le.fit_all_loci([_grouped_cl()], level=0.95, alpha_mode="per-locus")
+    b = le.fit_all_loci([_grouped_cl()], level=0.95, alpha_mode="per-locus")
     assert a == b
 
 
@@ -434,7 +434,8 @@ def test_fit_all_loci_common_alpha():
     fits = le.fit_all_loci(cls, alpha_mode="common")
     assert len({f.alpha for f in fits}) == 1
     assert all(f.alpha_source == "common" for f in fits)
-    own = [le.fit_locus(c) for c in cls]
+    own = le.fit_all_loci(cls, alpha_mode="per-locus")
+    assert all(f.alpha_source == "locus" for f in own)
     expected = sum(f.alpha for f in own) / 3.0
     assert abs(fits[0].alpha - expected) < 1e-12
 
@@ -442,7 +443,7 @@ def test_fit_all_loci_common_alpha():
 def test_fit_all_loci_per_locus_mode():
     cls = [_grouped_cl(seed=5), _grouped_cl(seed=6)]
     fits = le.fit_all_loci(cls, alpha_mode="per-locus")
-    own = [le.fit_locus(c) for c in cls]
+    own = [le.fit_all_loci([c], alpha_mode="per-locus")[0] for c in cls]
     assert [f.alpha for f in fits] == [f.alpha for f in own]
 
 
@@ -453,7 +454,8 @@ def test_fit_all_loci_singleton_locus_inherits_common():
     )
     cls = [_grouped_cl(seed=5), lonely]
     fits = le.fit_all_loci(cls, alpha_mode="per-locus")
-    assert fits[1].alpha == pytest.approx(le.fit_locus(cls[0]).alpha)
+    own = le.fit_all_loci([cls[0]], alpha_mode="per-locus")[0]
+    assert fits[1].alpha == pytest.approx(own.alpha)
     assert fits[1].alpha_source == "common"
     # with size-2 groups only, gamma is 1 whatever alpha is
     assert abs(fits[1].gamma - 1.0) < 1e-12

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from helpers import usable_at
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,8 +122,8 @@ def test_build_dataset_referential_integrity():
         mlst_io.build_dataset(profiles, alleles, mode="strict")
     dataset, report = mlst_io.build_dataset(profiles, alleles, mode="lenient")
     assert report
-    assert not dataset.usable_at("locA", 2)
-    assert dataset.usable_at("locB", 2)
+    assert not usable_at(dataset, "locA", 2)
+    assert usable_at(dataset, "locB", 2)
 
 
 def test_build_dataset_too_few_loci():

@@ -92,7 +92,7 @@ def test_reg_inc_gamma_exponential_identity():
         assert abs(nm.reg_inc_gamma(1.0, x) - (1.0 - math.exp(-x))) < 1e-12
 
 
-@pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 2.5, 7.0, 30.0])
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.5, 7.0, 30.0])
 @pytest.mark.parametrize("x", [1e-6, 0.2, 1.0, 3.0, 10.0, 80.0])
 def test_reg_inc_gamma_vs_scipy(s, x):
     assert abs(nm.reg_inc_gamma(s, x) - sp_special.gammainc(s, x)) < 1e-12
@@ -101,9 +101,35 @@ def test_reg_inc_gamma_vs_scipy(s, x):
 
 def test_reg_inc_gamma_monotone_in_x():
     xs = np.linspace(0.0, 30.0, 400)
-    vals = [nm.reg_inc_gamma(1.7, float(x)) for x in xs]
+    vals = [nm.reg_inc_gamma(1.5, float(x)) for x in xs]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
+
+
+def test_half_integer_shapes_match_scipy_on_a_grid():
+    xs = np.concatenate([[1e-9, 1e-3], np.linspace(0.05, 120.0, 240)])
+    for s in np.arange(0.5, 30.5, 0.5):
+        s = float(s)
+        for x in xs.tolist():
+            assert abs(nm.reg_inc_gamma(s, x) - sp_special.gammainc(s, x)) < 1e-12, (s, x)
+            assert abs(nm.reg_inc_gamma_upper(s, x) - sp_special.gammaincc(s, x)) < 1e-12, (s, x)
+
+
+@pytest.mark.parametrize("s", [0.3, 1.7, 0.0, -0.5, 2.25])
+def test_other_shapes_are_rejected(s):
+    with pytest.raises(InvalidParamsError):
+        nm.reg_inc_gamma(s, 1.0)
+    with pytest.raises(InvalidParamsError):
+        nm.chi2_sf(1.0, 2.0 * s)
+
+
+@pytest.mark.parametrize("df", [1, 2, 6, 49, 199, 1000, 2999, 3000])
+def test_chi2_sf_relative_accuracy_up_to_many_loci(df):
+    # tails from the bulk out to ~1e-250, the df of many-locus schemes included
+    hi = float(sp_stats.chi2.isf(1e-250, df))
+    for x in np.linspace(1e-3, hi, 200).tolist():
+        ref = sp_stats.chi2.sf(x, df)
+        assert abs(nm.chi2_sf(x, df) / ref - 1.0) < 1e-9, (df, x)
 
 
 def test_chi2_sf_small_tail_relative_accuracy():

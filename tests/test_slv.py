@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from slvrate import mlst_io, slv
 from slvrate.errors import DataError, LengthMismatchError, ZeroDifferencePairError
 
-from helpers import random_lenient_dataset, reference_slv
+from helpers import allele, random_lenient_dataset, reference_slv, usable_at
 
 
 def test_demo_dataset_matches_known_pairs(demo_dataset):
@@ -162,7 +162,7 @@ def _per_pair_columns(dataset, locus, mode):
     at a time from the definitions."""
     focal = dataset.locus_index(locus)
     usable = sorted(
-        (p for p in dataset.profiles if dataset.usable_at(locus, p.st_id)), key=lambda p: p.st_id
+        (p for p in dataset.profiles if usable_at(dataset, locus, p.st_id)), key=lambda p: p.st_id
     )
 
     def rest(prof):
@@ -178,7 +178,7 @@ def _per_pair_columns(dataset, locus, mode):
         n = len(members)
         for a, b in itertools.combinations(members, 2):
             x = mlst_io.hamming(
-                dataset.allele(locus, a.alleles[focal]), dataset.allele(locus, b.alleles[focal])
+                allele(dataset, locus, a.alleles[focal]), allele(dataset, locus, b.alleles[focal])
             )
             if x == 0 and mode == "lenient":
                 continue
