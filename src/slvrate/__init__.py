@@ -7,4 +7,10 @@ intervals and a cross-locus rate-variation test. A built-in clonal-frame
 simulator supports end-to-end validation without external tools.
 """
 
+import os
+
+# Before numpy loads: an idle OpenBLAS helper thread spins ~0.13 s after each
+# threaded BLAS call, on the cores that forked experiment workers need.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"

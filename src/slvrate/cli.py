@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, fields
@@ -32,6 +33,7 @@ from .mlst_io import (
     build_dataset,
     parse_allele_fasta,
     parse_profiles,
+    text_lines,
     write_allele_fasta,
     write_profiles,
 )
@@ -148,13 +150,12 @@ def _load_dataset(args):
     if args.loci:
         loci = [name.strip() for name in args.loci.split(",") if name.strip()]
     else:
-        with profiles_path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip() and not line.lstrip().startswith("#"):
-                    header = [tok.strip() for tok in line.rstrip("\n").split("\t")]
-                    break
-            else:
-                header = []
+        for _lineno, line in text_lines(profiles_path):
+            if line.strip() and not line.lstrip().startswith("#"):
+                header = [tok.strip() for tok in line.rstrip("\n").split("\t")]
+                break
+        else:
+            header = []
         loci = [
             name
             for name in header
@@ -438,6 +439,10 @@ def _json_file(kind: str, path):
         yield _object(json.loads(Path(path).read_text(encoding="utf-8")))
     except FileNotFoundError:
         raise ConfigError(f"{kind} {path}: file not found") from None
+    except OSError as err:
+        raise ConfigError(f"{kind} {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{kind} {path}: not UTF-8 text ({err.reason})") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"{kind} {path}: line {err.lineno}: {err.msg}") from None
     except ConfigError as err:
@@ -463,6 +468,19 @@ def _positive_int(value) -> int:
     if n < 1:
         raise ValueError(f"must be >= 1, got {n}")
     return n
+
+
+def _worker_count(text: str) -> int:
+    try:
+        return _positive_int(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _parse_import_spec(spec) -> ImportModel | dict[str, ImportModel]:
@@ -552,7 +570,7 @@ def _design_from(cfg: dict, seed_override: int | None) -> SimDesign | RecoveryDe
 def cmd_experiment(args) -> int:
     with _json_file("config", args.config) as cfg:
         design = _design_from(cfg, args.seed)
-    report = run_experiment(design)
+    report = run_experiment(design, workers=args.threads)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "report.json", _report_doc(report, cfg, args))
@@ -632,8 +650,9 @@ def build_parser() -> _Parser:
     sub.add_argument("--seed", type=int, default=None, help="override config seed")
     sub.add_argument(
         "--threads",
-        type=int,
-        help="ignored: replicates run serially; accepted so existing command lines still parse",
+        type=_worker_count,
+        default=_usable_cores(),
+        help="worker processes for replicates; results do not depend on it",
     )
     sub.set_defaults(func=cmd_experiment)
     return parser

@@ -211,13 +211,17 @@ def estimate_import_dist(
     while done < draws:
         nb = min(_BLOCK, draws - done)
         rng = derived_rng(seed, SeedDomain.IMPORT_DRAWS, block)
-        ii = rng.integers(0, k, size=nb)
-        jj = rng.integers(0, k, size=nb)
-        base = table.allele_dist[table.allele_index[ii], table.allele_index[jj]]
+        # each temporary is freed once used, to keep peak memory flat; the
+        # RNG calls keep their order, so the pmf is unchanged
+        ai = table.allele_index[rng.integers(0, k, size=nb)]
+        aj = table.allele_index[rng.integers(0, k, size=nb)]
+        base = table.allele_dist[ai, aj]
+        del ai, aj
         full = rng.random(nb) < p_a
         frac = rng.random(nb)  # one fresh thinning fraction per draw
-        thinned = rng.binomial(base, frac)
-        xs = np.where(full, base, thinned)
+        xs = rng.binomial(base, frac)
+        del frac
+        np.copyto(xs, base, where=full)
         counts += np.bincount(xs, minlength=m + 1)
         done += nb
         block += 1

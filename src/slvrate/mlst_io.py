@@ -20,7 +20,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -201,6 +201,21 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 # -- parsing ------------------------------------------------------------------
 
 
+def text_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) of a UTF-8 text file, from line 1. A file that
+    cannot be opened, or holds bytes that are not UTF-8, is a ParseError
+    naming it."""
+    try:
+        fh = path.open("r", encoding="utf-8")
+    except OSError as err:
+        raise ParseError(f"cannot read the file ({err.strerror})", str(path)) from None
+    with fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as err:
+            raise ParseError(f"not UTF-8 text ({err.reason})", str(path)) from None
+
+
 def parse_profiles(
     path: str | Path,
     locus_columns: Sequence[str],
@@ -210,27 +225,11 @@ def parse_profiles(
     """Parse a tab-separated profile table into sequence-type profiles.
 
     Columns not named are ignored (pubmlst exports carry extras such as
-    clonal_complex). Lines starting with '#' are skipped.
+    clonal_complex). Lines starting with '#' are skipped. Each row is
+    validated as it is read.
     """
     path = Path(path)
-    rows: list[tuple[int, list[str]]] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            rows.append((lineno, line.split("\t")))
-    if not rows:
-        raise EmptyFileError("profile file has no content", str(path))
-    header_line, header = rows[0]
-    col_index: dict[str, int] = {}
-    for idx, name in enumerate(header):
-        col_index.setdefault(name.strip(), idx)
-    for needed in [st_column, *locus_columns] + ([count_column] if count_column else []):
-        if needed not in col_index:
-            raise MissingColumnError(f"column {needed!r} not in header", str(path), header_line)
-    if len(rows) == 1:
-        raise EmptyFileError("profile file has a header but no data rows", str(path))
+    col_index: dict[str, int] | None = None
 
     def cell(fields: list[str], col: str, lineno: int) -> str:
         idx = col_index[col]
@@ -240,7 +239,19 @@ def parse_profiles(
 
     profiles: list[StProfile] = []
     seen: set[int] = set()
-    for lineno, fields in rows[1:]:
+    for lineno, raw in text_lines(path):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if col_index is None:  # the header
+            col_index = {}
+            for idx, name in enumerate(fields):
+                col_index.setdefault(name.strip(), idx)
+            for needed in [st_column, *locus_columns] + ([count_column] if count_column else []):
+                if needed not in col_index:
+                    raise MissingColumnError(f"column {needed!r} not in header", str(path), lineno)
+            continue
         st_tok = cell(fields, st_column, lineno)
         try:
             st_id = int(st_tok)
@@ -273,6 +284,10 @@ def parse_profiles(
             if count <= 0:
                 raise NonIntegerAlleleError(f"count must be positive, got {count}", str(path), lineno)
         profiles.append(StProfile(st_id=st_id, alleles=tuple(allele_ids), isolate_count=count))
+    if col_index is None:
+        raise EmptyFileError("profile file has no content", str(path))
+    if not profiles:
+        raise EmptyFileError("profile file has a header but no data rows", str(path))
     profiles.sort(key=lambda p: p.st_id)
     return profiles
 
@@ -312,25 +327,24 @@ def parse_allele_fasta(path: str | Path, locus: str) -> list[AlleleSequence]:
         seen.add(aid)
         records.append(AlleleSequence(locus=locus, allele_id=aid, sequence=seq))
 
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith(">"):
-                flush()
-                header_tok = line[1:].split()[0] if line[1:].split() else ""
-                if not header_tok:
-                    raise MalformedHeaderError("empty FASTA header", str(path), lineno)
-                header_line = lineno
-                chunks = []
-            else:
-                if header_tok is None:
-                    raise MalformedHeaderError("sequence data before any header", str(path), lineno)
-                up = line.translate(_ASCII_UPPER)
-                if not up.isalpha():
-                    raise ParseError(f"invalid sequence characters in {up!r}", str(path), lineno)
-                chunks.append(up)
+    for lineno, raw in text_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith(">"):
+            flush()
+            header_tok = line[1:].split()[0] if line[1:].split() else ""
+            if not header_tok:
+                raise MalformedHeaderError("empty FASTA header", str(path), lineno)
+            header_line = lineno
+            chunks = []
+        else:
+            if header_tok is None:
+                raise MalformedHeaderError("sequence data before any header", str(path), lineno)
+            up = line.translate(_ASCII_UPPER)
+            if not up.isalpha():
+                raise ParseError(f"invalid sequence characters in {up!r}", str(path), lineno)
+            chunks.append(up)
     flush()
     if not records:
         raise EmptyFileError("FASTA file has no records", str(path))

@@ -251,11 +251,12 @@ def test_experiment_command_and_thread_invariance(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(cfg))
     out1 = tmp_path / "run1"
-    out2 = tmp_path / "run2"
-    assert run("experiment", "--config", path, "--out-dir", out1) == 0
-    assert run("experiment", "--config", path, "--out-dir", out2, "--threads", "4") == 0
-    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
-    assert (out1 / "replicates.tsv").read_bytes() == (out2 / "replicates.tsv").read_bytes()
+    assert run("experiment", "--config", path, "--out-dir", out1, "--threads", "1") == 0
+    for threads in (["--threads", "3"], ["--threads", "4"], []):  # [] is one per core
+        out = tmp_path / f"run-{'-'.join(threads)}"
+        assert run("experiment", "--config", path, "--out-dir", out, *threads) == 0
+        assert (out1 / "report.json").read_bytes() == (out / "report.json").read_bytes()
+        assert (out1 / "replicates.tsv").read_bytes() == (out / "replicates.tsv").read_bytes()
     report = json.loads((out1 / "report.json").read_text())
     assert report["design"] == "recovery"
     assert "individual_rmse" in report["per_metric"]
@@ -370,3 +371,59 @@ def test_report_counts_failed_replicates_only_when_there_are_some(tmp_path, monk
     assert report["failed_replicates"] == {"DegenerateScoresError": 1}
     rows = (tmp_path / "flaky" / "replicates.tsv").read_text().splitlines()
     assert {line.split("\t")[0] for line in rows[1:]} == {"0", "2"}
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two"])
+def test_threads_must_be_a_positive_int(tmp_path, capsys, value):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(RECOVERY_CONFIG))
+    assert run("experiment", "--config", path, "--out-dir", tmp_path / "o",
+               "--threads", value) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    usage, message = err.rstrip("\n").rsplit("\n", 1)
+    assert usage.startswith("usage: slvrate experiment")
+    assert message.startswith("slvrate experiment: error: argument --threads: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_unreadable_config_exits_one_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert run("experiment", "--config", bad, "--out-dir", tmp_path / "o") == 1
+    assert capsys.readouterr().err == (
+        f"slvrate: config {bad}: not UTF-8 text (invalid start byte)\n"
+    )
+    assert run("simulate", "--config", tmp_path, "--out-dir", tmp_path / "o") == 1
+    assert capsys.readouterr().err == f"slvrate: config {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize("damaged, tail, reason", [
+    ("profiles.tsv", b"\xff\n", "invalid start byte"),
+    ("aspA.fas", b">aspA_99\n\xe9\xff\n", "invalid continuation byte"),
+])
+def test_non_utf8_data_file_is_a_parse_error_naming_it(tmp_path, capsys, damaged, tail, reason):
+    data = tmp_path / "data"
+    shutil.copytree(DEMO, data)
+    path = data / damaged
+    path.write_bytes(path.read_bytes() + tail)
+    argv = ["--profiles", data / "profiles.tsv", "--alleles-dir", data, "-M", "1000"]
+    assert run("estimate", *argv, "--loci", "aspA,glnA,gltA") == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"slvrate: ParseError: not UTF-8 text ({reason}) [{path}]\n"
+    if damaged == "profiles.tsv":  # the header is read first when no loci are named
+        assert run("estimate", *argv) == 2
+        assert capsys.readouterr().err == err
+
+
+def test_a_directory_in_place_of_a_data_file_is_a_parse_error_naming_it(tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(DEMO, data)
+    (data / "profiles.tsv").unlink()
+    (data / "profiles.tsv").mkdir()
+    argv = ["--profiles", data / "profiles.tsv", "--alleles-dir", data, "--loci", "aspA,glnA"]
+    assert run("estimate", *argv) == 2
+    assert capsys.readouterr().err == (
+        f"slvrate: ParseError: cannot read the file (Is a directory) [{data / 'profiles.tsv'}]\n"
+    )

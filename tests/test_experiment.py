@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,3 +149,75 @@ def test_experiment_raises_the_first_error_when_every_replicate_fails(monkeypatc
     monkeypatch.setattr(ex, "analyze_dataset", _failing_on({0, 1}, ex.analyze_dataset))
     with pytest.raises(DegenerateScoresError):
         ex.run_experiment(small_sim_design(replicates=2))
+
+
+# -- forked workers ---------------------------------------------------------------------
+
+
+def tiny_coverage_design(replicates=5):
+    design = small_sim_design(replicates=replicates)
+    return replace(design, sim=replace(design.sim, n_samples=300),
+                   analysis=AnalysisOptions(draws=2000))
+
+
+def tiny_recovery_design(replicates=5):
+    return ex.RecoveryDesign(replicates=replicates, lam=1.0, loci=(("a", 150), ("b", 180)),
+                             import_means=(8.0, 10.0), n_pairs=80, seed=5)
+
+
+@pytest.mark.parametrize("design", [tiny_coverage_design(), tiny_recovery_design()],
+                         ids=["coverage", "recovery"])
+def test_report_does_not_depend_on_the_worker_count(design):
+    serial = ex.run_experiment(design)
+    for workers in (2, 3):
+        forked = ex.run_experiment(design, workers=workers)
+        assert forked.rows == serial.rows
+        assert forked.metrics == serial.metrics
+        assert forked.failed_replicates == serial.failed_replicates == {}
+
+
+def test_a_failure_in_a_worker_is_counted_as_in_the_serial_run(monkeypatch):
+    original = ex._run_sim_replicate
+
+    def flaky(design, ridx):
+        if ridx == 1:  # with two workers, replicate 1 runs in the child
+            raise DegenerateScoresError("locus g0: all scores identical")
+        return original(design, ridx)
+
+    monkeypatch.setattr(ex, "_run_sim_replicate", flaky)
+    design = tiny_coverage_design(replicates=3)
+    serial = ex.run_experiment(design)
+    forked = ex.run_experiment(design, workers=2)
+    assert forked.failed_replicates == serial.failed_replicates == {"DegenerateScoresError": 1}
+    assert forked.rows == serial.rows
+    assert {r["replicate"] for r in forked.rows} == {0, 2}
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("cannot pickle this error")
+
+
+@pytest.mark.parametrize(
+    "failing, error, raised, match",
+    [
+        (0, RuntimeError("replicate 0 broke"), RuntimeError, "replicate 0 broke"),
+        (1, RuntimeError("replicate 1 broke"), RuntimeError, "replicate 1 broke"),
+        (1, _Unpicklable("odd"), RuntimeError, r"replicate worker raised _Unpicklable\('odd'\)"),
+    ],
+    ids=["parent share", "child share", "unpicklable"],
+)
+def test_other_errors_propagate_and_no_worker_outlives_them(monkeypatch, failing, error,
+                                                            raised, match):
+    original = ex._run_recovery_replicate
+
+    def broken(design, models, ridx):
+        if ridx == failing:
+            raise error
+        return original(design, models, ridx)
+
+    monkeypatch.setattr(ex, "_run_recovery_replicate", broken)
+    with pytest.raises(raised, match=match):
+        ex.run_experiment(tiny_recovery_design(replicates=3), workers=3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
