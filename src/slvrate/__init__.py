@@ -10,7 +10,7 @@ simulator supports end-to-end validation without external tools.
 import os
 
 # Before numpy loads: an idle OpenBLAS helper thread spins ~0.13 s after each
-# threaded BLAS call, on the cores that forked experiment workers need.
+# threaded BLAS call, on the cores that forked workers (parallel.fork_map) need.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

@@ -16,14 +16,13 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from . import __version__
+from . import __version__, parallel
 from .errors import ConfigError, InvalidParamsError, SlvRateError
 from .experiment import ExperimentReport, RecoveryDesign, SimDesign, run_experiment
 from .import_dist import DEFAULT_PA, ImportDistribution
@@ -324,7 +323,7 @@ def cmd_import_dist(args) -> int:
         raise ConfigError(f"--draws must be >= 1, got {args.draws}")
     dataset, _report, inputs = _load_dataset(args)
     opts = _analysis_options(args)
-    dists = build_import_dists(dataset, opts)
+    dists = build_import_dists(dataset, opts, workers=parallel.usable_cores())
     wanted = list(dataset.locus_names) if args.locus == "all" else [args.locus]
     for name in wanted:
         if name not in dists:
@@ -346,7 +345,8 @@ def cmd_import_dist(args) -> int:
 
 def _analyze(args, step):
     """Run a pipeline step (``fit_loci`` or ``analyze_dataset``) on the
-    command's dataset and optional stored import distributions."""
+    command's dataset and optional stored import distributions, estimating
+    missing import distributions on every usable core."""
     dataset, _report, inputs = _load_dataset(args)
     loaded = _load_dists(args)
     opts = _analysis_options(args)
@@ -354,7 +354,7 @@ def _analyze(args, step):
     if loaded is not None:
         dists, dist_paths = loaded
         inputs = inputs + dist_paths
-    return step(dataset, opts, dists=dists), opts, inputs
+    return step(dataset, opts, dists=dists, workers=parallel.usable_cores()), opts, inputs
 
 
 def cmd_estimate(args) -> int:
@@ -475,12 +475,6 @@ def _worker_count(text: str) -> int:
         return _positive_int(text)
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
-
-
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _parse_import_spec(spec) -> ImportModel | dict[str, ImportModel]:
@@ -651,7 +645,7 @@ def build_parser() -> _Parser:
     sub.add_argument(
         "--threads",
         type=_worker_count,
-        default=_usable_cores(),
+        default=parallel.usable_cores(),
         help="worker processes for replicates; results do not depend on it",
     )
     sub.set_defaults(func=cmd_experiment)

@@ -14,20 +14,19 @@ Four designs:
   the oracle-equivalence check for the estimation stack.
 
 Replicates are independent. ``run_experiment`` can split them across
-forked worker processes; each replicate draws from its own derived Philox
-stream (``numerics.derived_rng``) and the outputs are put back in replicate
-order, so a report is the same for every worker count and every run.
+forked worker processes (``parallel.fork_map``); each replicate draws from
+its own derived Philox stream (``numerics.derived_rng``) and the outputs
+are put back in replicate order, so a report is the same for every worker
+count and every run. A replicate analyses its dataset in one process, since
+the replicates already fill the workers.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import BinaryIO, Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .joint_inference import JointFit, joint_fit, variation_test
 from .locus_estimator import CompositeLikelihood, LocusFit, fit_all_loci
 from .numerics import SeedDomain, derived_rng, derived_seed
 from .pair_likelihood import PairModel, pmf as model_pmf
+from .parallel import fork_map
 from .pipeline import AnalysisOptions, analyze_dataset
 from .simulate import SimConfig, simulate
 from .slv import SlvPartition
@@ -309,92 +309,8 @@ def run_experiment(design: SimDesign | RecoveryDesign, workers: int = 1) -> Expe
                 outputs.append({"error": err})
         return outputs
 
-    outputs = _fork_map(share, design.replicates, workers)
+    outputs = fork_map(share, design.replicates, workers)
     if all("error" in out for out in outputs):
         raise outputs[0]["error"]
     return _collect(design.kind, level, outputs)
 
-
-# -- forked workers ------------------------------------------------------------------
-#
-# A plain fork rather than a multiprocessing pool: the children inherit the
-# replicate closures, so nothing but their outputs is pickled, and the parent
-# computes a share itself instead of idling. Fork is safe here because the
-# process has no other threads: slvrate defaults OPENBLAS_NUM_THREADS to 1
-# before numpy loads.
-
-
-def _fork_map(share: Callable[[int, int], list], n: int, workers: int) -> list:
-    """``share(k, w)`` for k in 0..w-1, with w = min(workers, n), merged so
-    that item i of the result is item i // w of share i % w. Share 0 runs in
-    this process, the others in forked children. When anything raises,
-    every child still running is killed, and every child is reaped."""
-    w = min(workers, n)
-    if w <= 1 or not hasattr(os, "fork"):
-        return share(0, 1)
-    children = []  # (pid, read end of its pipe) of the children not yet reaped
-    try:
-        for k in range(1, w):
-            children.append(_fork_share(share, k, w))
-        shares = [share(0, w)]
-        while children:
-            pid, pipe = children[0]
-            with pipe:
-                payload = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
-            shares.append(_unpickle_share(pid, status, payload))
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    merged = [None] * n
-    for k, items in enumerate(shares):
-        merged[k::w] = items
-    return merged
-
-
-def _fork_share(share: Callable[[int, int], list], k: int, w: int) -> tuple[int, BinaryIO]:
-    """Fork a child that runs ``share(k, w)``, pickles ``(True, items)`` or
-    ``(False, exception)`` to a pipe and exits; returns its pid and the
-    pipe's read end."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write_fd)
-        return pid, os.fdopen(read_fd, "rb")
-    code = 1
-    try:  # the child never returns into the caller's frames
-        os.close(read_fd)
-        try:
-            payload = pickle.dumps((True, share(k, w)))
-        except BaseException as err:  # the parent re-raises it
-            payload = _pickled_error(err)
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _pickled_error(err: BaseException) -> bytes:
-    """``(False, err)`` pickled, or with ``err`` replaced by a RuntimeError
-    holding its repr when it does not survive a pickle round trip."""
-    try:
-        payload = pickle.dumps((False, err))
-        pickle.loads(payload)
-        return payload
-    except Exception:
-        return pickle.dumps((False, RuntimeError(f"replicate worker raised {err!r}")))
-
-
-def _unpickle_share(pid: int, status: int, payload: bytes) -> list:
-    """The share a reaped child sent, or the exception it sent raised."""
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        raise RuntimeError(f"replicate worker {pid} exited with status {code}")
-    ok, value = pickle.loads(payload)  # written by this program's own child
-    if not ok:
-        raise value
-    return value

@@ -5,6 +5,11 @@ Loci that yield no SLV pairs (or fewer than two sequence types with usable
 data) carry no information about the rate ratio; they are skipped and
 reported, and the cross-locus test runs on the remainder with its degrees
 of freedom reduced accordingly.
+
+The import distributions are estimated one locus at a time, each from its
+own derived seed, so ``workers`` > 1 splits the loci across forked
+processes (``parallel.fork_map``) with the same result as one process. The
+CLI's analysis commands pass the usable cores; the default is one process.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .locus_estimator import CompositeLikelihood, LocusFit, fit_all_loci
 from .mlst_io import MlstDataset
 from .numerics import DEFAULT_TOL, SeedDomain, Tolerances, derived_seed
 from .pair_likelihood import PairModel, theta_ratios
+from .parallel import fork_map
 from .slv import SlvPartition, extract_slv
 
 
@@ -49,27 +55,46 @@ class AnalysisResult:
     variation: VariationTestResult | None
     skipped_loci: tuple[str, ...]
     partitions: Mapping[str, SlvPartition] = field(default_factory=dict)
-    import_dists: Mapping[str, ImportDistribution] = field(default_factory=dict)
     likelihoods: tuple[CompositeLikelihood, ...] = ()   # one per fitted locus
 
 
 def build_import_dists(
-    dataset: MlstDataset, opts: AnalysisOptions
+    dataset: MlstDataset, opts: AnalysisOptions, workers: int = 1
 ) -> dict[str, ImportDistribution]:
-    """Estimate the import pmf for every locus with at least two usable units."""
+    """Estimate the import pmf for every locus with at least two usable
+    units, with the loci split across ``workers`` processes. When loci
+    fail, the first failing locus's error is raised."""
+    if dataset.loci:  # build the shared views once, before any fork
+        dataset.profile_matrix()
+        dataset.allele_codes(dataset.loci[0].name)
+
+    def share(first: int, step: int) -> list:
+        # per locus: its pmf, None when it has too few units, or its error
+        # (kept so that the error raised is the serial loop's)
+        outputs: list = []
+        for index in range(first, len(dataset.loci), step):
+            meta = dataset.loci[index]
+            try:
+                table = pairwise_diffs(dataset, meta.name, weighting=opts.weighting)
+                outputs.append(estimate_import_dist(
+                    table,
+                    m=meta.length,
+                    p_a=opts.p_a,
+                    draws=opts.draws,
+                    seed=derived_seed(opts.seed, SeedDomain.IMPORT_SEED, index),
+                ))
+            except TooFewUnitsError:
+                outputs.append(None)
+            except Exception as err:
+                outputs.append(err)
+        return outputs
+
     out: dict[str, ImportDistribution] = {}
-    for index, meta in enumerate(dataset.loci):
-        try:
-            table = pairwise_diffs(dataset, meta.name, weighting=opts.weighting)
-        except TooFewUnitsError:
-            continue
-        out[meta.name] = estimate_import_dist(
-            table,
-            m=meta.length,
-            p_a=opts.p_a,
-            draws=opts.draws,
-            seed=derived_seed(opts.seed, SeedDomain.IMPORT_SEED, index),
-        )
+    for meta, dist in zip(dataset.loci, fork_map(share, len(dataset.loci), workers)):
+        if isinstance(dist, Exception):
+            raise dist
+        if dist is not None:
+            out[meta.name] = dist
     return out
 
 
@@ -99,10 +124,12 @@ def fit_loci(
     opts: AnalysisOptions = AnalysisOptions(),
     dists: Mapping[str, ImportDistribution] | None = None,
     tol: Tolerances = DEFAULT_TOL,
+    workers: int = 1,
 ) -> AnalysisResult:
-    """Per-locus fits only; ``joint`` and ``variation`` are left None."""
+    """Per-locus fits only; ``joint`` and ``variation`` are left None.
+    ``workers`` processes estimate the import pmfs when ``dists`` is None."""
     if dists is None:
-        dists = build_import_dists(dataset, opts)
+        dists = build_import_dists(dataset, opts, workers)
     cls, skipped, partitions = build_composite_likelihoods(dataset, dists, opts)
     fits = fit_all_loci(cls, level=opts.level, alpha_mode=opts.alpha_mode, tol=tol)
     return AnalysisResult(
@@ -111,7 +138,6 @@ def fit_loci(
         variation=None,
         skipped_loci=tuple(skipped),
         partitions=partitions,
-        import_dists=dict(dists),
         likelihoods=tuple(cls),
     )
 
@@ -121,10 +147,11 @@ def analyze_dataset(
     opts: AnalysisOptions = AnalysisOptions(),
     dists: Mapping[str, ImportDistribution] | None = None,
     tol: Tolerances = DEFAULT_TOL,
+    workers: int = 1,
 ) -> AnalysisResult:
     """Per-locus fits, then the pooled fit and the variation test when at
     least two loci carry information."""
-    result = fit_loci(dataset, opts, dists, tol)
+    result = fit_loci(dataset, opts, dists, tol, workers)
     cls, fits = result.likelihoods, result.locus_fits
     if len(cls) < 2:
         return result

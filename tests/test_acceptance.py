@@ -25,6 +25,7 @@ from slvrate import slv
 from slvrate.cli import main as cli_main
 from slvrate.joint_inference import variation_test, variation_weights
 from slvrate.numerics import chi2_quantile, reg_inc_gamma
+from slvrate.parallel import usable_cores
 from slvrate.pipeline import AnalysisOptions
 
 GRID_LAM = [0.0, 0.1, 1.0, 10.0, 100.0]
@@ -52,7 +53,7 @@ def null_experiment():
         ),
         analysis=AnalysisOptions(p_a=0.8, draws=30_000),
     )
-    return ex.run_experiment(design)
+    return ex.run_experiment(design, workers=usable_cores())  # same report for any count
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +74,7 @@ def power_experiment():
         ),
         analysis=AnalysisOptions(p_a=0.8, draws=30_000),
     )
-    return ex.run_experiment(design)
+    return ex.run_experiment(design, workers=usable_cores())  # same report for any count
 
 
 # -- criterion 1: golden SLV table -------------------------------------------------

@@ -7,7 +7,7 @@ import shutil
 import pytest
 from conftest import DEMO
 
-from slvrate import experiment
+from slvrate import experiment, parallel, pipeline
 from slvrate.cli import main, render_json
 from slvrate.errors import DegenerateScoresError
 from slvrate.mlst_io import parse_allele_fasta
@@ -137,6 +137,33 @@ def test_joint_and_variation(tmp_path):
     lines = forest.read_text().strip().split("\n")
     assert lines[0] == "locus\tlambda_hat\tci_lo\tci_hi"
     assert [line.split("\t")[0] for line in lines[1:]] == ["glnA", "gltA", "_all_"]
+
+
+def test_analysis_outputs_do_not_depend_on_the_usable_cores(tmp_path, monkeypatch):
+    seen = []
+    fork_map = pipeline.fork_map
+
+    def spy(share, n, workers):
+        seen.append(workers)
+        return fork_map(share, n, workers)
+
+    monkeypatch.setattr(pipeline, "fork_map", spy)
+    outputs = {}
+    for cores in (1, 3):
+        monkeypatch.setattr(parallel, "usable_cores", lambda cores=cores: cores)
+        out = tmp_path / str(cores)
+        out.mkdir()
+        assert run("import-dist", *dataset_args(), "--locus", "all", "-M", "2000",
+                   "--out", out / "dists") == 0
+        assert run("estimate", *dataset_args(), "-M", "2000", "--out", out / "est.json") == 0
+        assert run("test-variation", *dataset_args(), "-M", "2000", "--out", out / "var.json",
+                   "--forest-out", out / "forest.tsv") == 0
+        outputs[cores] = {
+            path.relative_to(out): path.read_bytes() for path in out.rglob("*") if path.is_file()
+        }
+    assert seen == [1, 1, 1, 3, 3, 3]
+    assert len(outputs[1]) == 6
+    assert outputs[3] == outputs[1]
 
 
 # -- simulate / experiment -----------------------------------------------------------------

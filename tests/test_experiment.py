@@ -203,7 +203,7 @@ class _Unpicklable(Exception):
     [
         (0, RuntimeError("replicate 0 broke"), RuntimeError, "replicate 0 broke"),
         (1, RuntimeError("replicate 1 broke"), RuntimeError, "replicate 1 broke"),
-        (1, _Unpicklable("odd"), RuntimeError, r"replicate worker raised _Unpicklable\('odd'\)"),
+        (1, _Unpicklable("odd"), RuntimeError, r"forked worker raised _Unpicklable\('odd'\)"),
     ],
     ids=["parent share", "child share", "unpicklable"],
 )

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+import os
+
 import numpy as np
+import pytest
 
 from slvrate import pipeline as pp
 from slvrate import simulate as sim
+from slvrate.errors import InvalidParamsError
 from slvrate.pipeline import AnalysisOptions
 
 
@@ -79,3 +84,68 @@ def test_locus_without_pairs_reduces_test_df():
     assert "quiet" in analysis.skipped_loci
     if analysis.variation is not None:
         assert analysis.variation.df == len(analysis.locus_fits) - 1
+
+
+# -- import distributions in forked workers ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def four_loci():
+    """Four simulated loci; at ``few`` every ST but one is excluded, so it
+    has one usable unit and no import distribution."""
+    cfg = sim.SimConfig(
+        n_samples=300,
+        loci=(("a", 300), ("b", 300), ("c", 300), ("few", 300)),
+        theta=(6.0, 6.0, 6.0, 6.0),
+        lam=(1.0, 1.0, 1.0, 1.0),
+        import_model=sim.GeometricImport(mean=8.0),
+        seed=21,
+    )
+    dataset = sim.simulate(cfg).dataset
+    st_ids = [prof.st_id for prof in dataset.profiles]
+    return dataclasses.replace(dataset, excluded_at={"few": frozenset(st_ids[1:])})
+
+
+@pytest.mark.parametrize("workers", [2, 3, 9])
+def test_import_dists_and_fits_do_not_depend_on_the_worker_count(four_loci, workers):
+    opts = AnalysisOptions(draws=3000, seed=4)
+    serial = pp.build_import_dists(four_loci, opts)
+    forked = pp.build_import_dists(four_loci, opts, workers=workers)
+    assert list(forked) == list(serial) == ["a", "b", "c"]
+    for name, dist in serial.items():
+        assert np.array_equal(forked[name].q, dist.q)
+        assert forked[name].provenance == dist.provenance
+    a = pp.analyze_dataset(four_loci, opts)
+    b = pp.analyze_dataset(four_loci, opts, workers=workers)
+    assert a.skipped_loci == b.skipped_loci and "few" in a.skipped_loci
+    assert a.locus_fits == b.locus_fits
+    assert a.joint == b.joint
+    assert a.variation == b.variation
+
+
+@pytest.mark.parametrize(
+    "failing, first, raised",
+    [({1, 2}, "b", InvalidParamsError), ({2, 3}, "c", RuntimeError),
+     ({1}, "b", InvalidParamsError)],
+    ids=["child first", "parent first", "child only"],
+)
+def test_the_first_failing_locus_is_raised_and_no_worker_outlives_it(
+    four_loci, monkeypatch, failing, first, raised
+):
+    # with two workers the parent estimates loci 0 and 2, the child 1 and 3
+    original = pp.estimate_import_dist
+
+    def broken(table, **kwargs):
+        index = four_loci.locus_index(table.locus)
+        if index in failing:
+            error = InvalidParamsError if index % 2 else RuntimeError
+            raise error(f"locus {table.locus} broke")
+        return original(table, **kwargs)
+
+    monkeypatch.setattr(pp, "estimate_import_dist", broken)
+    opts = AnalysisOptions(draws=1000)
+    for workers in (1, 2):
+        with pytest.raises(raised, match=f"locus {first} broke"):
+            pp.build_import_dists(four_loci, opts, workers=workers)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
