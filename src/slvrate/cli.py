@@ -36,6 +36,7 @@ from .mlst_io import (
     write_allele_fasta,
     write_profiles,
 )
+from .numerics import DEFAULT_TOL
 from .pipeline import AnalysisOptions, analyze_dataset, build_import_dists, fit_loci
 from .simulate import (
     CompleteImport,
@@ -242,8 +243,6 @@ def _import_dist_from(doc: dict) -> ImportDistribution:
 def _boundary_flags(at_boundary: bool, lam_hat: float) -> list[str]:
     if not at_boundary:
         return []
-    from .numerics import DEFAULT_TOL
-
     if lam_hat <= 1e-9:
         return ["lower"]
     if lam_hat >= 0.99 * DEFAULT_TOL.lambda_max:
@@ -322,12 +321,14 @@ def cmd_import_dist(args) -> int:
     if args.draws < 1:
         raise ConfigError(f"--draws must be >= 1, got {args.draws}")
     dataset, _report, inputs = _load_dataset(args)
+    if args.locus != "all" and args.locus not in dataset.locus_names:
+        raise ConfigError(f"unknown locus {args.locus!r}; loci are {', '.join(dataset.locus_names)}")
+    wanted = list(dataset.locus_names) if args.locus == "all" else [args.locus]
     opts = _analysis_options(args)
     dists = build_import_dists(dataset, opts, workers=parallel.usable_cores())
-    wanted = list(dataset.locus_names) if args.locus == "all" else [args.locus]
     for name in wanted:
         if name not in dists:
-            raise ConfigError(f"locus {name!r} unavailable (unknown or fewer than 2 usable units)")
+            raise ConfigError(f"locus {name!r} unavailable (fewer than 2 usable units)")
     config = {name: value for name, value in asdict(opts).items() if name in vars(args)}
     if args.locus == "all":
         out_dir = Path(args.out) if args.out else Path(".")

@@ -30,14 +30,7 @@ import numpy as np
 
 from .errors import ModelError, NonFiniteError, NonPositiveInfoError, TooFewLociError
 from .locus_estimator import CompositeLikelihood, LocusFit, deviance_ci
-from .numerics import (
-    DEFAULT_TOL,
-    Tolerances,
-    chi2_sf,
-    lam_to_t,
-    maximize_scalar,
-    t_to_lam,
-)
+from .numerics import DEFAULT_TOL, chi2_sf, lam_to_t, maximize_scalar, t_to_lam
 
 
 @dataclass(frozen=True)
@@ -51,15 +44,13 @@ class JointFit:
     at_boundary: bool
 
 
-def joint_maximize(
-    cls: Sequence[CompositeLikelihood], tol: Tolerances = DEFAULT_TOL
-) -> tuple[float, float, bool]:
+def joint_maximize(cls: Sequence[CompositeLikelihood]) -> tuple[float, float, bool]:
     """Maximize the summed composite log-likelihood; (lam_hat, value, boundary)."""
     if len(cls) < 2:
         raise TooFewLociError(f"joint fit needs >= 2 loci with data, got {len(cls)}")
-    t_max = lam_to_t(tol.lambda_max)
+    t_max = lam_to_t(DEFAULT_TOL.lambda_max)
     res = maximize_scalar(
-        lambda t: sum(cl.loglik(t_to_lam(t)) for cl in cls), 0.0, t_max, tol=tol.opt_t
+        lambda t: sum(cl.loglik(t_to_lam(t)) for cl in cls), 0.0, t_max, tol=DEFAULT_TOL.opt_t
     )
     return t_to_lam(res.argmax), res.value, res.at_boundary
 
@@ -68,7 +59,6 @@ def joint_fit(
     cls: Sequence[CompositeLikelihood],
     fits: Sequence[LocusFit],
     level: float = 0.95,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> JointFit:
     """Common-rate estimate with a deviance interval.
 
@@ -77,14 +67,14 @@ def joint_fit(
     """
     if len(cls) != len(fits):
         raise ModelError("per-locus fits do not match likelihood objects")
-    lam_hat, cl_max, at_boundary = joint_maximize(cls, tol)
+    lam_hat, cl_max, at_boundary = joint_maximize(cls)
     total_i = sum(f.info_i for f in fits)
     total_j = sum(f.info_j for f in fits)
     if total_i <= 0.0 or total_j <= 0.0:
         raise NonPositiveInfoError("pooled information is not positive")
     gamma = total_j / total_i
     lower, upper = deviance_ci(
-        lambda lam: sum(cl.loglik(lam) for cl in cls), "joint", lam_hat, cl_max, gamma, level, tol
+        lambda lam: sum(cl.loglik(lam) for cl in cls), "joint", lam_hat, cl_max, gamma, level
     )
     return JointFit(
         lam_hat=lam_hat,
@@ -144,7 +134,6 @@ def variation_test(
     cls: Sequence[CompositeLikelihood],
     fits: Sequence[LocusFit],
     joint: JointFit,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> VariationTestResult:
     """Likelihood-ratio test of a common rate across loci.
 
@@ -160,7 +149,7 @@ def variation_test(
         raise TooFewLociError(f"variation test needs >= 2 loci with data, got {n_loci}")
     sum_max = sum(f.cl_max for f in fits)
     lr_star = 2.0 * (sum_max - joint.cl_max)
-    if lr_star < -tol.lr_negative_slack:
+    if lr_star < -DEFAULT_TOL.lr_negative_slack:
         raise ModelError(
             f"constrained maximum exceeds per-locus maxima by {-lr_star:.3g}; "
             "optimizer tolerances are inconsistent"

@@ -60,18 +60,6 @@ class GroupedScores:
     u: np.ndarray
     group: np.ndarray
 
-    @classmethod
-    def of(cls, scores_by_group: ScoreGroups) -> GroupedScores:
-        """Accept either grouped scores or one score array per group."""
-        if isinstance(scores_by_group, GroupedScores):
-            return scores_by_group
-        groups = [np.asarray(v, dtype=float).ravel() for v in scores_by_group]
-        groups = [v for v in groups if len(v) > 0]
-        if not groups:
-            return cls(np.zeros(0), np.zeros(0, dtype=np.int64))
-        sizes = [len(v) for v in groups]
-        return cls(np.concatenate(groups), np.repeat(np.arange(len(groups)), sizes))
-
     @property
     def n(self) -> int:
         return len(self.u)
@@ -89,16 +77,13 @@ class GroupedScores:
         return np.bincount(self.group, weights=self.u * self.u)
 
 
-ScoreGroups = Sequence[np.ndarray] | GroupedScores
-
-
 @dataclass(frozen=True)
 class CompositeLikelihood:
-    """Weighted per-pair log-likelihood for one locus."""
+    """Per-pair log-likelihood of one locus, each pair weighted by its
+    partition weight ``partition.w``."""
 
     partition: SlvPartition
     model: PairModel
-    weights: tuple[float, ...] | None = None  # override; defaults to group weights
 
     def __post_init__(self):
         xs = self.partition.x
@@ -108,17 +93,9 @@ class CompositeLikelihood:
                 f"pair {self._pair_label(int(outside[0]))} has x={int(xs[outside[0]])} "
                 f"outside 1..{self.model.m}"
             )
-        if self.weights is None:
-            w = self.partition.w
-        elif len(self.weights) != len(xs):
-            raise InvalidParamsError("weight override length does not match pair count")
-        else:
-            w = np.array(self.weights, dtype=float)
-            w.flags.writeable = False
         index = xs - 1
         index.flags.writeable = False
-        # built once here; every likelihood and score evaluation reads them
-        object.__setattr__(self, "_w", w)
+        # built once here; every likelihood and score evaluation reads it
         object.__setattr__(self, "_index", index)
 
     def _pair_label(self, i: int) -> str:
@@ -136,7 +113,7 @@ class CompositeLikelihood:
         if self.n_pairs == 0:
             raise EmptyPartitionError(f"locus {self.locus} has no SLV pairs")
         logp = log_pmf(self.model, lam)
-        return float(np.dot(self._w, logp[self._index]))
+        return float(np.dot(self.partition.w, logp[self._index]))
 
     def scores_by_group(self, lam: float) -> GroupedScores:
         """Unweighted per-pair scores at lam, grouped by dependence group.
@@ -161,7 +138,8 @@ class CompositeLikelihood:
 def maximize(
     cl: CompositeLikelihood, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[float, float, bool]:
-    """(lam_hat, maximized value, boundary flag)."""
+    """(lam_hat, maximized value, boundary flag). The package always
+    passes DEFAULT_TOL; the benchmark's self-tests call ``maximize(cl, tol)``."""
     t_max = lam_to_t(tol.lambda_max)
     res = maximize_scalar(lambda t: cl.loglik(t_to_lam(t)), 0.0, t_max, tol=tol.opt_t)
     lam_hat = t_to_lam(res.argmax)
@@ -171,9 +149,8 @@ def maximize(
 # -- compound-symmetry score model ---------------------------------------------
 
 
-def _quad_form(scores_by_group: ScoreGroups, alpha: float) -> float:
+def _quad_form(g: GroupedScores, alpha: float) -> float:
     """sigma^2-free quadratic form of the compound-symmetry Gaussian."""
-    g = GroupedScores.of(scores_by_group)
     a = 1.0 / (1.0 - alpha)
     b = -alpha / ((1.0 - alpha) * (1.0 + (g.k - 1.0) * alpha))
     return float(np.sum(a * g.s2 + b * g.s1 * g.s1))
@@ -184,15 +161,8 @@ def _log_det(g: GroupedScores, alpha: float) -> float:
     return float(np.sum((g.k - 1.0) * math.log(1.0 - alpha) + np.log1p((g.k - 1.0) * alpha)))
 
 
-def loglik_alpha_sigma(scores_by_group: ScoreGroups, alpha: float, sigma2: float) -> float:
-    """Gaussian log-likelihood (additive constants dropped) of grouped scores."""
-    g = GroupedScores.of(scores_by_group)
-    return -0.5 * (g.n * math.log(sigma2) + _log_det(g, alpha) + _quad_form(g, alpha) / sigma2)
-
-
-def sigma2_given_alpha(scores_by_group: ScoreGroups, alpha: float) -> float:
+def sigma2_given_alpha(g: GroupedScores, alpha: float) -> float:
     """Closed-form maximizer of the Gaussian likelihood in sigma^2."""
-    g = GroupedScores.of(scores_by_group)
     q = _quad_form(g, alpha)
     if q <= 0.0:
         raise DegenerateScoresError("score quadratic form is not positive")
@@ -203,18 +173,14 @@ def sigma2_given_alpha(scores_by_group: ScoreGroups, alpha: float) -> float:
 class AlphaSigmaFit:
     alpha: float
     sigma2: float
-    loglik_at_max: float
 
 
-def fit_alpha_sigma(
-    scores_by_group: ScoreGroups, tol: Tolerances = DEFAULT_TOL
-) -> AlphaSigmaFit:
+def fit_alpha_sigma(g: GroupedScores) -> AlphaSigmaFit:
     """Maximize the compound-symmetry Gaussian likelihood over (alpha, sigma^2).
 
     sigma^2 is profiled out in closed form, leaving a 1-D bounded search
     over alpha in [0, 1). Deterministic for identical inputs.
     """
-    g = GroupedScores.of(scores_by_group)
     n = g.n
     if n == 0 or float(g.k.max()) < 2:
         raise AlphaUnidentifiableError(
@@ -224,16 +190,14 @@ def fit_alpha_sigma(
         raise DegenerateScoresError("all scores identical")
 
     def profile(alpha: float) -> float:
-        # loglik_alpha_sigma at sigma^2 = q/n
+        # the Gaussian log-likelihood, additive constants dropped, at sigma^2 = q/n
         q = _quad_form(g, alpha)
         if q <= 0.0:
             return -math.inf  # not reachable for alpha in [0, 1), guards rounding
         return -0.5 * (n * (math.log(q / n) + 1.0) + _log_det(g, alpha))
 
-    res = maximize_scalar(profile, 0.0, tol.alpha_cap, tol=1e-10)
-    alpha = res.argmax
-    sigma2 = sigma2_given_alpha(g, alpha)
-    return AlphaSigmaFit(alpha=alpha, sigma2=sigma2, loglik_at_max=loglik_alpha_sigma(g, alpha, sigma2))
+    alpha = maximize_scalar(profile, 0.0, DEFAULT_TOL.alpha_cap, tol=1e-10).argmax
+    return AlphaSigmaFit(alpha=alpha, sigma2=sigma2_given_alpha(g, alpha))
 
 
 # -- information quantities ------------------------------------------------------
@@ -319,7 +283,6 @@ def deviance_ci(
     cl_max: float,
     gamma: float,
     level: float = 0.95,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[float, float]:
     """Confidence interval from the scaled deviance of the objective
     ``loglik`` of lam: one locus's composite log-likelihood, or the sum
@@ -337,7 +300,7 @@ def deviance_ci(
         raise InvalidParamsError(f"level must be in (0,1), got {level}")
     threshold = chi2_quantile(level, 1)
     root_threshold = math.sqrt(threshold)
-    t_max = lam_to_t(tol.lambda_max)
+    t_max = lam_to_t(DEFAULT_TOL.lambda_max)
     t_hat = min(lam_to_t(lam_hat), t_max)
     # W per evaluated t: the edge checks below feed the root finder, and W is
     # 0 at t_hat by definition of cl_max, so that point is never evaluated
@@ -374,14 +337,14 @@ def deviance_ci(
             signed_root,
             side_lo,
             side_hi,
-            xtol=0.5 * tol.ci_t,
-            accept=lambda t: abs(excess(t)) <= 0.5 * tol.ci_w_slack,
+            xtol=0.5 * DEFAULT_TOL.ci_t,
+            accept=lambda t: abs(excess(t)) <= 0.5 * DEFAULT_TOL.ci_w_slack,
         )
         off = abs(excess(t))
-        if off > tol.ci_w_slack:
+        if off > DEFAULT_TOL.ci_w_slack:
             raise NonMonotoneDevianceError(
                 f"locus {locus}: {side} deviance crossing off by {off:.3g} "
-                f"(> {tol.ci_w_slack}); deviance may be non-monotone"
+                f"(> {DEFAULT_TOL.ci_w_slack}); deviance may be non-monotone"
             )
         return t
 
@@ -415,7 +378,6 @@ class LocusFit:
     n_groups: int
     at_boundary: bool
     alpha_source: str           # locus | common | fallback
-    raw_score_variance: float   # diagnostic: plain variance of the scores
 
 
 def _at_locus(locus: str, fit, *args):
@@ -430,7 +392,6 @@ def fit_all_loci(
     cls: Sequence[CompositeLikelihood],
     level: float = 0.95,
     alpha_mode: str = "common",
-    tol: Tolerances = DEFAULT_TOL,
 ) -> list[LocusFit]:
     """Fit every locus, sharing the within-group correlation across loci.
 
@@ -445,12 +406,12 @@ def fit_all_loci(
     maxima: list[tuple[float, float, bool]] = []
     scores: list[GroupedScores] = []
     for cl in cls:
-        maxima.append(maximize(cl, tol))
+        maxima.append(maximize(cl))
         scores.append(cl.scores_by_group(maxima[-1][0]))
     own: list[AlphaSigmaFit | None] = []
     for cl, g in zip(cls, scores):
         try:
-            own.append(_at_locus(cl.locus, fit_alpha_sigma, g, tol))
+            own.append(_at_locus(cl.locus, fit_alpha_sigma, g))
         except AlphaUnidentifiableError:
             own.append(None)
     alphas = [fit.alpha for fit in own if fit is not None]
@@ -465,7 +426,7 @@ def fit_all_loci(
             sigma2 = _at_locus(cl.locus, sigma2_given_alpha, g, alpha)
             source = "common" if own_fit is not None or alphas else "fallback"
         info_i, info_j, gamma = godambe(cl.partition, alpha, sigma2)
-        lower, upper = deviance_ci(cl.loglik, cl.locus, lam_hat, cl_max, gamma, level, tol)
+        lower, upper = deviance_ci(cl.loglik, cl.locus, lam_hat, cl_max, gamma, level)
         results.append(LocusFit(
             locus=cl.locus,
             lam_hat=lam_hat,
@@ -481,6 +442,5 @@ def fit_all_loci(
             n_groups=cl.partition.n_groups,
             at_boundary=at_boundary,
             alpha_source=source,
-            raw_score_variance=float(np.var(g.u)),
         ))
     return results

@@ -55,7 +55,6 @@ _ASCII_UPPER = str.maketrans(string.ascii_lowercase, string.ascii_uppercase)
 class LocusMeta:
     name: str
     length: int          # modal allele length in bases
-    allele_count: int
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,6 @@ class BuildReport:
     """What lenient construction had to repair; empty in strict mode."""
 
     messages: tuple[str, ...] = ()
-    dropped_sts: tuple[int, ...] = ()
-    excluded: Mapping[str, frozenset[int]] = field(default_factory=dict)
 
     def __bool__(self) -> bool:
         return bool(self.messages)
@@ -364,7 +361,7 @@ def build_dataset(
 
     Locus order is the key order of ``alleles_by_locus`` and must match the
     positional order of each profile's allele list. Returns the dataset and
-    a report of lenient-mode exclusions (empty when strict succeeds).
+    a report of the lenient-mode repairs (empty when strict succeeds).
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"mode must be strict or lenient, got {mode!r}")
@@ -420,7 +417,6 @@ def build_dataset(
 
     # per-profile checks
     kept: list[StProfile] = []
-    dropped: list[int] = []
     seen_ids: set[int] = set()
     seen_vectors: dict[tuple[int, ...], int] = {}
     excluded: dict[str, set[int]] = {name: set() for name in locus_names}
@@ -437,7 +433,6 @@ def build_dataset(
                 raise DuplicateVectorError(
                     f"ST {prof.st_id} and ST {seen_vectors[prof.alleles]} share an allele vector"
                 )
-            dropped.append(prof.st_id)
             messages.append(
                 f"ST {prof.st_id} dropped: allele vector duplicates ST {seen_vectors[prof.alleles]}"
             )
@@ -457,26 +452,13 @@ def build_dataset(
     if len(kept) < 2:
         raise TooFewStsError(f"only {len(kept)} sequence types survive validation")
 
-    loci = tuple(
-        LocusMeta(
-            name=name,
-            length=modal_len[name],
-            allele_count=len(alleles_by_locus[name]),
-        )
-        for name in locus_names
-    )
     dataset = MlstDataset(
-        loci=loci,
+        loci=tuple(LocusMeta(name=name, length=modal_len[name]) for name in locus_names),
         alleles=dict(sorted(allele_map.items())),
         profiles=tuple(kept),
         excluded_at={name: frozenset(ids) for name, ids in excluded.items() if ids},
     )
-    report = BuildReport(
-        messages=tuple(messages),
-        dropped_sts=tuple(dropped),
-        excluded={name: frozenset(ids) for name, ids in excluded.items() if ids},
-    )
-    return dataset, report
+    return dataset, BuildReport(messages=tuple(messages))
 
 
 def hamming(a: AlleleSequence, b: AlleleSequence) -> int:
@@ -500,29 +482,25 @@ def hamming(a: AlleleSequence, b: AlleleSequence) -> int:
 
 # -- writers (round-trip + simulator output) -----------------------------------
 
+_FASTA_WIDTH = 60  # bases per line of a written FASTA record
 
-def write_profiles(dataset: MlstDataset, path: str | Path, count_column: str | None = None) -> None:
+
+def write_profiles(dataset: MlstDataset, path: str | Path) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
-        header = ["ST", *dataset.locus_names]
-        if count_column:
-            header.append(count_column)
-        fh.write("\t".join(header) + "\n")
+        fh.write("\t".join(["ST", *dataset.locus_names]) + "\n")
         for prof in dataset.profiles:
-            row = [str(prof.st_id), *(str(a) for a in prof.alleles)]
-            if count_column:
-                row.append(str(prof.isolate_count))
-            fh.write("\t".join(row) + "\n")
+            fh.write("\t".join([str(prof.st_id), *(str(a) for a in prof.alleles)]) + "\n")
 
 
-def write_allele_fasta(dataset: MlstDataset, locus: str, path: str | Path, width: int = 60) -> None:
+def write_allele_fasta(dataset: MlstDataset, locus: str, path: str | Path) -> None:
     path = Path(path)
     records = [seq for (loc, _aid), seq in sorted(dataset.alleles.items()) if loc == locus]
     with path.open("w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(f">{locus}_{rec.allele_id}\n")
-            for start in range(0, len(rec.sequence), width):
-                fh.write(rec.sequence[start : start + width] + "\n")
+            for start in range(0, len(rec.sequence), _FASTA_WIDTH):
+                fh.write(rec.sequence[start : start + _FASTA_WIDTH] + "\n")
 
 
 def decode_sequence(codes: np.ndarray) -> str:

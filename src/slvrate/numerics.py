@@ -45,7 +45,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Central tolerance configuration; every module cites these defaults."""
+    """The estimators' tolerances, fixed, not a per-call option: every
+    module reads ``DEFAULT_TOL``."""
 
     opt_t: float = 1e-8          # maximizer bracket width on t = lam/(1+lam)
     ci_t: float = 1e-6           # CI endpoint tolerance on t (root-finder bracket)
@@ -83,6 +84,7 @@ def derived_seed(seed: int, domain: SeedDomain, index: int) -> int:
     return int(state[0] ^ (state[1] << 1)) & 0x7FFFFFFFFFFFFFFF
 
 _INVPHI2 = 0.3819660112501051  # 2 - golden ratio
+_MAX_ITER = 500                # iteration cap of maximize_scalar
 
 
 def lam_to_t(lam: float) -> float:
@@ -107,12 +109,12 @@ def maximize_scalar(
     lo: float,
     hi: float,
     tol: float = DEFAULT_TOL.opt_t,
-    max_iter: int = 500,
 ) -> OptResult:
     """Maximize a unimodal-ish function on [lo, hi].
 
     Golden-section/parabolic hybrid (Brent). Exits once the bracketing
-    interval is narrower than ``tol``. Never evaluates outside [lo, hi].
+    interval is narrower than ``tol``, or after ``_MAX_ITER`` iterations.
+    Never evaluates outside [lo, hi].
     The endpoints are checked explicitly, so for a monotone function the
     boundary is returned with ``at_boundary`` set.
     """
@@ -130,7 +132,7 @@ def maximize_scalar(
     gx = gw = gv = g(x)
     d = e = 0.0
     n_iter = 0
-    while (b - a) > tol and n_iter < max_iter:
+    while (b - a) > tol and n_iter < _MAX_ITER:
         n_iter += 1
         mid = 0.5 * (a + b)
         step_min = 0.25 * tol + 1e-15 * abs(x)

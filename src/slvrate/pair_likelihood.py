@@ -38,7 +38,6 @@ R_CAP = 0.9  # the model assumes many loci; a single locus carrying more
 class ThetaRatio:
     locus: str
     r: float
-    method: str
 
     def __post_init__(self):
         if not 0.0 < self.r < 1.0:
@@ -73,7 +72,7 @@ def theta_ratios(dataset: MlstDataset, method: str = "length") -> dict[str, Thet
     else:
         raise InvalidParamsError(f"method must be length or pairwise, got {method!r}")
     denom = sum(weights.values())
-    return {name: ThetaRatio(locus=name, r=w / denom, method=method) for name, w in weights.items()}
+    return {name: ThetaRatio(locus=name, r=w / denom) for name, w in weights.items()}
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .import_dist import (
 from .joint_inference import JointFit, VariationTestResult, joint_fit, variation_test
 from .locus_estimator import CompositeLikelihood, LocusFit, fit_all_loci
 from .mlst_io import MlstDataset
-from .numerics import DEFAULT_TOL, SeedDomain, Tolerances, derived_seed
+from .numerics import SeedDomain, derived_seed
 from .pair_likelihood import PairModel, theta_ratios
 from .parallel import fork_map
 from .slv import SlvPartition, extract_slv
@@ -123,7 +123,6 @@ def fit_loci(
     dataset: MlstDataset,
     opts: AnalysisOptions = AnalysisOptions(),
     dists: Mapping[str, ImportDistribution] | None = None,
-    tol: Tolerances = DEFAULT_TOL,
     workers: int = 1,
 ) -> AnalysisResult:
     """Per-locus fits only; ``joint`` and ``variation`` are left None.
@@ -131,7 +130,7 @@ def fit_loci(
     if dists is None:
         dists = build_import_dists(dataset, opts, workers)
     cls, skipped, partitions = build_composite_likelihoods(dataset, dists, opts)
-    fits = fit_all_loci(cls, level=opts.level, alpha_mode=opts.alpha_mode, tol=tol)
+    fits = fit_all_loci(cls, level=opts.level, alpha_mode=opts.alpha_mode)
     return AnalysisResult(
         locus_fits=tuple(fits),
         joint=None,
@@ -146,14 +145,13 @@ def analyze_dataset(
     dataset: MlstDataset,
     opts: AnalysisOptions = AnalysisOptions(),
     dists: Mapping[str, ImportDistribution] | None = None,
-    tol: Tolerances = DEFAULT_TOL,
     workers: int = 1,
 ) -> AnalysisResult:
     """Per-locus fits, then the pooled fit and the variation test when at
     least two loci carry information."""
-    result = fit_loci(dataset, opts, dists, tol, workers)
+    result = fit_loci(dataset, opts, dists, workers)
     cls, fits = result.likelihoods, result.locus_fits
     if len(cls) < 2:
         return result
-    joint = joint_fit(cls, fits, level=opts.level, tol=tol)
-    return replace(result, joint=joint, variation=variation_test(cls, fits, joint, tol=tol))
+    joint = joint_fit(cls, fits, level=opts.level)
+    return replace(result, joint=joint, variation=variation_test(cls, fits, joint))

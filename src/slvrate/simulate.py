@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -149,7 +149,6 @@ class SimConfig:
     lam: tuple[float, ...]                     # per-locus relative recombination rate
     import_model: ImportModel | Mapping[str, ImportModel]
     seed: int = 0
-    track_events: bool = False
 
     def __post_init__(self):
         if self.n_samples < 2:
@@ -199,9 +198,7 @@ class CoalescentTree:
 @dataclass(frozen=True)
 class SimResult:
     dataset: MlstDataset
-    config: SimConfig
     st_of_sample: tuple[int, ...]
-    event_log: tuple[tuple, ...] = field(default=())
 
 
 def simulate_coalescent_tree(n: int, rng: np.random.Generator) -> CoalescentTree:
@@ -257,32 +254,27 @@ def overlay_events(
     # canonical order: nonzero() on the (node, locus) matrix is node-major
     busy_nodes, busy_loci = np.nonzero((mut_counts + rec_counts).T)
     scripts: dict[int, list[tuple[int, list[tuple]]]] = {}
-    log: list[tuple] = []
     for node, li, n_mut, n_rec in zip(
         busy_nodes.tolist(),
         busy_loci.tolist(),
         mut_counts[busy_loci, busy_nodes].tolist(),
         rec_counts[busy_loci, busy_nodes].tolist(),
     ):
-        name, m = loci[li]
+        m = loci[li][1]
         marks = [(float(u), "mut") for u in rng.random(n_mut)]
         marks += [(float(u), "rec") for u in rng.random(n_rec)]
         marks.sort(reverse=True)  # larger offset = older; apply root-to-tip
         ops: list[tuple] = []
-        for u, kind in marks:
+        for _offset, kind in marks:
             if kind == "mut":
                 site = int(rng.integers(m))
                 delta = int(rng.integers(1, 4))
                 ops.append(("mut", site, delta))
-                if config.track_events:
-                    log.append((node, u, name, "mut", site))
             else:
                 d = samplers[li](rng)
                 sites = rng.choice(m, size=d, replace=False)
                 deltas = rng.integers(1, 4, size=d)
                 ops.append(("rec", sites, deltas))
-                if config.track_events:
-                    log.append((node, u, name, "rec", d))
         scripts.setdefault(node, []).append((li, ops))
 
     # each leaf inherits the sequences of its nearest ancestor-or-self whose
@@ -312,12 +304,10 @@ def overlay_events(
         raws_at[node] = tuple(raws)
     leaf_vectors = [raws_at[a] for a in anchor[: tree.n_leaves]]
 
-    return _materialize(config, leaf_vectors, tuple(log))
+    return _materialize(config, leaf_vectors)
 
 
-def _materialize(
-    config: SimConfig, leaf_vectors: Sequence[tuple[bytes, ...]], log: tuple
-) -> SimResult:
+def _materialize(config: SimConfig, leaf_vectors: Sequence[tuple[bytes, ...]]) -> SimResult:
     loci_names = [name for name, _ in config.loci]
     allele_ids: list[dict[bytes, int]] = [{} for _ in loci_names]
     st_ids: dict[tuple[int, ...], int] = {}
@@ -355,10 +345,7 @@ def _materialize(
         # a rate-free simulation collapses to a single sequence type, which
         # the file-oriented builder refuses; assemble the dataset directly
         dataset = MlstDataset(
-            loci=tuple(
-                LocusMeta(name=name, length=m, allele_count=len(alleles_by_locus[name]))
-                for name, m in config.loci
-            ),
+            loci=tuple(LocusMeta(name=name, length=m) for name, m in config.loci),
             alleles={
                 (name, rec.allele_id): rec
                 for name in loci_names
@@ -366,12 +353,7 @@ def _materialize(
             },
             profiles=tuple(profiles),
         )
-    return SimResult(
-        dataset=dataset,
-        config=config,
-        st_of_sample=tuple(st_of_sample),
-        event_log=log,
-    )
+    return SimResult(dataset=dataset, st_of_sample=tuple(st_of_sample))
 
 
 def simulate(config: SimConfig, replicate: int = 0) -> SimResult:

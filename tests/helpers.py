@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from slvrate import locus_estimator as le
 from slvrate import mlst_io
 from slvrate import pair_likelihood as pl
 from slvrate.errors import (
@@ -77,6 +78,18 @@ def make_partition(locus, groups_x):
 
 def singleton_partition(locus, xs):
     return make_partition(locus, [[x] for x in xs])
+
+
+def grouped_scores(groups) -> le.GroupedScores:
+    """Grouped scores from one non-empty score array per group."""
+    sizes = [len(v) for v in groups]
+    return le.GroupedScores(np.concatenate(groups), np.repeat(np.arange(len(groups)), sizes))
+
+
+def loglik_alpha_sigma(g: le.GroupedScores, alpha: float, sigma2: float) -> float:
+    """Compound-symmetry Gaussian log-likelihood of grouped scores, additive
+    constants dropped, from the estimator's own log det and quadratic form."""
+    return -0.5 * (g.n * math.log(sigma2) + le._log_det(g, alpha) + le._quad_form(g, alpha) / sigma2)
 
 
 # -- per-pair oracles ------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import DEMO, load_demo_dataset
-from helpers import random_q
+from helpers import grouped_scores, random_q
 
 from slvrate import experiment as ex
 from slvrate import locus_estimator as le
@@ -150,7 +150,7 @@ def test_criterion_04_alpha_sigma_recovery():
     cov = sigma2_true * ((1 - alpha_true) * np.eye(k) + alpha_true * np.ones((k, k)))
     chol = np.linalg.cholesky(cov)
     groups = [chol @ rng.standard_normal(k) for _ in range(500)]
-    fit = le.fit_alpha_sigma(groups)
+    fit = le.fit_alpha_sigma(grouped_scores(groups))
     assert 0.2 < fit.alpha < 0.4
     assert 3.4 < fit.sigma2 < 4.6
 

@@ -98,6 +98,23 @@ def test_import_dist_all_loci(tmp_path):
     assert files == ["aspA.dist.json", "glnA.dist.json", "gltA.dist.json"]
 
 
+def test_import_dist_unknown_locus_exits_one_before_any_estimate(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return estimate(*args, **kwargs)
+
+    estimate = pipeline.estimate_import_dist
+    monkeypatch.setattr(pipeline, "estimate_import_dist", counting)
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 1)  # every call in this process
+    assert run("import-dist", *dataset_args(), "--locus", "nope", "-M", "1000",
+               "--out", tmp_path / "x.json") == 1
+    assert "unknown locus 'nope'" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_import_dist_bad_pa_exits_one(tmp_path):
     assert run("import-dist", *dataset_args(), "--pa", "1.5", "--out", tmp_path / "x.json") == 1
 

@@ -144,17 +144,22 @@ def test_maximum_at_the_ceiling_has_an_infinite_upper_bound():
 
 @pytest.mark.parametrize("lam", [0.2, 1.0, 5.0])
 def test_steep_deviance_is_refined_past_ci_t(lam):
-    # weights 10^4 times the design's make the deviance so steep that a
-    # point ci_t/2 from the crossing misses the quantile by more than the
+    # 10^4 times the design's log-likelihood makes the deviance so steep that
+    # a point ci_t/2 from the crossing misses the quantile by more than the
     # slack, so the finder must keep shrinking the bracket below ci_t
     model = _models(lam)[0]
     rng = np.random.default_rng([7, round(10 * lam)])
     xs = rng.choice(np.arange(1, model.m + 1), size=400, p=pl.pmf(model, lam))
-    cl = le.CompositeLikelihood(singleton_partition("g0", xs.tolist()), model, weights=(1e4,) * 400)
-    lam_hat, cl_max, _ = le.maximize(cl)
-    lower, upper = le.deviance_ci(cl.loglik, cl.locus, lam_hat, cl_max, gamma=1.0)
+    cl = le.CompositeLikelihood(singleton_partition("g0", xs.tolist()), model)
+
+    def steep(value):
+        return 1e4 * cl.loglik(value)
+
+    lam_hat = le.maximize(cl)[0]  # scaling by a positive constant keeps the argmax
+    cl_max = steep(lam_hat)
+    lower, upper = le.deviance_ci(steep, cl.locus, lam_hat, cl_max, gamma=1.0)
     for endpoint, edge in ((lower, 0.0), (upper, T_MAX)):
-        _check_endpoint(endpoint, edge, cl.loglik, lam_hat, cl_max, 1.0)
+        _check_endpoint(endpoint, edge, steep, lam_hat, cl_max, 1.0)
         step = math.copysign(0.5 * DEFAULT_TOL.ci_t, edge - lam_to_t(lam_hat))
-        off = _deviance(cl, cl_max, lam_to_t(endpoint) + step) - THRESHOLD
+        off = 2.0 * (cl_max - steep(t_to_lam(lam_to_t(endpoint) + step))) - THRESHOLD
         assert abs(off) > DEFAULT_TOL.ci_w_slack

@@ -101,7 +101,6 @@ def _synthetic_fit(locus, info_i, info_j, cl_max):
         n_groups=10,
         at_boundary=False,
         alpha_source="common",
-        raw_score_variance=1.0,
     )
 
 

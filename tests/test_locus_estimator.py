@@ -18,7 +18,9 @@ from slvrate.errors import (
 )
 from slvrate.numerics import DEFAULT_TOL, chi2_quantile, lam_to_t, t_to_lam
 from helpers import (
+    grouped_scores,
     loglik,
+    loglik_alpha_sigma,
     make_model,
     make_partition,
     make_q,
@@ -64,14 +66,9 @@ def test_loglik_is_the_pairwise_dot_product():
     part = make_partition(
         "loc", [rng.integers(1, 16, size=k).tolist() for k in rng.choice([1, 3, 6], size=60)]
     )
-    xs = part.x
-    override = tuple(rng.uniform(0.1, 2.0, size=part.n_pairs).tolist())
-    for weights in (None, override):
-        ws = part.w if weights is None else list(weights)
-        cl = le.CompositeLikelihood(part, model, weights=weights)
-        for lam in (0.0, 0.3, 1.0, 12.0):
-            expected = float(np.dot(np.asarray(ws, dtype=float), pl.log_pmf(model, lam)[xs - 1]))
-            assert cl.loglik(lam) == expected
+    cl = le.CompositeLikelihood(part, model)
+    for lam in (0.0, 0.3, 1.0, 12.0):
+        assert cl.loglik(lam) == float(np.dot(part.w, pl.log_pmf(model, lam)[part.x - 1]))
 
 
 def test_out_of_range_x_names_the_pair():
@@ -136,18 +133,6 @@ def test_recovers_lambda_from_model_samples():
     assert 0.9 < lam_hat < 1.1
 
 
-def test_weight_scaling_leaves_argmax_unchanged():
-    model = make_model(0.2, list(range(1, 16)))
-    part = make_partition("loc", [[5, 9, 2], [12], [3]])
-    cl = le.CompositeLikelihood(part, model)
-    scaled = le.CompositeLikelihood(
-        part, model, weights=tuple(3.7 * w for w in part.w.tolist())
-    )
-    lam_a, _, _ = le.maximize(cl)
-    lam_b, _, _ = le.maximize(scaled)
-    assert abs(lam_a - lam_b) < 1e-6
-
-
 # -- alpha / sigma fit ---------------------------------------------------------------
 
 
@@ -158,7 +143,7 @@ def equicorrelated_groups(alpha, sigma2, sizes, seed):
         cov = sigma2 * ((1 - alpha) * np.eye(k) + alpha * np.ones((k, k)))
         chol = np.linalg.cholesky(cov)
         out.append(chol @ rng.standard_normal(k))
-    return out
+    return grouped_scores(out)
 
 
 def test_alpha_sigma_consistency():
@@ -171,7 +156,7 @@ def test_alpha_sigma_consistency():
 def test_alpha_unidentifiable_with_singletons():
     groups = [np.array([v]) for v in np.random.default_rng(1).normal(size=50)]
     with pytest.raises(AlphaUnidentifiableError):
-        le.fit_alpha_sigma(groups)
+        le.fit_alpha_sigma(grouped_scores(groups))
 
 
 def test_alpha_null_consistency():
@@ -182,7 +167,7 @@ def test_alpha_null_consistency():
 
 def test_degenerate_scores():
     with pytest.raises(DegenerateScoresError):
-        le.fit_alpha_sigma([np.array([1.0, 1.0]), np.array([1.0, 1.0])])
+        le.fit_alpha_sigma(grouped_scores([np.array([1.0, 1.0]), np.array([1.0, 1.0])]))
 
 
 def test_degenerate_scores_name_the_locus_at_mlst_geometry():
@@ -206,8 +191,8 @@ def test_fit_beats_alpha_zero_moment_start():
     groups = equicorrelated_groups(0.5, 2.0, [3, 3, 6, 10, 1, 3], seed=11)
     fit = le.fit_alpha_sigma(groups)
     mom_sigma2 = le.sigma2_given_alpha(groups, 0.0)
-    baseline = le.loglik_alpha_sigma(groups, 0.0, mom_sigma2)
-    assert fit.loglik_at_max >= baseline - 1e-12
+    baseline = loglik_alpha_sigma(groups, 0.0, mom_sigma2)
+    assert loglik_alpha_sigma(groups, fit.alpha, fit.sigma2) >= baseline - 1e-12
 
 
 # -- vectorised group sums against per-group loops -----------------------------------
@@ -262,9 +247,10 @@ ragged_groups = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(ragged_groups, st.floats(0.0, 0.9), st.floats(0.5, 4.0))
 def test_group_sums_match_per_group_loops(groups, alpha, sigma2):
-    assert _rel_close(le._quad_form(groups, alpha), _loop_quad_form(groups, alpha))
+    g = grouped_scores(groups)
+    assert _rel_close(le._quad_form(g, alpha), _loop_quad_form(groups, alpha))
     assert _rel_close(
-        le.loglik_alpha_sigma(groups, alpha, sigma2),
+        loglik_alpha_sigma(g, alpha, sigma2),
         _loop_loglik_alpha_sigma(groups, alpha, sigma2),
     )
 
@@ -280,14 +266,18 @@ def test_fit_alpha_sigma_matches_per_group_loop(groups):
     pooled = np.concatenate(groups)
     assume(pooled.max() > pooled.min())
     n = len(pooled)
-    fit = le.fit_alpha_sigma(groups)
+    g = grouped_scores(groups)
+    fit = le.fit_alpha_sigma(g)
     assert _rel_close(fit.sigma2, _loop_quad_form(groups, fit.alpha) / n)
-    assert _rel_close(fit.loglik_at_max, _loop_loglik_alpha_sigma(groups, fit.alpha, fit.sigma2))
+    assert _rel_close(
+        loglik_alpha_sigma(g, fit.alpha, fit.sigma2),
+        _loop_loglik_alpha_sigma(groups, fit.alpha, fit.sigma2),
+    )
     for alpha in (0.0, 0.3, 0.9, 0.999, DEFAULT_TOL.alpha_cap):
-        sigma2 = le.sigma2_given_alpha(groups, alpha)
+        sigma2 = le.sigma2_given_alpha(g, alpha)
         assert _rel_close(sigma2, _loop_quad_form(groups, alpha) / n)
         assert _rel_close(
-            le.loglik_alpha_sigma(groups, alpha, sigma2),
+            loglik_alpha_sigma(g, alpha, sigma2),
             _loop_loglik_alpha_sigma(groups, alpha, sigma2),
         )
 

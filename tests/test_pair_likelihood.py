@@ -71,7 +71,7 @@ def test_theta_ratio_pairwise():
 
 def test_theta_ratio_cap():
     with pytest.raises(DegenerateRatioError):
-        pl.ThetaRatio("loc", 0.95, "length")
+        pl.ThetaRatio("loc", 0.95)
 
 
 # -- mass / pmf ----------------------------------------------------------------
