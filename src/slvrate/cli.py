@@ -13,6 +13,7 @@ seeds reproduces the output byte for byte.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -23,7 +24,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import __version__, parallel
-from .errors import ConfigError, InvalidParamsError, SlvRateError
+from .errors import ConfigError, InvalidParamsError, SlvRateError, TooFewUnitsError
 from .experiment import ExperimentReport, RecoveryDesign, SimDesign, run_experiment
 from .import_dist import DEFAULT_PA, ImportDistribution
 from .joint_inference import JointFit, VariationTestResult, joint_fit
@@ -32,12 +33,18 @@ from .mlst_io import (
     build_dataset,
     parse_allele_fasta,
     parse_profiles,
-    text_lines,
+    read_text,
     write_allele_fasta,
     write_profiles,
 )
 from .numerics import DEFAULT_TOL
-from .pipeline import AnalysisOptions, analyze_dataset, build_import_dists, fit_loci
+from .pipeline import (
+    AnalysisOptions,
+    analyze_dataset,
+    build_import_dists,
+    fit_loci,
+    locus_import_dist,
+)
 from .simulate import (
     CompleteImport,
     EmpiricalImport,
@@ -150,9 +157,9 @@ def _load_dataset(args):
     if args.loci:
         loci = [name.strip() for name in args.loci.split(",") if name.strip()]
     else:
-        for _lineno, line in text_lines(profiles_path):
+        for line in read_text(profiles_path).split("\n"):
             if line.strip() and not line.lstrip().startswith("#"):
-                header = [tok.strip() for tok in line.rstrip("\n").split("\t")]
+                header = [tok.strip() for tok in line.split("\t")]
                 break
         else:
             header = []
@@ -174,9 +181,9 @@ def _load_dataset(args):
         profiles_path, loci, st_column=args.st_column, count_column=args.count_column
     )
     alleles = {name: parse_allele_fasta(fasta_paths[name], name) for name in loci}
-    dataset, report = build_dataset(profiles, alleles, mode=args.mode)
+    dataset, repairs = build_dataset(profiles, alleles, mode=args.mode)
     inputs = [profiles_path, *fasta_paths.values()]
-    return dataset, report, inputs
+    return dataset, repairs, inputs
 
 
 def _analysis_options(args) -> AnalysisOptions:
@@ -296,7 +303,7 @@ def _variation_doc(result: VariationTestResult) -> dict:
 
 
 def cmd_extract(args) -> int:
-    dataset, report, inputs = _load_dataset(args)
+    dataset, repairs, inputs = _load_dataset(args)
     lines = ["locus\tgroup_id\tst_a\tst_b\tx\tweight"]
     for meta in dataset.loci:
         part = extract_slv(dataset, meta.name, mode=args.mode)
@@ -307,8 +314,8 @@ def cmd_extract(args) -> int:
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         meta_doc = _meta("extract", {"mode": args.mode, "loci": list(dataset.locus_names)}, inputs)
-        if report:
-            meta_doc["lenient_repairs"] = list(report.messages)
+        if repairs:
+            meta_doc["lenient_repairs"] = list(repairs)
         write_json(Path(str(args.out) + ".meta.json"), meta_doc)
     else:
         sys.stdout.write(text)
@@ -320,12 +327,18 @@ def cmd_import_dist(args) -> int:
         raise ConfigError(f"--pa must be in [0,1], got {args.p_a}")
     if args.draws < 1:
         raise ConfigError(f"--draws must be >= 1, got {args.draws}")
-    dataset, _report, inputs = _load_dataset(args)
+    dataset, _repairs, inputs = _load_dataset(args)
     if args.locus != "all" and args.locus not in dataset.locus_names:
         raise ConfigError(f"unknown locus {args.locus!r}; loci are {', '.join(dataset.locus_names)}")
     wanted = list(dataset.locus_names) if args.locus == "all" else [args.locus]
     opts = _analysis_options(args)
-    dists = build_import_dists(dataset, opts, workers=parallel.usable_cores())
+    if args.locus == "all":
+        dists = build_import_dists(dataset, opts, workers=parallel.usable_cores())
+    else:
+        try:
+            dists = {args.locus: locus_import_dist(dataset, opts, dataset.locus_index(args.locus))}
+        except TooFewUnitsError:
+            dists = {}
     for name in wanted:
         if name not in dists:
             raise ConfigError(f"locus {name!r} unavailable (fewer than 2 usable units)")
@@ -348,7 +361,7 @@ def _analyze(args, step):
     """Run a pipeline step (``fit_loci`` or ``analyze_dataset``) on the
     command's dataset and optional stored import distributions, estimating
     missing import distributions on every usable core."""
-    dataset, _report, inputs = _load_dataset(args)
+    dataset, _repairs, inputs = _load_dataset(args)
     loaded = _load_dists(args)
     opts = _analysis_options(args)
     dists = None
@@ -654,6 +667,15 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # Move every object alive now, numpy's and slvrate's import-time objects
+    # among them, out of the cyclic collector's reach, as CPython advises
+    # before a fork without exec: forked workers then do not copy those pages
+    # when a collection would touch them, and interpreter exit does not walk
+    # them. Objects created later are collected as usual. Only the first call
+    # in a process freezes: a later one would also freeze the cyclic garbage
+    # of the calls before it, which then could never be collected.
+    if not gc.get_freeze_count():
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -120,13 +120,13 @@ def allele_distance_matrix(dataset: MlstDataset, locus: str) -> tuple[list[int],
 
         D = V V^T - sum_b H_b H_b^T,  V = (codes != 255),  H_b = (codes == b),
 
-    over the bases b = A, C, G, T. Pure-ACGT and masked (lenient) data
-    take this one path. The products run as float32 BLAS matmuls: every
-    term is 0 or 1, so every partial sum is an integer no larger than the
-    locus length m and is exact while m < 2**24. The result is therefore
-    bit-exact whatever the BLAS blocking or thread count; longer loci
-    raise InvalidParamsError. One (A, m) indicator buffer and one (A, A)
-    product buffer are reused across the five products.
+    over the bases b = A, C, G, T. When no allele holds a masked code,
+    V V^T is m everywhere and is not computed. The products run as float32
+    BLAS matmuls: every term is 0 or 1, so every partial sum is an integer
+    no larger than the locus length m and is exact while m < 2**24. The
+    result is therefore bit-exact whatever the BLAS blocking or thread
+    count; longer loci raise InvalidParamsError. One (A, m) indicator
+    buffer and one (A, A) product buffer are reused across the products.
     """
     meta = dataset.locus_meta(locus)
     all_ids, lengths, codes = dataset.allele_codes(locus)
@@ -143,8 +143,11 @@ def allele_distance_matrix(dataset: MlstDataset, locus: str) -> tuple[list[int],
     n = len(ids)
     hot = np.empty(stack.shape, dtype=np.float32)
     prod = np.empty((n, n), dtype=np.float32)
-    np.not_equal(stack, 255, out=hot)
-    acc = np.matmul(hot, hot.T)
+    if (stack == 255).any():
+        np.not_equal(stack, 255, out=hot)
+        acc = np.matmul(hot, hot.T)
+    else:
+        acc = np.full((n, n), meta.length, dtype=np.float32)
     for base in range(4):
         np.equal(stack, base, out=hot)
         np.matmul(hot, hot.T, out=prod)

@@ -5,6 +5,13 @@ File conventions follow pubmlst.org exports: a tab-separated profile table
 locus with headers like ``>aspA_1`` or plain ``>1``. The result of
 :func:`build_dataset` is immutable and safe to share across threads.
 
+Each file is read whole and checked a record at a time: a FASTA record's
+sequence lines are joined and checked as one string, and a profile table
+whose rows all have the same number of cells is converted a column at a
+time. A record or table that fails such a check is checked again line
+by line, so that the error raised names the first faulty line, as a reader
+that checks every line would.
+
 Two validation modes:
 
 * ``strict`` rejects anything suspect (missing alleles, off-length
@@ -16,11 +23,12 @@ Two validation modes:
 
 from __future__ import annotations
 
+import re
 import string
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -79,16 +87,6 @@ class StProfile:
     st_id: int
     alleles: tuple[int, ...]
     isolate_count: int = 1
-
-
-@dataclass(frozen=True)
-class BuildReport:
-    """What lenient construction had to repair; empty in strict mode."""
-
-    messages: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return bool(self.messages)
 
 
 @dataclass(frozen=True)
@@ -198,19 +196,21 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 # -- parsing ------------------------------------------------------------------
 
 
-def text_lines(path: Path) -> Iterator[tuple[int, str]]:
-    """(line number, line) of a UTF-8 text file, from line 1. A file that
-    cannot be opened, or holds bytes that are not UTF-8, is a ParseError
-    naming it."""
+# a line whose first character other than blank space is '>' opens a record
+_RECORD_START = re.compile(r"\n[^\S\n]*>")
+
+
+def read_text(path: Path) -> str:
+    """The whole of a UTF-8 text file, with CRLF and CR line ends read as
+    LF. A file that cannot be read, or holds bytes that are not UTF-8, is a
+    ParseError naming it."""
     try:
-        fh = path.open("r", encoding="utf-8")
+        with path.open("r", encoding="utf-8") as fh:
+            return fh.read()
     except OSError as err:
         raise ParseError(f"cannot read the file ({err.strerror})", str(path)) from None
-    with fh:
-        try:
-            yield from enumerate(fh, start=1)
-        except UnicodeDecodeError as err:
-            raise ParseError(f"not UTF-8 text ({err.reason})", str(path)) from None
+    except UnicodeDecodeError as err:
+        raise ParseError(f"not UTF-8 text ({err.reason})", str(path)) from None
 
 
 def parse_profiles(
@@ -222,11 +222,27 @@ def parse_profiles(
     """Parse a tab-separated profile table into sequence-type profiles.
 
     Columns not named are ignored (pubmlst exports carry extras such as
-    clonal_complex). Lines starting with '#' are skipped. Each row is
-    validated as it is read.
+    clonal_complex). Blank lines and lines starting with '#' are skipped.
+    When every row has the same number of cells, each named column is
+    converted and checked in one pass; otherwise, or when that pass finds
+    a fault, the rows are checked one at a time, and the first faulty row
+    raises.
     """
     path = Path(path)
-    col_index: dict[str, int] | None = None
+    lines = read_text(path).split("\n")
+    kept = [i for i, line in enumerate(lines) if line.strip() and not line.lstrip().startswith("#")]
+    if not kept:
+        raise EmptyFileError("profile file has no content", str(path))
+    col_index: dict[str, int] = {}
+    for idx, name in enumerate(lines[kept[0]].split("\t")):
+        col_index.setdefault(name.strip(), idx)
+    columns = [st_column, *locus_columns] + ([count_column] if count_column else [])
+    for needed in columns:
+        if needed not in col_index:
+            raise MissingColumnError(f"column {needed!r} not in header", str(path), kept[0] + 1)
+    data = [lines[i] for i in kept[1:]]
+    if not data:
+        raise EmptyFileError("profile file has a header but no data rows", str(path))
 
     def cell(fields: list[str], col: str, lineno: int) -> str:
         idx = col_index[col]
@@ -234,21 +250,9 @@ def parse_profiles(
             raise NonIntegerAlleleError(f"row too short for column {col!r}", str(path), lineno)
         return fields[idx].strip()
 
-    profiles: list[StProfile] = []
-    seen: set[int] = set()
-    for lineno, raw in text_lines(path):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    def checked(line: str, lineno: int, seen: set[int]) -> tuple[int, ...]:
+        """One row's values in ``columns`` order, checked cell by cell."""
         fields = line.split("\t")
-        if col_index is None:  # the header
-            col_index = {}
-            for idx, name in enumerate(fields):
-                col_index.setdefault(name.strip(), idx)
-            for needed in [st_column, *locus_columns] + ([count_column] if count_column else []):
-                if needed not in col_index:
-                    raise MissingColumnError(f"column {needed!r} not in header", str(path), lineno)
-            continue
         st_tok = cell(fields, st_column, lineno)
         try:
             st_id = int(st_tok)
@@ -257,7 +261,7 @@ def parse_profiles(
         if st_id in seen:
             raise DuplicateStError(f"duplicate ST {st_id}", str(path), lineno)
         seen.add(st_id)
-        allele_ids = []
+        values = [st_id]
         for col in locus_columns:
             tok = cell(fields, col, lineno)
             try:
@@ -270,8 +274,7 @@ def parse_profiles(
                 raise NonIntegerAlleleError(
                     f"allele id must be positive, got {aid} in column {col!r}", str(path), lineno
                 )
-            allele_ids.append(aid)
-        count = 1
+            values.append(aid)
         if count_column:
             tok = cell(fields, count_column, lineno)
             try:
@@ -280,11 +283,28 @@ def parse_profiles(
                 raise NonIntegerAlleleError(f"count {tok!r} is not an integer", str(path), lineno)
             if count <= 0:
                 raise NonIntegerAlleleError(f"count must be positive, got {count}", str(path), lineno)
-        profiles.append(StProfile(st_id=st_id, alleles=tuple(allele_ids), isolate_count=count))
-    if col_index is None:
-        raise EmptyFileError("profile file has no content", str(path))
-    if not profiles:
-        raise EmptyFileError("profile file has a header but no data rows", str(path))
+            values.append(count)
+        return tuple(values)
+
+    rows = None
+    width = data[0].count("\t") + 1
+    picked = [col_index[col] for col in columns]
+    if max(picked) < width and all(line.count("\t") == width - 1 for line in data):
+        cells = "\t".join(data).split("\t")
+        try:  # int() ignores the blank space around a cell, as cell() strips it
+            by_column = [list(map(int, cells[idx::width])) for idx in picked]
+        except ValueError:
+            by_column = None
+        if (by_column and len(set(by_column[0])) == len(data)
+                and min(map(min, by_column[1:]), default=1) > 0):
+            rows = zip(*by_column)
+    if rows is None:
+        seen: set[int] = set()
+        rows = [checked(line, i + 1, seen) for line, i in zip(data, kept[1:])]
+    n_loci = len(locus_columns)
+    profiles = [
+        StProfile(row[0], row[1 : n_loci + 1], row[-1] if count_column else 1) for row in rows
+    ]
     profiles.sort(key=lambda p: p.st_id)
     return profiles
 
@@ -295,54 +315,58 @@ def parse_allele_fasta(path: str | Path, locus: str) -> list[AlleleSequence]:
     Headers may be ``>{locus}_{allele_id}`` or bare ``>{allele_id}``; the
     allele id is the trailing integer of the first header token. Sequences
     have their ASCII letters uppercased (which never changes a line's
-    length) and multi-line records concatenated.
+    length) and multi-line records concatenated. Each record is checked as
+    one string; only a record that fails that check, or holds blank space,
+    is checked line by line, to find its faulty line.
     """
     path = Path(path)
+    preamble, *chunks = _RECORD_START.split("\n" + read_text(path))
+
+    def line_of(k: int, offset: int = 0) -> int:
+        """The file line number of line ``offset`` of record ``k`` (0: its header)."""
+        return preamble.count("\n") + sum(c.count("\n") for c in chunks[:k]) + k + 1 + offset
+
+    for lineno, line in enumerate(preamble.split("\n")):
+        if line.strip():
+            raise MalformedHeaderError("sequence data before any header", str(path), lineno)
     records: list[AlleleSequence] = []
     seen: set[int] = set()
-    header_tok: str | None = None
-    header_line = 0
-    chunks: list[str] = []
-
-    def flush() -> None:
-        if header_tok is None:
-            return
-        seq = "".join(chunks)
+    for k, chunk in enumerate(chunks):
+        header, _, body = chunk.partition("\n")
+        tokens = header.split(None, 1)
+        if not tokens:
+            raise MalformedHeaderError("empty FASTA header", str(path), line_of(k))
+        header_tok = tokens[0]
+        seq = body.replace("\n", "").translate(_ASCII_UPPER)
+        if not seq.isalpha():  # blank space, an invalid character, or no sequence
+            lines = []
+            for offset, line in enumerate(body.split("\n"), start=1):
+                up = line.strip().translate(_ASCII_UPPER)
+                if up and not up.isalpha():
+                    raise ParseError(
+                        f"invalid sequence characters in {up!r}", str(path), line_of(k, offset)
+                    )
+                lines.append(up)
+            seq = "".join(lines)
         if not seq:
-            raise EmptySequenceError(f"record {header_tok!r} has no sequence", str(path), header_line)
+            raise EmptySequenceError(
+                f"record {header_tok!r} has no sequence", str(path), line_of(k)
+            )
         tail = header_tok.rsplit("_", 1)[-1]
         try:
             aid = int(tail)
         except ValueError:
             raise MalformedHeaderError(
-                f"header {header_tok!r} has no trailing allele number", str(path), header_line
+                f"header {header_tok!r} has no trailing allele number", str(path), line_of(k)
             )
         if aid <= 0:
-            raise MalformedHeaderError(f"allele id must be positive in {header_tok!r}", str(path), header_line)
+            raise MalformedHeaderError(
+                f"allele id must be positive in {header_tok!r}", str(path), line_of(k)
+            )
         if aid in seen:
-            raise DuplicateAlleleError(f"allele {aid} appears twice", str(path), header_line)
+            raise DuplicateAlleleError(f"allele {aid} appears twice", str(path), line_of(k))
         seen.add(aid)
         records.append(AlleleSequence(locus=locus, allele_id=aid, sequence=seq))
-
-    for lineno, raw in text_lines(path):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(">"):
-            flush()
-            header_tok = line[1:].split()[0] if line[1:].split() else ""
-            if not header_tok:
-                raise MalformedHeaderError("empty FASTA header", str(path), lineno)
-            header_line = lineno
-            chunks = []
-        else:
-            if header_tok is None:
-                raise MalformedHeaderError("sequence data before any header", str(path), lineno)
-            up = line.translate(_ASCII_UPPER)
-            if not up.isalpha():
-                raise ParseError(f"invalid sequence characters in {up!r}", str(path), lineno)
-            chunks.append(up)
-    flush()
     if not records:
         raise EmptyFileError("FASTA file has no records", str(path))
     records.sort(key=lambda a: a.allele_id)
@@ -356,12 +380,12 @@ def build_dataset(
     profiles: Sequence[StProfile],
     alleles_by_locus: Mapping[str, Sequence[AlleleSequence]],
     mode: str = "strict",
-) -> tuple[MlstDataset, BuildReport]:
+) -> tuple[MlstDataset, tuple[str, ...]]:
     """Assemble and validate an immutable dataset.
 
     Locus order is the key order of ``alleles_by_locus`` and must match the
     positional order of each profile's allele list. Returns the dataset and
-    a report of the lenient-mode repairs (empty when strict succeeds).
+    a message per lenient-mode repair (none when strict succeeds).
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"mode must be strict or lenient, got {mode!r}")
@@ -458,7 +482,7 @@ def build_dataset(
         profiles=tuple(kept),
         excluded_at={name: frozenset(ids) for name, ids in excluded.items() if ids},
     )
-    return dataset, BuildReport(messages=tuple(messages))
+    return dataset, tuple(messages)
 
 
 def hamming(a: AlleleSequence, b: AlleleSequence) -> int:

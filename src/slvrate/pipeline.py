@@ -58,6 +58,23 @@ class AnalysisResult:
     likelihoods: tuple[CompositeLikelihood, ...] = ()   # one per fitted locus
 
 
+def locus_import_dist(
+    dataset: MlstDataset, opts: AnalysisOptions, index: int
+) -> ImportDistribution:
+    """The import pmf of the locus at ``index`` in the dataset, from the
+    seed derived for that index, so that it does not depend on which other
+    loci are estimated. TooFewUnitsError when it has under two usable units."""
+    meta = dataset.loci[index]
+    table = pairwise_diffs(dataset, meta.name, weighting=opts.weighting)
+    return estimate_import_dist(
+        table,
+        m=meta.length,
+        p_a=opts.p_a,
+        draws=opts.draws,
+        seed=derived_seed(opts.seed, SeedDomain.IMPORT_SEED, index),
+    )
+
+
 def build_import_dists(
     dataset: MlstDataset, opts: AnalysisOptions, workers: int = 1
 ) -> dict[str, ImportDistribution]:
@@ -73,16 +90,8 @@ def build_import_dists(
         # (kept so that the error raised is the serial loop's)
         outputs: list = []
         for index in range(first, len(dataset.loci), step):
-            meta = dataset.loci[index]
             try:
-                table = pairwise_diffs(dataset, meta.name, weighting=opts.weighting)
-                outputs.append(estimate_import_dist(
-                    table,
-                    m=meta.length,
-                    p_a=opts.p_a,
-                    draws=opts.draws,
-                    seed=derived_seed(opts.seed, SeedDomain.IMPORT_SEED, index),
-                ))
+                outputs.append(locus_import_dist(dataset, opts, index))
             except TooFewUnitsError:
                 outputs.append(None)
             except Exception as err:

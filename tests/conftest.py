@@ -16,8 +16,8 @@ def load_demo_dataset() -> mlst_io.MlstDataset:
     alleles = {
         locus: mlst_io.parse_allele_fasta(DEMO / f"{locus}.fas", locus) for locus in DEMO_LOCI
     }
-    dataset, report = mlst_io.build_dataset(profiles, alleles, mode="strict")
-    assert not report
+    dataset, repairs = mlst_io.build_dataset(profiles, alleles, mode="strict")
+    assert repairs == ()
     return dataset
 
 

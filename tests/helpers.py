@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -13,7 +15,15 @@ from slvrate import mlst_io
 from slvrate import pair_likelihood as pl
 from slvrate.errors import (
     DataError,
+    DuplicateAlleleError,
+    DuplicateStError,
+    EmptyFileError,
+    EmptySequenceError,
     InvalidParamsError,
+    MalformedHeaderError,
+    MissingColumnError,
+    NonIntegerAlleleError,
+    ParseError,
     TooFewStsError,
     ZeroDifferencePairError,
 )
@@ -230,7 +240,7 @@ def random_lenient_dataset(rng):
         for st_id in rng.permutation(np.arange(1, n_sts + 1) * 3).tolist()
     ]
     try:
-        dataset, _report = mlst_io.build_dataset(profiles, alleles, mode="lenient")
+        dataset, _ = mlst_io.build_dataset(profiles, alleles, mode="lenient")
     except TooFewStsError:
         return None
     profiles = [dataset.profiles[i] for i in rng.permutation(len(dataset.profiles))]
@@ -243,3 +253,148 @@ def random_lenient_dataset(rng):
             if allele(dataset, locus, aid) is None:
                 excluded[locus] = excluded[locus] | {st_id}
     return dataclasses.replace(dataset, profiles=tuple(profiles), excluded_at=excluded)
+
+
+# -- line-by-line reference parsers -------------------------------------------------
+
+
+def _text_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) of a UTF-8 text file, from line 1. A file that
+    cannot be opened, or holds bytes that are not UTF-8, is a ParseError
+    naming it."""
+    try:
+        fh = path.open("r", encoding="utf-8")
+    except OSError as err:
+        raise ParseError(f"cannot read the file ({err.strerror})", str(path)) from None
+    with fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as err:
+            raise ParseError(f"not UTF-8 text ({err.reason})", str(path)) from None
+
+
+def reference_parse_profiles(
+    path: str | Path,
+    locus_columns: Sequence[str],
+    st_column: str = "ST",
+    count_column: str | None = None,
+) -> list[mlst_io.StProfile]:
+    """Reference for ``mlst_io.parse_profiles``: the file read a line at a
+    time, and every row checked cell by cell as it is read."""
+    path = Path(path)
+    col_index: dict[str, int] | None = None
+
+    def cell(fields: list[str], col: str, lineno: int) -> str:
+        idx = col_index[col]
+        if idx >= len(fields):
+            raise NonIntegerAlleleError(f"row too short for column {col!r}", str(path), lineno)
+        return fields[idx].strip()
+
+    profiles: list[mlst_io.StProfile] = []
+    seen: set[int] = set()
+    for lineno, raw in _text_lines(path):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if col_index is None:  # the header
+            col_index = {}
+            for idx, name in enumerate(fields):
+                col_index.setdefault(name.strip(), idx)
+            for needed in [st_column, *locus_columns] + ([count_column] if count_column else []):
+                if needed not in col_index:
+                    raise MissingColumnError(f"column {needed!r} not in header", str(path), lineno)
+            continue
+        st_tok = cell(fields, st_column, lineno)
+        try:
+            st_id = int(st_tok)
+        except ValueError:
+            raise NonIntegerAlleleError(f"ST value {st_tok!r} is not an integer", str(path), lineno)
+        if st_id in seen:
+            raise DuplicateStError(f"duplicate ST {st_id}", str(path), lineno)
+        seen.add(st_id)
+        allele_ids = []
+        for col in locus_columns:
+            tok = cell(fields, col, lineno)
+            try:
+                aid = int(tok)
+            except ValueError:
+                raise NonIntegerAlleleError(
+                    f"allele {tok!r} in column {col!r} is not an integer", str(path), lineno
+                )
+            if aid <= 0:
+                raise NonIntegerAlleleError(
+                    f"allele id must be positive, got {aid} in column {col!r}", str(path), lineno
+                )
+            allele_ids.append(aid)
+        count = 1
+        if count_column:
+            tok = cell(fields, count_column, lineno)
+            try:
+                count = int(tok)
+            except ValueError:
+                raise NonIntegerAlleleError(f"count {tok!r} is not an integer", str(path), lineno)
+            if count <= 0:
+                raise NonIntegerAlleleError(f"count must be positive, got {count}", str(path), lineno)
+        profiles.append(mlst_io.StProfile(st_id=st_id, alleles=tuple(allele_ids), isolate_count=count))
+    if col_index is None:
+        raise EmptyFileError("profile file has no content", str(path))
+    if not profiles:
+        raise EmptyFileError("profile file has a header but no data rows", str(path))
+    profiles.sort(key=lambda p: p.st_id)
+    return profiles
+
+
+def reference_parse_allele_fasta(path: str | Path, locus: str) -> list[mlst_io.AlleleSequence]:
+    """Reference for ``mlst_io.parse_allele_fasta``: the file read a line at
+    a time, and every sequence line checked as it is read."""
+    path = Path(path)
+    records: list[mlst_io.AlleleSequence] = []
+    seen: set[int] = set()
+    header_tok: str | None = None
+    header_line = 0
+    chunks: list[str] = []
+
+    def flush() -> None:
+        if header_tok is None:
+            return
+        seq = "".join(chunks)
+        if not seq:
+            raise EmptySequenceError(f"record {header_tok!r} has no sequence", str(path), header_line)
+        tail = header_tok.rsplit("_", 1)[-1]
+        try:
+            aid = int(tail)
+        except ValueError:
+            raise MalformedHeaderError(
+                f"header {header_tok!r} has no trailing allele number", str(path), header_line
+            )
+        if aid <= 0:
+            raise MalformedHeaderError(f"allele id must be positive in {header_tok!r}", str(path), header_line)
+        if aid in seen:
+            raise DuplicateAlleleError(f"allele {aid} appears twice", str(path), header_line)
+        seen.add(aid)
+        records.append(mlst_io.AlleleSequence(locus=locus, allele_id=aid, sequence=seq))
+
+    for lineno, raw in _text_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith(">"):
+            flush()
+            header_tok = line[1:].split()[0] if line[1:].split() else ""
+            if not header_tok:
+                raise MalformedHeaderError("empty FASTA header", str(path), lineno)
+            header_line = lineno
+            chunks = []
+        else:
+            if header_tok is None:
+                raise MalformedHeaderError("sequence data before any header", str(path), lineno)
+            up = line.translate(mlst_io._ASCII_UPPER)
+            if not up.isalpha():
+                raise ParseError(f"invalid sequence characters in {up!r}", str(path), lineno)
+            chunks.append(up)
+    flush()
+    if not records:
+        raise EmptyFileError("FASTA file has no records", str(path))
+    records.sort(key=lambda a: a.allele_id)
+    return records

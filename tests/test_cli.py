@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
-from conftest import DEMO
+from conftest import DEMO, REPO
 
 from slvrate import experiment, parallel, pipeline
 from slvrate.cli import main, render_json
@@ -115,6 +119,25 @@ def test_import_dist_unknown_locus_exits_one_before_any_estimate(tmp_path, capsy
     assert not (tmp_path / "x.json").exists()
 
 
+def test_import_dist_named_locus_estimates_only_that_locus(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(table, *args, **kwargs):
+        calls.append(table.locus)
+        return estimate(table, *args, **kwargs)
+
+    estimate = pipeline.estimate_import_dist
+    monkeypatch.setattr(pipeline, "estimate_import_dist", counting)
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 1)  # every call in this process
+    args = ["import-dist", *dataset_args(), "-M", "2000", "--seed", "9"]
+    assert run(*args, "--locus", "gltA", "--out", tmp_path / "gltA.json") == 0
+    assert calls == ["gltA"]
+    assert run(*args, "--locus", "all", "--out", tmp_path / "all") == 0
+    assert calls == ["gltA", "aspA", "glnA", "gltA"]
+    one, every = tmp_path / "gltA.json", tmp_path / "all" / "gltA.dist.json"
+    assert one.read_bytes() == every.read_bytes()
+
+
 def test_import_dist_bad_pa_exits_one(tmp_path):
     assert run("import-dist", *dataset_args(), "--pa", "1.5", "--out", tmp_path / "x.json") == 1
 
@@ -181,6 +204,36 @@ def test_analysis_outputs_do_not_depend_on_the_usable_cores(tmp_path, monkeypatc
     assert seen == [1, 1, 1, 3, 3, 3]
     assert len(outputs[1]) == 6
     assert outputs[3] == outputs[1]
+
+
+def test_a_fresh_interpreter_writes_what_an_in_process_run_writes(tmp_path):
+    # only a fresh interpreter runs main's start-up and the interpreter's exit
+    argv = ["test-variation", *map(str, dataset_args()), "-M", "2000"]
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh.mkdir()
+    here.mkdir()
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src") + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from slvrate.cli import main; sys.exit(main())", *argv,
+         "--out", str(fresh / "var.json"), "--forest-out", str(fresh / "forest.tsv")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert run(*argv, "--out", here / "var.json", "--forest-out", here / "forest.tsv") == 0
+    for name in ("var.json", "forest.tsv"):
+        assert (fresh / name).read_bytes() == (here / name).read_bytes()
+
+
+def test_only_the_first_main_call_in_a_process_freezes_the_heap():
+    assert run("--version") == 0
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    cycle = []
+    cycle.append(cycle)  # garbage once deleted, which a second freeze would keep forever
+    del cycle
+    assert run("--version") == 0
+    assert gc.get_freeze_count() == frozen
 
 
 # -- simulate / experiment -----------------------------------------------------------------

@@ -154,7 +154,7 @@ def test_pairwise_diffs_too_few_units():
         "locA": [mlst_io.AlleleSequence("locA", 1, "ACGT")],
         "locB": [mlst_io.AlleleSequence("locB", 1, "AAAA"), mlst_io.AlleleSequence("locB", 2, "AAAT")],
     }
-    dataset, report = mlst_io.build_dataset(
+    dataset, _ = mlst_io.build_dataset(
         [profiles[0], mlst_io.StProfile(2, (9, 2))], alleles, mode="lenient"
     )
     with pytest.raises(TooFewUnitsError):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from helpers import usable_at
+from helpers import reference_parse_allele_fasta, reference_parse_profiles, usable_at
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +16,7 @@ from slvrate.errors import (
     MalformedHeaderError,
     MissingColumnError,
     NonIntegerAlleleError,
+    ParseError,
     ReferentialIntegrityError,
     TooFewLociError,
 )
@@ -65,6 +66,16 @@ def test_parse_profiles_empty(tmp_path):
     path2 = write(tmp_path, "p2.tsv", "ST\tlocA\tlocB\n")
     with pytest.raises(EmptyFileError):
         mlst_io.parse_profiles(path2, ["locA", "locB"])
+
+
+def test_a_file_that_is_not_utf8_is_rejected_before_its_rows_are_checked(tmp_path):
+    # line 3 repeats ST 1, but the file is not UTF-8: that is the fault named
+    rows = "".join(f"{st_id}\t1\t1\n" for st_id in range(1, 3000))
+    path = tmp_path / "p.tsv"
+    path.write_bytes(b"ST\tlocA\tlocB\n1\t1\t1\n" + rows.encode() + b"\xff\n")
+    with pytest.raises(ParseError) as info:
+        mlst_io.parse_profiles(path, ["locA", "locB"])
+    assert str(info.value) == f"not UTF-8 text (invalid start byte) [{path}]"
 
 
 def test_parse_profiles_ignores_extra_columns(demo_dataset):
@@ -120,8 +131,8 @@ def test_build_dataset_referential_integrity():
     profiles[1] = mlst_io.StProfile(2, (99, 2))
     with pytest.raises(ReferentialIntegrityError):
         mlst_io.build_dataset(profiles, alleles, mode="strict")
-    dataset, report = mlst_io.build_dataset(profiles, alleles, mode="lenient")
-    assert report
+    dataset, repairs = mlst_io.build_dataset(profiles, alleles, mode="lenient")
+    assert repairs
     assert not usable_at(dataset, "locA", 2)
     assert usable_at(dataset, "locB", 2)
 
@@ -194,8 +205,8 @@ def test_round_trip(tmp_path, demo_dataset):
         locus: mlst_io.parse_allele_fasta(tmp_path / f"{locus}.fas", locus)
         for locus in demo_dataset.locus_names
     }
-    rebuilt, report = mlst_io.build_dataset(profiles, alleles, mode="strict")
-    assert not report
+    rebuilt, repairs = mlst_io.build_dataset(profiles, alleles, mode="strict")
+    assert repairs == ()
     assert rebuilt.loci == demo_dataset.loci
     assert rebuilt.profiles == demo_dataset.profiles
     assert rebuilt.alleles == demo_dataset.alleles
@@ -215,3 +226,138 @@ def test_build_order_independent(demo_dataset):
     rebuilt, _ = mlst_io.build_dataset(profiles, alleles, mode="strict")
     assert rebuilt.profiles == demo_dataset.profiles
     assert rebuilt.alleles == demo_dataset.alleles
+
+
+# -- record-at-a-time parsers against the line-by-line references -----------------
+
+_NEWLINES = ["\n", "\r\n", "\r"]
+_BLANKS = ["", " ", "\t", "  \t", "\x0c", "　"]
+
+
+def _bytes(rng, lines) -> bytes:
+    """The lines joined with one line end, or a mix of all three, maybe
+    without a final line end and maybe with bytes that are not UTF-8."""
+    mixed = rng.random() < 0.3
+    newline = rng.choice(_NEWLINES)
+    text = "".join(line + (rng.choice(_NEWLINES) if mixed else newline) for line in lines)
+    if lines and rng.random() < 0.3:
+        text = text.rstrip("\r\n")
+    data = text.encode("utf-8")
+    if rng.random() < 0.05:
+        cut = rng.randrange(len(data) + 1)
+        data = data[:cut] + rng.choice([b"\xff", b"\xe9\xff", b"\xc3"]) + data[cut:]
+    return data
+
+
+def _fasta_lines(rng) -> list[str]:
+    clean = rng.random() < 0.5  # well-formed records with distinct ids, maybe blank space
+    lines = []
+    if not clean and rng.random() < 0.2:
+        lines.append(rng.choice(["ACGT", "#comment", "  acgt"]))  # data before any header
+    for aid in rng.sample(range(1, 9), rng.randrange(int(clean), 6)):
+        pad = rng.choice(["", "", "", " ", "\t"])
+        token = rng.choice(["aspA_{}", "{}", "x_y_{}", "aspA_{} descr", " aspA_{}\tmore"])
+        if not clean and rng.random() < 0.3:
+            token = rng.choice(["aspA_one", "", "aspA_-{}", "aspA_0", "{}"])
+            aid = rng.randrange(0, 4)
+        lines.append(f"{pad}>{token.format(aid)}")
+        for _ in range(rng.randrange(int(clean), 4)):
+            kind = rng.random()
+            if kind < 0.15:
+                lines.append(rng.choice(_BLANKS))
+            elif not clean and kind < 0.3:
+                lines.append(rng.choice(["AC GT", "AC-GT", "ACG*", "AC1T", "#", "ACGT>AC"]))
+            else:
+                bases = "".join(rng.choices("ACGTACGTacgtNnßÉ", k=rng.randrange(1, 9)))
+                pad, tail = rng.choice(["", "", " ", "\t"]), rng.choice(["", "", " ", "\x0b"])
+                lines.append(pad + bases + tail)
+    return lines
+
+
+def _profile_lines(rng) -> tuple[list[str], list[str], str | None]:
+    loci = ["locA", "locB"][: rng.randrange(1, 3)]
+    count = rng.choice([None, None, "count"])
+    header = ["ST", *loci] + ([count] if count else []) + ["clonal_complex"] * rng.randrange(0, 2)
+    rng.shuffle(header)
+    if rng.random() < 0.1:
+        header.remove(rng.choice(header))  # a missing column
+    lines = []
+    for _ in range(rng.randrange(0, 3)):
+        lines.append(rng.choice(_BLANKS + ["# comment", "  # indented"]))
+    lines.append("\t".join(rng.choice(["{}", "{}", " {} "]).format(name) for name in header))
+    clean = rng.random() < 0.5  # every cell well formed, so that whole columns are read at once
+    ragged = rng.random() < 0.3  # rows of more than one width
+    st_ids = rng.sample(range(1, 40), rng.randrange(0, 7))
+    if st_ids and rng.random() < 0.15:
+        st_ids.insert(rng.randrange(len(st_ids) + 1), rng.choice(st_ids))  # a duplicate ST
+    for st_id in st_ids:
+        if not clean and rng.random() < 0.15:
+            lines.append(rng.choice(_BLANKS + ["# comment", " #x"]))
+        cells = []
+        for name in header:
+            value = str(st_id) if name == "ST" else str(rng.randrange(1, 6))
+            if name == "clonal_complex":
+                value = rng.choice(["CC1", "", "x y"])
+            if not clean and rng.random() < 0.1:
+                value = rng.choice(["0", "-2", "x", "", "3.0", " 4 ", "\x1c5", "+2", "٣",
+                                    "1_0", "5" * 5000, "3", "3"])
+            cells.append(value)
+        if ragged and rng.random() < 0.3:  # a short row, or one with a cell more
+            cells = cells[: rng.randrange(len(cells))] if rng.random() < 0.5 else cells + ["7"]
+        lines.append("\t".join(cells))
+    return lines, loci, count
+
+
+def _outcome(parse, path, *args):
+    """The records a parser returns, or the type, text and line of its ParseError."""
+    try:
+        return parse(path, *args)
+    except ParseError as err:
+        return type(err), str(err), err.line
+
+
+def _expected(reference, path, *args):
+    """What the parsers must return: the reference's outcome, except that a
+    file which is not UTF-8 is rejected as such before any record is
+    checked. The line-by-line reference decodes 8 KiB at a time, so it
+    reports a fault in the text before the chunk that holds the bad byte."""
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as err:
+        return ParseError, f"not UTF-8 text ({err.reason}) [{path}]", None
+    return _outcome(reference, path, *args)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_fasta_parser_matches_the_line_by_line_reference(tmp_path_factory, rng):
+    path = tmp_path_factory.mktemp("fasta") / "a.fas"
+    path.write_bytes(_bytes(rng, _fasta_lines(rng)))
+    expected = _expected(reference_parse_allele_fasta, path, "aspA")
+    assert _outcome(mlst_io.parse_allele_fasta, path, "aspA") == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_profile_parser_matches_the_line_by_line_reference(tmp_path_factory, rng):
+    lines, loci, count = _profile_lines(rng)
+    path = tmp_path_factory.mktemp("profiles") / "p.tsv"
+    path.write_bytes(_bytes(rng, lines))
+    expected = _expected(reference_parse_profiles, path, loci, "ST", count)
+    assert _outcome(mlst_io.parse_profiles, path, loci, "ST", count) == expected
+
+
+@pytest.mark.parametrize("text, count", [
+    ("ST\tlocA\tlocB\n1\t1\t2\n2\t0\t1\n", None),              # a zero allele id
+    ("ST\tlocA\tlocB\tn\n1\t1\t2\t3\n2\t2\t1\t-1\n", "n"),      # a negative count
+    ("ST\tlocA\tlocB\n4\t1\t2\n2\t2\t1\n4\t3\t3\n", None),      # a duplicate ST
+    ("ST\tlocA\tlocB\n1\t1\t2\n2\t1\n3\t4\t5\n", None),         # a short row
+    ("ST\tlocA\tlocB\n1\t1\t2\t7\n2\t1\t3\n", None),            # rows of two widths
+    ("ST\tlocA\tlocB\r\n 1 \t1\t 2\r\n\r\n# x\r\n2\t\x0b3\t1\r\n", None),
+    ("ST\tlocA\tlocB\n1\t1\t" + "5" * 5000 + "\n", None),       # past int()'s digit limit
+])
+def test_profile_tables_read_by_column_match_the_reference(tmp_path, text, count):
+    path = tmp_path / "p.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _outcome(reference_parse_profiles, path, ["locA", "locB"], "ST", count)
+    assert _outcome(mlst_io.parse_profiles, path, ["locA", "locB"], "ST", count) == expected

@@ -203,8 +203,8 @@ def _lenient_dataset():
         locus: [mlst_io.AlleleSequence(locus, aid, seq) for aid, seq in ids.items()]
         for locus, ids in seqs.items()
     }
-    dataset, report = mlst_io.build_dataset(profiles, alleles, mode="lenient")
-    assert report
+    dataset, repairs = mlst_io.build_dataset(profiles, alleles, mode="lenient")
+    assert repairs
     return dataset
 
 
