@@ -33,7 +33,7 @@ from .mlst_io import (
     build_dataset,
     parse_allele_fasta,
     parse_profiles,
-    read_text,
+    profile_header,
     write_allele_fasta,
     write_profiles,
 )
@@ -157,15 +157,9 @@ def _load_dataset(args):
     if args.loci:
         loci = [name.strip() for name in args.loci.split(",") if name.strip()]
     else:
-        for line in read_text(profiles_path).split("\n"):
-            if line.strip() and not line.lstrip().startswith("#"):
-                header = [tok.strip() for tok in line.split("\t")]
-                break
-        else:
-            header = []
         loci = [
             name
-            for name in header
+            for name in profile_header(profiles_path)
             if name not in (args.st_column, args.count_column)
             and _fasta_path(alleles_dir, name) is not None
         ]

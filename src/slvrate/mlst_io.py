@@ -5,12 +5,9 @@ File conventions follow pubmlst.org exports: a tab-separated profile table
 locus with headers like ``>aspA_1`` or plain ``>1``. The result of
 :func:`build_dataset` is immutable and safe to share across threads.
 
-Each file is read whole and checked a record at a time: a FASTA record's
-sequence lines are joined and checked as one string, and a profile table
-whose rows all have the same number of cells is converted a column at a
-time. A record or table that fails such a check is checked again line
-by line, so that the error raised names the first faulty line, as a reader
-that checks every line would.
+Each input file is decoded in one read, so a file that is not UTF-8 is
+rejected before any of its lines is checked; its lines are then checked
+one at a time, and the first faulty line raises.
 
 Two validation modes:
 
@@ -23,12 +20,12 @@ Two validation modes:
 
 from __future__ import annotations
 
-import re
 import string
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -196,21 +193,45 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 # -- parsing ------------------------------------------------------------------
 
 
-# a line whose first character other than blank space is '>' opens a record
-_RECORD_START = re.compile(r"\n[^\S\n]*>")
-
-
-def read_text(path: Path) -> str:
-    """The whole of a UTF-8 text file, with CRLF and CR line ends read as
-    LF. A file that cannot be read, or holds bytes that are not UTF-8, is a
-    ParseError naming it."""
+@contextmanager
+def _text_file(path: Path) -> Iterator[TextIO]:
+    """A UTF-8 text file opened for reading, CRLF and CR line ends read as
+    LF. A file that cannot be opened or read, or holds bytes that are not
+    UTF-8, is a ParseError naming it."""
     try:
         with path.open("r", encoding="utf-8") as fh:
-            return fh.read()
+            yield fh
     except OSError as err:
         raise ParseError(f"cannot read the file ({err.strerror})", str(path)) from None
     except UnicodeDecodeError as err:
         raise ParseError(f"not UTF-8 text ({err.reason})", str(path)) from None
+
+
+def _lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) of the whole file, from line 1, without line ends."""
+    with _text_file(path) as fh:
+        text = fh.read()
+    return enumerate(text.split("\n"), start=1)
+
+
+def _is_content(line: str) -> bool:
+    """A profile-table line is read unless it is blank or starts with '#'."""
+    return bool(line.strip()) and not line.lstrip().startswith("#")
+
+
+def _cells(line: str) -> list[str]:
+    """The tab-separated cells of a line, stripped."""
+    return [tok.strip() for tok in line.split("\t")]
+
+
+def profile_header(path: Path) -> list[str]:
+    """The column names of a profile table: the cells of its first line
+    that is read, stripped; [] when it has none. Reads no further."""
+    with _text_file(path) as fh:
+        for line in fh:
+            if _is_content(line):
+                return _cells(line)
+    return []
 
 
 def parse_profiles(
@@ -223,26 +244,10 @@ def parse_profiles(
 
     Columns not named are ignored (pubmlst exports carry extras such as
     clonal_complex). Blank lines and lines starting with '#' are skipped.
-    When every row has the same number of cells, each named column is
-    converted and checked in one pass; otherwise, or when that pass finds
-    a fault, the rows are checked one at a time, and the first faulty row
-    raises.
+    Each row is checked in turn, and the first faulty row raises.
     """
     path = Path(path)
-    lines = read_text(path).split("\n")
-    kept = [i for i, line in enumerate(lines) if line.strip() and not line.lstrip().startswith("#")]
-    if not kept:
-        raise EmptyFileError("profile file has no content", str(path))
-    col_index: dict[str, int] = {}
-    for idx, name in enumerate(lines[kept[0]].split("\t")):
-        col_index.setdefault(name.strip(), idx)
-    columns = [st_column, *locus_columns] + ([count_column] if count_column else [])
-    for needed in columns:
-        if needed not in col_index:
-            raise MissingColumnError(f"column {needed!r} not in header", str(path), kept[0] + 1)
-    data = [lines[i] for i in kept[1:]]
-    if not data:
-        raise EmptyFileError("profile file has a header but no data rows", str(path))
+    col_index: dict[str, int] | None = None
 
     def cell(fields: list[str], col: str, lineno: int) -> str:
         idx = col_index[col]
@@ -250,8 +255,19 @@ def parse_profiles(
             raise NonIntegerAlleleError(f"row too short for column {col!r}", str(path), lineno)
         return fields[idx].strip()
 
-    def checked(line: str, lineno: int, seen: set[int]) -> tuple[int, ...]:
-        """One row's values in ``columns`` order, checked cell by cell."""
+    profiles: list[StProfile] = []
+    seen: set[int] = set()
+    for lineno, line in _lines(path):
+        if not _is_content(line):
+            continue
+        if col_index is None:  # the header
+            col_index = {}
+            for idx, name in enumerate(_cells(line)):
+                col_index.setdefault(name, idx)
+            for needed in [st_column, *locus_columns] + ([count_column] if count_column else []):
+                if needed not in col_index:
+                    raise MissingColumnError(f"column {needed!r} not in header", str(path), lineno)
+            continue
         fields = line.split("\t")
         st_tok = cell(fields, st_column, lineno)
         try:
@@ -261,7 +277,7 @@ def parse_profiles(
         if st_id in seen:
             raise DuplicateStError(f"duplicate ST {st_id}", str(path), lineno)
         seen.add(st_id)
-        values = [st_id]
+        allele_ids = []
         for col in locus_columns:
             tok = cell(fields, col, lineno)
             try:
@@ -274,7 +290,8 @@ def parse_profiles(
                 raise NonIntegerAlleleError(
                     f"allele id must be positive, got {aid} in column {col!r}", str(path), lineno
                 )
-            values.append(aid)
+            allele_ids.append(aid)
+        count = 1
         if count_column:
             tok = cell(fields, count_column, lineno)
             try:
@@ -283,28 +300,11 @@ def parse_profiles(
                 raise NonIntegerAlleleError(f"count {tok!r} is not an integer", str(path), lineno)
             if count <= 0:
                 raise NonIntegerAlleleError(f"count must be positive, got {count}", str(path), lineno)
-            values.append(count)
-        return tuple(values)
-
-    rows = None
-    width = data[0].count("\t") + 1
-    picked = [col_index[col] for col in columns]
-    if max(picked) < width and all(line.count("\t") == width - 1 for line in data):
-        cells = "\t".join(data).split("\t")
-        try:  # int() ignores the blank space around a cell, as cell() strips it
-            by_column = [list(map(int, cells[idx::width])) for idx in picked]
-        except ValueError:
-            by_column = None
-        if (by_column and len(set(by_column[0])) == len(data)
-                and min(map(min, by_column[1:]), default=1) > 0):
-            rows = zip(*by_column)
-    if rows is None:
-        seen: set[int] = set()
-        rows = [checked(line, i + 1, seen) for line, i in zip(data, kept[1:])]
-    n_loci = len(locus_columns)
-    profiles = [
-        StProfile(row[0], row[1 : n_loci + 1], row[-1] if count_column else 1) for row in rows
-    ]
+        profiles.append(StProfile(st_id=st_id, alleles=tuple(allele_ids), isolate_count=count))
+    if col_index is None:
+        raise EmptyFileError("profile file has no content", str(path))
+    if not profiles:
+        raise EmptyFileError("profile file has a header but no data rows", str(path))
     profiles.sort(key=lambda p: p.st_id)
     return profiles
 
@@ -315,58 +315,54 @@ def parse_allele_fasta(path: str | Path, locus: str) -> list[AlleleSequence]:
     Headers may be ``>{locus}_{allele_id}`` or bare ``>{allele_id}``; the
     allele id is the trailing integer of the first header token. Sequences
     have their ASCII letters uppercased (which never changes a line's
-    length) and multi-line records concatenated. Each record is checked as
-    one string; only a record that fails that check, or holds blank space,
-    is checked line by line, to find its faulty line.
+    length) and multi-line records concatenated.
     """
     path = Path(path)
-    preamble, *chunks = _RECORD_START.split("\n" + read_text(path))
-
-    def line_of(k: int, offset: int = 0) -> int:
-        """The file line number of line ``offset`` of record ``k`` (0: its header)."""
-        return preamble.count("\n") + sum(c.count("\n") for c in chunks[:k]) + k + 1 + offset
-
-    for lineno, line in enumerate(preamble.split("\n")):
-        if line.strip():
-            raise MalformedHeaderError("sequence data before any header", str(path), lineno)
     records: list[AlleleSequence] = []
     seen: set[int] = set()
-    for k, chunk in enumerate(chunks):
-        header, _, body = chunk.partition("\n")
-        tokens = header.split(None, 1)
-        if not tokens:
-            raise MalformedHeaderError("empty FASTA header", str(path), line_of(k))
-        header_tok = tokens[0]
-        seq = body.replace("\n", "").translate(_ASCII_UPPER)
-        if not seq.isalpha():  # blank space, an invalid character, or no sequence
-            lines = []
-            for offset, line in enumerate(body.split("\n"), start=1):
-                up = line.strip().translate(_ASCII_UPPER)
-                if up and not up.isalpha():
-                    raise ParseError(
-                        f"invalid sequence characters in {up!r}", str(path), line_of(k, offset)
-                    )
-                lines.append(up)
-            seq = "".join(lines)
+    header_tok: str | None = None
+    header_line = 0
+    chunks: list[str] = []
+
+    def flush() -> None:
+        if header_tok is None:
+            return
+        seq = "".join(chunks)
         if not seq:
-            raise EmptySequenceError(
-                f"record {header_tok!r} has no sequence", str(path), line_of(k)
-            )
+            raise EmptySequenceError(f"record {header_tok!r} has no sequence", str(path), header_line)
         tail = header_tok.rsplit("_", 1)[-1]
         try:
             aid = int(tail)
         except ValueError:
             raise MalformedHeaderError(
-                f"header {header_tok!r} has no trailing allele number", str(path), line_of(k)
+                f"header {header_tok!r} has no trailing allele number", str(path), header_line
             )
         if aid <= 0:
-            raise MalformedHeaderError(
-                f"allele id must be positive in {header_tok!r}", str(path), line_of(k)
-            )
+            raise MalformedHeaderError(f"allele id must be positive in {header_tok!r}", str(path), header_line)
         if aid in seen:
-            raise DuplicateAlleleError(f"allele {aid} appears twice", str(path), line_of(k))
+            raise DuplicateAlleleError(f"allele {aid} appears twice", str(path), header_line)
         seen.add(aid)
         records.append(AlleleSequence(locus=locus, allele_id=aid, sequence=seq))
+
+    for lineno, raw in _lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith(">"):
+            flush()
+            header_tok = line[1:].split()[0] if line[1:].split() else ""
+            if not header_tok:
+                raise MalformedHeaderError("empty FASTA header", str(path), lineno)
+            header_line = lineno
+            chunks = []
+        else:
+            if header_tok is None:
+                raise MalformedHeaderError("sequence data before any header", str(path), lineno)
+            up = line.translate(_ASCII_UPPER)
+            if not up.isalpha():
+                raise ParseError(f"invalid sequence characters in {up!r}", str(path), lineno)
+            chunks.append(up)
+    flush()
     if not records:
         raise EmptyFileError("FASTA file has no records", str(path))
     records.sort(key=lambda a: a.allele_id)

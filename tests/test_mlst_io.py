@@ -228,7 +228,7 @@ def test_build_order_independent(demo_dataset):
     assert rebuilt.alleles == demo_dataset.alleles
 
 
-# -- record-at-a-time parsers against the line-by-line references -----------------
+# -- parsers of whole files against the line-by-line references ------------------
 
 _NEWLINES = ["\n", "\r\n", "\r"]
 _BLANKS = ["", " ", "\t", "  \t", "\x0c", "　"]
@@ -285,7 +285,7 @@ def _profile_lines(rng) -> tuple[list[str], list[str], str | None]:
     for _ in range(rng.randrange(0, 3)):
         lines.append(rng.choice(_BLANKS + ["# comment", "  # indented"]))
     lines.append("\t".join(rng.choice(["{}", "{}", " {} "]).format(name) for name in header))
-    clean = rng.random() < 0.5  # every cell well formed, so that whole columns are read at once
+    clean = rng.random() < 0.5  # every cell well formed
     ragged = rng.random() < 0.3  # rows of more than one width
     st_ids = rng.sample(range(1, 40), rng.randrange(0, 7))
     if st_ids and rng.random() < 0.15:
@@ -345,19 +345,3 @@ def test_profile_parser_matches_the_line_by_line_reference(tmp_path_factory, rng
     path.write_bytes(_bytes(rng, lines))
     expected = _expected(reference_parse_profiles, path, loci, "ST", count)
     assert _outcome(mlst_io.parse_profiles, path, loci, "ST", count) == expected
-
-
-@pytest.mark.parametrize("text, count", [
-    ("ST\tlocA\tlocB\n1\t1\t2\n2\t0\t1\n", None),              # a zero allele id
-    ("ST\tlocA\tlocB\tn\n1\t1\t2\t3\n2\t2\t1\t-1\n", "n"),      # a negative count
-    ("ST\tlocA\tlocB\n4\t1\t2\n2\t2\t1\n4\t3\t3\n", None),      # a duplicate ST
-    ("ST\tlocA\tlocB\n1\t1\t2\n2\t1\n3\t4\t5\n", None),         # a short row
-    ("ST\tlocA\tlocB\n1\t1\t2\t7\n2\t1\t3\n", None),            # rows of two widths
-    ("ST\tlocA\tlocB\r\n 1 \t1\t 2\r\n\r\n# x\r\n2\t\x0b3\t1\r\n", None),
-    ("ST\tlocA\tlocB\n1\t1\t" + "5" * 5000 + "\n", None),       # past int()'s digit limit
-])
-def test_profile_tables_read_by_column_match_the_reference(tmp_path, text, count):
-    path = tmp_path / "p.tsv"
-    path.write_bytes(text.encode("utf-8"))
-    expected = _outcome(reference_parse_profiles, path, ["locA", "locB"], "ST", count)
-    assert _outcome(mlst_io.parse_profiles, path, ["locA", "locB"], "ST", count) == expected
