@@ -16,9 +16,9 @@ Four designs:
 Replicates are independent. ``run_experiment`` can split them across
 forked worker processes (``parallel.fork_map``); each replicate draws from
 its own derived Philox stream (``numerics.derived_rng``) and the outputs
-are put back in replicate order, so a report is the same for every worker
-count and every run. A replicate analyses its dataset in one process, since
-the replicates already fill the workers.
+are put back in replicate order, so a report, or the error a run ends in,
+is the same for every worker count and every run. A replicate analyses its
+dataset in one process, since the replicates already fill the workers.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -71,7 +71,7 @@ class RecoveryDesign:
     n_pairs: int
     seed: int = 0
     level: float = AnalysisOptions.level
-    kind: str = "recovery"
+    kind: ClassVar[str] = "recovery"
 
 
 @dataclass(frozen=True)
@@ -281,35 +281,32 @@ def _collect(design_kind: str, level: float, replicate_outputs: list[dict]) -> E
 def run_experiment(design: SimDesign | RecoveryDesign, workers: int = 1) -> ExperimentReport:
     """Run all replicates and aggregate them.
 
-    With ``workers`` > 1 (and ``os.fork`` available) the replicates are
-    split across ``workers - 1`` forked processes and this one: share k runs
-    replicates k, k + W, k + 2W, ... for W = min(workers, replicates). The
-    report does not depend on ``workers``.
+    With ``workers`` > 1 (and ``os.fork`` available) ``parallel.fork_map``
+    splits the replicates across ``workers - 1`` forked processes and this
+    one. The report does not depend on ``workers``, and neither does the
+    error raised.
 
     A replicate that raises a data, model or numerics error is counted
     under its error type and left out of the metrics; the others go on.
-    When every replicate fails, the first error is raised. Any other
-    exception, in this process or in a worker, is raised here once every
-    worker has been stopped.
+    When every replicate fails, replicate 0's error is raised. Any other
+    exception ends the run: the one of the lowest-numbered replicate that
+    raised one is raised, once every worker has stopped.
     """
     if isinstance(design, RecoveryDesign):
         models = recovery_models(design)
-        replicate = lambda ridx: _run_recovery_replicate(design, models, ridx)
+        run = lambda ridx: _run_recovery_replicate(design, models, ridx)
         level = design.level
     else:
-        replicate = lambda ridx: _run_sim_replicate(design, ridx)
+        run = lambda ridx: _run_sim_replicate(design, ridx)
         level = design.analysis.level
 
-    def share(first: int, step: int) -> list[dict]:
-        outputs = []
-        for ridx in range(first, design.replicates, step):
-            try:
-                outputs.append(replicate(ridx))
-            except (DataError, ModelError, NumericsError) as err:
-                outputs.append({"error": err})
-        return outputs
+    def replicate(ridx: int) -> dict:
+        try:
+            return run(ridx)
+        except (DataError, ModelError, NumericsError) as err:
+            return {"error": err}
 
-    outputs = fork_map(share, design.replicates, workers)
+    outputs = fork_map(replicate, design.replicates, workers)
     if all("error" in out for out in outputs):
         raise outputs[0]["error"]
     return _collect(design.kind, level, outputs)

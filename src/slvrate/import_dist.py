@@ -129,7 +129,7 @@ def allele_distance_matrix(dataset: MlstDataset, locus: str) -> tuple[list[int],
     buffer and one (A, A) product buffer are reused across the products.
     """
     meta = dataset.locus_meta(locus)
-    all_ids, lengths, codes = dataset.allele_codes(locus)
+    all_ids, lengths, codes = dataset.allele_codes[locus]
     modal = lengths == meta.length
     ids = all_ids[modal].tolist()
     if not ids:
@@ -167,7 +167,7 @@ def pairwise_diffs(
     if weighting not in ("by_st", "by_isolate"):
         raise InvalidParamsError(f"weighting must be by_st or by_isolate, got {weighting!r}")
     ids, dist = allele_distance_matrix(dataset, locus)
-    st_ids, alleles, counts = dataset.profile_matrix()
+    st_ids, alleles, counts = dataset.profile_arrays
     focal_ids = alleles[:, dataset.locus_index(locus)]
     pos = np.searchsorted(ids, focal_ids)
     keep = dataset.usable_mask(locus) & np.isin(focal_ids, ids)

@@ -3,7 +3,10 @@
 File conventions follow pubmlst.org exports: a tab-separated profile table
 (one row per sequence type, one column per locus) and one FASTA file per
 locus with headers like ``>aspA_1`` or plain ``>1``. The result of
-:func:`build_dataset` is immutable and safe to share across threads.
+:func:`build_dataset` is immutable and built whole: it holds its alleles per
+locus in id order, and every array its readers share (profile arrays, each
+locus's allele codes) is built with it and read-only, so it is safe to
+share across threads and forked workers, with nothing to prime first.
 
 Each input file is decoded in one read, so a file that is not UTF-8 is
 rejected before any of its lines is checked; its lines are then checked
@@ -24,6 +27,7 @@ import string
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence, TextIO
 
@@ -88,23 +92,45 @@ class StProfile:
 
 @dataclass(frozen=True)
 class MlstDataset:
+    """An immutable dataset, built whole: ``__post_init__`` derives the
+    read-only arrays that every reader shares, so a dataset made by
+    ``dataclasses.replace`` holds the views of its own fields."""
+
     loci: tuple[LocusMeta, ...]
-    alleles: Mapping[tuple[str, int], AlleleSequence]
+    # locus name -> allele id -> record, ids ascending, loci in ``loci`` order
+    alleles: Mapping[str, Mapping[int, AlleleSequence]]
     profiles: tuple[StProfile, ...]
     # st_ids that cannot be analysed with the given locus as the focal one
     excluded_at: Mapping[str, frozenset[int]] = field(default_factory=dict)
-    # derived arrays; not an init field, so dataclasses.replace starts afresh
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (st_ids, alleles, isolate_counts) of the profiles, in profile order, as
+    # int64 arrays; ``alleles`` is (STs, loci)
+    profile_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False)
+    # locus name -> (ids, lengths, codes) of its alleles in id order; ``codes``
+    # is an (alleles, longest) uint8 matrix: A=0 C=1 G=2 T=3, anything else
+    # 255, and 255 past the end of a shorter allele, so a comparison between
+    # two equal-length alleles never sees the padding
+    allele_codes: Mapping[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = len(self.profiles)
+        object.__setattr__(self, "profile_arrays", (
+            _frozen(np.array([p.st_id for p in self.profiles], dtype=np.int64)),
+            _frozen(np.array([p.alleles for p in self.profiles], dtype=np.int64)
+                    .reshape(n, len(self.loci))),
+            _frozen(np.array([p.isolate_count for p in self.profiles], dtype=np.int64)),
+        ))
+        object.__setattr__(self, "allele_codes", {
+            name: _code_matrix(list(by_id.values())) for name, by_id in self.alleles.items()
+        })
 
     @property
     def locus_names(self) -> tuple[str, ...]:
         return tuple(meta.name for meta in self.loci)
 
     def locus_meta(self, locus: str) -> LocusMeta:
-        for meta in self.loci:
-            if meta.name == locus:
-                return meta
-        raise KeyError(f"unknown locus {locus!r}")
+        return self.loci[self.locus_index(locus)]
 
     def locus_index(self, locus: str) -> int:
         for i, meta in enumerate(self.loci):
@@ -112,65 +138,34 @@ class MlstDataset:
                 return i
         raise KeyError(f"unknown locus {locus!r}")
 
-    def profile_matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(st_ids, alleles, isolate_counts) of the profiles, in profile
-        order, as int64 arrays; ``alleles`` is (STs, loci). Cached."""
-        if "profiles" not in self._cache:
-            n = len(self.profiles)
-            self._cache["profiles"] = (
-                _frozen(np.array([p.st_id for p in self.profiles], dtype=np.int64)),
-                _frozen(np.array([p.alleles for p in self.profiles], dtype=np.int64)
-                        .reshape(n, len(self.loci))),
-                _frozen(np.array([p.isolate_count for p in self.profiles], dtype=np.int64)),
-            )
-        return self._cache["profiles"]
-
+    @cached_property
     def rest_labels(self) -> np.ndarray:
-        """(STs, loci) int64 labels, cached: column f labels each profile
-        row by its allele ids at every locus but f, so two rows share a
-        label in column f exactly when they agree at all other loci.
+        """(STs, loci) int64 labels: column f labels each profile row by its
+        allele ids at every locus but f, so two rows share a label in column
+        f exactly when they agree at all other loci.
 
         Exact and O(n L log n) for n STs and L loci in all: label column f
         pairs the dense label of the loci before f with that of the loci
         after it, and both chains are built one locus at a time.
         """
-        if "rest_labels" not in self._cache:
-            alleles = self.profile_matrix()[1]
-            n, n_loci = alleles.shape
-            ranks = [np.unique(col, return_inverse=True)[1] for col in alleles.T]
+        alleles = self.profile_arrays[1]
+        n, n_loci = alleles.shape
+        ranks = [np.unique(col, return_inverse=True)[1] for col in alleles.T]
 
-            def chain(columns):
-                labels = [np.zeros(n, dtype=np.int64)]
-                for rank in columns:  # every label and rank is below n
-                    labels.append(np.unique(labels[-1] * n + rank, return_inverse=True)[1])
-                return labels
+        def chain(columns):
+            labels = [np.zeros(n, dtype=np.int64)]
+            for rank in columns:  # every label and rank is below n
+                labels.append(np.unique(labels[-1] * n + rank, return_inverse=True)[1])
+            return labels
 
-            before, after = chain(ranks), chain(ranks[::-1])
-            self._cache["rest_labels"] = _frozen(np.stack(
-                [before[f] * n + after[n_loci - 1 - f] for f in range(n_loci)], axis=1
-            ))
-        return self._cache["rest_labels"]
+        before, after = chain(ranks), chain(ranks[::-1])
+        return _frozen(np.stack(
+            [before[f] * n + after[n_loci - 1 - f] for f in range(n_loci)], axis=1
+        ))
 
     def usable_mask(self, locus: str) -> np.ndarray:
         """Per profile row: may the ST be analysed with ``locus`` as focal?"""
-        st_ids = self.profile_matrix()[0]
-        return ~np.isin(st_ids, list(self.excluded_at.get(locus, ())))
-
-    def allele_codes(self, locus: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, lengths, codes) of one locus's alleles in id order.
-
-        ``codes`` is an (alleles, longest) uint8 matrix: A=0 C=1 G=2 T=3,
-        anything else 255, and 255 past the end of a shorter allele, so a
-        comparison between two equal-length alleles never sees the padding.
-        All loci are encoded together on the first call, in one pass over
-        the alleles, and cached.
-        """
-        if "codes" not in self._cache:
-            by_locus: dict[str, list[AlleleSequence]] = {name: [] for name in self.locus_names}
-            for (loc, _aid), rec in sorted(self.alleles.items()):
-                by_locus.setdefault(loc, []).append(rec)
-            self._cache["codes"] = {loc: _code_matrix(recs) for loc, recs in by_locus.items()}
-        return self._cache["codes"][locus]
+        return ~np.isin(self.profile_arrays[0], list(self.excluded_at.get(locus, ())))
 
 
 def _code_matrix(records: Sequence[AlleleSequence]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -185,7 +180,7 @@ def _code_matrix(records: Sequence[AlleleSequence]) -> tuple[np.ndarray, np.ndar
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    """Mark a cached array read-only: every caller shares it."""
+    """Mark a shared array read-only: every caller gets the same one."""
     arr.flags.writeable = False
     return arr
 
@@ -392,7 +387,7 @@ def build_dataset(
         raise TooFewStsError(f"need at least 2 sequence types, got {len(profiles)}")
 
     messages: list[str] = []
-    allele_map: dict[tuple[str, int], AlleleSequence] = {}
+    alleles: dict[str, dict[int, AlleleSequence]] = {}
     modal_len: dict[str, int] = {}
     off_length: dict[str, set[int]] = {name: set() for name in locus_names}
 
@@ -406,11 +401,11 @@ def build_dataset(
             (length for length, cnt in lengths.items() if cnt == max(lengths.values())),
         )
         modal_len[name] = modal
+        by_id = alleles[name] = {}
         for rec in records:
             if rec.locus != name:
                 raise DataError(f"allele tagged {rec.locus!r} supplied under locus {name!r}")
-            key = (name, rec.allele_id)
-            if key in allele_map:
+            if rec.allele_id in by_id:
                 raise DuplicateAlleleError(f"allele {rec.allele_id} duplicated at locus {name}")
             if len(rec.sequence) != modal:
                 if mode == "strict":
@@ -433,7 +428,7 @@ def build_dataset(
                     f"locus {name}: allele {rec.allele_id} has ambiguous bases "
                     f"{sorted(bad)}; positions masked in comparisons"
                 )
-            allele_map[key] = rec
+            by_id[rec.allele_id] = rec
 
     # per-profile checks
     kept: list[StProfile] = []
@@ -459,7 +454,7 @@ def build_dataset(
             continue
         seen_vectors[prof.alleles] = prof.st_id
         for name, aid in zip(locus_names, prof.alleles):
-            missing = (name, aid) not in allele_map
+            missing = aid not in alleles[name]
             if missing and mode == "strict":
                 raise ReferentialIntegrityError(
                     f"ST {prof.st_id} references allele {name}_{aid} absent from FASTA"
@@ -474,7 +469,7 @@ def build_dataset(
 
     dataset = MlstDataset(
         loci=tuple(LocusMeta(name=name, length=modal_len[name]) for name in locus_names),
-        alleles=dict(sorted(allele_map.items())),
+        alleles=alleles,
         profiles=tuple(kept),
         excluded_at={name: frozenset(ids) for name, ids in excluded.items() if ids},
     )
@@ -515,9 +510,8 @@ def write_profiles(dataset: MlstDataset, path: str | Path) -> None:
 
 def write_allele_fasta(dataset: MlstDataset, locus: str, path: str | Path) -> None:
     path = Path(path)
-    records = [seq for (loc, _aid), seq in sorted(dataset.alleles.items()) if loc == locus]
     with path.open("w", encoding="utf-8") as fh:
-        for rec in records:
+        for rec in dataset.alleles[locus].values():
             fh.write(f">{locus}_{rec.allele_id}\n")
             for start in range(0, len(rec.sequence), _FASTA_WIDTH):
                 fh.write(rec.sequence[start : start + _FASTA_WIDTH] + "\n")

@@ -1,10 +1,14 @@
-"""Independent jobs split across forked worker processes.
+"""Independent items mapped across forked worker processes.
 
 A plain fork rather than a multiprocessing pool: the children inherit the
-job closures and the data they read, so nothing but their outputs is
+item function and the data it reads, so nothing but their outputs is
 pickled, and the parent computes a share itself instead of idling. Fork is
 safe here because the process has no other threads: slvrate defaults
 OPENBLAS_NUM_THREADS to 1 before numpy loads.
+
+``fork_map`` owns the order of the items and the choice of the error
+raised: its callers write the per-item function only, and get the serial
+loop's result, or its first error, for every worker count.
 """
 
 from __future__ import annotations
@@ -22,19 +26,24 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def fork_map(share: Callable[[int, int], list], n: int, workers: int) -> list:
-    """``share(k, w)`` for k in 0..w-1, with w = min(workers, n), merged so
-    that item i of the result is item i // w of share i % w. Share 0 runs in
-    this process, the others in forked children. When anything raises,
-    every child still running is killed, and every child is reaped."""
+def fork_map(fn: Callable[[int], object], n: int, workers: int) -> list:
+    """``[fn(0), ..., fn(n - 1)]`` across w = min(workers, n) processes.
+
+    Share k runs items k, k + w, k + 2w, ... and stops at its first
+    Exception; share 0 runs in this process, the others in forked children,
+    whose items must pickle. When items raise, the error of the lowest
+    failing index is raised, which is the error a serial loop would raise
+    first. When anything else goes wrong, every child still running is
+    killed, and every child is reaped.
+    """
     w = min(workers, n)
     if w <= 1 or not hasattr(os, "fork"):
-        return share(0, 1)
+        return [fn(i) for i in range(n)]
     children = []  # (pid, read end of its pipe) of the children not yet reaped
     try:
         for k in range(1, w):
-            children.append(_fork_share(share, k, w))
-        shares = [share(0, w)]
+            children.append(_fork_share(fn, k, n, w))
+        shares = [_share(fn, 0, n, w)]
         while children:
             pid, pipe = children[0]
             with pipe:
@@ -47,16 +56,33 @@ def fork_map(share: Callable[[int, int], list], n: int, workers: int) -> list:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    # share k's first failure is item k + len(items) * w; every lower item
+    # of every share ran before that share's own first failure
+    failures = [(k + len(items) * w, err) for k, (items, err) in enumerate(shares)
+                if err is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     merged = [None] * n
-    for k, items in enumerate(shares):
+    for k, (items, _err) in enumerate(shares):
         merged[k::w] = items
     return merged
 
 
-def _fork_share(share: Callable[[int, int], list], k: int, w: int) -> tuple[int, BinaryIO]:
-    """Fork a child that runs ``share(k, w)``, pickles ``(True, items)`` or
-    ``(False, exception)`` to a pipe and exits; returns its pid and the
-    pipe's read end."""
+def _share(fn: Callable[[int], object], k: int, n: int, w: int) -> tuple[list, Exception | None]:
+    """(outputs, None) of items k, k + w, ... below n, or (the outputs
+    before the first Exception, that exception)."""
+    items = []
+    for i in range(k, n, w):
+        try:
+            items.append(fn(i))
+        except Exception as err:
+            return items, err
+    return items, None
+
+
+def _fork_share(fn: Callable[[int], object], k: int, n: int, w: int) -> tuple[int, BinaryIO]:
+    """Fork a child that runs share k, pickles it to a pipe and exits;
+    returns its pid and the pipe's read end."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid:
@@ -65,10 +91,8 @@ def _fork_share(share: Callable[[int, int], list], k: int, w: int) -> tuple[int,
     code = 1
     try:  # the child never returns into the caller's frames
         os.close(read_fd)
-        try:
-            payload = pickle.dumps((True, share(k, w)))
-        except BaseException as err:  # the parent re-raises it
-            payload = _pickled_error(err)
+        items, err = _share(fn, k, n, w)
+        payload = pickle.dumps((items, None if err is None else _portable(err)))
         with os.fdopen(write_fd, "wb") as pipe:
             pipe.write(payload)
         code = 0
@@ -76,23 +100,20 @@ def _fork_share(share: Callable[[int, int], list], k: int, w: int) -> tuple[int,
         os._exit(code)
 
 
-def _pickled_error(err: BaseException) -> bytes:
-    """``(False, err)`` pickled, or with ``err`` replaced by a RuntimeError
-    holding its repr when it does not survive a pickle round trip."""
+def _portable(err: Exception) -> Exception:
+    """``err``, or a RuntimeError holding its repr when it does not survive
+    a pickle round trip."""
     try:
-        payload = pickle.dumps((False, err))
-        pickle.loads(payload)
-        return payload
+        pickle.loads(pickle.dumps(err))
+        return err
     except Exception:
-        return pickle.dumps((False, RuntimeError(f"forked worker raised {err!r}")))
+        return RuntimeError(f"forked worker raised {err!r}")
 
 
-def _unpickle_share(pid: int, status: int, payload: bytes) -> list:
-    """The share a reaped child sent, or the exception it sent raised."""
+def _unpickle_share(pid: int, status: int, payload: bytes) -> tuple[list, Exception | None]:
+    """The share a reaped child sent; a child that died before sending it
+    is a RuntimeError."""
     code = os.waitstatus_to_exitcode(status)
     if code != 0:
         raise RuntimeError(f"forked worker {pid} exited with status {code}")
-    ok, value = pickle.loads(payload)  # written by this program's own child
-    if not ok:
-        raise value
-    return value
+    return pickle.loads(payload)  # written by this program's own child

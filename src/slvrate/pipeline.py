@@ -8,8 +8,10 @@ of freedom reduced accordingly.
 
 The import distributions are estimated one locus at a time, each from its
 own derived seed, so ``workers`` > 1 splits the loci across forked
-processes (``parallel.fork_map``) with the same result as one process. The
-CLI's analysis commands pass the usable cores; the default is one process.
+processes (``parallel.fork_map``) with the same result, and the same first
+error, as one process. The children read the dataset their parent built
+whole (``MlstDataset``), so nothing is primed before the fork. The CLI's
+analysis commands pass the usable cores; the default is one process.
 """
 
 from __future__ import annotations
@@ -81,30 +83,15 @@ def build_import_dists(
     """Estimate the import pmf for every locus with at least two usable
     units, with the loci split across ``workers`` processes. When loci
     fail, the first failing locus's error is raised."""
-    if dataset.loci:  # build the shared views once, before any fork
-        dataset.profile_matrix()
-        dataset.allele_codes(dataset.loci[0].name)
 
-    def share(first: int, step: int) -> list:
-        # per locus: its pmf, None when it has too few units, or its error
-        # (kept so that the error raised is the serial loop's)
-        outputs: list = []
-        for index in range(first, len(dataset.loci), step):
-            try:
-                outputs.append(locus_import_dist(dataset, opts, index))
-            except TooFewUnitsError:
-                outputs.append(None)
-            except Exception as err:
-                outputs.append(err)
-        return outputs
+    def locus_dist(index: int) -> ImportDistribution | None:
+        try:
+            return locus_import_dist(dataset, opts, index)
+        except TooFewUnitsError:
+            return None
 
-    out: dict[str, ImportDistribution] = {}
-    for meta, dist in zip(dataset.loci, fork_map(share, len(dataset.loci), workers)):
-        if isinstance(dist, Exception):
-            raise dist
-        if dist is not None:
-            out[meta.name] = dist
-    return out
+    dists = fork_map(locus_dist, len(dataset.loci), workers)
+    return {meta.name: dist for meta, dist in zip(dataset.loci, dists) if dist is not None}
 
 
 def build_composite_likelihoods(

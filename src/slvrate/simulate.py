@@ -347,9 +347,8 @@ def _materialize(config: SimConfig, leaf_vectors: Sequence[tuple[bytes, ...]]) -
         dataset = MlstDataset(
             loci=tuple(LocusMeta(name=name, length=m) for name, m in config.loci),
             alleles={
-                (name, rec.allele_id): rec
-                for name in loci_names
-                for rec in alleles_by_locus[name]
+                name: {rec.allele_id: rec for rec in records}
+                for name, records in alleles_by_locus.items()
             },
             profiles=tuple(profiles),
         )

@@ -13,15 +13,15 @@ A partition is columnar: one read-only int64 array per pair field
 group (``group_size``). The likelihood, the score model and the
 ``extract`` table read these arrays; nothing holds per-pair objects.
 
-Extraction is a few array passes over the dataset's cached (STs x loci)
+Extraction is a few array passes over the dataset's (STs x loci)
 allele-id matrix, with no loop over STs or pairs. Grouping reads the
 dataset's exact rest labels (``MlstDataset.rest_labels``: one label per
 ST and focal locus, equal exactly when the other loci agree), built once
 per dataset in O(n L log n) for n STs and L loci; each locus then costs
 one two-key ``lexsort`` (ST id the last key), O(n log n). The pairs of
 all groups come from ``repeat``/``cumsum`` index arithmetic, and their
-difference counts from one comparison of the two alleles' cached code
-rows, O(P m) for P pairs of m-base alleles.
+difference counts from one comparison of the two alleles' code rows
+(``MlstDataset.allele_codes``), O(P m) for P pairs of m-base alleles.
 """
 
 from __future__ import annotations
@@ -123,17 +123,17 @@ def extract_slv(dataset: MlstDataset, locus: str, mode: str = "strict") -> SlvPa
     by (group_id, st_a, st_b).
     """
     focal = dataset.locus_index(locus)
-    st_ids, alleles, _counts = dataset.profile_matrix()
+    st_ids, alleles, _counts = dataset.profile_arrays
     usable = dataset.usable_mask(locus)
     st_ids, alleles = st_ids[usable], alleles[usable]
-    members, sizes = _groups(st_ids, dataset.rest_labels()[usable, focal])
+    members, sizes = _groups(st_ids, dataset.rest_labels[usable, focal])
     member_st, member_allele = st_ids[members], alleles[members, focal]
     a, b, gid = _pairs(sizes)
     st_a, st_b = member_st[a], member_st[b]
     allele_a, allele_b = member_allele[a], member_allele[b]
 
     # x as in mlst_io.hamming: mismatches at positions valid on both sides
-    ids, lengths, codes = dataset.allele_codes(locus)
+    ids, lengths, codes = dataset.allele_codes[locus]
     absent = np.flatnonzero(~np.isin(member_allele, ids))
     if absent.size:
         i = absent[0]

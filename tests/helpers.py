@@ -33,7 +33,7 @@ from slvrate.slv import SlvPartition
 
 def allele(dataset, locus, allele_id):
     """The allele record of ``allele_id`` at ``locus``, or None."""
-    return dataset.alleles.get((locus, allele_id))
+    return dataset.alleles[locus].get(allele_id)
 
 
 def usable_at(dataset, locus, st_id):
@@ -188,10 +188,7 @@ def reference_units(dataset, locus, weighting="by_st"):
     a time: a unit per usable ST (per isolate under ``by_isolate``) whose
     focal allele has the modal length, indexing the sorted modal alleles."""
     modal = dataset.locus_meta(locus).length
-    ids = sorted(
-        aid for (loc, aid), rec in dataset.alleles.items()
-        if loc == locus and len(rec.sequence) == modal
-    )
+    ids = [aid for aid, rec in dataset.alleles[locus].items() if len(rec.sequence) == modal]
     focal = dataset.locus_index(locus)
     units, index = [], []
     for prof in dataset.profiles:

@@ -183,9 +183,9 @@ def test_analysis_outputs_do_not_depend_on_the_usable_cores(tmp_path, monkeypatc
     seen = []
     fork_map = pipeline.fork_map
 
-    def spy(share, n, workers):
+    def spy(fn, n, workers):
         seen.append(workers)
-        return fork_map(share, n, workers)
+        return fork_map(fn, n, workers)
 
     monkeypatch.setattr(pipeline, "fork_map", spy)
     outputs = {}

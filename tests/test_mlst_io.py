@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -219,7 +220,7 @@ def test_build_order_independent(demo_dataset):
     alleles = {}
     for locus in reversed(demo_dataset.locus_names):
         # same locus key order must be preserved; records within may shuffle
-        recs = [seq for (loc, _), seq in demo_dataset.alleles.items() if loc == locus]
+        recs = list(demo_dataset.alleles[locus].values())
         rng.shuffle(recs)
         alleles[locus] = recs
     alleles = {locus: alleles[locus] for locus in demo_dataset.locus_names}
@@ -345,3 +346,32 @@ def test_profile_parser_matches_the_line_by_line_reference(tmp_path_factory, rng
     path.write_bytes(_bytes(rng, lines))
     expected = _expected(reference_parse_profiles, path, loci, "ST", count)
     assert _outcome(mlst_io.parse_profiles, path, loci, "ST", count) == expected
+
+
+def test_a_replaced_dataset_holds_the_views_of_its_new_fields(demo_dataset):
+    ds = demo_dataset
+    ds.rest_labels  # noqa: B018  (fill the old dataset's cached labels)
+    # profiles: without ST 1, only STs 2 and 3 agree at all loci but glnA
+    fewer = dataclasses.replace(ds, profiles=ds.profiles[1:])
+    st_ids, alleles, counts = fewer.profile_arrays
+    assert st_ids.tolist() == [2, 3, 4, 5, 6]
+    assert alleles.shape == (5, 3) and counts.tolist() == [1] * 5
+    assert fewer.rest_labels.shape == (5, 3)
+    labels = fewer.rest_labels[:, 1].tolist()
+    assert labels[0] == labels[1] and len(set(labels)) == 4
+    # alleles: a new glnA allele 9 and a changed allele 1
+    gln = ds.alleles["glnA"]
+    changed = mlst_io.AlleleSequence("glnA", 1, "T" * len(gln[1].sequence))
+    more = dataclasses.replace(ds, alleles={
+        **ds.alleles, "glnA": {**gln, 1: changed, 9: mlst_io.AlleleSequence("glnA", 9, "ACGT")},
+    })
+    ids, lengths, codes = more.allele_codes["glnA"]
+    assert ids.tolist() == [*gln, 9]
+    assert lengths[-1] == 4 and (codes[0] == 3).all()
+    assert ds.allele_codes["glnA"][0].tolist() == list(gln)
+    # excluded_at
+    assert ds.usable_mask("gltA").all()
+    masked = dataclasses.replace(ds, excluded_at={"gltA": frozenset({4})})
+    assert masked.usable_mask("gltA").tolist() == [True, True, True, False, True, True]
+    for arr in (*more.profile_arrays, *more.allele_codes["glnA"], more.rest_labels):
+        assert not arr.flags.writeable

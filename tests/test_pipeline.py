@@ -149,3 +149,20 @@ def test_the_first_failing_locus_is_raised_and_no_worker_outlives_it(
             pp.build_import_dists(four_loci, opts, workers=workers)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failing", [{1, 2}, {2}, {0, 2}])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_the_first_failing_locus_error_is_raised(demo_dataset, monkeypatch, failing, workers):
+    original = pp.locus_import_dist
+
+    def broken(dataset, opts, index):
+        if index in failing:
+            raise InvalidParamsError(f"locus {index} broke")
+        return original(dataset, opts, index)
+
+    monkeypatch.setattr(pp, "locus_import_dist", broken)
+    with pytest.raises(InvalidParamsError, match=f"^locus {min(failing)} broke$"):
+        pp.build_import_dists(demo_dataset, AnalysisOptions(draws=500), workers=workers)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

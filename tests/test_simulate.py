@@ -90,7 +90,7 @@ def test_pairwise_difference_calibration():
         if len(res.dataset.profiles) == 1:
             diffs.append(0)
             continue
-        codes = res.dataset.allele_codes("a")[2]
+        codes = res.dataset.allele_codes["a"][2]
         if len(codes) == 1:
             diffs.append(0)
         else:
@@ -273,18 +273,19 @@ GOLDEN_DIGESTS = {
 
 
 def simulation_digest(res: sim.SimResult) -> str:
-    """SHA-256 over the profiles, allele sequences (in dataset order), locus
+    """SHA-256 over the profiles, allele sequences (in (locus name, id) order), locus
     metadata with each locus's allele count, the sample-to-ST map and an
     empty tuple, which held the simulator's event log when the digests
     were pinned."""
     digest = hashlib.sha256()
     for part in (
         [(p.st_id, p.alleles, p.isolate_count) for p in res.dataset.profiles],
-        [(key, rec.sequence) for key, rec in res.dataset.alleles.items()],
         [
-            (meta.name, meta.length, sum(loc == meta.name for loc, _aid in res.dataset.alleles))
-            for meta in res.dataset.loci
+            ((name, aid), rec.sequence)
+            for name in sorted(res.dataset.alleles)
+            for aid, rec in res.dataset.alleles[name].items()
         ],
+        [(meta.name, meta.length, len(res.dataset.alleles[meta.name])) for meta in res.dataset.loci],
         res.st_of_sample,
         (),
     ):

@@ -294,8 +294,7 @@ def test_relabeling_invariance(demo_dataset):
         mlst_io.StProfile(mapping[p.st_id], p.alleles) for p in demo_dataset.profiles
     ]
     alleles = {
-        locus: [seq for (loc, _), seq in demo_dataset.alleles.items() if loc == locus]
-        for locus in demo_dataset.locus_names
+        locus: list(demo_dataset.alleles[locus].values()) for locus in demo_dataset.locus_names
     }
     relabeled, _ = mlst_io.build_dataset(profiles, alleles, mode="strict")
     part = slv.extract_slv(relabeled, "gltA")
@@ -368,7 +367,9 @@ def test_typed_errors_keep_their_messages():
     )
     assert seen == [f"{zero}; pair dropped"]
     short = dataclasses.replace(
-        dataset, alleles={**dataset.alleles, ("locA", 4): mlst_io.AlleleSequence("locA", 4, "ACG")}
+        dataset,
+        alleles={**dataset.alleles,
+                 "locA": {**dataset.alleles["locA"], 4: mlst_io.AlleleSequence("locA", 4, "ACG")}},
     )
     with pytest.raises(LengthMismatchError) as err:
         slv.extract_slv(short, "locA", mode="lenient")
