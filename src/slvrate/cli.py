@@ -30,12 +30,12 @@ from .import_dist import DEFAULT_PA, ImportDistribution
 from .joint_inference import JointFit, VariationTestResult, joint_fit
 from .locus_estimator import LocusFit
 from .mlst_io import (
+    allele_fasta_text,
     build_dataset,
     parse_allele_fasta,
     parse_profiles,
     profile_header,
-    write_allele_fasta,
-    write_profiles,
+    profiles_text,
 )
 from .numerics import DEFAULT_TOL
 from .pipeline import (
@@ -105,12 +105,32 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _output(flag: str, path: str | None, directory: bool = False) -> Path | None:
+    """The output path that ``flag`` names, checked before any work: a
+    file must not be a directory, a directory not a file, and neither may
+    lie under a file. Missing parent directories are made by ``_write``."""
+    if not path:
+        return None
+    path = Path(path)
+    at = next(p for p in (path, *path.parents) if p.exists())
+    if at.is_dir() != (directory or at != path):
+        where = "" if at == path else f"{at} "
+        raise ConfigError(f"{flag} {path}: {where}is {'a' if at.is_dir() else 'not a'} directory")
+    return path
+
+
+def _write(path: Path, text: str) -> None:
+    """The one writer of every output file: it makes missing parents."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
 def write_json(path: Path | None, doc: dict) -> None:
     text = render_json(doc) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        _write(path, text)
 
 
 def _meta(command: str, config: dict, inputs: Sequence[Path]) -> dict:
@@ -157,20 +177,16 @@ def _load_dataset(args):
     if args.loci:
         loci = [name.strip() for name in args.loci.split(",") if name.strip()]
     else:
-        loci = [
-            name
-            for name in profile_header(profiles_path)
-            if name not in (args.st_column, args.count_column)
-            and _fasta_path(alleles_dir, name) is not None
-        ]
+        loci = [name for name in profile_header(profiles_path)
+                if name not in (args.st_column, args.count_column)]
+    fasta_paths = {name: _fasta_path(alleles_dir, name) for name in loci}
+    missing = [name for name, path in fasta_paths.items() if path is None]
+    if args.loci and missing:  # a named locus needs its file; a header column may lack one
+        raise ConfigError(f"no FASTA file for locus {missing[0]!r} under {alleles_dir}")
+    loci = [name for name in loci if name not in missing]
     if len(loci) < 2:
         raise ConfigError(f"need at least 2 loci, resolved {loci!r}")
-    fasta_paths = {}
-    for name in loci:
-        path = _fasta_path(alleles_dir, name)
-        if path is None:
-            raise ConfigError(f"no FASTA file for locus {name!r} under {alleles_dir}")
-        fasta_paths[name] = path
+    fasta_paths = {name: fasta_paths[name] for name in loci}
     profiles = parse_profiles(
         profiles_path, loci, st_column=args.st_column, count_column=args.count_column
     )
@@ -203,7 +219,7 @@ def _add_import_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--pa", dest="p_a", type=float, default=_DEFAULTS.p_a,
                      help="full-locus import probability")
     sub.add_argument("-M", "--draws", type=int, default=_DEFAULTS.draws, help="Monte Carlo draws")
-    sub.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    sub.add_argument("--seed", type=_arg(_seed), default=_DEFAULTS.seed)
     sub.add_argument("--weighting", choices=("by_st", "by_isolate"), default=_DEFAULTS.weighting)
 
 
@@ -297,6 +313,8 @@ def _variation_doc(result: VariationTestResult) -> dict:
 
 
 def cmd_extract(args) -> int:
+    out = _output("--out", args.out)
+    meta_out = _output("--out", args.out and f"{args.out}.meta.json")
     dataset, repairs, inputs = _load_dataset(args)
     lines = ["locus\tgroup_id\tst_a\tst_b\tx\tweight"]
     for meta in dataset.loci:
@@ -305,12 +323,12 @@ def cmd_extract(args) -> int:
         for gid, st_a, st_b, x, weight in zip(*(col.tolist() for col in columns)):
             lines.append(f"{part.locus}\t{gid}\t{st_a}\t{st_b}\t{x}\t{weight:.10g}")
     text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+    if out:
+        _write(out, text)
         meta_doc = _meta("extract", {"mode": args.mode, "loci": list(dataset.locus_names)}, inputs)
         if repairs:
             meta_doc["lenient_repairs"] = list(repairs)
-        write_json(Path(str(args.out) + ".meta.json"), meta_doc)
+        write_json(meta_out, meta_doc)
     else:
         sys.stdout.write(text)
     return 0
@@ -321,6 +339,8 @@ def cmd_import_dist(args) -> int:
         raise ConfigError(f"--pa must be in [0,1], got {args.p_a}")
     if args.draws < 1:
         raise ConfigError(f"--draws must be >= 1, got {args.draws}")
+    out = _output("--out", args.out or ("." if args.locus == "all" else None),
+                  directory=args.locus == "all")
     dataset, _repairs, inputs = _load_dataset(args)
     if args.locus != "all" and args.locus not in dataset.locus_names:
         raise ConfigError(f"unknown locus {args.locus!r}; loci are {', '.join(dataset.locus_names)}")
@@ -337,17 +357,10 @@ def cmd_import_dist(args) -> int:
         if name not in dists:
             raise ConfigError(f"locus {name!r} unavailable (fewer than 2 usable units)")
     config = {name: value for name, value in asdict(opts).items() if name in vars(args)}
-    if args.locus == "all":
-        out_dir = Path(args.out) if args.out else Path(".")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name in wanted:
-            doc = dists[name].to_json_dict()
-            doc["meta"] = _meta("import-dist", config, inputs)
-            write_json(out_dir / f"{name}.dist.json", doc)
-    else:
-        doc = dists[wanted[0]].to_json_dict()
+    for name in wanted:
+        doc = dists[name].to_json_dict()
         doc["meta"] = _meta("import-dist", config, inputs)
-        write_json(Path(args.out) if args.out else None, doc)
+        write_json(out / f"{name}.dist.json" if args.locus == "all" else out, doc)
     return 0
 
 
@@ -366,17 +379,19 @@ def _analyze(args, step):
 
 
 def cmd_estimate(args) -> int:
+    out = _output("--out", args.out)
     result, opts, inputs = _analyze(args, fit_loci)
     doc = {
         "meta": _meta("estimate", asdict(opts), inputs),
         "loci": [_fit_doc(fit) for fit in result.locus_fits],
         "skipped_loci": list(result.skipped_loci),
     }
-    write_json(Path(args.out) if args.out else None, doc)
+    write_json(out, doc)
     return 0
 
 
 def cmd_joint(args) -> int:
+    out = _output("--out", args.out)
     result, opts, inputs = _analyze(args, fit_loci)
     if len(result.likelihoods) < 2:
         raise SlvRateError(
@@ -385,11 +400,13 @@ def cmd_joint(args) -> int:
         )
     joint = joint_fit(result.likelihoods, result.locus_fits, level=opts.level)
     doc = {"meta": _meta("joint", asdict(opts), inputs), **_joint_doc(joint)}
-    write_json(Path(args.out) if args.out else None, doc)
+    write_json(out, doc)
     return 0
 
 
 def cmd_test_variation(args) -> int:
+    out = _output("--out", args.out)
+    forest_out = _output("--forest-out", args.forest_out)
     result, opts, inputs = _analyze(args, analyze_dataset)
     if result.variation is None:
         raise SlvRateError(
@@ -400,8 +417,8 @@ def cmd_test_variation(args) -> int:
         "meta": _meta("test-variation", asdict(opts), inputs),
         **_variation_doc(result.variation),
     }
-    write_json(Path(args.out) if args.out else None, doc)
-    if args.forest_out:
+    write_json(out, doc)
+    if forest_out:
         rows = [(fit.locus, fit) for fit in result.locus_fits]
         if result.joint is not None:
             rows.append(("_all_", result.joint))
@@ -409,7 +426,7 @@ def cmd_test_variation(args) -> int:
             f"{name}\t{fit.lam_hat:.10g}\t{fit.ci_lower:.10g}\t{fit.ci_upper:.10g}"
             for name, fit in rows
         ]
-        Path(args.forest_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write(forest_out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -478,11 +495,28 @@ def _positive_int(value) -> int:
     return n
 
 
-def _worker_count(text: str) -> int:
-    try:
-        return _positive_int(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+def _seed(value) -> int:
+    """A seed, as numpy's SeedSequence takes it: an int >= 0."""
+    n = int(value)
+    if n < 0:
+        raise ValueError(f"must be >= 0, got {n}")
+    return n
+
+
+def _config_seed(cfg, seed_override: int | None) -> int:
+    """``--seed`` when given, else the config's ``seed`` key, 0 by default."""
+    return _field(cfg, "seed", _seed, 0) if seed_override is None else seed_override
+
+
+def _arg(convert):
+    """``convert`` as an argparse type: a value it rejects exits 1 with the
+    usage and one error line that names the flag."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return parse
 
 
 def _parse_import_spec(spec) -> ImportModel | dict[str, ImportModel]:
@@ -509,20 +543,19 @@ def _sim_config_from(cfg: dict, seed_override: int | None) -> SimConfig:
         theta=_field(cfg, "theta", _floats),
         lam=_field(cfg, "lambda", _floats),
         import_model=_field(cfg, "import", _parse_import_spec),
-        seed=_field(cfg, "seed", int, 0) if seed_override is None else seed_override,
+        seed=_config_seed(cfg, seed_override),
     )
 
 
 def cmd_simulate(args) -> int:
+    out_dir = _output("--out-dir", args.out_dir, directory=True)
     with _json_file("config", args.config) as cfg:
         config = _sim_config_from(cfg, args.seed)
         replicate = _field(cfg, "replicate", int, 0)
     result = simulate(config, replicate=replicate)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_profiles(result.dataset, out_dir / "profiles.tsv")
+    _write(out_dir / "profiles.tsv", profiles_text(result.dataset))
     for name, _length in config.loci:
-        write_allele_fasta(result.dataset, name, out_dir / f"{name}.fas")
+        _write(out_dir / f"{name}.fas", allele_fasta_text(result.dataset, name))
     truth = {
         "meta": _meta("simulate", cfg, [Path(args.config)]),
         "seed": config.seed,
@@ -556,7 +589,7 @@ def _design_from(cfg: dict, seed_override: int | None) -> SimDesign | RecoveryDe
             loci=loci,
             import_means=_field(cfg, "import_means", lambda v: _per_locus(_floats(v), loci)),
             n_pairs=_field(cfg, "n_pairs", int),
-            seed=_field(cfg, "seed", int, 0) if seed_override is None else seed_override,
+            seed=_config_seed(cfg, seed_override),
             level=_field(cfg, "level", float, _DEFAULTS.level),
         )
     if kind not in ("coverage", "type1", "power"):
@@ -570,11 +603,10 @@ def _design_from(cfg: dict, seed_override: int | None) -> SimDesign | RecoveryDe
 
 
 def cmd_experiment(args) -> int:
+    out_dir = _output("--out-dir", args.out_dir, directory=True)
     with _json_file("config", args.config) as cfg:
         design = _design_from(cfg, args.seed)
     report = run_experiment(design, workers=args.threads)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "report.json", _report_doc(report, cfg, args))
     _write_rows(report, out_dir / "replicates.tsv")
     return 0
@@ -604,7 +636,7 @@ def _write_rows(report: ExperimentReport, path: Path) -> None:
         values = (row.get(col, "") for col in cols)
         lines.append("\t".join(format(v, ".10g") if isinstance(v, float) else str(v)
                                for v in values))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(path, "\n".join(lines) + "\n")
 
 
 # -- entry point ---------------------------------------------------------------------------
@@ -643,16 +675,16 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("simulate", help="clonal-frame simulation to profiles + FASTA")
     sub.add_argument("--config", required=True)
     sub.add_argument("--out-dir", required=True)
-    sub.add_argument("--seed", type=int, default=None, help="override config seed")
+    sub.add_argument("--seed", type=_arg(_seed), default=None, help="override config seed")
     sub.set_defaults(func=cmd_simulate)
 
     sub = subs.add_parser("experiment", help="replicated simulation study with a report")
     sub.add_argument("--config", required=True)
     sub.add_argument("--out-dir", required=True)
-    sub.add_argument("--seed", type=int, default=None, help="override config seed")
+    sub.add_argument("--seed", type=_arg(_seed), default=None, help="override config seed")
     sub.add_argument(
         "--threads",
-        type=_worker_count,
+        type=_arg(_positive_int),
         default=parallel.usable_cores(),
         help="worker processes for replicates; results do not depend on it",
     )

@@ -495,26 +495,27 @@ def hamming(a: AlleleSequence, b: AlleleSequence) -> int:
     return int(np.count_nonzero((ea != eb) & valid))
 
 
-# -- writers (round-trip + simulator output) -----------------------------------
+# -- formatters (round-trip + simulator output) ---------------------------------
 
-_FASTA_WIDTH = 60  # bases per line of a written FASTA record
-
-
-def write_profiles(dataset: MlstDataset, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("\t".join(["ST", *dataset.locus_names]) + "\n")
-        for prof in dataset.profiles:
-            fh.write("\t".join([str(prof.st_id), *(str(a) for a in prof.alleles)]) + "\n")
+_FASTA_WIDTH = 60  # bases per line of a formatted FASTA record
 
 
-def write_allele_fasta(dataset: MlstDataset, locus: str, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for rec in dataset.alleles[locus].values():
-            fh.write(f">{locus}_{rec.allele_id}\n")
-            for start in range(0, len(rec.sequence), _FASTA_WIDTH):
-                fh.write(rec.sequence[start : start + _FASTA_WIDTH] + "\n")
+def profiles_text(dataset: MlstDataset) -> str:
+    """The profile table of a dataset, as ``parse_profiles`` reads it."""
+    rows = [["ST", *dataset.locus_names]]
+    rows += [[str(prof.st_id), *map(str, prof.alleles)] for prof in dataset.profiles]
+    return "".join("\t".join(row) + "\n" for row in rows)
+
+
+def allele_fasta_text(dataset: MlstDataset, locus: str) -> str:
+    """One locus's alleles as FASTA in id order, as ``parse_allele_fasta``
+    reads it: a ``>{locus}_{id}`` header, then lines of 60 bases."""
+    lines = []
+    for rec in dataset.alleles[locus].values():
+        lines.append(f">{locus}_{rec.allele_id}")
+        seq = rec.sequence
+        lines += [seq[start : start + _FASTA_WIDTH] for start in range(0, len(seq), _FASTA_WIDTH)]
+    return "".join(line + "\n" for line in lines)
 
 
 def decode_sequence(codes: np.ndarray) -> str:

@@ -11,7 +11,7 @@ import sys
 import pytest
 from conftest import DEMO, REPO
 
-from slvrate import experiment, parallel, pipeline
+from slvrate import cli, experiment, parallel, pipeline
 from slvrate.cli import main, render_json
 from slvrate.errors import DegenerateScoresError
 from slvrate.mlst_io import parse_allele_fasta
@@ -524,3 +524,129 @@ def test_a_directory_in_place_of_a_data_file_is_a_parse_error_naming_it(tmp_path
     assert capsys.readouterr().err == (
         f"slvrate: ParseError: cannot read the file (Is a directory) [{data / 'profiles.tsv'}]\n"
     )
+
+
+# -- seeds and output paths ------------------------------------------------------------
+
+DATASET_COMMANDS = ("import-dist", "estimate", "joint", "test-variation")
+
+
+def _last_line(err: str) -> str:
+    assert "Traceback" not in err
+    return err.rstrip("\n").rsplit("\n", 1)[-1]
+
+
+@pytest.mark.parametrize("command", [*DATASET_COMMANDS, "simulate", "experiment"])
+def test_a_negative_seed_flag_exits_one_naming_it(tmp_path, capsys, command):
+    if command in DATASET_COMMANDS:
+        argv = [command, *dataset_args(), "-M", "1000", "--out", tmp_path / "o" / "x.json"]
+    else:
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(RECOVERY_CONFIG))
+        argv = [command, "--config", cfg, "--out-dir", tmp_path / "o"]
+    assert run(*argv, "--seed", "-1") == 1
+    assert _last_line(capsys.readouterr().err) == (
+        f"slvrate {command}: error: argument --seed: must be >= 0, got -1"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, design", [
+    ("simulate", None), ("experiment", "coverage"), ("experiment", "recovery"),
+])
+def test_a_negative_config_seed_exits_one_naming_the_key(tmp_path, capsys, command, design):
+    if design == "recovery":
+        cfg = dict(RECOVERY_CONFIG)
+    else:
+        cfg = json.loads(sim_config(tmp_path).read_text())
+        if design:
+            cfg.update(design=design, replicates=2, analysis={"draws": 1000})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, "seed": -3}))
+    assert run(command, "--config", path, "--out-dir", tmp_path / "o") == 1
+    assert capsys.readouterr().err == f"slvrate: config {path}: seed: must be >= 0, got -3\n"
+    assert not (tmp_path / "o").exists()
+    # the flag overrides the key
+    assert run(command, "--config", path, "--out-dir", tmp_path / "o", "--seed", "2") == 0
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command started its work")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["extract", "--out"], "--out"),
+    (["import-dist", "--locus", "gltA", "--out"], "--out"),
+    (["estimate", "--out"], "--out"),
+    (["joint", "--out"], "--out"),
+    (["test-variation", "--out"], "--out"),
+    (["test-variation", "--out", "v.json", "--forest-out"], "--forest-out"),
+], ids=["extract", "import-dist", "estimate", "joint", "test-variation", "forest-out"])
+def test_a_directory_as_an_output_file_exits_one_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                 argv, flag):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_load_dataset", _no_work)
+    (tmp_path / "taken").mkdir()
+    assert run(argv[0], *dataset_args(), *argv[1:], "taken") == 1
+    assert capsys.readouterr().err == f"slvrate: {flag} taken: is a directory\n"
+    # under a file
+    (tmp_path / "file").write_text("")
+    assert run(argv[0], *dataset_args(), *argv[1:], "file/x") == 1
+    assert capsys.readouterr().err == f"slvrate: {flag} file/x: file is not a directory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["import-dist", *dataset_args(), "--locus", "all", "--out"],
+    ["simulate", "--config", "cfg.json", "--out-dir"],
+    ["experiment", "--config", "cfg.json", "--out-dir"],
+], ids=["import-dist", "simulate", "experiment"])
+def test_a_file_as_an_output_directory_exits_one_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                 argv):
+    monkeypatch.chdir(tmp_path)
+    for name in ("_load_dataset", "simulate", "run_experiment"):
+        monkeypatch.setattr(cli, name, _no_work)
+    (tmp_path / "cfg.json").write_text(json.dumps(RECOVERY_CONFIG))
+    (tmp_path / "taken").write_text("")
+    assert run(*argv, "taken") == 1
+    assert capsys.readouterr().err == f"slvrate: {argv[-1]} taken: is not a directory\n"
+
+
+def test_every_command_makes_the_missing_parents_of_its_outputs(tmp_path):
+    new = tmp_path / "a" / "b"
+    assert run("extract", *dataset_args(), "--out", new / "slv.tsv") == 0
+    assert (new / "slv.tsv.meta.json").is_file()
+    assert run("import-dist", *dataset_args(), "-M", "1000", "--locus", "gltA",
+               "--out", new / "one" / "gltA.json") == 0
+    assert run("import-dist", *dataset_args(), "-M", "1000", "--out", new / "all") == 0
+    assert sorted(p.name for p in (new / "all").iterdir())[0] == "aspA.dist.json"
+    assert run("estimate", *dataset_args(), "-M", "1000", "--out", new / "e" / "est.json") == 0
+    assert run("joint", *dataset_args(), "-M", "1000", "--out", new / "j" / "joint.json") == 0
+    assert run("test-variation", *dataset_args(), "-M", "1000", "--out", new / "v" / "var.json",
+               "--forest-out", new / "f" / "forest.tsv") == 0
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(RECOVERY_CONFIG))
+    assert run("experiment", "--config", cfg, "--out-dir", new / "exp", "--threads", "1") == 0
+    assert run("simulate", "--config", sim_config(tmp_path), "--out-dir", new / "sim") == 0
+    for path in ("e/est.json", "j/joint.json", "v/var.json", "f/forest.tsv",
+                 "exp/report.json", "exp/replicates.tsv", "sim/truth.json", "sim/locA.fas"):
+        assert (new / path).is_file()
+
+
+def test_each_fasta_file_is_resolved_once(monkeypatch):
+    seen = []
+    resolve = cli._fasta_path
+
+    def counting(alleles_dir, locus):
+        seen.append(locus)
+        return resolve(alleles_dir, locus)
+
+    monkeypatch.setattr(cli, "_fasta_path", counting)
+    assert run("extract", *dataset_args()) == 0
+    # the header's clonal_complex column has no file and is skipped
+    assert sorted(seen) == ["aspA", "clonal_complex", "glnA", "gltA"]
+
+
+@pytest.mark.parametrize("loci", ["zzz", "aspA,zzz"])
+def test_a_named_locus_without_a_fasta_file_is_named(capsys, loci):
+    assert run("extract", *dataset_args(), "--loci", loci) == 1
+    assert capsys.readouterr().err == f"slvrate: no FASTA file for locus 'zzz' under {DEMO}\n"

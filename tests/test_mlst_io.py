@@ -198,9 +198,9 @@ def test_hamming_is_a_metric(seed):
 
 
 def test_round_trip(tmp_path, demo_dataset):
-    mlst_io.write_profiles(demo_dataset, tmp_path / "profiles.tsv")
+    (tmp_path / "profiles.tsv").write_text(mlst_io.profiles_text(demo_dataset))
     for locus in demo_dataset.locus_names:
-        mlst_io.write_allele_fasta(demo_dataset, locus, tmp_path / f"{locus}.fas")
+        (tmp_path / f"{locus}.fas").write_text(mlst_io.allele_fasta_text(demo_dataset, locus))
     profiles = mlst_io.parse_profiles(tmp_path / "profiles.tsv", demo_dataset.locus_names)
     alleles = {
         locus: mlst_io.parse_allele_fasta(tmp_path / f"{locus}.fas", locus)
