@@ -219,7 +219,7 @@ def _add_import_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--pa", dest="p_a", type=float, default=_DEFAULTS.p_a,
                      help="full-locus import probability")
     sub.add_argument("-M", "--draws", type=int, default=_DEFAULTS.draws, help="Monte Carlo draws")
-    sub.add_argument("--seed", type=_arg(_seed), default=_DEFAULTS.seed)
+    sub.add_argument("--seed", type=_arg(_non_negative_int), default=_DEFAULTS.seed)
     sub.add_argument("--weighting", choices=("by_st", "by_isolate"), default=_DEFAULTS.weighting)
 
 
@@ -495,8 +495,8 @@ def _positive_int(value) -> int:
     return n
 
 
-def _seed(value) -> int:
-    """A seed, as numpy's SeedSequence takes it: an int >= 0."""
+def _non_negative_int(value) -> int:
+    """A seed or a replicate index, as numpy's SeedSequence takes it."""
     n = int(value)
     if n < 0:
         raise ValueError(f"must be >= 0, got {n}")
@@ -505,7 +505,7 @@ def _seed(value) -> int:
 
 def _config_seed(cfg, seed_override: int | None) -> int:
     """``--seed`` when given, else the config's ``seed`` key, 0 by default."""
-    return _field(cfg, "seed", _seed, 0) if seed_override is None else seed_override
+    return _field(cfg, "seed", _non_negative_int, 0) if seed_override is None else seed_override
 
 
 def _arg(convert):
@@ -551,7 +551,7 @@ def cmd_simulate(args) -> int:
     out_dir = _output("--out-dir", args.out_dir, directory=True)
     with _json_file("config", args.config) as cfg:
         config = _sim_config_from(cfg, args.seed)
-        replicate = _field(cfg, "replicate", int, 0)
+        replicate = _field(cfg, "replicate", _non_negative_int, 0)
     result = simulate(config, replicate=replicate)
     _write(out_dir / "profiles.tsv", profiles_text(result.dataset))
     for name, _length in config.loci:
@@ -675,13 +675,15 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("simulate", help="clonal-frame simulation to profiles + FASTA")
     sub.add_argument("--config", required=True)
     sub.add_argument("--out-dir", required=True)
-    sub.add_argument("--seed", type=_arg(_seed), default=None, help="override config seed")
+    sub.add_argument("--seed", type=_arg(_non_negative_int), default=None,
+                     help="override config seed")
     sub.set_defaults(func=cmd_simulate)
 
     sub = subs.add_parser("experiment", help="replicated simulation study with a report")
     sub.add_argument("--config", required=True)
     sub.add_argument("--out-dir", required=True)
-    sub.add_argument("--seed", type=_arg(_seed), default=None, help="override config seed")
+    sub.add_argument("--seed", type=_arg(_non_negative_int), default=None,
+                     help="override config seed")
     sub.add_argument(
         "--threads",
         type=_arg(_positive_int),

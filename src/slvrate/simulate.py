@@ -303,7 +303,7 @@ def overlay_events(
             raws[li] = arr.tobytes()
         raws_at[node] = tuple(raws)
     leaf_vectors = [raws_at[a] for a in anchor[: tree.n_leaves]]
-
+    del scripts, raws_at  # freed before the dataset builds its arrays
     return _materialize(config, leaf_vectors)
 
 

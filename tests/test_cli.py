@@ -570,6 +570,12 @@ def test_a_negative_config_seed_exits_one_naming_the_key(tmp_path, capsys, comma
     assert run(command, "--config", path, "--out-dir", tmp_path / "o", "--seed", "2") == 0
 
 
+def test_a_negative_replicate_index_exits_one_naming_the_key(tmp_path, capsys):
+    path = sim_config(tmp_path, replicate=-1)
+    assert run("simulate", "--config", path, "--out-dir", tmp_path / "o") == 1
+    assert capsys.readouterr().err == f"slvrate: config {path}: replicate: must be >= 0, got -1\n"
+
+
 def _no_work(*args, **kwargs):
     raise AssertionError("the command started its work")
 

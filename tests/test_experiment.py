@@ -223,7 +223,14 @@ def test_other_errors_propagate_and_no_worker_outlives_them(monkeypatch, failing
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("failing", [{1, 2}, {2, 3}, {3}, {0, 3}, {1, 2, 3}])
+@pytest.mark.parametrize("failing", [
+    {1: RuntimeError, 2: RuntimeError},
+    {2: RuntimeError, 3: RuntimeError},
+    {3: RuntimeError},
+    {0: RuntimeError, 3: RuntimeError},
+    {1: RuntimeError, 2: RuntimeError, 3: RuntimeError},
+    {0: DegenerateScoresError, 2: RuntimeError},  # a counted failure ends nothing
+], ids=["1,2", "2,3", "3", "0,3", "1,2,3", "counted 0,2"])
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
 def test_the_error_raised_is_the_lowest_failing_replicates(monkeypatch, failing, workers):
     # with two workers the parent runs replicates 0 and 2 and hits 2 before
@@ -232,28 +239,12 @@ def test_the_error_raised_is_the_lowest_failing_replicates(monkeypatch, failing,
 
     def broken(design, models, ridx):
         if ridx in failing:
-            raise RuntimeError(f"replicate {ridx} broke")
+            raise failing[ridx](f"replicate {ridx} broke")
         return original(design, models, ridx)
 
     monkeypatch.setattr(ex, "_run_recovery_replicate", broken)
-    with pytest.raises(RuntimeError, match=f"^replicate {min(failing)} broke$"):
+    first = min(ridx for ridx, error in failing.items() if error is RuntimeError)
+    with pytest.raises(RuntimeError, match=f"^replicate {first} broke$"):
         ex.run_experiment(tiny_recovery_design(replicates=4), workers=workers)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3, 4])
-def test_a_counted_failure_does_not_end_a_share(monkeypatch, workers):
-    # replicate 0 is counted, so replicate 2's error is the first that ends the run
-    original = ex._run_recovery_replicate
-
-    def broken(design, models, ridx):
-        if ridx == 0:
-            raise DegenerateScoresError("locus a: all scores identical")
-        if ridx == 2:
-            raise RuntimeError("replicate 2 broke")
-        return original(design, models, ridx)
-
-    monkeypatch.setattr(ex, "_run_recovery_replicate", broken)
-    with pytest.raises(RuntimeError, match="^replicate 2 broke$"):
-        ex.run_experiment(tiny_recovery_design(replicates=4), workers=workers)
