@@ -531,11 +531,6 @@ def test_a_directory_in_place_of_a_data_file_is_a_parse_error_naming_it(tmp_path
 DATASET_COMMANDS = ("import-dist", "estimate", "joint", "test-variation")
 
 
-def _last_line(err: str) -> str:
-    assert "Traceback" not in err
-    return err.rstrip("\n").rsplit("\n", 1)[-1]
-
-
 @pytest.mark.parametrize("command", [*DATASET_COMMANDS, "simulate", "experiment"])
 def test_a_negative_seed_flag_exits_one_naming_it(tmp_path, capsys, command):
     if command in DATASET_COMMANDS:
@@ -545,7 +540,9 @@ def test_a_negative_seed_flag_exits_one_naming_it(tmp_path, capsys, command):
         cfg.write_text(json.dumps(RECOVERY_CONFIG))
         argv = [command, "--config", cfg, "--out-dir", tmp_path / "o"]
     assert run(*argv, "--seed", "-1") == 1
-    assert _last_line(capsys.readouterr().err) == (
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.rstrip("\n").rsplit("\n", 1)[-1] == (
         f"slvrate {command}: error: argument --seed: must be >= 0, got -1"
     )
     assert not (tmp_path / "o").exists()
