@@ -571,10 +571,14 @@ def cmd_simulate(args) -> int:
 
 def _analysis_from_config(sub) -> AnalysisOptions:
     """The ``analysis`` block: each key is a field name (``pa`` for
-    ``p_a``), read with the type of the field's default."""
+    ``p_a``), read with the type of the field's default. It takes no
+    ``seed``, which each replicate derives from the config's."""
+    if "seed" in _object(sub):
+        raise ConfigError("seed: each replicate derives its analysis seed from the config's 'seed'")
     return AnalysisOptions(**{
         f.name: _field(sub, "pa" if f.name == "p_a" else f.name, type(f.default), f.default)
         for f in fields(AnalysisOptions)
+        if f.name != "seed"
     })
 
 

@@ -23,15 +23,18 @@ bit-for-bit:
    (site and shift of a mutation, or D, sites and shifts of an import).
 
 Cost: after the vectorised per-branch counts, the overlay does Python work
-only per event and per busy cell, not per (node, locus) cell. A node
-without events shares its nearest eventful ancestor's sequences, stored as
-one byte string per locus, and a leaf's sequence type is looked up once
-per distinct tuple of those strings.
+only per event and per busy cell, not per (node, locus) cell. A busy cell
+keeps one m-byte shift, the sum mod 4 of its events' per-site changes, and
+adds it to its anchor's sequence in one vectorised step. A node without
+events shares its nearest eventful ancestor's sequences, stored as one
+byte string per locus, and a leaf's sequence type is looked up once per
+distinct tuple of those strings.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -209,7 +212,7 @@ def simulate_coalescent_tree(n: int, rng: np.random.Generator) -> CoalescentTree
     n_nodes = 2 * n - 1
     parent = [-1] * n_nodes
     time = [0.0] * n_nodes
-    active = list(range(n))
+    active = array("i", range(n))  # 4-byte slots: each deletion moves half the bytes
     exponential, integers = rng.exponential, rng.integers
     now = 0.0
     for nxt in range(n, n_nodes):
@@ -250,10 +253,11 @@ def overlay_events(
         mut_counts[li] = rng.poisson(blen * (config.theta[li] / 2.0))
         rec_counts[li] = rng.poisson(blen * (config.lam[li] * config.theta[li] / 2.0))
 
-    # per-node event scripts for the busy (node, locus) cells only, drawn in
-    # canonical order: nonzero() on the (node, locus) matrix is node-major
+    # each busy (node, locus) cell folds its events into one shift per site,
+    # as additions mod 4 commute; the draws stay in canonical order, where
+    # nonzero() on the (node, locus) matrix is node-major
     busy_nodes, busy_loci = np.nonzero((mut_counts + rec_counts).T)
-    scripts: dict[int, list[tuple[int, list[tuple]]]] = {}
+    shifts: dict[int, list[tuple[int, np.ndarray]]] = {}
     for node, li, n_mut, n_rec in zip(
         busy_nodes.tolist(),
         busy_loci.tolist(),
@@ -261,21 +265,19 @@ def overlay_events(
         rec_counts[busy_loci, busy_nodes].tolist(),
     ):
         m = loci[li][1]
-        marks = [(float(u), "mut") for u in rng.random(n_mut)]
-        marks += [(float(u), "rec") for u in rng.random(n_rec)]
-        marks.sort(reverse=True)  # larger offset = older; apply root-to-tip
-        ops: list[tuple] = []
-        for _offset, kind in marks:
-            if kind == "mut":
-                site = int(rng.integers(m))
-                delta = int(rng.integers(1, 4))
-                ops.append(("mut", site, delta))
+        marks = [(u, False) for u in rng.random(n_mut).tolist()]
+        marks += [(u, True) for u in rng.random(n_rec).tolist()]
+        marks.sort(reverse=True)  # larger offset = older; draw oldest first
+        shift = np.zeros(m, dtype=np.uint8)
+        for _offset, is_import in marks:
+            if is_import:
+                sites = rng.choice(m, size=samplers[li](rng), replace=False)
+                # an int64 sum, stored back in 0..3: a uint8 shift never overflows
+                shift[sites] = (shift[sites] + rng.integers(1, 4, size=sites.size)) % 4
             else:
-                d = samplers[li](rng)
-                sites = rng.choice(m, size=d, replace=False)
-                deltas = rng.integers(1, 4, size=d)
-                ops.append(("rec", sites, deltas))
-        scripts.setdefault(node, []).append((li, ops))
+                site = int(rng.integers(m))
+                shift[site] = (int(shift[site]) + int(rng.integers(1, 4))) % 4
+        shifts.setdefault(node, []).append((li, shift))
 
     # each leaf inherits the sequences of its nearest ancestor-or-self whose
     # branch carries events (the root counts as one), found by pointer
@@ -289,21 +291,13 @@ def overlay_events(
         anchor = np.where(busy[anchor], anchor, anchor[anchor])
     anchor = anchor.tolist()
     raws_at = {tree.root: tuple(arr.tobytes() for arr in roots)}
-    for node in reversed(scripts):  # descending ids: ancestors first
+    for node in reversed(shifts):  # descending ids: ancestors first
         raws = list(raws_at[anchor[tree.parent[node]]])
-        for li, ops in scripts[node]:
-            arr = np.frombuffer(raws[li], dtype=np.uint8).copy()
-            for op in ops:
-                if op[0] == "mut":
-                    _, site, delta = op
-                    arr[site] = (arr[site] + delta) % 4
-                else:
-                    _, sites, deltas = op
-                    arr[sites] = (arr[sites] + deltas) % 4
-            raws[li] = arr.tobytes()
+        for li, shift in shifts[node]:
+            raws[li] = ((np.frombuffer(raws[li], dtype=np.uint8) + shift) % 4).tobytes()
         raws_at[node] = tuple(raws)
     leaf_vectors = [raws_at[a] for a in anchor[: tree.n_leaves]]
-    del scripts, raws_at  # freed before the dataset builds its arrays
+    del shifts, raws_at  # freed before the dataset builds its arrays
     return _materialize(config, leaf_vectors)
 
 

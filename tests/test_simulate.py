@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from slvrate import simulate as sim
 from slvrate import slv
 from slvrate.cli import main as cli_main
 from slvrate.errors import InvalidImportModelError, InvalidParamsError
+from slvrate.numerics import SeedDomain, derived_rng
 
 
 def small_config(**kw):
@@ -259,10 +261,20 @@ GOLDEN_CONFIGS = {
         import_model=sim.CompleteImport(p_a=0.8),
         seed=123,
     ),
+    # about 390 expected events per locus on the longest branch, so one
+    # (node, locus) cell folds hundreds of shifts into the same few sites
+    "crowded": dict(
+        n_samples=3,
+        loci=(("a", 2), ("b", 3)),
+        theta=(400.0, 400.0),
+        lam=(1.0, 1.0),
+        import_model=sim.GeometricImport(mean=1.5),
+    ),
 }
 
 GOLDEN_DIGESTS = {
     "complete": "2e1c0f66a6b2d5e9f97e34cb36fe95c62476d90154c599605a234d6ca5bc37aa",
+    "crowded": "1a9a19081c1313f2ba5ea0e167e995ebdfb23973699c9eef6af8fd01d48895cd",
     "empirical": "3ba09a2d45a2a6532ea64da461deae67a0c12325025cf9ed0577ee4bcd181d74",
     "geometric": "ab44c1518b82dc7f989a7c17e4c66d08a3ef1b14607778dd05ab3c7aca29f0fa",
     "n200": "5c856f4b64aa359431cc095ca166c027c4f6ad05619738f0ac5a3c3b804e5637",
@@ -297,6 +309,29 @@ def simulation_digest(res: sim.SimResult) -> str:
 def test_simulation_matches_golden_digest(name):
     res = sim.simulate(small_config(**GOLDEN_CONFIGS[name]))
     assert simulation_digest(res) == GOLDEN_DIGESTS[name]
+
+
+def test_overlay_keeps_one_shift_per_busy_cell():
+    # replicate 0 of the sim_null design; holding each event's site and
+    # delta arrays until the whole genealogy is drawn peaked at 7.4 MiB
+    config = small_config(
+        n_samples=2000,
+        loci=tuple((f"g{i}", 450) for i in range(7)),
+        theta=tuple(100.0 / 7.0 for _ in range(7)),
+        lam=tuple(1.0 for _ in range(7)),
+        import_model=sim.CompleteImport(p_a=0.8),
+        seed=1,
+    )
+    rng = derived_rng(config.seed, SeedDomain.SIMULATION, 0)
+    tree = sim.simulate_coalescent_tree(config.n_samples, rng)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sim.overlay_events(tree, config, rng)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 CLI_CONFIG = {
