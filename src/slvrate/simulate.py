@@ -34,7 +34,6 @@ distinct tuple of those strings.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -212,7 +211,11 @@ def simulate_coalescent_tree(n: int, rng: np.random.Generator) -> CoalescentTree
     n_nodes = 2 * n - 1
     parent = [-1] * n_nodes
     time = [0.0] * n_nodes
-    active = array("i", range(n))  # 4-byte slots: each deletion moves half the bytes
+    # 4-byte slots, so each deletion moves half the bytes of a list's; the
+    # array module loads here, as importing it costs every command ~0.1 MiB
+    from array import array
+
+    active = array("i", range(n))
     exponential, integers = rng.exponential, rng.integers
     now = 0.0
     for nxt in range(n, n_nodes):
