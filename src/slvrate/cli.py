@@ -578,7 +578,6 @@ def _analysis_from_config(sub) -> AnalysisOptions:
     return AnalysisOptions(**{
         f.name: _field(sub, "pa" if f.name == "p_a" else f.name, type(f.default), f.default)
         for f in fields(AnalysisOptions)
-        if f.name != "seed"
     })
 
 

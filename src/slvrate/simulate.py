@@ -206,16 +206,14 @@ class SimResult:
 def simulate_coalescent_tree(n: int, rng: np.random.Generator) -> CoalescentTree:
     """Kingman n-coalescent: while k lineages remain, wait an exponential
     time with rate k(k-1)/2 and merge a uniformly chosen pair."""
+    from array import array  # loaded here, as it costs every command ~0.1 MiB of RSS
+
     if n < 2:
         raise InvalidParamsError(f"need n >= 2 leaves, got {n}")
     n_nodes = 2 * n - 1
     parent = [-1] * n_nodes
     time = [0.0] * n_nodes
-    # 4-byte slots, so each deletion moves half the bytes of a list's; the
-    # array module loads here, as importing it costs every command ~0.1 MiB
-    from array import array
-
-    active = array("i", range(n))
+    active = array("i", range(n))  # 4-byte slots: a deletion moves half a list's bytes
     exponential, integers = rng.exponential, rng.integers
     now = 0.0
     for nxt in range(n, n_nodes):

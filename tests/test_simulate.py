@@ -261,20 +261,21 @@ GOLDEN_CONFIGS = {
         import_model=sim.CompleteImport(p_a=0.8),
         seed=123,
     ),
-    # about 390 expected events per locus on the longest branch, so one
-    # (node, locus) cell folds hundreds of shifts into the same few sites
+    # on the longest branch, about 485 expected mutations at locus a and 390
+    # mutations and imports at b, so one (node, locus) cell folds hundreds of
+    # changes into the same few sites; a shift held past 255 would overflow
     "crowded": dict(
         n_samples=3,
         loci=(("a", 2), ("b", 3)),
-        theta=(400.0, 400.0),
-        lam=(1.0, 1.0),
+        theta=(1000.0, 400.0),
+        lam=(0.0, 1.0),
         import_model=sim.GeometricImport(mean=1.5),
     ),
 }
 
 GOLDEN_DIGESTS = {
     "complete": "2e1c0f66a6b2d5e9f97e34cb36fe95c62476d90154c599605a234d6ca5bc37aa",
-    "crowded": "1a9a19081c1313f2ba5ea0e167e995ebdfb23973699c9eef6af8fd01d48895cd",
+    "crowded": "539f705c615fcd1bc21d23360099e2fc973714c0ee2c7ffbbfb1cc51e0edeec5",
     "empirical": "3ba09a2d45a2a6532ea64da461deae67a0c12325025cf9ed0577ee4bcd181d74",
     "geometric": "ab44c1518b82dc7f989a7c17e4c66d08a3ef1b14607778dd05ab3c7aca29f0fa",
     "n200": "5c856f4b64aa359431cc095ca166c027c4f6ad05619738f0ac5a3c3b804e5637",
