@@ -304,10 +304,10 @@ NO_LENGTH_LOCI = [{"name": "locA", "length": 150}, {"name": "locB"}]
         ("simulate", {"import": {"model": "geometric"}}, "mean"),
         ("experiment", {"design": "coverage", "replicates": 2, "analysis": {"level": "high"}},
          "level"),
-        ("experiment", {"design": "coverage", "replicates": 2,
-                        "analysis": {"seed": -5, "draws": 500}}, "analysis: seed"),
         ("experiment", ["design", "coverage"], "JSON object"),
         ("simulate", [], "JSON object"),
+        ("experiment", {"design": "coverage", "replicates": 2,
+                        "analysis": {"seed": -5, "draws": 500}}, "analysis: seed"),
     ],
 )
 def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, command, cfg, key):
