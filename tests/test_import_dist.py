@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from slvrate import import_dist as imp
 from slvrate import mlst_io
+from slvrate import simulate as sim
 from slvrate.errors import InvalidParamsError, TooFewUnitsError
 
 from helpers import diff_matrix, random_lenient_dataset, reference_units, table_from_matrix
@@ -237,6 +239,40 @@ def test_pa_one_matches_empirical_conditional():
     cdf_got = np.cumsum(dist.q)
     cdf_ref = np.cumsum(target)
     assert np.max(np.abs(cdf_got - cdf_ref)) < 0.01
+
+
+# SHA-256 of q.tobytes() at 70 000 draws, which span two blocks (65 536 +
+# 4 464), at locus l1 of a simulated dataset whose sequence types hold up to
+# 34 isolates each (recorded with numpy 2.4)
+IMPORT_DIST_PINS = {
+    ("by_st", 0.0): "2906262e2ff44c137b1b3fc2fd1fb28d4d9d8ee0a3ff770c3dff439bb50a4409",
+    ("by_st", 0.8): "2173a465dd61541226282b46b4387d7b44eebe993776d257ea9505c0a510f0a6",
+    ("by_st", 1.0): "5e8b8f05fd222b8429f8303d290d94804c67ba9ea91a0b427643e9ca5a93d9d3",
+    ("by_isolate", 0.0): "0665dadfb216a91b68badecc0ac2d2e74fc9b9372c39a95e8ced97dd4aafe09b",
+    ("by_isolate", 0.8): "6be374742f9d8edc941dccedbd9f18527140a663bba137a41da7a2fdf2d9a466",
+    ("by_isolate", 1.0): "53678c2ae92283518e09bbb901ae84227c6e2fe18f456b4b93c717bd16171aad",
+}
+
+
+@pytest.fixture(scope="module")
+def simulated_dataset():
+    config = sim.SimConfig(
+        n_samples=300,
+        loci=(("l1", 50), ("l2", 60)),
+        theta=(4.0, 4.0),
+        lam=(1.0, 1.0),
+        import_model=sim.GeometricImport(mean=5.0),
+        seed=7,
+    )
+    return sim.simulate(config).dataset
+
+
+@pytest.mark.parametrize("weighting, p_a", sorted(IMPORT_DIST_PINS))
+def test_estimate_matches_pinned_bits(simulated_dataset, weighting, p_a):
+    table = imp.pairwise_diffs(simulated_dataset, "l1", weighting)
+    assert table.k == (60 if weighting == "by_st" else 300)
+    dist = imp.estimate_import_dist(table, m=50, p_a=p_a, draws=70_000, seed=5)
+    assert hashlib.sha256(dist.q.tobytes()).hexdigest() == IMPORT_DIST_PINS[weighting, p_a]
 
 
 def test_invalid_params():

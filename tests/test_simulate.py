@@ -271,6 +271,15 @@ GOLDEN_CONFIGS = {
         lam=(0.0, 1.0),
         import_model=sim.GeometricImport(mean=1.5),
     ),
+    # 19 distinct leaf anchors but 16 STs: distinct anchors share a sequence
+    "shared_sequence": dict(
+        n_samples=40,
+        loci=(("a", 1), ("b", 2)),
+        theta=(4.0, 4.0),
+        lam=(0.5, 0.5),
+        import_model=sim.GeometricImport(mean=1.5),
+        seed=3,
+    ),
 }
 
 GOLDEN_DIGESTS = {
@@ -281,6 +290,7 @@ GOLDEN_DIGESTS = {
     "n200": "5c856f4b64aa359431cc095ca166c027c4f6ad05619738f0ac5a3c3b804e5637",
     "n5000": "28e7bb918b1ee00afa832b750feab1fbf7156e6a4ffc46982d8b628c961cbc2e",
     "per_locus": "25cc2663cefefff4677b3b3d05603685e9c75eaac355a9c0ee8e25c17d9686e6",
+    "shared_sequence": "8a63511cd3e73c6d0a77cf84d0c0da6019a824f8cbcb346ab521abb41a46e6ac",
     "zero_rates": "8cb3444beb0a6a3d867569c47ff5ba99dd40cd7ba73e1ca3f7a95ccebc3d1d4f",
 }
 
