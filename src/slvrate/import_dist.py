@@ -38,17 +38,17 @@ class PairwiseDiffTable:
 
     Stored in factored form: per-unit allele index plus an allele-level
     distance matrix, which is what the sampler needs; the dense K x K
-    table is never materialized.
+    table is never materialized. The K units are the entries of
+    ``allele_index``; no unit labels are kept.
     """
 
     locus: str
-    units: tuple[int, ...]             # unit labels (st ids, repeated under by_isolate)
     allele_index: np.ndarray           # (K,) int index into allele_dist
     allele_dist: np.ndarray            # (A, A) symmetric int matrix
 
     @property
     def k(self) -> int:
-        return len(self.units)
+        return len(self.allele_index)
 
     def max_diff(self) -> int:
         return int(self.allele_dist.max()) if self.allele_dist.size else 0
@@ -167,21 +167,15 @@ def pairwise_diffs(
     if weighting not in ("by_st", "by_isolate"):
         raise InvalidParamsError(f"weighting must be by_st or by_isolate, got {weighting!r}")
     ids, dist = allele_distance_matrix(dataset, locus)
-    st_ids, alleles, counts = dataset.profile_arrays
+    _, alleles, counts = dataset.profile_arrays
     focal_ids = alleles[:, dataset.locus_index(locus)]
     pos = np.searchsorted(ids, focal_ids)
     keep = dataset.usable_mask(locus) & np.isin(focal_ids, ids)
     copies = counts[keep] if weighting == "by_isolate" else 1
-    units = np.repeat(st_ids[keep], copies).tolist()
     index = np.repeat(pos[keep], copies)
-    if len(units) < 2:
-        raise TooFewUnitsError(f"locus {locus} has {len(units)} usable units; need at least 2")
-    return PairwiseDiffTable(
-        locus=locus,
-        units=tuple(units),
-        allele_index=index,
-        allele_dist=dist,
-    )
+    if len(index) < 2:
+        raise TooFewUnitsError(f"locus {locus} has {len(index)} usable units; need at least 2")
+    return PairwiseDiffTable(locus=locus, allele_index=index, allele_dist=dist)
 
 
 def estimate_import_dist(

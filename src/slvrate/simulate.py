@@ -27,14 +27,13 @@ only per event and per busy cell, not per (node, locus) cell. A busy cell
 keeps one m-byte shift, the sum mod 4 of its events' per-site changes, and
 adds it to its anchor's sequence in one vectorised step. A node without
 events shares its nearest eventful ancestor's sequences, stored as one
-byte string per locus, and a leaf's sequence type is looked up once per
-distinct tuple of those strings.
+byte string per locus, and sequence types are looked up once per distinct
+leaf anchor, that nearest eventful ancestor-or-self of a leaf.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -290,6 +289,9 @@ def overlay_events(
     anchor = np.where(busy, np.arange(tree.n_nodes), tree.parent)
     while not busy[anchor].all():
         anchor = np.where(busy[anchor], anchor, anchor[anchor])
+    # each distinct leaf anchor once, in order of first appearance
+    _, first, inverse = np.unique(anchor[: tree.n_leaves], return_index=True, return_inverse=True)
+    order = np.argsort(first)
     anchor = anchor.tolist()
     raws_at = {tree.root: tuple(arr.tobytes() for arr in roots)}
     for node in reversed(shifts):  # descending ids: ancestors first
@@ -297,32 +299,30 @@ def overlay_events(
         for li, shift in shifts[node]:
             raws[li] = ((np.frombuffer(raws[li], dtype=np.uint8) + shift) % 4).tobytes()
         raws_at[node] = tuple(raws)
-    leaf_vectors = [raws_at[a] for a in anchor[: tree.n_leaves]]
+    vectors = [raws_at[anchor[leaf]] for leaf in first[order].tolist()]
     del shifts, raws_at  # freed before the dataset builds its arrays
-    return _materialize(config, leaf_vectors)
+    return _materialize(config, vectors, np.argsort(order)[inverse])
 
 
-def _materialize(config: SimConfig, leaf_vectors: Sequence[tuple[bytes, ...]]) -> SimResult:
+def _materialize(
+    config: SimConfig, vectors: Sequence[tuple[bytes, ...]], vector_of_sample: np.ndarray
+) -> SimResult:
+    """Sample i carries the per-locus sequences ``vectors[vector_of_sample[i]]``.
+    Each vector is met first at a lower sample than the next one, so alleles
+    and sequence types are numbered in sample order; vectors may be equal."""
     loci_names = [name for name, _ in config.loci]
     allele_ids: list[dict[bytes, int]] = [{} for _ in loci_names]
     st_ids: dict[tuple[int, ...], int] = {}
-    # leaves below an event-free path share one tuple object: look each
-    # tuple up once (every tuple stays alive in leaf_vectors, so ids are unique)
-    st_of_vector: dict[int, int] = {}
-    st_of_sample: list[int] = []
-    for vec in leaf_vectors:
-        sid = st_of_vector.get(id(vec))
-        if sid is None:
-            key = []
-            for table, raw in zip(allele_ids, vec):
-                if raw not in table:
-                    table[raw] = len(table) + 1
-                key.append(table[raw])
-            sid = st_ids.setdefault(tuple(key), len(st_ids) + 1)
-            st_of_vector[id(vec)] = sid
-        st_of_sample.append(sid)
-
-    counts = Counter(st_of_sample)
+    st_of_vector = []
+    for vec in vectors:
+        key = []
+        for table, raw in zip(allele_ids, vec):
+            if raw not in table:
+                table[raw] = len(table) + 1
+            key.append(table[raw])
+        st_of_vector.append(st_ids.setdefault(tuple(key), len(st_ids) + 1))
+    st_of_sample = np.array(st_of_vector)[vector_of_sample]
+    counts = np.bincount(st_of_sample).tolist()
     profiles = [
         StProfile(st_id=sid, alleles=key, isolate_count=counts[sid])
         for key, sid in st_ids.items()
@@ -347,7 +347,7 @@ def _materialize(config: SimConfig, leaf_vectors: Sequence[tuple[bytes, ...]]) -
             },
             profiles=tuple(profiles),
         )
-    return SimResult(dataset=dataset, st_of_sample=tuple(st_of_sample))
+    return SimResult(dataset=dataset, st_of_sample=tuple(st_of_sample.tolist()))
 
 
 def simulate(config: SimConfig, replicate: int = 0) -> SimResult:

@@ -127,16 +127,14 @@ def diff_matrix(table: PairwiseDiffTable) -> np.ndarray:
     return table.allele_dist[np.ix_(idx, idx)]
 
 
-def table_from_matrix(locus, units, x) -> PairwiseDiffTable:
+def table_from_matrix(locus, x) -> PairwiseDiffTable:
     """A table whose units are all distinct alleles with distances ``x``."""
     x = np.asarray(x, dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] != len(units):
-        raise InvalidParamsError("difference matrix shape does not match units")
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise InvalidParamsError("difference matrix must be square")
     if np.any(x != x.T) or np.any(np.diag(x) != 0) or np.any(x < 0):
         raise InvalidParamsError("difference matrix must be symmetric with zero diagonal")
-    return PairwiseDiffTable(
-        locus=locus, units=tuple(units), allele_index=np.arange(len(units)), allele_dist=x
-    )
+    return PairwiseDiffTable(locus=locus, allele_index=np.arange(len(x)), allele_dist=x)
 
 
 def reference_slv(dataset, locus, mode, warnings):

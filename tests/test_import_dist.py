@@ -16,11 +16,6 @@ from slvrate.errors import InvalidParamsError, TooFewUnitsError
 from helpers import diff_matrix, random_lenient_dataset, reference_units, table_from_matrix
 
 
-def _table(locus, x):
-    n = len(x)
-    return table_from_matrix(locus, list(range(1, n + 1)), np.array(x))
-
-
 def _one_locus_dataset(sequences, mode="strict"):
     """Dataset whose locus ``locA`` carries ``sequences`` as alleles 1..n."""
     alleles = {
@@ -69,7 +64,6 @@ def test_pairwise_diffs_matches_per_profile_reference(seed):
                     imp.pairwise_diffs(dataset, locus, weighting)
                 continue
             table = imp.pairwise_diffs(dataset, locus, weighting)
-            assert table.units == units
             assert np.array_equal(table.allele_index, index)
 
 
@@ -143,7 +137,7 @@ def test_pairwise_diffs_isolate_expansion():
 def test_pairwise_diffs_demo_matches_slv_x(demo_dataset):
     table = imp.pairwise_diffs(demo_dataset, "gltA")
     mat = diff_matrix(table)
-    sts = list(table.units)
+    sts = list(reference_units(demo_dataset, "gltA")[0])
     i4, i5, i6 = sts.index(4), sts.index(5), sts.index(6)
     assert mat[i4, i5] == 5
     assert mat[i4, i6] == 6
@@ -165,14 +159,14 @@ def test_pairwise_diffs_too_few_units():
 
 def test_estimate_analytic_limit_pa_one():
     # units 1,2,3 with x12=x13=4, x23=2; sampling mass 4/9 on 4, 2/9 on 2
-    table = _table("loc", [[0, 4, 4], [4, 0, 2], [4, 2, 0]])
+    table = table_from_matrix("loc", [[0, 4, 4], [4, 0, 2], [4, 2, 0]])
     dist = imp.estimate_import_dist(table, m=5, p_a=1.0, draws=100_000, seed=42)
     assert abs(dist.q[4 - 1] - 2.0 / 3.0) < 0.02
     assert abs(dist.q[2 - 1] - 1.0 / 3.0) < 0.02
 
 
 def test_estimate_single_unit_gives_uniform_smoothing():
-    table = _table("loc", [[0]])
+    table = table_from_matrix("loc", [[0]])
     dist = imp.estimate_import_dist(table, m=7, p_a=0.5, draws=1000, seed=1)
     assert np.allclose(dist.q, 1.0 / 7.0)
 
@@ -184,7 +178,7 @@ def test_estimate_beta_binomial_limit_pa_zero():
     k = 6
     x = np.full((k, k), 4)
     np.fill_diagonal(x, 0)
-    table = _table("loc", x.tolist())
+    table = table_from_matrix("loc", x.tolist())
     dist = imp.estimate_import_dist(table, m=8, p_a=0.0, draws=100_000, seed=9)
     for val in range(1, 5):
         assert abs(dist.q[val - 1] - 0.25) < 0.02
@@ -193,7 +187,7 @@ def test_estimate_beta_binomial_limit_pa_zero():
 
 
 def test_pmf_sums_to_one_and_positive():
-    table = _table("loc", [[0, 3], [3, 0]])
+    table = table_from_matrix("loc", [[0, 3], [3, 0]])
     for seed in (0, 1, 2):
         for pa in (0.0, 0.3, 1.0):
             dist = imp.estimate_import_dist(table, m=10, p_a=pa, draws=5000, seed=seed)
@@ -204,7 +198,7 @@ def test_pmf_sums_to_one_and_positive():
 
 
 def test_determinism_and_seed_sensitivity():
-    table = _table("loc", [[0, 4, 7], [4, 0, 3], [7, 3, 0]])
+    table = table_from_matrix("loc", [[0, 4, 7], [4, 0, 3], [7, 3, 0]])
     a = imp.estimate_import_dist(table, m=9, p_a=0.8, draws=20_000, seed=123)
     b = imp.estimate_import_dist(table, m=9, p_a=0.8, draws=20_000, seed=123)
     c = imp.estimate_import_dist(table, m=9, p_a=0.8, draws=20_000, seed=124)
@@ -213,7 +207,7 @@ def test_determinism_and_seed_sensitivity():
 
 
 def test_two_seeds_agree_within_monte_carlo_error():
-    table = _table("loc", [[0, 4, 7], [4, 0, 3], [7, 3, 0]])
+    table = table_from_matrix("loc", [[0, 4, 7], [4, 0, 3], [7, 3, 0]])
     draws = 1_000_000
     a = imp.estimate_import_dist(table, m=9, p_a=0.8, draws=draws, seed=8)
     b = imp.estimate_import_dist(table, m=9, p_a=0.8, draws=draws, seed=9)
@@ -229,7 +223,7 @@ def test_pa_one_matches_empirical_conditional():
     vals = rng.integers(0, 12, size=(k, k))
     x = np.triu(vals, 1)
     x = x + x.T
-    table = _table("loc", x.tolist())
+    table = table_from_matrix("loc", x.tolist())
     draws = 1_000_000
     dist = imp.estimate_import_dist(table, m=12, p_a=1.0, draws=draws, seed=11)
     # empirical conditional distribution of x_ij given x_ij > 0 over ordered pairs
@@ -276,7 +270,7 @@ def test_estimate_matches_pinned_bits(simulated_dataset, weighting, p_a):
 
 
 def test_invalid_params():
-    table = _table("loc", [[0, 4], [4, 0]])
+    table = table_from_matrix("loc", [[0, 4], [4, 0]])
     with pytest.raises(InvalidParamsError):
         imp.estimate_import_dist(table, m=3, p_a=0.5, draws=100, seed=0)  # m < max diff
     with pytest.raises(InvalidParamsError):
@@ -286,7 +280,7 @@ def test_invalid_params():
 
 
 def test_json_round_trip():
-    table = _table("loc", [[0, 2], [2, 0]])
+    table = table_from_matrix("loc", [[0, 2], [2, 0]])
     dist = imp.estimate_import_dist(table, m=4, p_a=0.8, draws=1000, seed=3)
     doc = dist.to_json_dict()
     back = imp.ImportDistribution.from_json_dict(doc)
