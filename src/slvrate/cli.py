@@ -474,8 +474,22 @@ def _json_file(kind: str, path):
         raise ConfigError(f"{kind} {path}: {err}") from None
 
 
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {value!r}")
+    return x
+
+
 def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple(_finite(v) for v in values)
+
+
+def _geometric_mean(value) -> float:
+    mean = _finite(value)
+    if mean < 1.0:
+        raise ValueError(f"a geometric mean must be >= 1, got {mean}")
+    return mean
 
 
 def _loci(entries) -> tuple[tuple[str, int], ...]:
@@ -526,7 +540,7 @@ def _parse_import_spec(spec) -> ImportModel | dict[str, ImportModel]:
         })
     model = _field(spec, "model", str, None)
     if model == "geometric":
-        return GeometricImport(mean=_field(spec, "mean", float))
+        return GeometricImport(mean=_field(spec, "mean", _geometric_mean))
     if model == "empirical":
         return EmpiricalImport(pmf=_field(spec, "pmf", _floats))
     if model == "complete":
@@ -588,9 +602,11 @@ def _design_from(cfg: dict, seed_override: int | None) -> SimDesign | RecoveryDe
         loci = _field(cfg, "loci", _loci)
         return RecoveryDesign(
             replicates=replicates,
-            lam=_field(cfg, "lambda", float),
+            lam=_field(cfg, "lambda", _finite),
             loci=loci,
-            import_means=_field(cfg, "import_means", lambda v: _per_locus(_floats(v), loci)),
+            import_means=_field(
+                cfg, "import_means", lambda v: _per_locus(tuple(map(_geometric_mean, v)), loci)
+            ),
             n_pairs=_field(cfg, "n_pairs", int),
             seed=_config_seed(cfg, seed_override),
             level=_field(cfg, "level", float, _DEFAULTS.level),

@@ -62,8 +62,10 @@ class GeometricImport:
     mean: float
 
     def __post_init__(self):
-        if self.mean < 1.0:
-            raise InvalidImportModelError(f"geometric mean must be >= 1, got {self.mean}")
+        if not 1.0 <= self.mean < math.inf:
+            raise InvalidImportModelError(
+                f"geometric mean must be finite and >= 1, got {self.mean}"
+            )
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class EmpiricalImport:
 
     def __post_init__(self):
         arr = np.asarray(self.pmf, dtype=float)
-        if arr.ndim != 1 or arr.size < 1 or np.any(arr < 0.0):
+        if arr.ndim != 1 or arr.size < 1 or not np.all(arr >= 0.0):
             raise InvalidImportModelError("pmf must be a non-negative vector")
         if abs(float(arr.sum()) - 1.0) > 1e-9:
             raise InvalidImportModelError(f"pmf sums to {arr.sum()!r}, not 1")
@@ -158,8 +160,8 @@ class SimConfig:
             raise InvalidParamsError("need at least 2 loci")
         if len(self.theta) != len(self.loci) or len(self.lam) != len(self.loci):
             raise InvalidParamsError("theta and lam must have one entry per locus")
-        if any(t < 0 for t in self.theta) or any(v < 0 for v in self.lam):
-            raise InvalidParamsError("rates must be non-negative")
+        if not all(0.0 <= v < math.inf for v in self.theta + self.lam):
+            raise InvalidParamsError("rates must be finite and non-negative")
         if any(m < 1 for _, m in self.loci):
             raise InvalidParamsError("locus lengths must be positive")
 
@@ -249,9 +251,16 @@ def overlay_events(
 
     mut_counts = np.zeros((n_loci, tree.n_nodes), dtype=np.int64)
     rec_counts = np.zeros((n_loci, tree.n_nodes), dtype=np.int64)
-    for li in range(n_loci):
-        mut_counts[li] = rng.poisson(blen * (config.theta[li] / 2.0))
-        rec_counts[li] = rng.poisson(blen * (config.lam[li] * config.theta[li] / 2.0))
+    for li, (name, _) in enumerate(loci):
+        theta, lam = config.theta[li], config.lam[li]
+        try:
+            mut_counts[li] = rng.poisson(blen * (theta / 2.0))
+            rec_counts[li] = rng.poisson(blen * (lam * theta / 2.0))
+        except ValueError:  # numpy takes Poisson means up to about 9.2e18
+            raise InvalidParamsError(
+                f"locus {name}: theta = {theta:g} and lambda = {lam:g} put a per-branch "
+                "event mean beyond numpy's Poisson range"
+            ) from None
 
     # each busy (node, locus) cell folds its events into one shift per site,
     # as additions mod 4 commute; the draws stay in canonical order, where

@@ -449,6 +449,38 @@ def test_recovery_design_needs_one_import_mean_per_locus(tmp_path, capsys, means
     )
 
 
+COVERAGE = {"design": "coverage", "replicates": 2, "analysis": {"draws": 1000}}
+GEOMETRIC = {"model": "geometric"}
+
+
+@pytest.mark.parametrize("command, cfg, code, key", [
+    ("simulate", {"import": {**GEOMETRIC, "mean": "nan"}}, 1, "import: mean: must be finite"),
+    ("simulate", {"import": {**GEOMETRIC, "mean": "inf"}}, 1, "import: mean: must be finite"),
+    ("simulate", {"import": {**GEOMETRIC, "mean": 0.5}}, 1, "import: mean: "),
+    ("simulate", {"theta": ["inf", 3.0, 3.0]}, 1, "theta: must be finite"),
+    ("simulate", {"theta": ["nan", 3.0, 3.0]}, 1, "theta: must be finite"),
+    ("simulate", {"lambda": ["nan", 1.0, 1.0]}, 1, "lambda: must be finite"),
+    ("simulate", {"theta": [1e300, 3.0, 3.0]}, 2, "locus locA: theta = 1e+300"),
+    ("experiment", {**COVERAGE, "theta": ["inf", 3.0, 3.0]}, 1, "theta: must be finite"),
+    ("experiment", {**COVERAGE, "lambda": ["nan", 1.0, 1.0]}, 1, "lambda: must be finite"),
+    ("experiment", {**COVERAGE, "theta": [1e300, 3.0, 3.0]}, 2, "locus locA: theta = 1e+300"),
+    ("experiment", {**RECOVERY_CONFIG, "import_means": ["nan", 10.0]}, 1, "import_means: "),
+    ("experiment", {**RECOVERY_CONFIG, "import_means": ["inf", 10.0]}, 1, "import_means: "),
+    ("experiment", {**RECOVERY_CONFIG, "import_means": [0.5, 10.0]}, 1, "import_means: "),
+    ("experiment", {**RECOVERY_CONFIG, "lambda": "nan"}, 1, "lambda: must be finite"),
+])
+def test_non_finite_or_overflowing_rates_exit_with_one_line_naming_the_key(
+        tmp_path, capsys, command, cfg, code, key):
+    if cfg.get("design") != "recovery":
+        cfg = {**json.loads(sim_config(tmp_path).read_text()), **cfg}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(command, "--config", path, "--out-dir", tmp_path / "o") == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("slvrate: ")
+    assert key in err
+
+
 def test_report_counts_failed_replicates_only_when_there_are_some(tmp_path, monkeypatch):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(RECOVERY_CONFIG))

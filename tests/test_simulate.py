@@ -199,6 +199,18 @@ def test_import_model_validation():
         small_config(theta=(1.0,))
     with pytest.raises(InvalidParamsError):
         small_config(n_samples=1)
+    for mean in (math.nan, math.inf):
+        with pytest.raises(InvalidImportModelError, match="finite"):
+            sim.GeometricImport(mean=mean)
+    with pytest.raises(InvalidImportModelError):
+        sim.EmpiricalImport((math.nan, 1.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidParamsError, match="finite"):
+            small_config(theta=(bad, 2.0))
+        with pytest.raises(InvalidParamsError, match="finite"):
+            small_config(lam=(1.0, bad))
+    with pytest.raises(InvalidParamsError, match="locus l1: theta = 1e"):
+        sim.simulate(small_config(theta=(1e300, 2.0)))
 
 
 def test_per_locus_import_models():
