@@ -4,7 +4,9 @@ A plain fork rather than a multiprocessing pool: the children inherit the
 item function and the data it reads, so nothing but their outputs is
 pickled, and the parent computes a share itself instead of idling. Fork is
 safe here because the process has no other threads: slvrate defaults
-OPENBLAS_NUM_THREADS to 1 before numpy loads.
+OPENBLAS_NUM_THREADS to 1 before numpy loads, and where numpy loaded first,
+``fork_map`` holds numpy's bundled OpenBLAS pool at one thread while its
+children run, since idle helper threads spin on the cores they need.
 
 ``fork_map`` owns the order of the items and the choice of the error
 raised: its callers write the per-item function only, and get the serial
@@ -13,6 +15,7 @@ loop's result, or its first error, for every worker count.
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import signal
@@ -34,11 +37,16 @@ def fork_map(fn: Callable[[int], object], n: int, workers: int) -> list:
     whose items must pickle. When items raise, the error of the lowest
     failing index is raised, which is the error a serial loop would raise
     first. When anything else goes wrong, every child still running is
-    killed, and every child is reaped.
+    killed, and every child is reaped. numpy's OpenBLAS pool runs one
+    thread from the first fork until every child is reaped.
     """
     w = min(workers, n)
     if w <= 1 or not hasattr(os, "fork"):
         return [fn(i) for i in range(n)]
+    pool = _openblas_pool()
+    threads = pool[0]() if pool else 1
+    if threads != 1:
+        pool[1](1)
     children = []  # (pid, read end of its pipe) of the children not yet reaped
     try:
         for k in range(1, w):
@@ -56,6 +64,8 @@ def fork_map(fn: Callable[[int], object], n: int, workers: int) -> list:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if threads != 1:
+            pool[1](threads)
     # share k's first failure is item k + len(items) * w; every lower item
     # of every share ran before that share's own first failure
     failures = [(k + len(items) * w, err) for k, (items, err) in enumerate(shares)
@@ -66,6 +76,27 @@ def fork_map(fn: Callable[[int], object], n: int, workers: int) -> list:
     for k, (items, _err) in enumerate(shares):
         merged[k::w] = items
     return merged
+
+
+@functools.cache
+def _openblas_pool() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles,
+    or None, after one warning line naming the cause, where numpy's BLAS
+    exports no such calls (MKL, a system OpenBLAS)."""
+    import ctypes  # numpy has imported it already
+
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)  # dlsym also searches what it links
+        return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError) as err:
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "forked workers keep numpy's BLAS threads, which cannot be set to one: %s", err
+        )
+        return None
 
 
 def _share(fn: Callable[[int], object], k: int, n: int, w: int) -> tuple[list, Exception | None]:
