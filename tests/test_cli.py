@@ -427,6 +427,8 @@ def test_joint_single_informative_locus_exits_two(tmp_path, capsys):
         ({"locus": "aspA", "m": 2, "p_a": 0.8, "M": 10, "seed": 1, "K": 2, "q": [0.2, 0.2]},
          "q: stored pmf sums to"),
         ('{"locus": "aspA",', "line 1: "),
+        ({"locus": "aspA", "m": 2, "p_a": 0.8, "M": 10, "seed": 1, "K": 2, "q": [0.5, "nan"]},
+         "q: must be finite"),
     ],
 )
 def test_malformed_dist_file_exits_one_naming_the_fault(tmp_path, capsys, doc, named):
