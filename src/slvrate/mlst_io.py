@@ -3,10 +3,11 @@
 File conventions follow pubmlst.org exports: a tab-separated profile table
 (one row per sequence type, one column per locus) and one FASTA file per
 locus with headers like ``>aspA_1`` or plain ``>1``. The result of
-:func:`build_dataset` is immutable and built whole: it holds its alleles per
-locus in id order, and every array its readers share (profile arrays, each
-locus's allele codes) is built with it and read-only, so it is safe to
-share across threads and forked workers, with nothing to prime first.
+:func:`build_dataset` is immutable and built whole: it holds each locus's
+alleles as arrays only (ids, lengths, code matrix; in id order), and every
+array it holds is read-only, so it is safe to share across threads and
+forked workers, with nothing to prime first. :class:`AlleleSequence` is
+only the parser's output and the builder's input.
 
 Each input file is decoded in one read, so a file that is not UTF-8 is
 rejected before any of its lines is checked; its lines are then checked
@@ -56,7 +57,7 @@ _ACGT = frozenset("ACGT")
 _ENCODE = np.full(256, 255, dtype=np.uint8)
 for _i, _b in enumerate(b"ACGT"):
     _ENCODE[_b] = _i
-_DECODE = np.frombuffer(b"ACGT", dtype=np.uint8)
+_DECODE = np.frombuffer(b"ACGT".ljust(256, b"N"), dtype=np.uint8)
 _ASCII_UPPER = str.maketrans(string.ascii_lowercase, string.ascii_uppercase)
 
 
@@ -90,28 +91,26 @@ class StProfile:
     isolate_count: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MlstDataset:
-    """An immutable dataset, built whole: ``__post_init__`` derives the
-    read-only arrays that every reader shares, so a dataset made by
-    ``dataclasses.replace`` holds the views of its own fields."""
+    """An immutable dataset, built whole, its alleles as arrays only:
+    ``__post_init__`` makes the arrays it is given read-only and derives the
+    profile arrays, so a ``dataclasses.replace`` copy holds its own fields'
+    views. Datasets compare by identity, as arrays have no truth value."""
 
     loci: tuple[LocusMeta, ...]
-    # locus name -> allele id -> record, ids ascending, loci in ``loci`` order
-    alleles: Mapping[str, Mapping[int, AlleleSequence]]
+    # locus name -> (ids, lengths, codes) of its alleles in id order, loci in
+    # ``loci`` order; ``codes`` is an (alleles, longest) uint8 matrix: A=0 C=1
+    # G=2 T=3, anything else 255, and 255 past the end of a shorter allele, so
+    # a comparison between two equal-length alleles never sees the padding
+    allele_codes: Mapping[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
     profiles: tuple[StProfile, ...]
     # st_ids that cannot be analysed with the given locus as the focal one
     excluded_at: Mapping[str, frozenset[int]] = field(default_factory=dict)
     # (st_ids, alleles, isolate_counts) of the profiles, in profile order, as
     # int64 arrays; ``alleles`` is (STs, loci)
     profile_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
-        init=False, repr=False, compare=False)
-    # locus name -> (ids, lengths, codes) of its alleles in id order; ``codes``
-    # is an (alleles, longest) uint8 matrix: A=0 C=1 G=2 T=3, anything else
-    # 255, and 255 past the end of a shorter allele, so a comparison between
-    # two equal-length alleles never sees the padding
-    allele_codes: Mapping[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        init=False, repr=False, compare=False)
+        init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.profiles)
@@ -121,9 +120,9 @@ class MlstDataset:
                     .reshape(n, len(self.loci))),
             _frozen(np.array([p.isolate_count for p in self.profiles], dtype=np.int64)),
         ))
-        object.__setattr__(self, "allele_codes", {
-            name: _code_matrix(list(by_id.values())) for name, by_id in self.alleles.items()
-        })
+        for arrays in self.allele_codes.values():
+            for arr in arrays:
+                _frozen(arr)
 
     @property
     def locus_names(self) -> tuple[str, ...]:
@@ -387,7 +386,7 @@ def build_dataset(
         raise TooFewStsError(f"need at least 2 sequence types, got {len(profiles)}")
 
     messages: list[str] = []
-    alleles: dict[str, dict[int, AlleleSequence]] = {}
+    alleles: dict[str, dict[int, AlleleSequence]] = {}  # per locus, ids ascending
     modal_len: dict[str, int] = {}
     off_length: dict[str, set[int]] = {name: set() for name in locus_names}
 
@@ -469,7 +468,7 @@ def build_dataset(
 
     dataset = MlstDataset(
         loci=tuple(LocusMeta(name=name, length=modal_len[name]) for name in locus_names),
-        alleles=alleles,
+        allele_codes={name: _code_matrix(list(by_id.values())) for name, by_id in alleles.items()},
         profiles=tuple(kept),
         excluded_at={name: frozenset(ids) for name, ids in excluded.items() if ids},
     )
@@ -509,15 +508,16 @@ def profiles_text(dataset: MlstDataset) -> str:
 
 def allele_fasta_text(dataset: MlstDataset, locus: str) -> str:
     """One locus's alleles as FASTA in id order, as ``parse_allele_fasta``
-    reads it: a ``>{locus}_{id}`` header, then lines of 60 bases."""
+    reads it: a ``>{locus}_{id}`` header, then lines of 60 bases. A masked
+    code is written as N."""
     lines = []
-    for rec in dataset.alleles[locus].values():
-        lines.append(f">{locus}_{rec.allele_id}")
-        seq = rec.sequence
+    for aid, length, codes in zip(*dataset.allele_codes[locus]):
+        lines.append(f">{locus}_{aid}")
+        seq = decode_sequence(codes[:length])
         lines += [seq[start : start + _FASTA_WIDTH] for start in range(0, len(seq), _FASTA_WIDTH)]
     return "".join(line + "\n" for line in lines)
 
 
 def decode_sequence(codes: np.ndarray) -> str:
-    """Inverse of AlleleSequence.encoded for pure-ACGT code arrays."""
+    """Inverse of AlleleSequence.encoded, with N for a masked code (255)."""
     return _DECODE[codes].tobytes().decode("ascii")

@@ -6,8 +6,8 @@ and recombination imports (rate lambda_l * theta_l / 2), where an import
 changes a batch of D distinct sites at once, D drawn from a configurable
 import model. The ancestry of imported material is not tracked; an event
 only injects differences. Leaf sequences are materialized root-to-tip and
-sequence types are assigned by exact sequence identity, which round-trips
-through the standard dataset builder.
+sequence types are assigned by exact sequence identity; written out, the
+dataset parses back to the same one under strict validation.
 
 Determinism: everything is driven by one numpy Philox generator per
 replicate, and the draw order is fixed, so a seed pins the output
@@ -28,7 +28,9 @@ keeps one m-byte shift, the sum mod 4 of its events' per-site changes, and
 adds it to its anchor's sequence in one vectorised step. A node without
 events shares its nearest eventful ancestor's sequences, stored as one
 byte string per locus, and sequence types are looked up once per distinct
-leaf anchor, that nearest eventful ancestor-or-self of a leaf.
+leaf anchor, that nearest eventful ancestor-or-self of a leaf. Each
+locus's distinct byte strings are stacked straight into its code matrix:
+no allele passes through text.
 """
 
 from __future__ import annotations
@@ -41,14 +43,8 @@ import numpy as np
 
 from .errors import InvalidImportModelError, InvalidParamsError
 from .import_dist import DEFAULT_PA
-from .mlst_io import (
-    AlleleSequence,
-    LocusMeta,
-    MlstDataset,
-    StProfile,
-    build_dataset,
-    decode_sequence,
-)
+from .mlst_io import LocusMeta, MlstDataset, StProfile
+from .mlst_io import build_dataset  # noqa: F401  (the benchmark tracer binds simulate.build_dataset)
 from .numerics import SeedDomain, derived_rng
 
 
@@ -318,9 +314,12 @@ def _materialize(
 ) -> SimResult:
     """Sample i carries the per-locus sequences ``vectors[vector_of_sample[i]]``.
     Each vector is met first at a lower sample than the next one, so alleles
-    and sequence types are numbered in sample order; vectors may be equal."""
-    loci_names = [name for name, _ in config.loci]
-    allele_ids: list[dict[bytes, int]] = [{} for _ in loci_names]
+    and sequence types are numbered in sample order; vectors may be equal.
+    The dataset is valid by construction (ACGT codes, one length per locus,
+    distinct allele vectors, every referenced allele present), so each
+    locus's distinct sequences are stacked straight into its code matrix,
+    for one sequence type as for many."""
+    allele_ids: list[dict[bytes, int]] = [{} for _ in config.loci]
     st_ids: dict[tuple[int, ...], int] = {}
     st_of_vector = []
     for vec in vectors:
@@ -332,30 +331,21 @@ def _materialize(
         st_of_vector.append(st_ids.setdefault(tuple(key), len(st_ids) + 1))
     st_of_sample = np.array(st_of_vector)[vector_of_sample]
     counts = np.bincount(st_of_sample).tolist()
-    profiles = [
-        StProfile(st_id=sid, alleles=key, isolate_count=counts[sid])
-        for key, sid in st_ids.items()
-    ]
-    alleles_by_locus = {}
-    for li, name in enumerate(loci_names):
-        records = []
-        for raw, aid in allele_ids[li].items():
-            codes = np.frombuffer(raw, dtype=np.uint8)
-            records.append(AlleleSequence(locus=name, allele_id=aid, sequence=decode_sequence(codes)))
-        alleles_by_locus[name] = records
-    if len(profiles) >= 2:
-        dataset, _ = build_dataset(profiles, alleles_by_locus, mode="strict")
-    else:
-        # a rate-free simulation collapses to a single sequence type, which
-        # the file-oriented builder refuses; assemble the dataset directly
-        dataset = MlstDataset(
-            loci=tuple(LocusMeta(name=name, length=m) for name, m in config.loci),
-            alleles={
-                name: {rec.allele_id: rec for rec in records}
-                for name, records in alleles_by_locus.items()
-            },
-            profiles=tuple(profiles),
-        )
+    dataset = MlstDataset(
+        loci=tuple(LocusMeta(name=name, length=m) for name, m in config.loci),
+        allele_codes={
+            name: (
+                np.arange(1, len(table) + 1, dtype=np.int64),
+                np.full(len(table), m, dtype=np.int64),
+                np.frombuffer(b"".join(table), dtype=np.uint8).reshape(len(table), m),
+            )
+            for (name, m), table in zip(config.loci, allele_ids)
+        },
+        profiles=tuple(
+            StProfile(st_id=sid, alleles=key, isolate_count=counts[sid])
+            for key, sid in st_ids.items()
+        ),
+    )
     return SimResult(dataset=dataset, st_of_sample=tuple(st_of_sample.tolist()))
 
 

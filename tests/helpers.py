@@ -31,9 +31,28 @@ from slvrate.import_dist import ImportDistribution, PairwiseDiffTable, Provenanc
 from slvrate.slv import SlvPartition
 
 
+def allele_records(dataset, locus):
+    """id -> allele record of every allele at ``locus``, ids ascending,
+    decoded from its code rows (a masked base reads N)."""
+    ids, lengths, codes = dataset.allele_codes[locus]
+    return {
+        aid: mlst_io.AlleleSequence(locus, aid, mlst_io.decode_sequence(row[:length]))
+        for aid, length, row in zip(ids.tolist(), lengths.tolist(), codes)
+    }
+
+
 def allele(dataset, locus, allele_id):
     """The allele record of ``allele_id`` at ``locus``, or None."""
-    return dataset.alleles[locus].get(allele_id)
+    return allele_records(dataset, locus).get(allele_id)
+
+
+def same_alleles(a, b):
+    """Whether two datasets hold equal allele arrays at the same loci."""
+    return a.allele_codes.keys() == b.allele_codes.keys() and all(
+        np.array_equal(x, y)
+        for locus in a.allele_codes
+        for x, y in zip(a.allele_codes[locus], b.allele_codes[locus])
+    )
 
 
 def usable_at(dataset, locus, st_id):
@@ -186,7 +205,8 @@ def reference_units(dataset, locus, weighting="by_st"):
     a time: a unit per usable ST (per isolate under ``by_isolate``) whose
     focal allele has the modal length, indexing the sorted modal alleles."""
     modal = dataset.locus_meta(locus).length
-    ids = [aid for aid, rec in dataset.alleles[locus].items() if len(rec.sequence) == modal]
+    all_ids, lengths, _ = dataset.allele_codes[locus]
+    ids = all_ids[lengths == modal].tolist()
     focal = dataset.locus_index(locus)
     units, index = [], []
     for prof in dataset.profiles:

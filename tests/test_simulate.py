@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import allele_records, same_alleles
 
 from slvrate import simulate as sim
 from slvrate import slv
@@ -116,10 +117,10 @@ def test_simulation_is_deterministic():
     a = sim.simulate(cfg)
     b = sim.simulate(cfg)
     assert a.dataset.profiles == b.dataset.profiles
-    assert a.dataset.alleles == b.dataset.alleles
+    assert same_alleles(a.dataset, b.dataset)
     assert a.st_of_sample == b.st_of_sample
     c = sim.simulate(small_config(seed=8))
-    assert c.dataset.profiles != a.dataset.profiles or c.dataset.alleles != a.dataset.alleles
+    assert c.dataset.profiles != a.dataset.profiles or not same_alleles(c.dataset, a.dataset)
 
 
 def test_st_identity_matches_sequences():
@@ -317,10 +318,13 @@ def simulation_digest(res: sim.SimResult) -> str:
         [(p.st_id, p.alleles, p.isolate_count) for p in res.dataset.profiles],
         [
             ((name, aid), rec.sequence)
-            for name in sorted(res.dataset.alleles)
-            for aid, rec in res.dataset.alleles[name].items()
+            for name in sorted(res.dataset.allele_codes)
+            for aid, rec in allele_records(res.dataset, name).items()
         ],
-        [(meta.name, meta.length, len(res.dataset.alleles[meta.name])) for meta in res.dataset.loci],
+        [
+            (meta.name, meta.length, len(res.dataset.allele_codes[meta.name][0]))
+            for meta in res.dataset.loci
+        ],
         res.st_of_sample,
         (),
     ):

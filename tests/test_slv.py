@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from slvrate import mlst_io, slv
 from slvrate.errors import DataError, LengthMismatchError, ZeroDifferencePairError
 
-from helpers import allele, random_lenient_dataset, reference_slv, usable_at
+from helpers import allele, allele_records, random_lenient_dataset, reference_slv, usable_at
 
 
 def test_demo_dataset_matches_known_pairs(demo_dataset):
@@ -294,7 +294,8 @@ def test_relabeling_invariance(demo_dataset):
         mlst_io.StProfile(mapping[p.st_id], p.alleles) for p in demo_dataset.profiles
     ]
     alleles = {
-        locus: list(demo_dataset.alleles[locus].values()) for locus in demo_dataset.locus_names
+        locus: list(allele_records(demo_dataset, locus).values())
+        for locus in demo_dataset.locus_names
     }
     relabeled, _ = mlst_io.build_dataset(profiles, alleles, mode="strict")
     part = slv.extract_slv(relabeled, "gltA")
@@ -368,8 +369,9 @@ def test_typed_errors_keep_their_messages():
     assert seen == [f"{zero}; pair dropped"]
     short = dataclasses.replace(
         dataset,
-        alleles={**dataset.alleles,
-                 "locA": {**dataset.alleles["locA"], 4: mlst_io.AlleleSequence("locA", 4, "ACG")}},
+        allele_codes={**dataset.allele_codes, "locA": mlst_io._code_matrix(list(
+            {**allele_records(dataset, "locA"), 4: mlst_io.AlleleSequence("locA", 4, "ACG")}.values()
+        ))},
     )
     with pytest.raises(LengthMismatchError) as err:
         slv.extract_slv(short, "locA", mode="lenient")
