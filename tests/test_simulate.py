@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from helpers import allele_records, same_alleles
 
+from slvrate import mlst_io
 from slvrate import simulate as sim
 from slvrate import slv
 from slvrate.cli import main as cli_main
@@ -336,6 +338,32 @@ def simulation_digest(res: sim.SimResult) -> str:
 def test_simulation_matches_golden_digest(name):
     res = sim.simulate(small_config(**GOLDEN_CONFIGS[name]))
     assert simulation_digest(res) == GOLDEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(set(GOLDEN_CONFIGS) - {"zero_rates"}))
+def test_assembled_dataset_matches_the_validated_one(tmp_path, name):
+    # the simulator assembles its dataset without build_dataset; written out,
+    # parsed back and validated strictly, it comes back the same (the profile
+    # table holds no isolate counts, so they are carried over by ST)
+    dataset = sim.simulate(small_config(**GOLDEN_CONFIGS[name])).dataset
+    assert len(dataset.profiles) >= 2
+    (tmp_path / "profiles.tsv").write_text(mlst_io.profiles_text(dataset), encoding="utf-8")
+    alleles = {}
+    for locus in dataset.locus_names:
+        path = tmp_path / f"{locus}.fas"
+        path.write_text(mlst_io.allele_fasta_text(dataset, locus), encoding="utf-8")
+        alleles[locus] = mlst_io.parse_allele_fasta(path, locus)
+    count = {p.st_id: p.isolate_count for p in dataset.profiles}
+    profiles = [
+        dataclasses.replace(p, isolate_count=count[p.st_id])
+        for p in mlst_io.parse_profiles(tmp_path / "profiles.tsv", dataset.locus_names)
+    ]
+    rebuilt, repairs = mlst_io.build_dataset(profiles, alleles, mode="strict")
+    assert repairs == ()
+    assert rebuilt.loci == dataset.loci
+    assert rebuilt.profiles == dataset.profiles
+    assert rebuilt.excluded_at == dataset.excluded_at
+    assert same_alleles(rebuilt, dataset)
 
 
 def test_overlay_keeps_one_shift_per_busy_cell():
