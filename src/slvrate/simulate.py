@@ -100,11 +100,13 @@ def _import_sampler(model: ImportModel, m: int):
         p = 1.0 / model.mean
         if p >= 1.0:
             return lambda rng: 1
-        tail = (1.0 - p) ** m  # truncate to 1..m by inverse CDF
         log1mp = math.log1p(-p)
+        # truncate to 1..m by inverse CDF; P(D <= m) = 1 - (1 - p)^m, which
+        # expm1 keeps from rounding to 0 when p is below ~1e-16
+        mass = -math.expm1(m * log1mp)
 
         def draw_geometric(rng: np.random.Generator) -> int:
-            u = rng.random() * (1.0 - tail)
+            u = rng.random() * mass
             d = int(math.ceil(math.log1p(-u) / log1mp))
             return min(max(d, 1), m)
 

@@ -173,6 +173,19 @@ def test_geometric_import_truncation_and_mean():
     assert abs(float(draws.mean()) - 6.0) < 0.2
 
 
+@pytest.mark.parametrize("mean", [1e16, 1e17, 1e300])
+def test_geometric_import_of_a_huge_mean_is_near_uniform(mean):
+    # 1 - (1 - p)^m rounds to 0 once the mean passes ~1e16, which drew D = 1
+    # every time; the truncated geometric tends to the uniform on 1..m
+    m = 50
+    sampler = sim._import_sampler(sim.GeometricImport(mean=mean), m=m)
+    rng = np.random.default_rng(5)
+    draws = np.array([sampler(rng) for _ in range(4000)])
+    assert draws.min() >= 1 and draws.max() <= m
+    standard_error = math.sqrt((m * m - 1) / 12 / draws.size)
+    assert abs(float(draws.mean()) - (m + 1) / 2) < 4 * standard_error
+
+
 def test_empirical_import_replays_pmf():
     pmf = np.zeros(10)
     pmf[2] = 0.25  # D = 3
