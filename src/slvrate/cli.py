@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from . import __version__, parallel
 from .errors import ConfigError, InvalidParamsError, SlvRateError, TooFewUnitsError
-from .experiment import ExperimentReport, RecoveryDesign, SimDesign, run_experiment
+from .experiment import ExperimentReport, RecoveryDesign, SimDesign, geometric_pmf, run_experiment
 from .import_dist import DEFAULT_PA, ImportDistribution
 from .joint_inference import JointFit, VariationTestResult, joint_fit
 from .locus_estimator import LocusFit
@@ -492,6 +492,19 @@ def _geometric_mean(value) -> float:
     return mean
 
 
+def _import_means(values, loci: tuple) -> tuple[float, ...]:
+    """One geometric mean per locus, none so close to 1 that its pmf on the
+    locus's 1..m underflows to a zero entry."""
+    means = _per_locus(tuple(map(_geometric_mean, values)), loci)
+    for (name, m), mean in zip(loci, means):
+        if not geometric_pmf(m, mean).all():
+            raise ValueError(
+                f"locus {name}: a mean of {mean:g} gives some of the sizes 1..{m} "
+                "a probability that underflows to 0"
+            )
+    return means
+
+
 def _loci(entries) -> tuple[tuple[str, int], ...]:
     return tuple((_field(e, "name", str), _field(e, "length", int)) for e in entries)
 
@@ -604,9 +617,7 @@ def _design_from(cfg: dict, seed_override: int | None) -> SimDesign | RecoveryDe
             replicates=replicates,
             lam=_field(cfg, "lambda", _finite),
             loci=loci,
-            import_means=_field(
-                cfg, "import_means", lambda v: _per_locus(tuple(map(_geometric_mean, v)), loci)
-            ),
+            import_means=_field(cfg, "import_means", lambda v: _import_means(v, loci)),
             n_pairs=_field(cfg, "n_pairs", int),
             seed=_config_seed(cfg, seed_override),
             level=_field(cfg, "level", float, _DEFAULTS.level),

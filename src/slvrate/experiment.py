@@ -165,7 +165,8 @@ def _run_sim_replicate(design: SimDesign, ridx: int) -> dict:
     }
 
 
-def _geometric_pmf(m: int, mean: float) -> np.ndarray:
+def geometric_pmf(m: int, mean: float) -> np.ndarray:
+    """The geometric pmf of the given mean on 1..m, renormalised."""
     p = 1.0 / mean
     xs = np.arange(1, m + 1, dtype=float)
     raw = p * (1.0 - p) ** (xs - 1.0)
@@ -180,7 +181,7 @@ def recovery_models(design: RecoveryDesign) -> list[PairModel]:
         q = ImportDistribution(
             locus=name,
             m=m,
-            q=_geometric_pmf(m, mean),
+            q=geometric_pmf(m, mean),
             provenance=Provenance(p_a=1.0, draws=0, seed=design.seed, k=0),
         )
         models.append(PairModel(locus=name, r=m / total, q=q, m=m))

@@ -102,7 +102,7 @@ def test_recovery_models_match_design():
 
 
 def test_geometric_pmf_normalized():
-    pmf = ex._geometric_pmf(50, 7.0)
+    pmf = ex.geometric_pmf(50, 7.0)
     assert abs(float(pmf.sum()) - 1.0) < 1e-12
     assert (pmf > 0).all()
 
