@@ -469,10 +469,10 @@ GEOMETRIC = {"model": "geometric"}
     ("experiment", {**RECOVERY_CONFIG, "import_means": ["nan", 10.0]}, 1, "import_means: "),
     ("experiment", {**RECOVERY_CONFIG, "import_means": ["inf", 10.0]}, 1, "import_means: "),
     ("experiment", {**RECOVERY_CONFIG, "import_means": [0.5, 10.0]}, 1, "import_means: "),
+    ("experiment", {**RECOVERY_CONFIG, "lambda": "nan"}, 1, "lambda: must be finite"),
     # (1 - 1/mean)^(m - 1) underflows on a 120-base locus: zero pmf entries
     ("experiment", {**RECOVERY_CONFIG, "import_means": [1.0, 10.0]}, 1, "import_means: locus a: "),
     ("experiment", {**RECOVERY_CONFIG, "import_means": [1.001, 10.0]}, 1, "import_means: locus a: "),
-    ("experiment", {**RECOVERY_CONFIG, "lambda": "nan"}, 1, "lambda: must be finite"),
 ])
 def test_non_finite_or_overflowing_rates_exit_with_one_line_naming_the_key(
         tmp_path, capsys, command, cfg, code, key):
