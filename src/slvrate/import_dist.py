@@ -39,12 +39,14 @@ class PairwiseDiffTable:
     Stored in factored form: per-unit allele index plus an allele-level
     distance matrix, which is what the sampler needs; the dense K x K
     table is never materialized. The K units are the entries of
-    ``allele_index``; no unit labels are kept.
+    ``allele_index``; no unit labels are kept. ``pairwise_diffs`` stores
+    the index as int32 and the matrix in the narrowest unsigned type that
+    holds the locus length (see ``allele_distance_matrix``).
     """
 
     locus: str
-    allele_index: np.ndarray           # (K,) int index into allele_dist
-    allele_dist: np.ndarray            # (A, A) symmetric int matrix
+    allele_index: np.ndarray           # (K,) int32 index into allele_dist
+    allele_dist: np.ndarray            # (A, A) symmetric unsigned int matrix
 
     @property
     def k(self) -> int:
@@ -127,13 +129,19 @@ def allele_distance_matrix(dataset: MlstDataset, locus: str) -> tuple[list[int],
     result is therefore bit-exact whatever the BLAS blocking or thread
     count; longer loci raise InvalidParamsError. One (A, m) indicator
     buffer and one (A, A) product buffer are reused across the products.
+
+    The distances are returned as ``np.min_scalar_type(m)``: uint8 below
+    m = 256, uint16 below 65 536. Every entry is an integer in 0..m, so
+    the cast is exact, and an MLST locus's (A, A) matrix takes a quarter
+    of the bytes of an int64 one.
     """
     meta = dataset.locus_meta(locus)
     all_ids, lengths, codes = dataset.allele_codes[locus]
     modal = lengths == meta.length
     ids = all_ids[modal].tolist()
+    dtype = np.min_scalar_type(meta.length)
     if not ids:
-        return [], np.zeros((0, 0), dtype=np.int64)
+        return [], np.zeros((0, 0), dtype=dtype)
     if meta.length >= _F32_EXACT:
         raise InvalidParamsError(
             f"locus {locus} has length {meta.length}; allele distances are exact "
@@ -152,8 +160,8 @@ def allele_distance_matrix(dataset: MlstDataset, locus: str) -> tuple[list[int],
         np.equal(stack, base, out=hot)
         np.matmul(hot, hot.T, out=prod)
         acc -= prod
-    del hot, prod  # free before the int64 copy to keep peak memory flat
-    return ids, acc.astype(np.int64)
+    del hot, prod  # free before the cast to keep peak memory flat
+    return ids, acc.astype(dtype)
 
 
 def pairwise_diffs(
@@ -172,7 +180,7 @@ def pairwise_diffs(
     pos = np.searchsorted(ids, focal_ids)
     keep = dataset.usable_mask(locus) & np.isin(focal_ids, ids)
     copies = counts[keep] if weighting == "by_isolate" else 1
-    index = np.repeat(pos[keep], copies)
+    index = np.repeat(pos[keep].astype(np.int32), copies)
     if len(index) < 2:
         raise TooFewUnitsError(f"locus {locus} has {len(index)} usable units; need at least 2")
     return PairwiseDiffTable(locus=locus, allele_index=index, allele_dist=dist)
@@ -190,6 +198,12 @@ def estimate_import_dist(
     Exactly ``draws`` samples are taken; drawing the same unit twice is
     allowed and lands in the excluded zero bin. Identical inputs
     reproduce the pmf bit-exactly.
+
+    Unit indices are drawn as int32, half the bytes of int64. For a bound
+    below 2**31 numpy's int32 and int64 bounded draws both take its 32-bit
+    path, so they consume the stream alike and return the same values;
+    ``binomial`` returns the same draws for an unsigned ``n`` as for an
+    int64 one. The pmf is therefore the one int64 draws give.
     """
     if draws < 1:
         raise InvalidParamsError(f"draws must be >= 1, got {draws}")
@@ -210,8 +224,8 @@ def estimate_import_dist(
         rng = derived_rng(seed, SeedDomain.IMPORT_DRAWS, block)
         # each temporary is freed once used, to keep peak memory flat; the
         # RNG calls keep their order, so the pmf is unchanged
-        ai = table.allele_index[rng.integers(0, k, size=nb)]
-        aj = table.allele_index[rng.integers(0, k, size=nb)]
+        ai = table.allele_index[rng.integers(0, k, size=nb, dtype=np.int32)]
+        aj = table.allele_index[rng.integers(0, k, size=nb, dtype=np.int32)]
         base = table.allele_dist[ai, aj]
         del ai, aj
         full = rng.random(nb) < p_a

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def test_allele_distance_matrix_matches_per_pair_hamming(sequences):
     usable = [rec for rec in records if len(rec.sequence) == modal]
     ids, dist = imp.allele_distance_matrix(dataset, "locA")
     assert ids == [rec.allele_id for rec in usable]  # off-length alleles are left out
-    assert dist.dtype == np.int64
+    assert dist.dtype == np.uint8  # the narrowest type that holds 0..m at m < 256
     ref = [[mlst_io.hamming(a, b) for b in usable] for a in usable]
     assert dist.tolist() == ref
 
@@ -74,8 +75,7 @@ def _per_row_reference(stack):
     )
 
 
-@pytest.mark.parametrize("masked", [False, True])
-def test_allele_distance_matrix_at_mlst_scale(masked):
+def _mlst_scale_codes(masked):
     # the benchmark's N = 50 000 geometry: ~500 alleles of a 450 bp locus,
     # descended from one ancestor so distances spread over 0..~60
     rng = np.random.default_rng(12)
@@ -85,11 +85,21 @@ def test_allele_distance_matrix_at_mlst_scale(masked):
     codes[hits] = rng.integers(0, 4, size=int(hits.sum()), dtype=np.uint8)
     if masked:
         codes[rng.random((n, m)) < 0.002] = 255
-    sequences = ["".join("ACGTN"[min(c, 4)] for c in row) for row in codes]
-    dataset, _ = _one_locus_dataset(sequences, mode="lenient" if masked else "strict")
+    return codes
+
+
+def _sequences(codes):
+    return ["".join("ACGTN"[min(c, 4)] for c in row) for row in codes]
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_allele_distance_matrix_at_mlst_scale(masked):
+    codes = _mlst_scale_codes(masked)
+    n = len(codes)
+    dataset, _ = _one_locus_dataset(_sequences(codes), mode="lenient" if masked else "strict")
     ids, dist = imp.allele_distance_matrix(dataset, "locA")
     assert ids == list(range(1, n + 1))
-    assert dist.dtype == np.int64
+    assert dist.dtype == np.uint16  # the narrowest type that holds 0..450
     assert np.array_equal(dist, dist.T)
     assert not np.any(np.diag(dist))
     assert np.array_equal(dist, _per_row_reference(codes))
@@ -103,6 +113,36 @@ def test_allele_distance_matrix_refuses_loci_beyond_float32_exactness(monkeypatc
     monkeypatch.setattr(imp, "_F32_EXACT", 4)
     with pytest.raises(InvalidParamsError, match="exact"):
         imp.allele_distance_matrix(dataset, "locA")
+
+
+def test_import_stage_memory_at_mlst_scale():
+    # the (A, A) distance matrix is held through all the sampling, so its
+    # dtype sets much of the stage's peak: an int64 matrix took the traced
+    # peak to ~3.9 MiB here, against ~3.2 MiB for uint16 with int32 draws
+    sequences = _sequences(_mlst_scale_codes(masked=False))
+    n_sts = 2300
+    alleles = {
+        "locA": [mlst_io.AlleleSequence("locA", i + 1, seq) for i, seq in enumerate(sequences)],
+        "locB": [mlst_io.AlleleSequence("locB", i + 1, seq)
+                 for i, seq in enumerate(["AAAA", "AAAC", "AAAG", "AAAT", "AACA"])],
+    }
+    profiles = [
+        mlst_io.StProfile(st + 1, (st % len(sequences) + 1, st // len(sequences) + 1))
+        for st in range(n_sts)
+    ]
+    dataset, _ = mlst_io.build_dataset(profiles, alleles)
+    tracemalloc.start()
+    try:
+        table = imp.pairwise_diffs(dataset, "locA")
+        dist = imp.estimate_import_dist(table, m=450, p_a=0.8, draws=100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.k == n_sts
+    assert table.allele_dist.dtype == np.uint16
+    assert table.allele_index.dtype == np.int32
+    assert dist.q.sum() == pytest.approx(1.0)
+    assert peak < 3.6 * 2**20
 
 
 def test_pairwise_diffs_two_sts():
