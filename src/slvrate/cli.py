@@ -151,12 +151,13 @@ def _add_dataset_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alleles-dir", required=True, help="directory of per-locus FASTA files")
     sub.add_argument(
         "--loci",
+        type=_arg(_locus_names),
         help="comma-separated locus names in profile-column order "
         "(default: header columns with a matching FASTA file)",
     )
     sub.add_argument("--st-column", default="ST")
     sub.add_argument("--count-column", default=None)
-    sub.add_argument("--mode", choices=("strict", "lenient"), default=_DEFAULTS.mode)
+    _add_option(sub, "--mode", dest="mode")
 
 
 def _fasta_path(alleles_dir: Path, locus: str) -> Path | None:
@@ -175,7 +176,7 @@ def _load_dataset(args):
     if not alleles_dir.is_dir():
         raise ConfigError(f"allele directory not found: {alleles_dir}")
     if args.loci:
-        loci = [name.strip() for name in args.loci.split(",") if name.strip()]
+        loci = args.loci
     else:
         loci = [name for name in profile_header(profiles_path)
                 if name not in (args.st_column, args.count_column)]
@@ -208,19 +209,24 @@ def _analysis_options(args) -> AnalysisOptions:
 def _add_analysis_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dists", help="directory or file(s) of import-distribution JSON")
     _add_import_args(sub)
-    sub.add_argument("--theta-ratio", dest="theta_method", choices=("length", "pairwise"),
-                     default=_DEFAULTS.theta_method)
-    sub.add_argument("--alpha", dest="alpha_mode", choices=("common", "per-locus"),
-                     default=_DEFAULTS.alpha_mode)
-    sub.add_argument("--level", type=float, default=_DEFAULTS.level)
+    _add_option(sub, "--theta-ratio", dest="theta_method")
+    _add_option(sub, "--alpha", dest="alpha_mode")
+    _add_option(sub, "--level", dest="level")
 
 
 def _add_import_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--pa", dest="p_a", type=float, default=_DEFAULTS.p_a,
-                     help="full-locus import probability")
-    sub.add_argument("-M", "--draws", type=int, default=_DEFAULTS.draws, help="Monte Carlo draws")
-    sub.add_argument("--seed", type=_arg(_non_negative_int), default=_DEFAULTS.seed)
-    sub.add_argument("--weighting", choices=("by_st", "by_isolate"), default=_DEFAULTS.weighting)
+    _add_option(sub, "--pa", dest="p_a", help="full-locus import probability")
+    _add_option(sub, "-M", "--draws", dest="draws", help="Monte Carlo draws")
+    _add_option(sub, "--seed", dest="seed")
+    _add_option(sub, "--weighting", dest="weighting")
+
+
+def _add_option(sub: argparse.ArgumentParser, *flags: str, dest: str, **kwargs) -> None:
+    """The flag of the analysis option ``dest``, checked by its converter
+    in ``_OPTIONS`` where it is parsed; its default is AnalysisOptions'."""
+    choices = _CHOICES.get(dest)
+    sub.add_argument(*flags, dest=dest, type=_arg(_OPTIONS[dest]), default=getattr(_DEFAULTS, dest),
+                     metavar="{" + ",".join(choices) + "}" if choices else None, **kwargs)
 
 
 def _load_dists(args) -> tuple[dict[str, ImportDistribution], list[Path]] | None:
@@ -335,10 +341,6 @@ def cmd_extract(args) -> int:
 
 
 def cmd_import_dist(args) -> int:
-    if not 0.0 <= args.p_a <= 1.0:
-        raise ConfigError(f"--pa must be in [0,1], got {args.p_a}")
-    if args.draws < 1:
-        raise ConfigError(f"--draws must be >= 1, got {args.draws}")
     out = _output("--out", args.out or ("." if args.locus == "all" else None),
                   directory=args.locus == "all")
     dataset, _repairs, inputs = _load_dataset(args)
@@ -506,7 +508,26 @@ def _import_means(values, loci: tuple) -> tuple[float, ...]:
 
 
 def _loci(entries) -> tuple[tuple[str, int], ...]:
-    return tuple((_field(e, "name", str), _field(e, "length", int)) for e in entries)
+    loci = tuple((_field(e, "name", str), _field(e, "length", int)) for e in entries)
+    _unique([name for name, _length in loci])
+    return loci
+
+
+def _unique(names: list[str]) -> list[str]:
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"locus {name!r} is named twice")
+        seen.add(name)
+    return names
+
+
+def _locus_names(text: str) -> list[str]:
+    """``--loci``: comma-separated, each name once."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise ValueError(f"names no locus: {text!r}")
+    return _unique(names)
 
 
 def _per_locus(values: tuple, loci: tuple) -> tuple:
@@ -528,6 +549,55 @@ def _non_negative_int(value) -> int:
     if n < 0:
         raise ValueError(f"must be >= 0, got {n}")
     return n
+
+
+def _non_negative(value) -> float:
+    x = _finite(value)
+    if x < 0.0:
+        raise ValueError(f"must be >= 0, got {x:g}")
+    return x
+
+
+def _probability(value) -> float:
+    x = _finite(value)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"must be in [0, 1], got {x:g}")
+    return x
+
+
+def _level(value) -> float:
+    """A confidence level, strictly between 0 and 1."""
+    x = _finite(value)
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"must be in (0, 1), got {x:g}")
+    return x
+
+
+def _choice(name: str):
+    def convert(value) -> str:
+        if value not in _CHOICES[name]:
+            raise ValueError(f"must be one of {', '.join(_CHOICES[name])}, got {value!r}")
+        return value
+    return convert
+
+
+# the allowed values of each analysis option that takes a word
+_CHOICES = {
+    "weighting": ("by_st", "by_isolate"),
+    "theta_method": ("length", "pairwise"),
+    "alpha_mode": ("common", "per-locus"),
+    "mode": ("strict", "lenient"),
+}
+
+# one converter per AnalysisOptions field: the flags and the ``analysis``
+# block of an experiment config are both checked with it where parsed
+_OPTIONS = {
+    "p_a": _probability,
+    "draws": _positive_int,
+    "seed": _non_negative_int,
+    "level": _level,
+    **{name: _choice(name) for name in _CHOICES},
+}
 
 
 def _config_seed(cfg, seed_override: int | None) -> int:
@@ -557,7 +627,7 @@ def _parse_import_spec(spec) -> ImportModel | dict[str, ImportModel]:
     if model == "empirical":
         return EmpiricalImport(pmf=_field(spec, "pmf", _floats))
     if model == "complete":
-        return CompleteImport(p_a=_field(spec, "p_a", float, DEFAULT_PA))
+        return CompleteImport(p_a=_field(spec, "p_a", _probability, DEFAULT_PA))
     raise ConfigError(f"unknown import model {model!r}")
 
 
@@ -598,12 +668,12 @@ def cmd_simulate(args) -> int:
 
 def _analysis_from_config(sub) -> AnalysisOptions:
     """The ``analysis`` block: each key is a field name (``pa`` for
-    ``p_a``), read with the type of the field's default. It takes no
+    ``p_a``), read with the field's converter in ``_OPTIONS``. It takes no
     ``seed``, which each replicate derives from the config's."""
     if "seed" in _object(sub):
         raise ConfigError("seed: each replicate derives its analysis seed from the config's 'seed'")
     return AnalysisOptions(**{
-        f.name: _field(sub, "pa" if f.name == "p_a" else f.name, type(f.default), f.default)
+        f.name: _field(sub, "pa" if f.name == "p_a" else f.name, _OPTIONS[f.name], f.default)
         for f in fields(AnalysisOptions)
     })
 
@@ -615,12 +685,12 @@ def _design_from(cfg: dict, seed_override: int | None) -> SimDesign | RecoveryDe
         loci = _field(cfg, "loci", _loci)
         return RecoveryDesign(
             replicates=replicates,
-            lam=_field(cfg, "lambda", _finite),
+            lam=_field(cfg, "lambda", _non_negative),
             loci=loci,
             import_means=_field(cfg, "import_means", lambda v: _import_means(v, loci)),
-            n_pairs=_field(cfg, "n_pairs", int),
+            n_pairs=_field(cfg, "n_pairs", _positive_int),
             seed=_config_seed(cfg, seed_override),
-            level=_field(cfg, "level", float, _DEFAULTS.level),
+            level=_field(cfg, "level", _level, _DEFAULTS.level),
         )
     if kind not in ("coverage", "type1", "power"):
         raise ConfigError(f"design: unknown design {kind!r}")
@@ -651,8 +721,11 @@ def _report_doc(report: ExperimentReport, cfg: dict, args) -> dict:
     }
     if report.failed_replicates:  # a clean report keeps its key set
         doc["failed_replicates"] = report.failed_replicates
+    # a metric with no replicate to average, or a standard error from a
+    # single one, is undefined: null, not NaN
     doc["per_metric"] = {
-        name: {"value": metric.value, "mc_stderr": metric.mc_stderr}
+        name: {key: None if math.isnan(value) else value
+               for key, value in (("value", metric.value), ("mc_stderr", metric.mc_stderr))}
         for name, metric in report.metrics.items()
     }
     return doc

@@ -142,6 +142,39 @@ def test_import_dist_bad_pa_exits_one(tmp_path):
     assert run("import-dist", *dataset_args(), "--pa", "1.5", "--out", tmp_path / "x.json") == 1
 
 
+@pytest.mark.parametrize("command, option, value, message", [
+    *[(command, option, value, message)
+      for command in ("import-dist", "estimate", "joint", "test-variation")
+      for option, value, message in (
+          ("--pa", "2", "must be in [0, 1], got 2"),
+          ("-M", "0", "must be >= 1, got 0"),
+          ("--weighting", "zz", "must be one of by_st, by_isolate, got 'zz'"),
+      )],
+    *[(command, option, value, message)
+      for command in ("estimate", "joint", "test-variation")
+      for option, value, message in (
+          ("--level", "1.5", "must be in (0, 1), got 1.5"),
+          ("--level", "nan", "must be finite, got 'nan'"),
+          ("--alpha", "zz", "must be one of common, per-locus, got 'zz'"),
+          ("--theta-ratio", "zz", "must be one of length, pairwise, got 'zz'"),
+      )],
+    ("extract", "--mode", "zz", "must be one of strict, lenient, got 'zz'"),
+    ("estimate", "--loci", "aspA,aspA,glnA", "locus 'aspA' is named twice"),
+    ("extract", "--loci", ",", "names no locus: ','"),
+])
+def test_an_invalid_analysis_flag_exits_one_naming_it_before_any_work(
+        tmp_path, capsys, monkeypatch, command, option, value, message):
+    monkeypatch.setattr(cli, "_load_dataset", _no_work)
+    assert run(command, *dataset_args(), option, value, "--out", tmp_path / "o" / "x") == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    usage, line = err.rstrip("\n").rsplit("\n", 1)
+    assert usage.startswith(f"usage: slvrate {command}")
+    flag = "-M/--draws" if option == "-M" else option
+    assert line == f"slvrate {command}: error: argument {flag}: {message}"
+    assert not (tmp_path / "o").exists()
+
+
 # -- estimate / joint / test-variation ---------------------------------------------------
 
 
@@ -308,6 +341,24 @@ NO_LENGTH_LOCI = [{"name": "locA", "length": 150}, {"name": "locB"}]
         ("simulate", [], "JSON object"),
         ("experiment", {"design": "coverage", "replicates": 2,
                         "analysis": {"seed": -5, "draws": 500}}, "analysis: seed"),
+    ("experiment", {"design": "coverage", "replicates": 2, "analysis": {"pa": 2}},
+     "analysis: pa: must be in [0, 1], got 2"),
+    ("experiment", {"design": "coverage", "replicates": 2, "analysis": {"draws": 0}},
+     "analysis: draws: must be >= 1, got 0"),
+    ("experiment", {"design": "coverage", "replicates": 2, "analysis": {"level": 1.5}},
+     "analysis: level: must be in (0, 1), got 1.5"),
+    *[("experiment", {"design": "coverage", "replicates": 2, "analysis": {option: "zz"}},
+       f"analysis: {option}: must be one of ") for option in
+      ("alpha_mode", "weighting", "theta_method", "mode")],
+    ("experiment", {**RECOVERY_CONFIG, "n_pairs": -3}, "n_pairs: must be >= 1, got -3"),
+    ("experiment", {**RECOVERY_CONFIG, "n_pairs": 0}, "n_pairs: must be >= 1, got 0"),
+    ("experiment", {**RECOVERY_CONFIG, "lambda": -1}, "lambda: must be >= 0, got -1"),
+    ("experiment", {**RECOVERY_CONFIG, "level": 1.5}, "level: must be in (0, 1), got 1.5"),
+    ("simulate", {"loci": [{"name": "a", "length": 150}, {"name": "a", "length": 180},
+                           {"name": "c", "length": 150}]}, "loci: locus 'a' is named twice"),
+    ("experiment", {**RECOVERY_CONFIG, "loci": [{"name": "a", "length": 120},
+                                                {"name": "a", "length": 150}]},
+     "loci: locus 'a' is named twice"),
     ],
 )
 def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, command, cfg, key):
