@@ -191,7 +191,7 @@ def _load_dataset(args):
     profiles = parse_profiles(
         profiles_path, loci, st_column=args.st_column, count_column=args.count_column
     )
-    alleles = {name: parse_allele_fasta(fasta_paths[name], name) for name in loci}
+    alleles = {name: parse_allele_fasta(fasta_paths[name]) for name in loci}
     dataset, repairs = build_dataset(profiles, alleles, mode=args.mode)
     inputs = [profiles_path, *fasta_paths.values()]
     return dataset, repairs, inputs

@@ -6,8 +6,9 @@ locus with headers like ``>aspA_1`` or plain ``>1``. The result of
 :func:`build_dataset` is immutable and built whole: it holds each locus's
 alleles as arrays only (ids, lengths, code matrix; in id order), and every
 array it holds is read-only, so it is safe to share across threads and
-forked workers, with nothing to prime first. :class:`AlleleSequence` is
-only the parser's output and the builder's input.
+forked workers, with nothing to prime first. The FASTA parser outputs each
+locus's arrays, so no allele record outlives its file; :class:`AlleleSequence`
+is only the argument of :func:`hamming`.
 
 Each input file is decoded in one read, so a file that is not UTF-8 is
 rejected before any of its lines is checked; its lines are then checked
@@ -25,7 +26,6 @@ Two validation modes:
 from __future__ import annotations
 
 import string
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -59,6 +59,7 @@ for _i, _b in enumerate(b"ACGT"):
     _ENCODE[_b] = _i
 _DECODE = np.frombuffer(b"ACGT".ljust(256, b"N"), dtype=np.uint8)
 _ASCII_UPPER = str.maketrans(string.ascii_lowercase, string.ascii_uppercase)
+_Arrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -103,14 +104,13 @@ class MlstDataset:
     # ``loci`` order; ``codes`` is an (alleles, longest) uint8 matrix: A=0 C=1
     # G=2 T=3, anything else 255, and 255 past the end of a shorter allele, so
     # a comparison between two equal-length alleles never sees the padding
-    allele_codes: Mapping[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    allele_codes: Mapping[str, _Arrays]
     profiles: tuple[StProfile, ...]
     # st_ids that cannot be analysed with the given locus as the focal one
     excluded_at: Mapping[str, frozenset[int]] = field(default_factory=dict)
     # (st_ids, alleles, isolate_counts) of the profiles, in profile order, as
     # int64 arrays; ``alleles`` is (STs, loci)
-    profile_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
-        init=False, repr=False)
+    profile_arrays: _Arrays = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.profiles)
@@ -167,15 +167,24 @@ class MlstDataset:
         return ~np.isin(self.profile_arrays[0], list(self.excluded_at.get(locus, ())))
 
 
-def _code_matrix(records: Sequence[AlleleSequence]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lengths = np.array([len(rec.sequence) for rec in records], dtype=np.int64)
+def _code_matrix(ids: Sequence[int], sequences: Sequence[str]) -> _Arrays:
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
     width = int(lengths.max(initial=0))
-    raw = b"".join(_ascii(rec.sequence).ljust(width, b"N") for rec in records)
+    raw = b"".join(_ascii(seq).ljust(width, b"N") for seq in sequences)
     return (
-        _frozen(np.array([rec.allele_id for rec in records], dtype=np.int64)),
-        _frozen(lengths),
-        _frozen(_ENCODE[np.frombuffer(raw, dtype=np.uint8)].reshape(len(records), width)),
+        np.array(ids, dtype=np.int64),
+        lengths,
+        _ENCODE[np.frombuffer(raw, dtype=np.uint8)].reshape(len(sequences), width),
     )
+
+
+def _sorted_by(key: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``key`` and ``arrays`` in ascending ``key`` order (a stable sort),
+    the arrays themselves when already in order."""
+    if (np.diff(key) >= 0).all():
+        return (key, *arrays)
+    order = np.argsort(key, kind="stable")
+    return (key[order], *(arr[order] for arr in arrays))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -303,8 +312,10 @@ def parse_profiles(
     return profiles
 
 
-def parse_allele_fasta(path: str | Path, locus: str) -> list[AlleleSequence]:
-    """Parse one locus's allele FASTA.
+def parse_allele_fasta(path: str | Path) -> tuple[_Arrays, dict[int, list[str]]]:
+    """Parse one locus's allele FASTA into its ``MlstDataset.allele_codes``
+    arrays, in id order, and the sorted non-ACGT characters by allele id of
+    each allele that has any; no record outlives the call.
 
     Headers may be ``>{locus}_{allele_id}`` or bare ``>{allele_id}``; the
     allele id is the trailing integer of the first header token. Sequences
@@ -312,8 +323,8 @@ def parse_allele_fasta(path: str | Path, locus: str) -> list[AlleleSequence]:
     length) and multi-line records concatenated.
     """
     path = Path(path)
-    records: list[AlleleSequence] = []
-    seen: set[int] = set()
+    sequences: dict[int, str] = {}  # by allele id, in file order
+    ambiguous: dict[int, list[str]] = {}
     header_tok: str | None = None
     header_line = 0
     chunks: list[str] = []
@@ -333,10 +344,11 @@ def parse_allele_fasta(path: str | Path, locus: str) -> list[AlleleSequence]:
             )
         if aid <= 0:
             raise MalformedHeaderError(f"allele id must be positive in {header_tok!r}", str(path), header_line)
-        if aid in seen:
+        if aid in sequences:
             raise DuplicateAlleleError(f"allele {aid} appears twice", str(path), header_line)
-        seen.add(aid)
-        records.append(AlleleSequence(locus=locus, allele_id=aid, sequence=seq))
+        sequences[aid] = seq
+        if _ascii(seq).translate(None, b"ACGT"):
+            ambiguous[aid] = sorted(set(seq) - _ACGT)
 
     for lineno, raw in _lines(path):
         line = raw.strip()
@@ -357,10 +369,10 @@ def parse_allele_fasta(path: str | Path, locus: str) -> list[AlleleSequence]:
                 raise ParseError(f"invalid sequence characters in {up!r}", str(path), lineno)
             chunks.append(up)
     flush()
-    if not records:
+    if not sequences:
         raise EmptyFileError("FASTA file has no records", str(path))
-    records.sort(key=lambda a: a.allele_id)
-    return records
+    ids = sorted(sequences)
+    return _code_matrix(ids, [sequences[aid] for aid in ids]), ambiguous
 
 
 # -- dataset construction ------------------------------------------------------
@@ -368,14 +380,15 @@ def parse_allele_fasta(path: str | Path, locus: str) -> list[AlleleSequence]:
 
 def build_dataset(
     profiles: Sequence[StProfile],
-    alleles_by_locus: Mapping[str, Sequence[AlleleSequence]],
+    alleles_by_locus: Mapping[str, tuple[_Arrays, Mapping[int, list[str]]]],
     mode: str = "strict",
 ) -> tuple[MlstDataset, tuple[str, ...]]:
     """Assemble and validate an immutable dataset.
 
-    Locus order is the key order of ``alleles_by_locus`` and must match the
-    positional order of each profile's allele list. Returns the dataset and
-    a message per lenient-mode repair (none when strict succeeds).
+    Each locus's alleles are as ``parse_allele_fasta`` returns them, in any
+    order. Locus order is the key order of ``alleles_by_locus`` and must
+    match the positional order of each profile's allele list. Returns the
+    dataset and a message per lenient-mode repair (none when strict succeeds).
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"mode must be strict or lenient, got {mode!r}")
@@ -386,48 +399,41 @@ def build_dataset(
         raise TooFewStsError(f"need at least 2 sequence types, got {len(profiles)}")
 
     messages: list[str] = []
-    alleles: dict[str, dict[int, AlleleSequence]] = {}  # per locus, ids ascending
+    allele_codes: dict[str, _Arrays] = {}
     modal_len: dict[str, int] = {}
-    off_length: dict[str, set[int]] = {name: set() for name in locus_names}
+    present: dict[str, set[int]] = {}
+    usable: dict[str, set[int]] = {}  # the ids of the alleles of modal length
+
+    def repair(fault: DataError, message: str) -> None:
+        """Strict mode raises ``fault``; lenient mode reports the repair."""
+        if mode == "strict":
+            raise fault
+        messages.append(message)
 
     for name in locus_names:
-        records = sorted(alleles_by_locus[name], key=lambda a: a.allele_id)
-        if not records:
+        arrays, ambiguous = alleles_by_locus[name]
+        if not len(arrays[0]):
             raise DataError(f"locus {name!r} has no alleles")
-        lengths = Counter(len(rec.sequence) for rec in records)
+        ids, lengths, _codes = allele_codes[name] = _sorted_by(*arrays)
+        repeated = ids[1:][ids[1:] == ids[:-1]]
+        if repeated.size:
+            raise DuplicateAlleleError(f"allele {repeated[0]} duplicated at locus {name}")
         # modal length; ties broken toward the shorter for determinism
-        modal = min(
-            (length for length, cnt in lengths.items() if cnt == max(lengths.values())),
-        )
-        modal_len[name] = modal
-        by_id = alleles[name] = {}
-        for rec in records:
-            if rec.locus != name:
-                raise DataError(f"allele tagged {rec.locus!r} supplied under locus {name!r}")
-            if rec.allele_id in by_id:
-                raise DuplicateAlleleError(f"allele {rec.allele_id} duplicated at locus {name}")
-            if len(rec.sequence) != modal:
-                if mode == "strict":
-                    raise LengthMismatchError(
-                        f"allele {name}_{rec.allele_id} has length {len(rec.sequence)}, "
-                        f"modal length is {modal}"
-                    )
-                off_length[name].add(rec.allele_id)
-                messages.append(
-                    f"locus {name}: allele {rec.allele_id} off-length "
-                    f"({len(rec.sequence)} vs modal {modal})"
-                )
-            if _ascii(rec.sequence).translate(None, b"ACGT"):
-                bad = set(rec.sequence) - _ACGT
-                if mode == "strict":
-                    raise DataError(
-                        f"allele {name}_{rec.allele_id} contains non-ACGT characters {sorted(bad)}"
-                    )
-                messages.append(
-                    f"locus {name}: allele {rec.allele_id} has ambiguous bases "
-                    f"{sorted(bad)}; positions masked in comparisons"
-                )
-            by_id[rec.allele_id] = rec
+        values, counts = np.unique(lengths, return_counts=True)
+        modal = modal_len[name] = int(values[np.argmax(counts)])
+        off = lengths != modal
+        off_lengths = dict(zip(ids[off].tolist(), lengths[off].tolist()))
+        for aid in sorted(off_lengths.keys() | ambiguous.keys()):
+            if aid in off_lengths:
+                repair(LengthMismatchError(f"allele {name}_{aid} has length {off_lengths[aid]}, "
+                                           f"modal length is {modal}"),
+                       f"locus {name}: allele {aid} off-length ({off_lengths[aid]} vs modal {modal})")
+            if aid in ambiguous:
+                repair(DataError(f"allele {name}_{aid} contains non-ACGT characters {ambiguous[aid]}"),
+                       f"locus {name}: allele {aid} has ambiguous bases {ambiguous[aid]}; "
+                       "positions masked in comparisons")
+        present[name] = set(ids.tolist())
+        usable[name] = set(ids[~off].tolist())
 
     # per-profile checks
     kept: list[StProfile] = []
@@ -443,32 +449,25 @@ def build_dataset(
                 f"ST {prof.st_id} has {len(prof.alleles)} alleles for {len(locus_names)} loci"
             )
         if prof.alleles in seen_vectors:
-            if mode == "strict":
-                raise DuplicateVectorError(
-                    f"ST {prof.st_id} and ST {seen_vectors[prof.alleles]} share an allele vector"
-                )
-            messages.append(
-                f"ST {prof.st_id} dropped: allele vector duplicates ST {seen_vectors[prof.alleles]}"
-            )
+            twin = seen_vectors[prof.alleles]
+            repair(DuplicateVectorError(f"ST {prof.st_id} and ST {twin} share an allele vector"),
+                   f"ST {prof.st_id} dropped: allele vector duplicates ST {twin}")
             continue
         seen_vectors[prof.alleles] = prof.st_id
         for name, aid in zip(locus_names, prof.alleles):
-            missing = aid not in alleles[name]
-            if missing and mode == "strict":
-                raise ReferentialIntegrityError(
-                    f"ST {prof.st_id} references allele {name}_{aid} absent from FASTA"
-                )
-            if missing or aid in off_length[name]:
+            if aid not in present[name]:
+                repair(ReferentialIntegrityError(
+                    f"ST {prof.st_id} references allele {name}_{aid} absent from FASTA"),
+                    f"ST {prof.st_id} excluded at locus {name}: allele {aid} missing")
+            if aid not in usable[name]:
                 excluded[name].add(prof.st_id)
-                if missing:
-                    messages.append(f"ST {prof.st_id} excluded at locus {name}: allele {aid} missing")
         kept.append(prof)
     if len(kept) < 2:
         raise TooFewStsError(f"only {len(kept)} sequence types survive validation")
 
     dataset = MlstDataset(
         loci=tuple(LocusMeta(name=name, length=modal_len[name]) for name in locus_names),
-        allele_codes={name: _code_matrix(list(by_id.values())) for name, by_id in alleles.items()},
+        allele_codes=allele_codes,
         profiles=tuple(kept),
         excluded_at={name: frozenset(ids) for name, ids in excluded.items() if ids},
     )

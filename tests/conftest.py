@@ -14,7 +14,7 @@ DEMO_LOCI = ("aspA", "glnA", "gltA")
 def load_demo_dataset() -> mlst_io.MlstDataset:
     profiles = mlst_io.parse_profiles(DEMO / "profiles.tsv", DEMO_LOCI)
     alleles = {
-        locus: mlst_io.parse_allele_fasta(DEMO / f"{locus}.fas", locus) for locus in DEMO_LOCI
+        locus: mlst_io.parse_allele_fasta(DEMO / f"{locus}.fas") for locus in DEMO_LOCI
     }
     dataset, repairs = mlst_io.build_dataset(profiles, alleles, mode="strict")
     assert repairs == ()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from collections import Counter
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -17,13 +18,17 @@ from slvrate.errors import (
     DataError,
     DuplicateAlleleError,
     DuplicateStError,
+    DuplicateVectorError,
     EmptyFileError,
     EmptySequenceError,
     InvalidParamsError,
+    LengthMismatchError,
     MalformedHeaderError,
     MissingColumnError,
     NonIntegerAlleleError,
     ParseError,
+    ReferentialIntegrityError,
+    TooFewLociError,
     TooFewStsError,
     ZeroDifferencePairError,
 )
@@ -44,6 +49,24 @@ def allele_records(dataset, locus):
 def allele(dataset, locus, allele_id):
     """The allele record of ``allele_id`` at ``locus``, or None."""
     return allele_records(dataset, locus).get(allele_id)
+
+
+def locus_arrays(records):
+    """What ``mlst_io.parse_allele_fasta`` returns for the allele records
+    of one locus, kept in their order: their (ids, lengths, codes) arrays,
+    and the sorted non-ACGT characters of each allele that has any."""
+    records = list(records)
+    arrays = mlst_io._code_matrix([rec.allele_id for rec in records],
+                                  [rec.sequence for rec in records])
+    ambiguous = {rec.allele_id: sorted(set(rec.sequence) - set("ACGT")) for rec in records}
+    return arrays, {aid: chars for aid, chars in ambiguous.items() if chars}
+
+
+def build_from_records(profiles, alleles_by_locus, mode="strict"):
+    """``mlst_io.build_dataset`` on allele records per locus."""
+    return mlst_io.build_dataset(
+        profiles, {locus: locus_arrays(recs) for locus, recs in alleles_by_locus.items()}, mode
+    )
 
 
 def same_alleles(a, b):
@@ -218,18 +241,15 @@ def reference_units(dataset, locus, weighting="by_st"):
     return tuple(units), np.array(index, dtype=np.int64)
 
 
-def random_lenient_dataset(rng):
-    """A small lenient dataset that exercises every extraction path.
+def random_inputs(rng, damaged_alleles=True):
+    """(profiles, allele records by locus) of a small damaged dataset.
 
-    Alleles carry ambiguous bases (one of them non-ASCII), some repeat
-    another id's sequence (zero-difference pairs), some are off-length
-    and some profiles name missing alleles (both excluded at that locus).
-    Isolate counts vary and the profiles are shuffled out of ST order.
-    Sometimes a second ST repeats a profile's allele vector, which only a
-    dataset assembled without ``build_dataset`` can hold; it is excluded
-    only where an allele is missing, so its off-length alleles stay in
-    play. Returns None when fewer than two STs survive validation.
+    Alleles carry ambiguous bases (one of them non-ASCII) and some are
+    off-length, unless ``damaged_alleles`` is false; some repeat another
+    id's sequence. Some profiles name missing alleles or repeat another's
+    allele vector. Isolate counts vary and the profiles are out of ST order.
     """
+    bases = list("ACGTACGTACGTNRÉ" if damaged_alleles else "ACGT")
     n_loci = int(rng.integers(2, 5))
     loci = [f"loc{i}" for i in range(n_loci)]
     alleles = {}
@@ -240,8 +260,8 @@ def random_lenient_dataset(rng):
             if seqs and rng.random() < 0.15:
                 seqs.append(seqs[int(rng.integers(len(seqs)))])
                 continue
-            size = length + 1 if rng.random() < 0.1 else length
-            seqs.append("".join(rng.choice(list("ACGTACGTACGTNRÉ"), size=size)))
+            size = length + 1 if rng.random() < 0.1 and damaged_alleles else length
+            seqs.append("".join(rng.choice(bases, size=size)))
         alleles[locus] = [
             mlst_io.AlleleSequence(locus, aid, seq) for aid, seq in enumerate(seqs, start=1)
         ]
@@ -254,8 +274,24 @@ def random_lenient_dataset(rng):
         )
         for st_id in rng.permutation(np.arange(1, n_sts + 1) * 3).tolist()
     ]
+    return profiles, alleles
+
+
+def random_lenient_dataset(rng):
+    """A small lenient dataset that exercises every extraction path: that
+    of ``random_inputs``, whose zero-difference pairs, off-length alleles
+    and missing alleles (both excluded at that locus) extraction meets.
+    Its profiles are shuffled out of ST order.
+    Sometimes a second ST repeats a profile's allele vector, which only a
+    dataset assembled without ``build_dataset`` can hold; it is excluded
+    only where an allele is missing, so its off-length alleles stay in
+    play. Returns None when fewer than two STs survive validation.
+    """
+    profiles, alleles = random_inputs(rng)
+    loci = list(alleles)
+    n_sts = len(profiles)
     try:
-        dataset, _ = mlst_io.build_dataset(profiles, alleles, mode="lenient")
+        dataset, _ = build_from_records(profiles, alleles, mode="lenient")
     except TooFewStsError:
         return None
     profiles = [dataset.profiles[i] for i in rng.permutation(len(dataset.profiles))]
@@ -268,6 +304,115 @@ def random_lenient_dataset(rng):
             if allele(dataset, locus, aid) is None:
                 excluded[locus] = excluded[locus] | {st_id}
     return dataclasses.replace(dataset, profiles=tuple(profiles), excluded_at=excluded)
+
+
+def reference_build_dataset(profiles, alleles_by_locus, mode="strict"):
+    """Reference for ``mlst_io.build_dataset``: the dataset assembled from
+    profile and allele records, each record checked in turn."""
+    if mode not in ("strict", "lenient"):
+        raise ValueError(f"mode must be strict or lenient, got {mode!r}")
+    locus_names = list(alleles_by_locus)
+    if len(locus_names) < 2:
+        raise TooFewLociError(f"need at least 2 loci, got {len(locus_names)}")
+    if len(profiles) < 2:
+        raise TooFewStsError(f"need at least 2 sequence types, got {len(profiles)}")
+
+    messages: list[str] = []
+    alleles: dict[str, dict[int, mlst_io.AlleleSequence]] = {}  # per locus, ids ascending
+    modal_len: dict[str, int] = {}
+    off_length: dict[str, set[int]] = {name: set() for name in locus_names}
+
+    for name in locus_names:
+        records = sorted(alleles_by_locus[name], key=lambda a: a.allele_id)
+        if not records:
+            raise DataError(f"locus {name!r} has no alleles")
+        lengths = Counter(len(rec.sequence) for rec in records)
+        # modal length; ties broken toward the shorter for determinism
+        modal = min(
+            (length for length, cnt in lengths.items() if cnt == max(lengths.values())),
+        )
+        modal_len[name] = modal
+        by_id = alleles[name] = {}
+        for rec in records:
+            if rec.allele_id in by_id:
+                raise DuplicateAlleleError(f"allele {rec.allele_id} duplicated at locus {name}")
+            if len(rec.sequence) != modal:
+                if mode == "strict":
+                    raise LengthMismatchError(
+                        f"allele {name}_{rec.allele_id} has length {len(rec.sequence)}, "
+                        f"modal length is {modal}"
+                    )
+                off_length[name].add(rec.allele_id)
+                messages.append(
+                    f"locus {name}: allele {rec.allele_id} off-length "
+                    f"({len(rec.sequence)} vs modal {modal})"
+                )
+            bad = set(rec.sequence) - set("ACGT")
+            if bad:
+                if mode == "strict":
+                    raise DataError(
+                        f"allele {name}_{rec.allele_id} contains non-ACGT characters {sorted(bad)}"
+                    )
+                messages.append(
+                    f"locus {name}: allele {rec.allele_id} has ambiguous bases "
+                    f"{sorted(bad)}; positions masked in comparisons"
+                )
+            by_id[rec.allele_id] = rec
+
+    # per-profile checks
+    kept: list[mlst_io.StProfile] = []
+    seen_ids: set[int] = set()
+    seen_vectors: dict[tuple[int, ...], int] = {}
+    excluded: dict[str, set[int]] = {name: set() for name in locus_names}
+    for prof in sorted(profiles, key=lambda p: p.st_id):
+        if prof.st_id in seen_ids:
+            raise DuplicateStError(f"duplicate ST {prof.st_id}")
+        seen_ids.add(prof.st_id)
+        if len(prof.alleles) != len(locus_names):
+            raise DataError(
+                f"ST {prof.st_id} has {len(prof.alleles)} alleles for {len(locus_names)} loci"
+            )
+        if prof.alleles in seen_vectors:
+            if mode == "strict":
+                raise DuplicateVectorError(
+                    f"ST {prof.st_id} and ST {seen_vectors[prof.alleles]} share an allele vector"
+                )
+            messages.append(
+                f"ST {prof.st_id} dropped: allele vector duplicates ST {seen_vectors[prof.alleles]}"
+            )
+            continue
+        seen_vectors[prof.alleles] = prof.st_id
+        for name, aid in zip(locus_names, prof.alleles):
+            missing = aid not in alleles[name]
+            if missing and mode == "strict":
+                raise ReferentialIntegrityError(
+                    f"ST {prof.st_id} references allele {name}_{aid} absent from FASTA"
+                )
+            if missing or aid in off_length[name]:
+                excluded[name].add(prof.st_id)
+                if missing:
+                    messages.append(f"ST {prof.st_id} excluded at locus {name}: allele {aid} missing")
+        kept.append(prof)
+    if len(kept) < 2:
+        raise TooFewStsError(f"only {len(kept)} sequence types survive validation")
+
+    dataset = mlst_io.MlstDataset(
+        loci=tuple(mlst_io.LocusMeta(name=name, length=modal_len[name]) for name in locus_names),
+        allele_codes={name: locus_arrays(by_id.values())[0] for name, by_id in alleles.items()},
+        profiles=tuple(kept),
+        excluded_at={name: frozenset(ids) for name, ids in excluded.items() if ids},
+    )
+    return dataset, tuple(messages)
+
+
+def dataset_summary(dataset):
+    """Everything a dataset holds, as plain values that compare with ==."""
+    return (
+        dataset.loci,
+        {locus: [arr.tolist() for arr in arrays] for locus, arrays in dataset.allele_codes.items()},
+        [(p.st_id, p.alleles, p.isolate_count) for p in dataset.profiles],
+        dict(dataset.excluded_at),
+    )
 
 
 # -- line-by-line reference parsers -------------------------------------------------

@@ -452,7 +452,8 @@ def test_lowercase_sharp_s_keeps_the_allele_length(tmp_path, capsys):
     fasta = data / "aspA.fas"
     header, first, *rest = fasta.read_text(encoding="utf-8").split("\n")
     fasta.write_text("\n".join([header, "ß" + first[1:], *rest]), encoding="utf-8")
-    assert len(parse_allele_fasta(fasta, "aspA")[0].sequence) == len(first)
+    (_ids, lengths, _codes), ambiguous = parse_allele_fasta(fasta)
+    assert lengths[0] == len(first) and ambiguous == {1: ["ß"]}
     argv = ["--profiles", data / "profiles.tsv", "--alleles-dir", data]
     assert run("estimate", *argv, "-M", "2000") == 2
     assert "DataError: allele aspA_1 contains non-ACGT characters ['ß']" in capsys.readouterr().err

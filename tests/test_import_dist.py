@@ -14,7 +14,13 @@ from slvrate import mlst_io
 from slvrate import simulate as sim
 from slvrate.errors import InvalidParamsError, TooFewUnitsError
 
-from helpers import diff_matrix, random_lenient_dataset, reference_units, table_from_matrix
+from helpers import (
+    build_from_records,
+    diff_matrix,
+    random_lenient_dataset,
+    reference_units,
+    table_from_matrix,
+)
 
 
 def _one_locus_dataset(sequences, mode="strict"):
@@ -24,7 +30,7 @@ def _one_locus_dataset(sequences, mode="strict"):
         "locB": [mlst_io.AlleleSequence("locB", 1, "AAAA")],
     }
     profiles = [mlst_io.StProfile(1, (1, 1)), mlst_io.StProfile(2, (2, 1))]
-    dataset, _ = mlst_io.build_dataset(profiles, alleles, mode=mode)
+    dataset, _ = build_from_records(profiles, alleles, mode=mode)
     return dataset, alleles["locA"]
 
 
@@ -130,7 +136,7 @@ def test_import_stage_memory_at_mlst_scale():
         mlst_io.StProfile(st + 1, (st % len(sequences) + 1, st // len(sequences) + 1))
         for st in range(n_sts)
     ]
-    dataset, _ = mlst_io.build_dataset(profiles, alleles)
+    dataset, _ = build_from_records(profiles, alleles)
     tracemalloc.start()
     try:
         table = imp.pairwise_diffs(dataset, "locA")
@@ -151,7 +157,7 @@ def test_pairwise_diffs_two_sts():
         "locA": [mlst_io.AlleleSequence("locA", 1, "ACGT"), mlst_io.AlleleSequence("locA", 2, "ACGA")],
         "locB": [mlst_io.AlleleSequence("locB", 1, "AAAA")],
     }
-    dataset, _ = mlst_io.build_dataset(profiles, alleles)
+    dataset, _ = build_from_records(profiles, alleles)
     table = imp.pairwise_diffs(dataset, "locA")
     assert table.k == 2
     assert diff_matrix(table).tolist() == [[0, 1], [1, 0]]
@@ -166,7 +172,7 @@ def test_pairwise_diffs_isolate_expansion():
         "locA": [mlst_io.AlleleSequence("locA", 1, "ACGT"), mlst_io.AlleleSequence("locA", 2, "ACGA")],
         "locB": [mlst_io.AlleleSequence("locB", 1, "AAAA")],
     }
-    dataset, _ = mlst_io.build_dataset(profiles, alleles)
+    dataset, _ = build_from_records(profiles, alleles)
     table = imp.pairwise_diffs(dataset, "locA", weighting="by_isolate")
     assert table.k == 4
     mat = diff_matrix(table)
@@ -190,7 +196,7 @@ def test_pairwise_diffs_too_few_units():
         "locA": [mlst_io.AlleleSequence("locA", 1, "ACGT")],
         "locB": [mlst_io.AlleleSequence("locB", 1, "AAAA"), mlst_io.AlleleSequence("locB", 2, "AAAT")],
     }
-    dataset, _ = mlst_io.build_dataset(
+    dataset, _ = build_from_records(
         [profiles[0], mlst_io.StProfile(2, (9, 2))], alleles, mode="lenient"
     )
     with pytest.raises(TooFewUnitsError):

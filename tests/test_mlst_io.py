@@ -3,19 +3,26 @@ from __future__ import annotations
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from helpers import (
     allele_records,
+    build_from_records,
+    dataset_summary,
+    locus_arrays,
+    random_inputs,
+    reference_build_dataset,
     reference_parse_allele_fasta,
     reference_parse_profiles,
     same_alleles,
     usable_at,
 )
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from slvrate import mlst_io
 from slvrate.errors import (
+    DataError,
     DuplicateAlleleError,
     DuplicateStError,
     EmptyFileError,
@@ -93,29 +100,30 @@ def test_parse_profiles_ignores_extra_columns(demo_dataset):
 
 def test_parse_fasta_concatenation(tmp_path):
     path = write(tmp_path, "a.fas", ">aspA_1\nACGT\nACGT\n")
-    records = mlst_io.parse_allele_fasta(path, "aspA")
-    assert len(records) == 1
-    assert records[0].allele_id == 1
-    assert records[0].sequence == "ACGTACGT"
+    (ids, lengths, codes), ambiguous = mlst_io.parse_allele_fasta(path)
+    assert ids.tolist() == [1] and lengths.tolist() == [8]
+    assert mlst_io.decode_sequence(codes[0]) == "ACGTACGT"
+    assert ambiguous == {}
 
 
 def test_parse_fasta_duplicate(tmp_path):
     path = write(tmp_path, "a.fas", ">glnA_3\nACGT\n>glnA_3\nACGA\n")
     with pytest.raises(DuplicateAlleleError):
-        mlst_io.parse_allele_fasta(path, "glnA")
+        mlst_io.parse_allele_fasta(path)
 
 
 def test_parse_fasta_bare_id_and_case(tmp_path):
-    path = write(tmp_path, "a.fas", ">2\nacgt\n")
-    records = mlst_io.parse_allele_fasta(path, "locX")
-    assert records[0].allele_id == 2
-    assert records[0].sequence == "ACGT"
+    path = write(tmp_path, "a.fas", ">2\nacgt\n>1\nAcgN\n")
+    (ids, lengths, codes), ambiguous = mlst_io.parse_allele_fasta(path)
+    assert ids.tolist() == [1, 2]
+    assert [mlst_io.decode_sequence(row) for row in codes] == ["ACGN", "ACGT"]
+    assert ambiguous == {1: ["N"]}
 
 
 def test_parse_fasta_malformed_header(tmp_path):
     path = write(tmp_path, "a.fas", ">aspA_one\nACGT\n")
     with pytest.raises(MalformedHeaderError):
-        mlst_io.parse_allele_fasta(path, "aspA")
+        mlst_io.parse_allele_fasta(path)
 
 
 def _toy_inputs():
@@ -137,8 +145,8 @@ def test_build_dataset_referential_integrity():
     profiles, alleles = _toy_inputs()
     profiles[1] = mlst_io.StProfile(2, (99, 2))
     with pytest.raises(ReferentialIntegrityError):
-        mlst_io.build_dataset(profiles, alleles, mode="strict")
-    dataset, repairs = mlst_io.build_dataset(profiles, alleles, mode="lenient")
+        build_from_records(profiles, alleles, mode="strict")
+    dataset, repairs = build_from_records(profiles, alleles, mode="lenient")
     assert repairs
     assert not usable_at(dataset, "locA", 2)
     assert usable_at(dataset, "locB", 2)
@@ -147,7 +155,7 @@ def test_build_dataset_referential_integrity():
 def test_build_dataset_too_few_loci():
     profiles, alleles = _toy_inputs()
     with pytest.raises(TooFewLociError):
-        mlst_io.build_dataset(
+        build_from_records(
             [mlst_io.StProfile(1, (1,)), mlst_io.StProfile(2, (2,))],
             {"locB": alleles["locB"]},
         )
@@ -157,7 +165,7 @@ def test_build_dataset_strict_rejects_off_length():
     profiles, alleles = _toy_inputs()
     alleles["locB"].append(mlst_io.AlleleSequence("locB", 3, "AAATTT"))
     with pytest.raises(LengthMismatchError):
-        mlst_io.build_dataset(profiles, alleles, mode="strict")
+        build_from_records(profiles, alleles, mode="strict")
 
 
 def test_hamming_basics():
@@ -209,7 +217,7 @@ def test_round_trip(tmp_path, demo_dataset):
         (tmp_path / f"{locus}.fas").write_text(mlst_io.allele_fasta_text(demo_dataset, locus))
     profiles = mlst_io.parse_profiles(tmp_path / "profiles.tsv", demo_dataset.locus_names)
     alleles = {
-        locus: mlst_io.parse_allele_fasta(tmp_path / f"{locus}.fas", locus)
+        locus: mlst_io.parse_allele_fasta(tmp_path / f"{locus}.fas")
         for locus in demo_dataset.locus_names
     }
     rebuilt, repairs = mlst_io.build_dataset(profiles, alleles, mode="strict")
@@ -230,7 +238,7 @@ def test_build_order_independent(demo_dataset):
         rng.shuffle(recs)
         alleles[locus] = recs
     alleles = {locus: alleles[locus] for locus in demo_dataset.locus_names}
-    rebuilt, _ = mlst_io.build_dataset(profiles, alleles, mode="strict")
+    rebuilt, _ = build_from_records(profiles, alleles, mode="strict")
     assert rebuilt.profiles == demo_dataset.profiles
     assert same_alleles(rebuilt, demo_dataset)
 
@@ -315,12 +323,27 @@ def _profile_lines(rng) -> tuple[list[str], list[str], str | None]:
     return lines, loci, count
 
 
+def _plain(value):
+    """Arrays as lists, also inside tuples, so that outcomes compare with ==."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    return value
+
+
 def _outcome(parse, path, *args):
-    """The records a parser returns, or the type, text and line of its ParseError."""
+    """What a parser returns, or the type, text and line of its ParseError."""
     try:
-        return parse(path, *args)
+        return _plain(parse(path, *args))
     except ParseError as err:
         return type(err), str(err), err.line
+
+
+def _reference_fasta(path):
+    """The line-by-line reference's records, as the parser's arrays."""
+    return locus_arrays(sorted(reference_parse_allele_fasta(path, "aspA"),
+                               key=lambda rec: rec.allele_id))
 
 
 def _expected(reference, path, *args):
@@ -340,8 +363,8 @@ def _expected(reference, path, *args):
 def test_fasta_parser_matches_the_line_by_line_reference(tmp_path_factory, rng):
     path = tmp_path_factory.mktemp("fasta") / "a.fas"
     path.write_bytes(_bytes(rng, _fasta_lines(rng)))
-    expected = _expected(reference_parse_allele_fasta, path, "aspA")
-    assert _outcome(mlst_io.parse_allele_fasta, path, "aspA") == expected
+    expected = _expected(_reference_fasta, path)
+    assert _outcome(mlst_io.parse_allele_fasta, path) == expected
 
 
 @settings(max_examples=400, deadline=None)
@@ -369,9 +392,9 @@ def test_a_replaced_dataset_holds_the_views_of_its_new_fields(demo_dataset):
     gln = allele_records(ds, "glnA")
     changed = mlst_io.AlleleSequence("glnA", 1, "T" * len(gln[1].sequence))
     more = dataclasses.replace(ds, allele_codes={
-        **ds.allele_codes, "glnA": mlst_io._code_matrix(list(
+        **ds.allele_codes, "glnA": locus_arrays(
             {**gln, 1: changed, 9: mlst_io.AlleleSequence("glnA", 9, "ACGT")}.values()
-        )),
+        )[0],
     })
     ids, lengths, codes = more.allele_codes["glnA"]
     assert ids.tolist() == [*gln, 9]
@@ -383,3 +406,52 @@ def test_a_replaced_dataset_holds_the_views_of_its_new_fields(demo_dataset):
     assert masked.usable_mask("gltA").tolist() == [True, True, True, False, True, True]
     for arr in (*more.profile_arrays, *more.allele_codes["glnA"], more.rest_labels):
         assert not arr.flags.writeable
+
+
+# -- the array builder against the record-based reference --------------------------
+
+
+def _write_inputs(directory, profiles, alleles, rng):
+    """A profile table with a count column and one FASTA file per locus,
+    rows and records in a shuffled order."""
+    loci = list(alleles)
+    rows = ["\t".join(["ST", *loci, "count"])]
+    rows += ["\t".join(map(str, [p.st_id, *p.alleles, p.isolate_count])) for p in profiles]
+    (directory / "profiles.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    for locus, records in alleles.items():
+        text = "".join(f">{locus}_{records[i].allele_id}\n{records[i].sequence}\n"
+                       for i in rng.permutation(len(records)))
+        (directory / f"{locus}.fas").write_text(text, encoding="utf-8")
+
+
+def _built(build, profiles, alleles, mode):
+    """The dataset and repair messages of a build, or the type, text and
+    line of its first error."""
+    try:
+        dataset, messages = build(profiles, alleles, mode)
+    except (DataError, ParseError) as err:
+        return type(err), str(err), getattr(err, "line", None)
+    return dataset_summary(dataset), messages
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_array_builder_matches_the_record_reference(tmp_path_factory, seed):
+    rng = np.random.default_rng(seed)
+    profiles, alleles = random_inputs(rng, damaged_alleles=rng.random() < 0.5)
+    data = tmp_path_factory.mktemp("data")
+    _write_inputs(data, profiles, alleles, rng)
+    loci = list(alleles)
+    table = data / "profiles.tsv"
+    reference = (
+        reference_parse_profiles(table, loci, "ST", "count"),
+        {locus: reference_parse_allele_fasta(data / f"{locus}.fas", locus) for locus in loci},
+    )
+    parsed = (
+        mlst_io.parse_profiles(table, loci, "ST", "count"),
+        {locus: mlst_io.parse_allele_fasta(data / f"{locus}.fas") for locus in loci},
+    )
+    for mode in ("strict", "lenient"):
+        want = _built(reference_build_dataset, *reference, mode)
+        assert _built(mlst_io.build_dataset, *parsed, mode) == want
+        event(f"{mode}: {want[0].__name__ if isinstance(want[0], type) else 'built'}")

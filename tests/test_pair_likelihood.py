@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import loglik, make_model, make_q, random_q, unnormalized_mass
+from helpers import build_from_records, loglik, make_model, make_q, random_q, unnormalized_mass
 
 from slvrate import mlst_io, pair_likelihood as pl
 from slvrate.errors import DegenerateRatioError, InvalidParamsError
@@ -32,7 +32,7 @@ def _dataset_with_lengths(lengths):
         mlst_io.StProfile(1, tuple(1 for _ in loci)),
         mlst_io.StProfile(2, tuple(2 for _ in loci)),
     ]
-    dataset, _ = mlst_io.build_dataset(profiles, alleles)
+    dataset, _ = build_from_records(profiles, alleles)
     return dataset, loci
 
 
@@ -62,7 +62,7 @@ def test_theta_ratio_pairwise():
         for locus, (a, b) in seqs.items()
     }
     profiles = [mlst_io.StProfile(1, (1, 1, 1)), mlst_io.StProfile(2, (2, 2, 2))]
-    dataset, _ = mlst_io.build_dataset(profiles, alleles)
+    dataset, _ = build_from_records(profiles, alleles)
     ratios = pl.theta_ratios(dataset, "pairwise")
     assert abs(ratios["locA"].r - 0.25) < 1e-12
     assert abs(ratios["locB"].r - 0.25) < 1e-12

@@ -365,7 +365,7 @@ def test_assembled_dataset_matches_the_validated_one(tmp_path, name):
     for locus in dataset.locus_names:
         path = tmp_path / f"{locus}.fas"
         path.write_text(mlst_io.allele_fasta_text(dataset, locus), encoding="utf-8")
-        alleles[locus] = mlst_io.parse_allele_fasta(path, locus)
+        alleles[locus] = mlst_io.parse_allele_fasta(path)
     count = {p.st_id: p.isolate_count for p in dataset.profiles}
     profiles = [
         dataclasses.replace(p, isolate_count=count[p.st_id])

@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 from slvrate import mlst_io, slv
 from slvrate.errors import DataError, LengthMismatchError, ZeroDifferencePairError
 
-from helpers import allele, allele_records, random_lenient_dataset, reference_slv, usable_at
+from helpers import (
+    allele,
+    allele_records,
+    build_from_records,
+    locus_arrays,
+    random_lenient_dataset,
+    reference_slv,
+    usable_at,
+)
 
 
 def test_demo_dataset_matches_known_pairs(demo_dataset):
@@ -52,7 +60,7 @@ def _dataset_from_vectors(vectors, seqs_per_locus):
         locus: [mlst_io.AlleleSequence(locus, aid, seq) for aid, seq in ids.items()]
         for locus, ids in seqs_per_locus.items()
     }
-    dataset, _ = mlst_io.build_dataset(profiles, alleles, mode="strict")
+    dataset, _ = build_from_records(profiles, alleles, mode="strict")
     return dataset
 
 
@@ -203,7 +211,7 @@ def _lenient_dataset():
         locus: [mlst_io.AlleleSequence(locus, aid, seq) for aid, seq in ids.items()]
         for locus, ids in seqs.items()
     }
-    dataset, repairs = mlst_io.build_dataset(profiles, alleles, mode="lenient")
+    dataset, repairs = build_from_records(profiles, alleles, mode="lenient")
     assert repairs
     return dataset
 
@@ -297,7 +305,7 @@ def test_relabeling_invariance(demo_dataset):
         locus: list(allele_records(demo_dataset, locus).values())
         for locus in demo_dataset.locus_names
     }
-    relabeled, _ = mlst_io.build_dataset(profiles, alleles, mode="strict")
+    relabeled, _ = build_from_records(profiles, alleles, mode="strict")
     part = slv.extract_slv(relabeled, "gltA")
     original = slv.extract_slv(demo_dataset, "gltA")
     got = {(mapping[a], mapping[b], x) for a, b, x in _rows(original)}
@@ -369,9 +377,9 @@ def test_typed_errors_keep_their_messages():
     assert seen == [f"{zero}; pair dropped"]
     short = dataclasses.replace(
         dataset,
-        allele_codes={**dataset.allele_codes, "locA": mlst_io._code_matrix(list(
+        allele_codes={**dataset.allele_codes, "locA": locus_arrays(
             {**allele_records(dataset, "locA"), 4: mlst_io.AlleleSequence("locA", 4, "ACG")}.values()
-        ))},
+        )[0]},
     )
     with pytest.raises(LengthMismatchError) as err:
         slv.extract_slv(short, "locA", mode="lenient")
