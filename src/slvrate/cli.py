@@ -657,7 +657,7 @@ def cmd_simulate(args) -> int:
         "meta": _meta("simulate", cfg, [Path(args.config)]),
         "seed": config.seed,
         "n_samples": config.n_samples,
-        "n_sts": len(result.dataset.profiles),
+        "n_sts": len(result.dataset.profile_arrays[0]),
         "theta": list(config.theta),
         "lambda": list(config.lam),
         "st_of_sample": list(result.st_of_sample),

@@ -158,7 +158,7 @@ def _run_sim_replicate(design: SimDesign, ridx: int) -> dict:
     return {
         "rows": rows,
         "p_value": analysis.variation.p_value if analysis.variation else math.nan,
-        "n_sts": len(result.dataset.profiles),
+        "n_sts": len(result.dataset.profile_arrays[0]),
         "n_slv": n_slv,
         "informative": analysis.joint is not None,
         "skipped_loci": len(analysis.skipped_loci),

@@ -85,19 +85,12 @@ def _ascii(sequence: str) -> bytes:
     return sequence.encode("ascii", "replace")
 
 
-@dataclass(frozen=True)
-class StProfile:
-    st_id: int
-    alleles: tuple[int, ...]
-    isolate_count: int = 1
-
-
 @dataclass(frozen=True, eq=False)
 class MlstDataset:
-    """An immutable dataset, built whole, its alleles as arrays only:
-    ``__post_init__`` makes the arrays it is given read-only and derives the
-    profile arrays, so a ``dataclasses.replace`` copy holds its own fields'
-    views. Datasets compare by identity, as arrays have no truth value."""
+    """An immutable dataset, built whole, as arrays only: ``__post_init__``
+    makes the arrays it is given read-only, so a ``dataclasses.replace``
+    copy holds its own fields' views. Datasets compare by identity, as
+    arrays have no truth value."""
 
     loci: tuple[LocusMeta, ...]
     # locus name -> (ids, lengths, codes) of its alleles in id order, loci in
@@ -105,22 +98,15 @@ class MlstDataset:
     # G=2 T=3, anything else 255, and 255 past the end of a shorter allele, so
     # a comparison between two equal-length alleles never sees the padding
     allele_codes: Mapping[str, _Arrays]
-    profiles: tuple[StProfile, ...]
+    # (st_ids, alleles, isolate_counts) of the sequence types as int64
+    # arrays, one row each (``build_dataset`` puts them in ST order);
+    # ``alleles`` is (STs, loci), its columns in ``loci`` order
+    profile_arrays: _Arrays
     # st_ids that cannot be analysed with the given locus as the focal one
     excluded_at: Mapping[str, frozenset[int]] = field(default_factory=dict)
-    # (st_ids, alleles, isolate_counts) of the profiles, in profile order, as
-    # int64 arrays; ``alleles`` is (STs, loci)
-    profile_arrays: _Arrays = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = len(self.profiles)
-        object.__setattr__(self, "profile_arrays", (
-            _frozen(np.array([p.st_id for p in self.profiles], dtype=np.int64)),
-            _frozen(np.array([p.alleles for p in self.profiles], dtype=np.int64)
-                    .reshape(n, len(self.loci))),
-            _frozen(np.array([p.isolate_count for p in self.profiles], dtype=np.int64)),
-        ))
-        for arrays in self.allele_codes.values():
+        for arrays in (self.profile_arrays, *self.allele_codes.values()):
             for arr in arrays:
                 _frozen(arr)
 
@@ -242,8 +228,10 @@ def parse_profiles(
     locus_columns: Sequence[str],
     st_column: str = "ST",
     count_column: str | None = None,
-) -> list[StProfile]:
-    """Parse a tab-separated profile table into sequence-type profiles.
+) -> _Arrays:
+    """Parse a tab-separated profile table into the (st_ids, alleles,
+    isolate_counts) int64 arrays of ``MlstDataset.profile_arrays``, in ST
+    order; no row outlives the call.
 
     Columns not named are ignored (pubmlst exports carry extras such as
     clonal_complex). Blank lines and lines starting with '#' are skipped.
@@ -258,7 +246,9 @@ def parse_profiles(
             raise NonIntegerAlleleError(f"row too short for column {col!r}", str(path), lineno)
         return fields[idx].strip()
 
-    profiles: list[StProfile] = []
+    st_ids: list[int] = []
+    alleles: list[int] = []  # every row's allele ids, row after row
+    counts: list[int] = []
     seen: set[int] = set()
     for lineno, line in _lines(path):
         if not _is_content(line):
@@ -280,7 +270,6 @@ def parse_profiles(
         if st_id in seen:
             raise DuplicateStError(f"duplicate ST {st_id}", str(path), lineno)
         seen.add(st_id)
-        allele_ids = []
         for col in locus_columns:
             tok = cell(fields, col, lineno)
             try:
@@ -293,7 +282,7 @@ def parse_profiles(
                 raise NonIntegerAlleleError(
                     f"allele id must be positive, got {aid} in column {col!r}", str(path), lineno
                 )
-            allele_ids.append(aid)
+            alleles.append(aid)
         count = 1
         if count_column:
             tok = cell(fields, count_column, lineno)
@@ -303,13 +292,17 @@ def parse_profiles(
                 raise NonIntegerAlleleError(f"count {tok!r} is not an integer", str(path), lineno)
             if count <= 0:
                 raise NonIntegerAlleleError(f"count must be positive, got {count}", str(path), lineno)
-        profiles.append(StProfile(st_id=st_id, alleles=tuple(allele_ids), isolate_count=count))
+        st_ids.append(st_id)
+        counts.append(count)
     if col_index is None:
         raise EmptyFileError("profile file has no content", str(path))
-    if not profiles:
+    if not st_ids:
         raise EmptyFileError("profile file has a header but no data rows", str(path))
-    profiles.sort(key=lambda p: p.st_id)
-    return profiles
+    return _sorted_by(
+        np.array(st_ids, dtype=np.int64),
+        np.array(alleles, dtype=np.int64).reshape(len(st_ids), len(locus_columns)),
+        np.array(counts, dtype=np.int64),
+    )
 
 
 def parse_allele_fasta(path: str | Path) -> tuple[_Arrays, dict[int, list[str]]]:
@@ -379,30 +372,30 @@ def parse_allele_fasta(path: str | Path) -> tuple[_Arrays, dict[int, list[str]]]
 
 
 def build_dataset(
-    profiles: Sequence[StProfile],
+    profiles: _Arrays,
     alleles_by_locus: Mapping[str, tuple[_Arrays, Mapping[int, list[str]]]],
     mode: str = "strict",
 ) -> tuple[MlstDataset, tuple[str, ...]]:
     """Assemble and validate an immutable dataset.
 
-    Each locus's alleles are as ``parse_allele_fasta`` returns them, in any
-    order. Locus order is the key order of ``alleles_by_locus`` and must
-    match the positional order of each profile's allele list. Returns the
-    dataset and a message per lenient-mode repair (none when strict succeeds).
+    The profiles are as ``parse_profiles`` returns them and each locus's
+    alleles as ``parse_allele_fasta`` does, rows and alleles in any order.
+    Locus order is the key order of ``alleles_by_locus`` and must match the
+    column order of the profiles' alleles. Returns the dataset and a message
+    per lenient-mode repair (none when strict succeeds).
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"mode must be strict or lenient, got {mode!r}")
     locus_names = list(alleles_by_locus)
     if len(locus_names) < 2:
         raise TooFewLociError(f"need at least 2 loci, got {len(locus_names)}")
-    if len(profiles) < 2:
-        raise TooFewStsError(f"need at least 2 sequence types, got {len(profiles)}")
+    if len(profiles[0]) < 2:
+        raise TooFewStsError(f"need at least 2 sequence types, got {len(profiles[0])}")
 
     messages: list[str] = []
     allele_codes: dict[str, _Arrays] = {}
     modal_len: dict[str, int] = {}
-    present: dict[str, set[int]] = {}
-    usable: dict[str, set[int]] = {}  # the ids of the alleles of modal length
+    usable: dict[str, np.ndarray] = {}  # the ids of the alleles of modal length
 
     def repair(fault: DataError, message: str) -> None:
         """Strict mode raises ``fault``; lenient mode reports the repair."""
@@ -432,44 +425,46 @@ def build_dataset(
                 repair(DataError(f"allele {name}_{aid} contains non-ACGT characters {ambiguous[aid]}"),
                        f"locus {name}: allele {aid} has ambiguous bases {ambiguous[aid]}; "
                        "positions masked in comparisons")
-        present[name] = set(ids.tolist())
-        usable[name] = set(ids[~off].tolist())
+        usable[name] = ids[~off]
 
-    # per-profile checks
-    kept: list[StProfile] = []
-    seen_ids: set[int] = set()
-    seen_vectors: dict[tuple[int, ...], int] = {}
-    excluded: dict[str, set[int]] = {name: set() for name in locus_names}
-    for prof in sorted(profiles, key=lambda p: p.st_id):
-        if prof.st_id in seen_ids:
-            raise DuplicateStError(f"duplicate ST {prof.st_id}")
-        seen_ids.add(prof.st_id)
-        if len(prof.alleles) != len(locus_names):
-            raise DataError(
-                f"ST {prof.st_id} has {len(prof.alleles)} alleles for {len(locus_names)} loci"
-            )
-        if prof.alleles in seen_vectors:
-            twin = seen_vectors[prof.alleles]
-            repair(DuplicateVectorError(f"ST {prof.st_id} and ST {twin} share an allele vector"),
-                   f"ST {prof.st_id} dropped: allele vector duplicates ST {twin}")
+    # per-profile checks, in ST order; a repeated ST ends them in either mode
+    st_ids, alleles, counts = _sorted_by(*profiles)
+    n, n_loci = len(st_ids), len(locus_names)
+    if alleles.shape[1] != n_loci:
+        raise DataError(f"ST {st_ids[0]} has {alleles.shape[1]} alleles for {n_loci} loci")
+    repeated = np.flatnonzero(st_ids[1:] == st_ids[:-1])
+    stop = repeated[0] + 1 if repeated.size else n
+    _, first, inverse = np.unique(alleles, axis=0, return_index=True, return_inverse=True)
+    twin = first[inverse.reshape(-1)]  # the first row with the same allele vector
+    dropped = twin != np.arange(n)
+    missing = np.stack(
+        [~np.isin(alleles[:, j], allele_codes[name][0]) for j, name in enumerate(locus_names)], axis=1
+    )
+    for row in np.flatnonzero(dropped[:stop] | missing[:stop].any(axis=1)).tolist():
+        st_id = st_ids[row]
+        if dropped[row]:
+            repair(DuplicateVectorError(f"ST {st_id} and ST {st_ids[twin[row]]} share an allele vector"),
+                   f"ST {st_id} dropped: allele vector duplicates ST {st_ids[twin[row]]}")
             continue
-        seen_vectors[prof.alleles] = prof.st_id
-        for name, aid in zip(locus_names, prof.alleles):
-            if aid not in present[name]:
-                repair(ReferentialIntegrityError(
-                    f"ST {prof.st_id} references allele {name}_{aid} absent from FASTA"),
-                    f"ST {prof.st_id} excluded at locus {name}: allele {aid} missing")
-            if aid not in usable[name]:
-                excluded[name].add(prof.st_id)
-        kept.append(prof)
-    if len(kept) < 2:
-        raise TooFewStsError(f"only {len(kept)} sequence types survive validation")
-
+        for j in np.flatnonzero(missing[row]).tolist():
+            name, aid = locus_names[j], alleles[row, j]
+            repair(ReferentialIntegrityError(
+                f"ST {st_id} references allele {name}_{aid} absent from FASTA"),
+                f"ST {st_id} excluded at locus {name}: allele {aid} missing")
+    if stop < n:
+        raise DuplicateStError(f"duplicate ST {st_ids[stop]}")
+    kept = ~dropped
+    if kept.sum() < 2:
+        raise TooFewStsError(f"only {kept.sum()} sequence types survive validation")
+    excluded = {
+        name: frozenset(st_ids[kept & ~np.isin(alleles[:, j], usable[name])].tolist())
+        for j, name in enumerate(locus_names)
+    }
     dataset = MlstDataset(
         loci=tuple(LocusMeta(name=name, length=modal_len[name]) for name in locus_names),
         allele_codes=allele_codes,
-        profiles=tuple(kept),
-        excluded_at={name: frozenset(ids) for name, ids in excluded.items() if ids},
+        profile_arrays=(st_ids[kept], alleles[kept], counts[kept]),
+        excluded_at={name: ids for name, ids in excluded.items() if ids},
     )
     return dataset, tuple(messages)
 
@@ -500,8 +495,9 @@ _FASTA_WIDTH = 60  # bases per line of a formatted FASTA record
 
 def profiles_text(dataset: MlstDataset) -> str:
     """The profile table of a dataset, as ``parse_profiles`` reads it."""
+    st_ids, alleles, _counts = dataset.profile_arrays
     rows = [["ST", *dataset.locus_names]]
-    rows += [[str(prof.st_id), *map(str, prof.alleles)] for prof in dataset.profiles]
+    rows += [[str(st_id), *map(str, row)] for st_id, row in zip(st_ids.tolist(), alleles.tolist())]
     return "".join("\t".join(row) + "\n" for row in rows)
 
 

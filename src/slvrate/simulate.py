@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import InvalidImportModelError, InvalidParamsError
 from .import_dist import DEFAULT_PA
-from .mlst_io import LocusMeta, MlstDataset, StProfile
+from .mlst_io import LocusMeta, MlstDataset
 from .mlst_io import build_dataset  # noqa: F401  (the benchmark tracer binds simulate.build_dataset)
 from .numerics import SeedDomain, derived_rng
 
@@ -332,7 +332,6 @@ def _materialize(
             key.append(table[raw])
         st_of_vector.append(st_ids.setdefault(tuple(key), len(st_ids) + 1))
     st_of_sample = np.array(st_of_vector)[vector_of_sample]
-    counts = np.bincount(st_of_sample).tolist()
     dataset = MlstDataset(
         loci=tuple(LocusMeta(name=name, length=m) for name, m in config.loci),
         allele_codes={
@@ -343,9 +342,10 @@ def _materialize(
             )
             for (name, m), table in zip(config.loci, allele_ids)
         },
-        profiles=tuple(
-            StProfile(st_id=sid, alleles=key, isolate_count=counts[sid])
-            for key, sid in st_ids.items()
+        profile_arrays=(
+            np.arange(1, len(st_ids) + 1, dtype=np.int64),
+            np.array(list(st_ids), dtype=np.int64).reshape(len(st_ids), len(config.loci)),
+            np.bincount(st_of_sample)[1:],
         ),
     )
     return SimResult(dataset=dataset, st_of_sample=tuple(st_of_sample.tolist()))

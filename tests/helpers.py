@@ -36,6 +36,37 @@ from slvrate.import_dist import ImportDistribution, PairwiseDiffTable, Provenanc
 from slvrate.slv import SlvPartition
 
 
+@dataclasses.dataclass(frozen=True)
+class StProfile:
+    """A sequence type's profile row as a record."""
+
+    st_id: int
+    alleles: tuple[int, ...]
+    isolate_count: int = 1
+
+
+def profile_arrays(profiles):
+    """The (st_ids, alleles, isolate_counts) int64 arrays of profile
+    records, in their order, as ``mlst_io.parse_profiles`` returns them."""
+    profiles = list(profiles)
+    return (
+        np.array([p.st_id for p in profiles], dtype=np.int64),
+        np.array([p.alleles for p in profiles], dtype=np.int64).reshape(len(profiles), -1),
+        np.array([p.isolate_count for p in profiles], dtype=np.int64),
+    )
+
+
+def profile_records(dataset):
+    """The dataset's profile rows as records, in its row order."""
+    st_ids, alleles, counts = (arr.tolist() for arr in dataset.profile_arrays)
+    return [StProfile(*row) for row in zip(st_ids, map(tuple, alleles), counts)]
+
+
+def with_profiles(dataset, profiles):
+    """A copy of the dataset that holds the profile records ``profiles``."""
+    return dataclasses.replace(dataset, profile_arrays=profile_arrays(profiles))
+
+
 def allele_records(dataset, locus):
     """id -> allele record of every allele at ``locus``, ids ascending,
     decoded from its code rows (a masked base reads N)."""
@@ -63,9 +94,11 @@ def locus_arrays(records):
 
 
 def build_from_records(profiles, alleles_by_locus, mode="strict"):
-    """``mlst_io.build_dataset`` on allele records per locus."""
+    """``mlst_io.build_dataset`` on profile records and allele records per locus."""
     return mlst_io.build_dataset(
-        profiles, {locus: locus_arrays(recs) for locus, recs in alleles_by_locus.items()}, mode
+        profile_arrays(profiles),
+        {locus: locus_arrays(recs) for locus, recs in alleles_by_locus.items()},
+        mode,
     )
 
 
@@ -190,11 +223,12 @@ def reference_slv(dataset, locus, mode, warnings):
     """
     focal = dataset.locus_index(locus)
     classes = {}
-    for prof in dataset.profiles:
+    profiles = profile_records(dataset)
+    for prof in profiles:
         if usable_at(dataset, locus, prof.st_id):
             reduced = prof.alleles[:focal] + prof.alleles[focal + 1 :]
             classes.setdefault(reduced, []).append(prof.st_id)
-    allele_of = {prof.st_id: prof.alleles[focal] for prof in dataset.profiles}
+    allele_of = {prof.st_id: prof.alleles[focal] for prof in profiles}
     groups = sorted((sorted(sts) for sts in classes.values() if len(sts) >= 2), key=lambda g: g[0])
     cols = {"st_a": [], "st_b": [], "x": [], "group_id": []}
     for gid, members in enumerate(groups):
@@ -232,7 +266,7 @@ def reference_units(dataset, locus, weighting="by_st"):
     ids = all_ids[lengths == modal].tolist()
     focal = dataset.locus_index(locus)
     units, index = [], []
-    for prof in dataset.profiles:
+    for prof in profile_records(dataset):
         aid = prof.alleles[focal]
         if aid in ids and usable_at(dataset, locus, prof.st_id):
             copies = prof.isolate_count if weighting == "by_isolate" else 1
@@ -267,7 +301,7 @@ def random_inputs(rng, damaged_alleles=True):
         ]
     n_sts = int(rng.integers(2, 60))
     profiles = [
-        mlst_io.StProfile(
+        StProfile(
             st_id,
             tuple(int(rng.integers(1, len(alleles[locus]) + 2)) for locus in loci),
             isolate_count=int(rng.integers(1, 4)),
@@ -294,16 +328,17 @@ def random_lenient_dataset(rng):
         dataset, _ = build_from_records(profiles, alleles, mode="lenient")
     except TooFewStsError:
         return None
-    profiles = [dataset.profiles[i] for i in rng.permutation(len(dataset.profiles))]
+    profiles = profile_records(dataset)
+    profiles = [profiles[i] for i in rng.permutation(len(profiles))]
     excluded = dict(dataset.excluded_at)
     if rng.random() < 0.2:
         twin = profiles[int(rng.integers(len(profiles)))]
         st_id = 3 * n_sts + 1
-        profiles.append(mlst_io.StProfile(st_id, twin.alleles, twin.isolate_count))
+        profiles.append(StProfile(st_id, twin.alleles, twin.isolate_count))
         for locus, aid in zip(loci, twin.alleles):
             if allele(dataset, locus, aid) is None:
                 excluded[locus] = excluded[locus] | {st_id}
-    return dataclasses.replace(dataset, profiles=tuple(profiles), excluded_at=excluded)
+    return dataclasses.replace(dataset, profile_arrays=profile_arrays(profiles), excluded_at=excluded)
 
 
 def reference_build_dataset(profiles, alleles_by_locus, mode="strict"):
@@ -360,7 +395,7 @@ def reference_build_dataset(profiles, alleles_by_locus, mode="strict"):
             by_id[rec.allele_id] = rec
 
     # per-profile checks
-    kept: list[mlst_io.StProfile] = []
+    kept: list[StProfile] = []
     seen_ids: set[int] = set()
     seen_vectors: dict[tuple[int, ...], int] = {}
     excluded: dict[str, set[int]] = {name: set() for name in locus_names}
@@ -399,7 +434,7 @@ def reference_build_dataset(profiles, alleles_by_locus, mode="strict"):
     dataset = mlst_io.MlstDataset(
         loci=tuple(mlst_io.LocusMeta(name=name, length=modal_len[name]) for name in locus_names),
         allele_codes={name: locus_arrays(by_id.values())[0] for name, by_id in alleles.items()},
-        profiles=tuple(kept),
+        profile_arrays=profile_arrays(kept),
         excluded_at={name: frozenset(ids) for name, ids in excluded.items() if ids},
     )
     return dataset, tuple(messages)
@@ -410,7 +445,7 @@ def dataset_summary(dataset):
     return (
         dataset.loci,
         {locus: [arr.tolist() for arr in arrays] for locus, arrays in dataset.allele_codes.items()},
-        [(p.st_id, p.alleles, p.isolate_count) for p in dataset.profiles],
+        [arr.tolist() for arr in dataset.profile_arrays],
         dict(dataset.excluded_at),
     )
 
@@ -438,7 +473,7 @@ def reference_parse_profiles(
     locus_columns: Sequence[str],
     st_column: str = "ST",
     count_column: str | None = None,
-) -> list[mlst_io.StProfile]:
+) -> list[StProfile]:
     """Reference for ``mlst_io.parse_profiles``: the file read a line at a
     time, and every row checked cell by cell as it is read."""
     path = Path(path)
@@ -450,7 +485,7 @@ def reference_parse_profiles(
             raise NonIntegerAlleleError(f"row too short for column {col!r}", str(path), lineno)
         return fields[idx].strip()
 
-    profiles: list[mlst_io.StProfile] = []
+    profiles: list[StProfile] = []
     seen: set[int] = set()
     for lineno, raw in _text_lines(path):
         line = raw.rstrip("\n").rstrip("\r")
@@ -496,7 +531,7 @@ def reference_parse_profiles(
                 raise NonIntegerAlleleError(f"count {tok!r} is not an integer", str(path), lineno)
             if count <= 0:
                 raise NonIntegerAlleleError(f"count must be positive, got {count}", str(path), lineno)
-        profiles.append(mlst_io.StProfile(st_id=st_id, alleles=tuple(allele_ids), isolate_count=count))
+        profiles.append(StProfile(st_id=st_id, alleles=tuple(allele_ids), isolate_count=count))
     if col_index is None:
         raise EmptyFileError("profile file has no content", str(path))
     if not profiles:

@@ -15,6 +15,7 @@ from slvrate import simulate as sim
 from slvrate.errors import InvalidParamsError, TooFewUnitsError
 
 from helpers import (
+    StProfile,
     build_from_records,
     diff_matrix,
     random_lenient_dataset,
@@ -29,7 +30,7 @@ def _one_locus_dataset(sequences, mode="strict"):
         "locA": [mlst_io.AlleleSequence("locA", i + 1, seq) for i, seq in enumerate(sequences)],
         "locB": [mlst_io.AlleleSequence("locB", 1, "AAAA")],
     }
-    profiles = [mlst_io.StProfile(1, (1, 1)), mlst_io.StProfile(2, (2, 1))]
+    profiles = [StProfile(1, (1, 1)), StProfile(2, (2, 1))]
     dataset, _ = build_from_records(profiles, alleles, mode=mode)
     return dataset, alleles["locA"]
 
@@ -133,7 +134,7 @@ def test_import_stage_memory_at_mlst_scale():
                  for i, seq in enumerate(["AAAA", "AAAC", "AAAG", "AAAT", "AACA"])],
     }
     profiles = [
-        mlst_io.StProfile(st + 1, (st % len(sequences) + 1, st // len(sequences) + 1))
+        StProfile(st + 1, (st % len(sequences) + 1, st // len(sequences) + 1))
         for st in range(n_sts)
     ]
     dataset, _ = build_from_records(profiles, alleles)
@@ -152,7 +153,7 @@ def test_import_stage_memory_at_mlst_scale():
 
 
 def test_pairwise_diffs_two_sts():
-    profiles = [mlst_io.StProfile(1, (1, 1)), mlst_io.StProfile(2, (2, 1))]
+    profiles = [StProfile(1, (1, 1)), StProfile(2, (2, 1))]
     alleles = {
         "locA": [mlst_io.AlleleSequence("locA", 1, "ACGT"), mlst_io.AlleleSequence("locA", 2, "ACGA")],
         "locB": [mlst_io.AlleleSequence("locB", 1, "AAAA")],
@@ -165,8 +166,8 @@ def test_pairwise_diffs_two_sts():
 
 def test_pairwise_diffs_isolate_expansion():
     profiles = [
-        mlst_io.StProfile(1, (1, 1), isolate_count=3),
-        mlst_io.StProfile(2, (2, 1), isolate_count=1),
+        StProfile(1, (1, 1), isolate_count=3),
+        StProfile(2, (2, 1), isolate_count=1),
     ]
     alleles = {
         "locA": [mlst_io.AlleleSequence("locA", 1, "ACGT"), mlst_io.AlleleSequence("locA", 2, "ACGA")],
@@ -191,13 +192,13 @@ def test_pairwise_diffs_demo_matches_slv_x(demo_dataset):
 
 
 def test_pairwise_diffs_too_few_units():
-    profiles = [mlst_io.StProfile(1, (1, 1)), mlst_io.StProfile(2, (1, 2))]
+    profiles = [StProfile(1, (1, 1)), StProfile(2, (1, 2))]
     alleles = {
         "locA": [mlst_io.AlleleSequence("locA", 1, "ACGT")],
         "locB": [mlst_io.AlleleSequence("locB", 1, "AAAA"), mlst_io.AlleleSequence("locB", 2, "AAAT")],
     }
     dataset, _ = build_from_records(
-        [profiles[0], mlst_io.StProfile(2, (9, 2))], alleles, mode="lenient"
+        [profiles[0], StProfile(2, (9, 2))], alleles, mode="lenient"
     )
     with pytest.raises(TooFewUnitsError):
         imp.pairwise_diffs(dataset, "locA")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,18 +10,23 @@ from helpers import (
     allele_records,
     build_from_records,
     dataset_summary,
+    StProfile,
     locus_arrays,
+    profile_arrays,
+    profile_records,
     random_inputs,
     reference_build_dataset,
     reference_parse_allele_fasta,
     reference_parse_profiles,
     same_alleles,
     usable_at,
+    with_profiles,
 )
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from slvrate import mlst_io
+from slvrate import simulate as sim
 from slvrate.errors import (
     DataError,
     DuplicateAlleleError,
@@ -49,10 +55,10 @@ def test_parse_profiles_seven_loci(tmp_path):
     for st_id in range(1, 5):
         lines.append(f"{st_id}\t" + "\t".join(str(st_id + i) for i in range(7)))
     path = write(tmp_path, "profiles.tsv", "\n".join(lines) + "\n")
-    profiles = mlst_io.parse_profiles(path, SEVEN)
-    assert len(profiles) == 4
-    assert all(len(p.alleles) == 7 for p in profiles)
-    assert profiles[0].alleles == (1, 2, 3, 4, 5, 6, 7)
+    st_ids, alleles, counts = mlst_io.parse_profiles(path, SEVEN)
+    assert st_ids.tolist() == [1, 2, 3, 4] and counts.tolist() == [1] * 4
+    assert alleles.shape == (4, 7) and alleles.dtype == np.int64
+    assert alleles[0].tolist() == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_parse_profiles_duplicate_st(tmp_path):
@@ -94,7 +100,7 @@ def test_a_file_that_is_not_utf8_is_rejected_before_its_rows_are_checked(tmp_pat
 
 def test_parse_profiles_ignores_extra_columns(demo_dataset):
     # demo profiles.tsv carries a clonal_complex column that must be ignored
-    assert len(demo_dataset.profiles) == 6
+    assert len(profile_records(demo_dataset)) == 6
     assert len(demo_dataset.loci) == 3
 
 
@@ -128,8 +134,8 @@ def test_parse_fasta_malformed_header(tmp_path):
 
 def _toy_inputs():
     profiles = [
-        mlst_io.StProfile(1, (1, 1)),
-        mlst_io.StProfile(2, (1, 2)),
+        StProfile(1, (1, 1)),
+        StProfile(2, (1, 2)),
     ]
     alleles = {
         "locA": [mlst_io.AlleleSequence("locA", 1, "ACGT")],
@@ -143,7 +149,7 @@ def _toy_inputs():
 
 def test_build_dataset_referential_integrity():
     profiles, alleles = _toy_inputs()
-    profiles[1] = mlst_io.StProfile(2, (99, 2))
+    profiles[1] = StProfile(2, (99, 2))
     with pytest.raises(ReferentialIntegrityError):
         build_from_records(profiles, alleles, mode="strict")
     dataset, repairs = build_from_records(profiles, alleles, mode="lenient")
@@ -156,7 +162,7 @@ def test_build_dataset_too_few_loci():
     profiles, alleles = _toy_inputs()
     with pytest.raises(TooFewLociError):
         build_from_records(
-            [mlst_io.StProfile(1, (1,)), mlst_io.StProfile(2, (2,))],
+            [StProfile(1, (1,)), StProfile(2, (2,))],
             {"locB": alleles["locB"]},
         )
 
@@ -223,12 +229,12 @@ def test_round_trip(tmp_path, demo_dataset):
     rebuilt, repairs = mlst_io.build_dataset(profiles, alleles, mode="strict")
     assert repairs == ()
     assert rebuilt.loci == demo_dataset.loci
-    assert rebuilt.profiles == demo_dataset.profiles
+    assert profile_records(rebuilt) == profile_records(demo_dataset)
     assert same_alleles(rebuilt, demo_dataset)
 
 
 def test_build_order_independent(demo_dataset):
-    profiles = list(demo_dataset.profiles)
+    profiles = list(profile_records(demo_dataset))
     rng = random.Random(5)
     rng.shuffle(profiles)
     alleles = {}
@@ -239,7 +245,7 @@ def test_build_order_independent(demo_dataset):
         alleles[locus] = recs
     alleles = {locus: alleles[locus] for locus in demo_dataset.locus_names}
     rebuilt, _ = build_from_records(profiles, alleles, mode="strict")
-    assert rebuilt.profiles == demo_dataset.profiles
+    assert profile_records(rebuilt) == profile_records(demo_dataset)
     assert same_alleles(rebuilt, demo_dataset)
 
 
@@ -340,6 +346,11 @@ def _outcome(parse, path, *args):
         return type(err), str(err), err.line
 
 
+def _reference_profiles(path, *args):
+    """The line-by-line reference's records, as the parser's arrays."""
+    return profile_arrays(reference_parse_profiles(path, *args))
+
+
 def _reference_fasta(path):
     """The line-by-line reference's records, as the parser's arrays."""
     return locus_arrays(sorted(reference_parse_allele_fasta(path, "aspA"),
@@ -373,7 +384,7 @@ def test_profile_parser_matches_the_line_by_line_reference(tmp_path_factory, rng
     lines, loci, count = _profile_lines(rng)
     path = tmp_path_factory.mktemp("profiles") / "p.tsv"
     path.write_bytes(_bytes(rng, lines))
-    expected = _expected(reference_parse_profiles, path, loci, "ST", count)
+    expected = _expected(_reference_profiles, path, loci, "ST", count)
     assert _outcome(mlst_io.parse_profiles, path, loci, "ST", count) == expected
 
 
@@ -381,7 +392,7 @@ def test_a_replaced_dataset_holds_the_views_of_its_new_fields(demo_dataset):
     ds = demo_dataset
     ds.rest_labels  # noqa: B018  (fill the old dataset's cached labels)
     # profiles: without ST 1, only STs 2 and 3 agree at all loci but glnA
-    fewer = dataclasses.replace(ds, profiles=ds.profiles[1:])
+    fewer = with_profiles(ds, profile_records(ds)[1:])
     st_ids, alleles, counts = fewer.profile_arrays
     assert st_ids.tolist() == [2, 3, 4, 5, 6]
     assert alleles.shape == (5, 3) and counts.tolist() == [1] * 5
@@ -455,3 +466,37 @@ def test_array_builder_matches_the_record_reference(tmp_path_factory, seed):
         want = _built(reference_build_dataset, *reference, mode)
         assert _built(mlst_io.build_dataset, *parsed, mode) == want
         event(f"{mode}: {want[0].__name__ if isinstance(want[0], type) else 'built'}")
+
+
+def test_loading_keeps_no_record_per_allele_or_sequence_type(tmp_path):
+    # 1195 STs and 2107 alleles of 450 bases at 7 loci: holding every
+    # allele and ST record until the dataset was built peaked at 2.66 MiB;
+    # parsed straight into arrays, one file at a time, the load peaks at
+    # 1.37 MiB, of which the 0.9 MiB of code matrices is the dataset itself
+    config = sim.SimConfig(
+        n_samples=5000,
+        loci=tuple((f"g{i}", 450) for i in range(7)),
+        theta=tuple(250.0 / 7 for _ in range(7)),
+        lam=tuple(1.0 for _ in range(7)),
+        import_model=sim.CompleteImport(p_a=0.8),
+        seed=1,
+    )
+    simulated = sim.simulate(config).dataset
+    (tmp_path / "profiles.tsv").write_text(mlst_io.profiles_text(simulated), encoding="utf-8")
+    for locus in simulated.locus_names:
+        (tmp_path / f"{locus}.fas").write_text(
+            mlst_io.allele_fasta_text(simulated, locus), encoding="utf-8")
+    loci = simulated.locus_names
+    del simulated
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        profiles = mlst_io.parse_profiles(tmp_path / "profiles.tsv", loci)
+        alleles = {locus: mlst_io.parse_allele_fasta(tmp_path / f"{locus}.fas") for locus in loci}
+        dataset, repairs = mlst_io.build_dataset(profiles, alleles)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert repairs == () and len(dataset.profile_arrays[0]) == 1195
+    assert sum(len(ids) for ids, _, _ in dataset.allele_codes.values()) == 2107
+    assert peak < 1.8 * 2**20

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import build_from_records, loglik, make_model, make_q, random_q, unnormalized_mass
+from helpers import StProfile, build_from_records, loglik, make_model, make_q, random_q, unnormalized_mass
 
 from slvrate import mlst_io, pair_likelihood as pl
 from slvrate.errors import DegenerateRatioError, InvalidParamsError
@@ -29,8 +29,8 @@ def _dataset_with_lengths(lengths):
         for locus, n in zip(loci, lengths)
     }
     profiles = [
-        mlst_io.StProfile(1, tuple(1 for _ in loci)),
-        mlst_io.StProfile(2, tuple(2 for _ in loci)),
+        StProfile(1, tuple(1 for _ in loci)),
+        StProfile(2, tuple(2 for _ in loci)),
     ]
     dataset, _ = build_from_records(profiles, alleles)
     return dataset, loci
@@ -61,7 +61,7 @@ def test_theta_ratio_pairwise():
         locus: [mlst_io.AlleleSequence(locus, 1, a), mlst_io.AlleleSequence(locus, 2, b)]
         for locus, (a, b) in seqs.items()
     }
-    profiles = [mlst_io.StProfile(1, (1, 1, 1)), mlst_io.StProfile(2, (2, 2, 2))]
+    profiles = [StProfile(1, (1, 1, 1)), StProfile(2, (2, 2, 2))]
     dataset, _ = build_from_records(profiles, alleles)
     ratios = pl.theta_ratios(dataset, "pairwise")
     assert abs(ratios["locA"].r - 0.25) < 1e-12

@@ -102,7 +102,7 @@ def four_loci():
         seed=21,
     )
     dataset = sim.simulate(cfg).dataset
-    st_ids = [prof.st_id for prof in dataset.profiles]
+    st_ids = dataset.profile_arrays[0].tolist()
     return dataclasses.replace(dataset, excluded_at={"few": frozenset(st_ids[1:])})
 
 

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import allele_records, same_alleles
+from helpers import allele_records, profile_records, same_alleles
 
 from slvrate import mlst_io
 from slvrate import simulate as sim
@@ -92,7 +92,7 @@ def test_pairwise_difference_calibration():
             seed=i,
         )
         res = sim.simulate(cfg)
-        if len(res.dataset.profiles) == 1:
+        if len(profile_records(res.dataset)) == 1:
             diffs.append(0)
             continue
         codes = res.dataset.allele_codes["a"][2]
@@ -109,8 +109,8 @@ def test_pairwise_difference_calibration():
 def test_zero_rates_collapse_to_single_st():
     cfg = small_config(theta=(0.0, 0.0), lam=(0.0, 0.0), n_samples=20)
     res = sim.simulate(cfg)
-    assert len(res.dataset.profiles) == 1
-    assert res.dataset.profiles[0].isolate_count == 20
+    assert len(profile_records(res.dataset)) == 1
+    assert profile_records(res.dataset)[0].isolate_count == 20
     assert set(res.st_of_sample) == {1}
 
 
@@ -118,11 +118,12 @@ def test_simulation_is_deterministic():
     cfg = small_config()
     a = sim.simulate(cfg)
     b = sim.simulate(cfg)
-    assert a.dataset.profiles == b.dataset.profiles
+    assert profile_records(a.dataset) == profile_records(b.dataset)
     assert same_alleles(a.dataset, b.dataset)
     assert a.st_of_sample == b.st_of_sample
     c = sim.simulate(small_config(seed=8))
-    assert c.dataset.profiles != a.dataset.profiles or not same_alleles(c.dataset, a.dataset)
+    assert (profile_records(c.dataset) != profile_records(a.dataset)
+            or not same_alleles(c.dataset, a.dataset))
 
 
 def test_st_identity_matches_sequences():
@@ -131,10 +132,10 @@ def test_st_identity_matches_sequences():
     by_st = {}
     for sample, st in enumerate(res.st_of_sample):
         by_st.setdefault(st, []).append(sample)
-    profiles = {p.st_id: p.alleles for p in res.dataset.profiles}
+    profiles = {p.st_id: p.alleles for p in profile_records(res.dataset)}
     assert sum(len(v) for v in by_st.values()) == 60
     assert len(set(profiles.values())) == len(profiles)
-    counts = {p.st_id: p.isolate_count for p in res.dataset.profiles}
+    counts = {p.st_id: p.isolate_count for p in profile_records(res.dataset)}
     assert counts == {st: len(v) for st, v in by_st.items()}
 
 
@@ -153,7 +154,7 @@ def test_table_scale_directional_check():
         seed=123,
     )
     res = sim.simulate(cfg)
-    n_sts = len(res.dataset.profiles)
+    n_sts = len(profile_records(res.dataset))
     n_slv = sum(
         slv.extract_slv(res.dataset, name).n_pairs for name, _ in loci
     )
@@ -237,7 +238,7 @@ def test_per_locus_import_models():
         }
     )
     res = sim.simulate(cfg)
-    assert len(res.dataset.profiles) >= 1
+    assert len(profile_records(res.dataset)) >= 1
     with pytest.raises(InvalidImportModelError):
         small_config(import_model={"l1": sim.GeometricImport(mean=4.0)}).import_for("l2")
 
@@ -330,7 +331,7 @@ def simulation_digest(res: sim.SimResult) -> str:
     were pinned."""
     digest = hashlib.sha256()
     for part in (
-        [(p.st_id, p.alleles, p.isolate_count) for p in res.dataset.profiles],
+        [(p.st_id, p.alleles, p.isolate_count) for p in profile_records(res.dataset)],
         [
             ((name, aid), rec.sequence)
             for name in sorted(res.dataset.allele_codes)
@@ -359,22 +360,20 @@ def test_assembled_dataset_matches_the_validated_one(tmp_path, name):
     # parsed back and validated strictly, it comes back the same (the profile
     # table holds no isolate counts, so they are carried over by ST)
     dataset = sim.simulate(small_config(**GOLDEN_CONFIGS[name])).dataset
-    assert len(dataset.profiles) >= 2
+    assert len(profile_records(dataset)) >= 2
     (tmp_path / "profiles.tsv").write_text(mlst_io.profiles_text(dataset), encoding="utf-8")
     alleles = {}
     for locus in dataset.locus_names:
         path = tmp_path / f"{locus}.fas"
         path.write_text(mlst_io.allele_fasta_text(dataset, locus), encoding="utf-8")
         alleles[locus] = mlst_io.parse_allele_fasta(path)
-    count = {p.st_id: p.isolate_count for p in dataset.profiles}
-    profiles = [
-        dataclasses.replace(p, isolate_count=count[p.st_id])
-        for p in mlst_io.parse_profiles(tmp_path / "profiles.tsv", dataset.locus_names)
-    ]
+    count = dict(zip(*(arr.tolist() for arr in dataset.profile_arrays[::2])))
+    st_ids, vectors, _ = mlst_io.parse_profiles(tmp_path / "profiles.tsv", dataset.locus_names)
+    profiles = (st_ids, vectors, np.array([count[st_id] for st_id in st_ids.tolist()]))
     rebuilt, repairs = mlst_io.build_dataset(profiles, alleles, mode="strict")
     assert repairs == ()
     assert rebuilt.loci == dataset.loci
-    assert rebuilt.profiles == dataset.profiles
+    assert profile_records(rebuilt) == profile_records(dataset)
     assert rebuilt.excluded_at == dataset.excluded_at
     assert same_alleles(rebuilt, dataset)
 

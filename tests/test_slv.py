@@ -14,13 +14,16 @@ from slvrate import mlst_io, slv
 from slvrate.errors import DataError, LengthMismatchError, ZeroDifferencePairError
 
 from helpers import (
+    StProfile,
     allele,
     allele_records,
     build_from_records,
     locus_arrays,
+    profile_records,
     random_lenient_dataset,
     reference_slv,
     usable_at,
+    with_profiles,
 )
 
 
@@ -55,7 +58,7 @@ def test_partition_summary_demo(demo_dataset):
 def _dataset_from_vectors(vectors, seqs_per_locus):
     """vectors: list of allele-id tuples; seqs_per_locus: locus -> {id: seq}."""
     loci = list(seqs_per_locus)
-    profiles = [mlst_io.StProfile(i + 1, tuple(v)) for i, v in enumerate(vectors)]
+    profiles = [StProfile(i + 1, tuple(v)) for i, v in enumerate(vectors)]
     alleles = {
         locus: [mlst_io.AlleleSequence(locus, aid, seq) for aid, seq in ids.items()]
         for locus, ids in seqs_per_locus.items()
@@ -170,7 +173,8 @@ def _per_pair_columns(dataset, locus, mode):
     at a time from the definitions."""
     focal = dataset.locus_index(locus)
     usable = sorted(
-        (p for p in dataset.profiles if usable_at(dataset, locus, p.st_id)), key=lambda p: p.st_id
+        (p for p in profile_records(dataset) if usable_at(dataset, locus, p.st_id)),
+        key=lambda p: p.st_id,
     )
 
     def rest(prof):
@@ -206,7 +210,7 @@ def _lenient_dataset():
         "locB": {1: "AAAA", 2: "CCCC", 3: "GGGG"},
     }
     vectors = [(1, 1), (2, 1), (3, 1), (4, 1), (5, 2), (6, 2), (1, 3), (99, 3), (5, 3)]
-    profiles = [mlst_io.StProfile(i + 1, v) for i, v in enumerate(vectors)]
+    profiles = [StProfile(i + 1, v) for i, v in enumerate(vectors)]
     alleles = {
         locus: [mlst_io.AlleleSequence(locus, aid, seq) for aid, seq in ids.items()]
         for locus, ids in seqs.items()
@@ -275,7 +279,7 @@ def test_groups_match_bruteforce_slv_relation(seed):
             continue  # random alleles may repeat sequences across ids
         # brute force: SLV iff identical everywhere except focal
         expected = set()
-        for a, b in itertools.combinations(dataset.profiles, 2):
+        for a, b in itertools.combinations(profile_records(dataset), 2):
             va = a.alleles[:focal] + a.alleles[focal + 1 :]
             vb = b.alleles[:focal] + b.alleles[focal + 1 :]
             if va == vb and a.alleles[focal] != b.alleles[focal]:
@@ -284,7 +288,7 @@ def test_groups_match_bruteforce_slv_relation(seed):
         assert got == expected
         # clique structure: a group of n members holds all n(n-1)/2 pairs,
         # every one an SLV pair, so its members are those of its pairs
-        allele_of = {p.st_id: p.alleles[focal] for p in dataset.profiles}
+        allele_of = {p.st_id: p.alleles[focal] for p in profile_records(dataset)}
         for gid, size in enumerate(part.group_size.tolist()):
             in_group = part.group_id == gid
             members = set(part.st_a[in_group].tolist()) | set(part.st_b[in_group].tolist())
@@ -299,7 +303,7 @@ def test_relabeling_invariance(demo_dataset):
     # relabel STs 1..6 -> 11..16 in reverse; partition identical up to labels
     mapping = {st: 17 - st for st in range(1, 7)}
     profiles = [
-        mlst_io.StProfile(mapping[p.st_id], p.alleles) for p in demo_dataset.profiles
+        StProfile(mapping[p.st_id], p.alleles) for p in profile_records(demo_dataset)
     ]
     alleles = {
         locus: list(allele_records(demo_dataset, locus).values())
@@ -368,7 +372,7 @@ def test_typed_errors_keep_their_messages():
     assert str(err.value) == zero
     # ST 5 repeats ST 3's allele vector: its group fails before any of its
     # pairs, after lenient mode has dropped group 0's pair
-    twin = dataclasses.replace(dataset, profiles=(*dataset.profiles, mlst_io.StProfile(5, (3, 2))))
+    twin = with_profiles(dataset, [*profile_records(dataset), StProfile(5, (3, 2))])
     with _Messages() as seen, pytest.raises(DataError) as err:
         slv.extract_slv(twin, "locA", mode="lenient")
     assert str(err.value) == (
@@ -384,7 +388,7 @@ def test_typed_errors_keep_their_messages():
     with pytest.raises(LengthMismatchError) as err:
         slv.extract_slv(short, "locA", mode="lenient")
     assert str(err.value) == "locA_3 and locA_4 differ in length (4 vs 3)"
-    stray = dataclasses.replace(dataset, profiles=(*dataset.profiles, mlst_io.StProfile(6, (9, 2))))
+    stray = with_profiles(dataset, [*profile_records(dataset), StProfile(6, (9, 2))])
     with pytest.raises(DataError) as err:
         slv.extract_slv(stray, "locA", mode="lenient")
     assert str(err.value) == "locus locA: ST 6 references allele 9, which the dataset does not hold"
