@@ -60,6 +60,7 @@ for _i, _b in enumerate(b"ACGT"):
 _DECODE = np.frombuffer(b"ACGT".ljust(256, b"N"), dtype=np.uint8)
 _ASCII_UPPER = str.maketrans(string.ascii_lowercase, string.ascii_uppercase)
 _Arrays = tuple[np.ndarray, np.ndarray, np.ndarray]
+_INT64 = np.iinfo(np.int64)  # every id and count is held as int64
 
 
 @dataclass(frozen=True)
@@ -240,11 +241,20 @@ def parse_profiles(
     path = Path(path)
     col_index: dict[str, int] | None = None
 
-    def cell(fields: list[str], col: str, lineno: int) -> str:
+    def integer(fields: list[str], col: str, lineno: int, what: str, where: str = "") -> int:
+        """The int64 in column ``col``; a fault names the cell as ``what``,
+        its token and ``where``."""
         idx = col_index[col]
         if idx >= len(fields):
             raise NonIntegerAlleleError(f"row too short for column {col!r}", str(path), lineno)
-        return fields[idx].strip()
+        tok = fields[idx].strip()
+        try:
+            value = int(tok)
+        except ValueError:
+            raise NonIntegerAlleleError(f"{what} {tok!r}{where} is not an integer", str(path), lineno)
+        if not _INT64.min <= value <= _INT64.max:
+            raise NonIntegerAlleleError(f"{what} {tok!r}{where} is beyond int64", str(path), lineno)
+        return value
 
     st_ids: list[int] = []
     alleles: list[int] = []  # every row's allele ids, row after row
@@ -262,36 +272,20 @@ def parse_profiles(
                     raise MissingColumnError(f"column {needed!r} not in header", str(path), lineno)
             continue
         fields = line.split("\t")
-        st_tok = cell(fields, st_column, lineno)
-        try:
-            st_id = int(st_tok)
-        except ValueError:
-            raise NonIntegerAlleleError(f"ST value {st_tok!r} is not an integer", str(path), lineno)
+        st_id = integer(fields, st_column, lineno, "ST value")
         if st_id in seen:
             raise DuplicateStError(f"duplicate ST {st_id}", str(path), lineno)
         seen.add(st_id)
         for col in locus_columns:
-            tok = cell(fields, col, lineno)
-            try:
-                aid = int(tok)
-            except ValueError:
-                raise NonIntegerAlleleError(
-                    f"allele {tok!r} in column {col!r} is not an integer", str(path), lineno
-                )
+            aid = integer(fields, col, lineno, "allele", f" in column {col!r}")
             if aid <= 0:
                 raise NonIntegerAlleleError(
                     f"allele id must be positive, got {aid} in column {col!r}", str(path), lineno
                 )
             alleles.append(aid)
-        count = 1
-        if count_column:
-            tok = cell(fields, count_column, lineno)
-            try:
-                count = int(tok)
-            except ValueError:
-                raise NonIntegerAlleleError(f"count {tok!r} is not an integer", str(path), lineno)
-            if count <= 0:
-                raise NonIntegerAlleleError(f"count must be positive, got {count}", str(path), lineno)
+        count = integer(fields, count_column, lineno, "count") if count_column else 1
+        if count <= 0:
+            raise NonIntegerAlleleError(f"count must be positive, got {count}", str(path), lineno)
         st_ids.append(st_id)
         counts.append(count)
     if col_index is None:
@@ -337,6 +331,8 @@ def parse_allele_fasta(path: str | Path) -> tuple[_Arrays, dict[int, list[str]]]
             )
         if aid <= 0:
             raise MalformedHeaderError(f"allele id must be positive in {header_tok!r}", str(path), header_line)
+        if aid > _INT64.max:
+            raise MalformedHeaderError(f"allele id is beyond int64 in {header_tok!r}", str(path), header_line)
         if aid in sequences:
             raise DuplicateAlleleError(f"allele {aid} appears twice", str(path), header_line)
         sequences[aid] = seq

@@ -453,6 +453,10 @@ def dataset_summary(dataset):
 # -- line-by-line reference parsers -------------------------------------------------
 
 
+def _in_int64(value: int) -> bool:
+    return -(2**63) <= value < 2**63
+
+
 def _text_lines(path: Path) -> Iterator[tuple[int, str]]:
     """(line number, line) of a UTF-8 text file, from line 1. A file that
     cannot be opened, or holds bytes that are not UTF-8, is a ParseError
@@ -473,9 +477,11 @@ def reference_parse_profiles(
     locus_columns: Sequence[str],
     st_column: str = "ST",
     count_column: str | None = None,
+    int64: bool = False,
 ) -> list[StProfile]:
     """Reference for ``mlst_io.parse_profiles``: the file read a line at a
-    time, and every row checked cell by cell as it is read."""
+    time, and every row checked cell by cell as it is read. Any integer
+    is read, or with ``int64`` only one that int64 holds."""
     path = Path(path)
     col_index: dict[str, int] | None = None
 
@@ -505,6 +511,8 @@ def reference_parse_profiles(
             st_id = int(st_tok)
         except ValueError:
             raise NonIntegerAlleleError(f"ST value {st_tok!r} is not an integer", str(path), lineno)
+        if int64 and not _in_int64(st_id):
+            raise NonIntegerAlleleError(f"ST value {st_tok!r} is beyond int64", str(path), lineno)
         if st_id in seen:
             raise DuplicateStError(f"duplicate ST {st_id}", str(path), lineno)
         seen.add(st_id)
@@ -516,6 +524,10 @@ def reference_parse_profiles(
             except ValueError:
                 raise NonIntegerAlleleError(
                     f"allele {tok!r} in column {col!r} is not an integer", str(path), lineno
+                )
+            if int64 and not _in_int64(aid):
+                raise NonIntegerAlleleError(
+                    f"allele {tok!r} in column {col!r} is beyond int64", str(path), lineno
                 )
             if aid <= 0:
                 raise NonIntegerAlleleError(
@@ -529,6 +541,8 @@ def reference_parse_profiles(
                 count = int(tok)
             except ValueError:
                 raise NonIntegerAlleleError(f"count {tok!r} is not an integer", str(path), lineno)
+            if int64 and not _in_int64(count):
+                raise NonIntegerAlleleError(f"count {tok!r} is beyond int64", str(path), lineno)
             if count <= 0:
                 raise NonIntegerAlleleError(f"count must be positive, got {count}", str(path), lineno)
         profiles.append(StProfile(st_id=st_id, alleles=tuple(allele_ids), isolate_count=count))
@@ -540,9 +554,12 @@ def reference_parse_profiles(
     return profiles
 
 
-def reference_parse_allele_fasta(path: str | Path, locus: str) -> list[mlst_io.AlleleSequence]:
+def reference_parse_allele_fasta(
+    path: str | Path, locus: str, int64: bool = False
+) -> list[mlst_io.AlleleSequence]:
     """Reference for ``mlst_io.parse_allele_fasta``: the file read a line at
-    a time, and every sequence line checked as it is read."""
+    a time, and every sequence line checked as it is read. Any allele
+    number is read, or with ``int64`` only one that int64 holds."""
     path = Path(path)
     records: list[mlst_io.AlleleSequence] = []
     seen: set[int] = set()
@@ -565,6 +582,8 @@ def reference_parse_allele_fasta(path: str | Path, locus: str) -> list[mlst_io.A
             )
         if aid <= 0:
             raise MalformedHeaderError(f"allele id must be positive in {header_tok!r}", str(path), header_line)
+        if int64 and not _in_int64(aid):
+            raise MalformedHeaderError(f"allele id is beyond int64 in {header_tok!r}", str(path), header_line)
         if aid in seen:
             raise DuplicateAlleleError(f"allele {aid} appears twice", str(path), header_line)
         seen.add(aid)

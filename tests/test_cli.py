@@ -605,6 +605,30 @@ def test_non_utf8_data_file_is_a_parse_error_naming_it(tmp_path, capsys, damaged
         assert capsys.readouterr().err == err
 
 
+BIG = "9" * 30
+
+
+@pytest.mark.parametrize("damaged, edit, line, message", [
+    ("profiles.tsv", lambda text: text.replace("\n1\t", f"\n{BIG}\t"), 2,
+     f"NonIntegerAlleleError: ST value '{BIG}' is beyond int64"),
+    ("profiles.tsv", lambda text: text + f"7\t1\t{BIG}\t1\n", 8,
+     f"NonIntegerAlleleError: allele '{BIG}' in column 'glnA' is beyond int64"),
+    ("aspA.fas", lambda text: text + f">aspA_{BIG}\nACGT\n", 5,
+     f"MalformedHeaderError: allele id is beyond int64 in 'aspA_{BIG}'"),
+])
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+def test_an_id_beyond_int64_is_a_parse_error_naming_its_line(tmp_path, capsys, damaged, edit,
+                                                            line, message, mode):
+    # both modes stop at the parse, before strict mode's referential check
+    data = tmp_path / "data"
+    shutil.copytree(DEMO, data)
+    path = data / damaged
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    argv = ["--profiles", data / "profiles.tsv", "--alleles-dir", data, "--mode", mode]
+    assert run("extract", *argv) == 2
+    assert capsys.readouterr().err == f"slvrate: {message} [{path}:{line}]\n"
+
+
 def test_a_directory_in_place_of_a_data_file_is_a_parse_error_naming_it(tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(DEMO, data)

@@ -64,6 +64,9 @@ DAMAGE = {
     "not_utf8": _rewrite("gltA.fas", lambda b: b + b">gltA_9\n\xff\n"),
     "fasta_missing": lambda data: (data / "glnA.fas").unlink(),
     "fasta_is_directory": _replace_with_directory("gltA.fas"),
+    "st_beyond_int64": _rewrite("profiles.tsv", lambda b: b.replace(b"\n1\t", b"\n" + b"9" * 30 + b"\t")),
+    "allele_beyond_int64": _rewrite("profiles.tsv", lambda b: b + b"7\t1\t" + b"9" * 30 + b"\t1\n"),
+    "fasta_id_beyond_int64": _rewrite("aspA.fas", lambda b: b + b">aspA_" + b"9" * 30 + b"\nACGT\n"),
 }
 
 

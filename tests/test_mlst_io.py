@@ -279,7 +279,8 @@ def _fasta_lines(rng) -> list[str]:
         pad = rng.choice(["", "", "", " ", "\t"])
         token = rng.choice(["aspA_{}", "{}", "x_y_{}", "aspA_{} descr", " aspA_{}\tmore"])
         if not clean and rng.random() < 0.3:
-            token = rng.choice(["aspA_one", "", "aspA_-{}", "aspA_0", "{}"])
+            token = rng.choice(["aspA_one", "", "aspA_-{}", "aspA_0", "{}",
+                                "aspA_9223372036854775807", "aspA_9223372036854775808"])
             aid = rng.randrange(0, 4)
         lines.append(f"{pad}>{token.format(aid)}")
         for _ in range(rng.randrange(int(clean), 4)):
@@ -321,7 +322,8 @@ def _profile_lines(rng) -> tuple[list[str], list[str], str | None]:
                 value = rng.choice(["CC1", "", "x y"])
             if not clean and rng.random() < 0.1:
                 value = rng.choice(["0", "-2", "x", "", "3.0", " 4 ", "\x1c5", "+2", "٣",
-                                    "1_0", "5" * 5000, "3", "3"])
+                                    "1_0", "5" * 5000, "3", "3", "9" * 30, "-" + "9" * 30,
+                                    "9223372036854775807", "9223372036854775808"])
             cells.append(value)
         if ragged and rng.random() < 0.3:  # a short row, or one with a cell more
             cells = cells[: rng.randrange(len(cells))] if rng.random() < 0.5 else cells + ["7"]
@@ -338,35 +340,38 @@ def _plain(value):
     return value
 
 
-def _outcome(parse, path, *args):
+def _outcome(parse, path, *args, **kwargs):
     """What a parser returns, or the type, text and line of its ParseError."""
     try:
-        return _plain(parse(path, *args))
+        return _plain(parse(path, *args, **kwargs))
     except ParseError as err:
         return type(err), str(err), err.line
 
 
-def _reference_profiles(path, *args):
+def _reference_profiles(path, *args, int64):
     """The line-by-line reference's records, as the parser's arrays."""
-    return profile_arrays(reference_parse_profiles(path, *args))
+    return profile_arrays(reference_parse_profiles(path, *args, int64=int64))
 
 
-def _reference_fasta(path):
+def _reference_fasta(path, int64):
     """The line-by-line reference's records, as the parser's arrays."""
-    return locus_arrays(sorted(reference_parse_allele_fasta(path, "aspA"),
-                               key=lambda rec: rec.allele_id))
+    return locus_arrays(reference_parse_allele_fasta(path, "aspA", int64=int64))
 
 
 def _expected(reference, path, *args):
-    """What the parsers must return: the reference's outcome, except that a
-    file which is not UTF-8 is rejected as such before any record is
-    checked. The line-by-line reference decodes 8 KiB at a time, so it
-    reports a fault in the text before the chunk that holds the bad byte."""
+    """What the parsers must return: the reference's outcome, except that
+
+    * a file which is not UTF-8 is rejected as such before any record is
+      checked. The line-by-line reference decodes 8 KiB at a time, so it
+      reports a fault in the text before the chunk that holds the bad byte;
+    * an ST id, allele id or count that int64 does not hold is a ParseError
+      at its line, where the reference reads any integer: the parsers hold
+      them in int64 arrays. So the reference is run in its int64 mode."""
     try:
         path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as err:
         return ParseError, f"not UTF-8 text ({err.reason}) [{path}]", None
-    return _outcome(reference, path, *args)
+    return _outcome(reference, path, *args, int64=True)
 
 
 @settings(max_examples=400, deadline=None)
