@@ -120,9 +120,14 @@ def _output(flag: str, path: str | None, directory: bool = False) -> Path | None
 
 
 def _write(path: Path, text: str) -> None:
-    """The one writer of every output file: it makes missing parents."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    """The one writer of every output file: it makes missing parents. An
+    output it cannot write (a full disk, no permission) is a ConfigError
+    naming it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror}") from None
 
 
 def write_json(path: Path | None, doc: dict) -> None:
@@ -508,7 +513,7 @@ def _import_means(values, loci: tuple) -> tuple[float, ...]:
 
 
 def _loci(entries) -> tuple[tuple[str, int], ...]:
-    loci = tuple((_field(e, "name", str), _field(e, "length", int)) for e in entries)
+    loci = tuple((_field(e, "name", str), _field(e, "length", _positive_int)) for e in entries)
     _unique([name for name, _length in loci])
     return loci
 
@@ -536,19 +541,19 @@ def _per_locus(values: tuple, loci: tuple) -> tuple:
     return values
 
 
-def _positive_int(value) -> int:
+def _positive_int(value, least: int = 1) -> int:
+    """An integer >= ``least``; a bool and a float with a fraction are not."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"must be an integer, got {value!r}")
     n = int(value)
-    if n < 1:
-        raise ValueError(f"must be >= 1, got {n}")
+    if n < least:
+        raise ValueError(f"must be >= {least}, got {n}")
     return n
 
 
 def _non_negative_int(value) -> int:
     """A seed or a replicate index, as numpy's SeedSequence takes it."""
-    n = int(value)
-    if n < 0:
-        raise ValueError(f"must be >= 0, got {n}")
-    return n
+    return _positive_int(value, least=0)
 
 
 def _non_negative(value) -> float:
@@ -635,10 +640,10 @@ def _sim_config_from(cfg: dict, seed_override: int | None) -> SimConfig:
     """The one parser of a simulation block, for ``simulate`` and for the
     simulation designs of ``experiment``."""
     return SimConfig(
-        n_samples=_field(cfg, "n_samples", int),
+        n_samples=_field(cfg, "n_samples", lambda value: _positive_int(value, least=2)),
         loci=_field(cfg, "loci", _loci),
-        theta=_field(cfg, "theta", _floats),
-        lam=_field(cfg, "lambda", _floats),
+        theta=_field(cfg, "theta", lambda values: tuple(map(_non_negative, values))),
+        lam=_field(cfg, "lambda", lambda values: tuple(map(_non_negative, values))),
         import_model=_field(cfg, "import", _parse_import_spec),
         seed=_config_seed(cfg, seed_override),
     )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import gc
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from conftest import DEMO, REPO
@@ -642,6 +644,26 @@ def test_a_directory_in_place_of_a_data_file_is_a_parse_error_naming_it(tmp_path
 
 
 # -- seeds and output paths ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["extract", "test-variation", "simulate"])
+def test_an_output_that_cannot_be_written_is_one_line_naming_it(tmp_path, capsys, monkeypatch,
+                                                                command):
+    # the tests run as root, so a full disk stands in for a read-only directory
+    def full(self, *args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    out = tmp_path / "o" / "out.x"
+    if command == "simulate":
+        argv = ["--config", sim_config(tmp_path), "--out-dir", tmp_path / "o"]
+        out = tmp_path / "o" / "profiles.tsv"
+    elif command == "extract":
+        argv = [*dataset_args(), "--out", out]
+    else:
+        argv = [*dataset_args(), "-M", "1000", "--out", out]
+    monkeypatch.setattr(Path, "write_text", full)
+    assert run(command, *argv) == 1
+    assert capsys.readouterr().err == f"slvrate: cannot write {out}: No space left on device\n"
 
 DATASET_COMMANDS = ("import-dist", "estimate", "joint", "test-variation")
 

@@ -135,13 +135,17 @@ COMMANDS = {
 
 LOCI = [{"name": "a", "length": 60}, {"name": "b", "length": 80}]
 SIMULATION = {
-    "n_samples": ([40, 60], [ABSENT, "abc", [3], None, NAN, INF], [1, -5]),
+    "n_samples": ([40, 60], [ABSENT, "abc", [3], None, NAN, INF, True, 1, 20.5], [1, -5]),
     "loci": ([LOCI], [ABSENT, "ab", 5, [5], [{"name": "a", "length": NAN}, LOCI[1]],
-                      [{"name": "a", "length": 60}, {"name": "a", "length": 80}]],
+                      [{"name": "a", "length": 60}, {"name": "a", "length": 80}],
+                      [{"name": "a", "length": 50.7}, LOCI[1]],
+                      [{"name": "a", "length": True}, LOCI[1]],
+                      [{"name": "a", "length": 0}, LOCI[1]]],
              [LOCI[:1], [{"name": "a", "length": 0}, LOCI[1]]]),
-    "theta": ([[3.0, 2.0]], [ABSENT, "x", [[1], 2.0], [NAN, 2.0], [INF, 2.0]],
+    "theta": ([[3.0, 2.0]], [ABSENT, "x", [[1], 2.0], [NAN, 2.0], [INF, 2.0], [-3.0, 2.0]],
               [[-1.0, 2.0], [3.0]]),
-    "lambda": ([[1.0, 0.5], [1.0, 1.0]], [ABSENT, "x", [NAN, 1.0], [1.0, INF]], [[-1.0, 1.0]]),
+    "lambda": ([[1.0, 0.5], [1.0, 1.0]], [ABSENT, "x", [NAN, 1.0], [1.0, INF], [1.0, -0.5]],
+               [[-1.0, 1.0]]),
     "import": ([{"model": "complete", "p_a": 0.8}, {"model": "geometric", "mean": 5},
                 {"per_locus": {"a": {"model": "geometric", "mean": 3},
                                "b": {"model": "complete"}}}],
@@ -149,7 +153,7 @@ SIMULATION = {
                 {"model": "geometric", "mean": NAN}, {"model": "complete", "p_a": 2},
                 {"model": "complete", "p_a": NAN}],
                [{"per_locus": {"a": {"model": "complete"}}}]),
-    "seed": ([ABSENT, 0, 3], ["x", [1], -2, NAN], []),
+    "seed": ([ABSENT, 0, 3], ["x", [1], -2, NAN, 1.5, True], []),
 }
 CONFIG_FLAGS = {
     "--config": (["<config>"], [ABSENT], ["<missing>", "<empty>"]),
@@ -157,9 +161,9 @@ CONFIG_FLAGS = {
     "--seed": ([ABSENT, "2"], ["-1", "x"], []),
 }
 EXPERIMENT_FLAGS = {**CONFIG_FLAGS, "--threads": ([ABSENT, "1", "2"], ["0", "x"], [])}
-REPLICATES = {"replicates": ([1, 2, 3], [ABSENT, "x", 0, -1, NAN], [])}
+REPLICATES = {"replicates": ([1, 2, 3], [ABSENT, "x", 0, -1, NAN, 2.5, True], [])}
 CONFIGS = {
-    "simulate": {**SIMULATION, "replicate": ([ABSENT, 0, 2], ["x", -1, NAN], [])},
+    "simulate": {**SIMULATION, "replicate": ([ABSENT, 0, 2], ["x", -1, NAN, 1.5], [])},
     "simulation design": {
         "design": (["coverage", "type1", "power"], [ABSENT, "zz", 5], []),
         **REPLICATES, **SIMULATION,
@@ -170,7 +174,7 @@ CONFIGS = {
                      ["x", {"draws": "x"}, {"draws": 0}, {"pa": 2}, {"pa": NAN},
                       {"level": 1.5}, {"level": INF}, {"mode": "zz"}, {"mode": 5},
                       {"alpha_mode": "zz"}, {"weighting": "zz"}, {"theta_method": "zz"},
-                      {"seed": 1}],
+                      {"seed": 1}, {"draws": 300.5}, {"draws": True}],
                      []),
     },
     "recovery design": {
@@ -181,9 +185,9 @@ CONFIGS = {
                  [ABSENT, [{"name": "a", "length": 120}, {"name": "a", "length": 150}]], []),
         "import_means": ([[8.0, 10.0]],
                          [ABSENT, "x", [0.5, 10.0], [8.0], [NAN, 10.0], [1.001, 10.0]], []),
-        "n_pairs": ([20, 40], [ABSENT, "x", 0, -3, NAN], []),
+        "n_pairs": ([20, 40], [ABSENT, "x", 0, -3, NAN, 20.9, True], []),
         "level": ([ABSENT, 0.9], [1.5, 0, NAN], []),
-        "seed": ([ABSENT, 0, 4], [-1, "x"], []),
+        "seed": ([ABSENT, 0, 4], [-1, "x", 1.5], []),
     },
 }
 
