@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -314,6 +315,71 @@ def test_estimate_matches_pinned_bits(simulated_dataset, weighting, p_a):
     assert table.k == (60 if weighting == "by_st" else 300)
     dist = imp.estimate_import_dist(table, m=50, p_a=p_a, draws=70_000, seed=5)
     assert hashlib.sha256(dist.q.tobytes()).hexdigest() == IMPORT_DIST_PINS[weighting, p_a]
+
+
+def _exact_pmf(table, m, p_a):
+    """P(x), x = 0..m, of one draw of the sampling scheme in closed form:
+
+        P(x) = p_a h(x) + (1 - p_a) sum_{d >= x} h(d) / (d + 1),
+
+    where h is the distance histogram of two units drawn uniformly with
+    replacement; a thinned draw, Binomial(d, U) with U uniform, is uniform
+    on 0..d."""
+    weight = np.bincount(table.allele_index, minlength=len(table.allele_dist)) / table.k
+    h = np.bincount(table.allele_dist.ravel(), weights=np.outer(weight, weight).ravel(),
+                    minlength=m + 1)
+    return p_a * h + (1.0 - p_a) * np.cumsum((h / np.arange(1, m + 2))[::-1])[::-1]
+
+
+def _tally(dist, draws):
+    """The counts of x = 0..m behind an add-one smoothed pmf: q(x) is
+    (c_x + 1) / D for x = 1..m, with D = draws + m - c_0. The rarest x
+    has some count c, so D = (c + 1) / min q, and the true D is the first
+    such value for which every D q(x) - 1 is an integer."""
+    for rarest in range(draws + 1):
+        scale = (rarest + 1) / dist.q.min()
+        counts = scale * dist.q - 1.0
+        if abs(scale - round(scale)) < 1e-6 and np.allclose(counts, np.round(counts), atol=1e-6):
+            counts = np.round(counts).astype(np.int64)
+            return np.concatenate([[draws - counts.sum()], counts])
+    raise AssertionError("q is not an add-one smoothed tally")
+
+
+def _pooled(observed, expected, least=5.0):
+    """Adjacent cells merged until each expects at least ``least`` draws."""
+    cells, obs, exp = [], 0, 0.0
+    for o, e in zip(observed.tolist(), expected.tolist()):
+        obs, exp = obs + o, exp + e
+        if exp >= least:
+            cells.append((obs, exp))
+            obs, exp = 0, 0.0
+    if exp and cells:
+        cells[-1] = (cells[-1][0] + obs, cells[-1][1] + exp)
+    return np.array(cells).T
+
+
+@pytest.mark.parametrize("p_a", [0.0, 0.5, 0.8, 1.0])
+def test_sampler_tallies_fit_the_exact_import_pmf(demo_dataset, simulated_dataset, p_a):
+    # a chi-square goodness-of-fit test of each raw tally against the closed
+    # form: 7 tallies at each of 4 values of p_a, each at level 0.001 / 28,
+    # so the family of 28 is at level 0.001 (the draws are seeded, so each
+    # outcome is fixed)
+    draws = 20_000
+    cases = [(demo_dataset, locus, "by_st") for locus in demo_dataset.locus_names]
+    cases += [(simulated_dataset, locus, weighting) for locus in simulated_dataset.locus_names
+              for weighting in ("by_st", "by_isolate")]
+    for dataset, locus, weighting in cases:
+        table = imp.pairwise_diffs(dataset, locus, weighting)
+        m = dataset.locus_meta(locus).length
+        dist = imp.estimate_import_dist(table, m=m, p_a=p_a, draws=draws, seed=3)
+        tally = _tally(dist, draws)
+        exact = _exact_pmf(table, m, p_a)
+        assert exact.sum() == pytest.approx(1.0)
+        assert (tally[exact == 0] == 0).all(), (locus, weighting)
+        observed, expected = _pooled(tally[exact > 0], draws * exact[exact > 0])
+        if len(observed) > 1:
+            p_value = scipy.stats.chisquare(observed, expected).pvalue
+            assert p_value > 1e-3 / 28, (locus, weighting, p_value)
 
 
 def test_invalid_params():
