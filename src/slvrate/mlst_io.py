@@ -2,13 +2,15 @@
 
 File conventions follow pubmlst.org exports: a tab-separated profile table
 (one row per sequence type, one column per locus) and one FASTA file per
-locus with headers like ``>aspA_1`` or plain ``>1``. The result of
-:func:`build_dataset` is immutable and built whole: it holds each locus's
-alleles as arrays only (ids, lengths, code matrix; in id order), and every
-array it holds is read-only, so it is safe to share across threads and
-forked workers, with nothing to prime first. The FASTA parser outputs each
-locus's arrays, so no allele record outlives its file; :class:`AlleleSequence`
-is only the argument of :func:`hamming`.
+locus with headers like ``>aspA_1`` or plain ``>1``. The parsers output
+arrays: :func:`parse_profiles` the (st_ids, alleles, counts) int64 arrays
+of the table, and :func:`parse_allele_fasta` its locus's (ids, lengths,
+code matrix) with the non-ACGT characters of each allele that has any, so
+no allele record or sequence-type object outlives its file. The result of
+:func:`build_dataset` is immutable and built whole from those arrays: it
+holds them only, and every array it holds is read-only, so it is safe to
+share across threads and forked workers, with nothing to prime first.
+:class:`AlleleSequence` is only the argument of :func:`hamming`.
 
 Each input file is decoded in one read, so a file that is not UTF-8 is
 rejected before any of its lines is checked; its lines are then checked

@@ -367,8 +367,8 @@ def test_assembled_dataset_matches_the_validated_one(tmp_path, name):
         path = tmp_path / f"{locus}.fas"
         path.write_text(mlst_io.allele_fasta_text(dataset, locus), encoding="utf-8")
         alleles[locus] = mlst_io.parse_allele_fasta(path)
-    count = dict(zip(*(arr.tolist() for arr in dataset.profile_arrays[::2])))
     st_ids, vectors, _ = mlst_io.parse_profiles(tmp_path / "profiles.tsv", dataset.locus_names)
+    count = {p.st_id: p.isolate_count for p in profile_records(dataset)}
     profiles = (st_ids, vectors, np.array([count[st_id] for st_id in st_ids.tolist()]))
     rebuilt, repairs = mlst_io.build_dataset(profiles, alleles, mode="strict")
     assert repairs == ()
