@@ -24,9 +24,10 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import __version__, parallel
-from .errors import ConfigError, InvalidParamsError, SlvRateError, TooFewUnitsError
-from .experiment import ExperimentReport, RecoveryDesign, SimDesign, geometric_pmf, run_experiment
-from .import_dist import DEFAULT_PA, ImportDistribution
+from .convert import integer, json_object, non_negative_int, read, unique
+from .errors import ConfigError, SlvRateError, TooFewUnitsError
+from .experiment import ExperimentReport, design_from, run_experiment
+from .import_dist import ImportDistribution
 from .joint_inference import JointFit, VariationTestResult, joint_fit
 from .locus_estimator import LocusFit
 from .mlst_io import (
@@ -45,21 +46,11 @@ from .pipeline import (
     fit_loci,
     locus_import_dist,
 )
-from .simulate import (
-    CompleteImport,
-    EmpiricalImport,
-    GeometricImport,
-    ImportModel,
-    SimConfig,
-    simulate,
-)
+from .simulate import sim_config_from, simulate
 from .slv import extract_slv
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
-
-_DEFAULTS = AnalysisOptions()
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we use 1
@@ -227,10 +218,12 @@ def _add_import_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_option(sub: argparse.ArgumentParser, *flags: str, dest: str, **kwargs) -> None:
-    """The flag of the analysis option ``dest``, checked by its converter
-    in ``_OPTIONS`` where it is parsed; its default is AnalysisOptions'."""
-    choices = _CHOICES.get(dest)
-    sub.add_argument(*flags, dest=dest, type=_arg(_OPTIONS[dest]), default=getattr(_DEFAULTS, dest),
+    """The flag of the analysis option ``dest``, read where it is parsed by
+    the converter its AnalysisOptions field declares, with its default."""
+    option = next(f for f in fields(AnalysisOptions) if f.name == dest)
+    convert = option.metadata["convert"]
+    choices = getattr(convert, "choices", None)
+    sub.add_argument(*flags, dest=dest, type=_arg(convert), default=option.default,
                      metavar="{" + ",".join(choices) + "}" if choices else None, **kwargs)
 
 
@@ -238,31 +231,15 @@ def _load_dists(args) -> tuple[dict[str, ImportDistribution], list[Path]] | None
     if not args.dists:
         return None
     spec = Path(args.dists)
-    if spec.is_dir():
-        paths = sorted(spec.glob("*.json"))
-    else:
-        paths = [spec]
+    paths = sorted(spec.glob("*.json")) if spec.is_dir() else [spec]
     if not paths:
         raise ConfigError(f"no import-distribution JSON under {spec}")
     dists = {}
     for path in paths:
         with _json_file("dists", path) as doc:
-            dist = _import_dist_from(doc)
+            dist = ImportDistribution.from_json_dict(doc)
         dists[dist.locus] = dist
     return dists, paths
-
-
-def _import_dist_from(doc: dict) -> ImportDistribution:
-    """A stored ``import-dist`` output, every key read through ``_field``;
-    a pmf the model rejects is a fault of the key ``q``."""
-    keys = {key: _field(doc, key, convert) for key, convert in (
-        ("q", _floats), ("locus", str), ("m", int), ("p_a", float), ("M", int), ("seed", int),
-        ("K", int),
-    )}
-    try:
-        return ImportDistribution.from_json_dict(keys)
-    except InvalidParamsError as err:
-        raise ConfigError(f"q: {err}") from None
 
 
 # -- locus fit serialization --------------------------------------------------------
@@ -439,28 +416,6 @@ def cmd_test_variation(args) -> int:
 
 # -- simulate / experiment --------------------------------------------------------------
 
-_REQUIRED = object()
-
-
-def _object(value) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"expected a JSON object, got {value!r}")
-    return value
-
-
-def _field(cfg, key: str, convert, default=_REQUIRED):
-    """``convert(cfg[key])``, or ``default`` when the key is absent. A
-    missing required key or a value that ``convert`` rejects is a
-    ConfigError that names the key; nested fields read as ``outer: inner``."""
-    if key not in _object(cfg):
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return convert(cfg[key])
-    except (ConfigError, TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"{key}: {err}") from None
-
 
 @contextmanager
 def _json_file(kind: str, path):
@@ -468,7 +423,7 @@ def _json_file(kind: str, path):
     import distribution (``dists``). Any fault found while reading or
     parsing it ends as one ConfigError ``<kind> <path>: ...``."""
     try:
-        yield _object(json.loads(Path(path).read_text(encoding="utf-8")))
+        yield json_object(json.loads(Path(path).read_text(encoding="utf-8")))
     except FileNotFoundError:
         raise ConfigError(f"{kind} {path}: file not found") from None
     except OSError as err:
@@ -481,133 +436,12 @@ def _json_file(kind: str, path):
         raise ConfigError(f"{kind} {path}: {err}") from None
 
 
-def _finite(value) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"must be finite, got {value!r}")
-    return x
-
-
-def _floats(values) -> tuple[float, ...]:
-    return tuple(_finite(v) for v in values)
-
-
-def _geometric_mean(value) -> float:
-    mean = _finite(value)
-    if mean < 1.0:
-        raise ValueError(f"a geometric mean must be >= 1, got {mean}")
-    return mean
-
-
-def _import_means(values, loci: tuple) -> tuple[float, ...]:
-    """One geometric mean per locus, none so close to 1 that its pmf on the
-    locus's 1..m underflows to a zero entry."""
-    means = _per_locus(tuple(map(_geometric_mean, values)), loci)
-    for (name, m), mean in zip(loci, means):
-        if not geometric_pmf(m, mean).all():
-            raise ValueError(
-                f"locus {name}: a mean of {mean:g} gives some of the sizes 1..{m} "
-                "a probability that underflows to 0"
-            )
-    return means
-
-
-def _loci(entries) -> tuple[tuple[str, int], ...]:
-    loci = tuple((_field(e, "name", str), _field(e, "length", _positive_int)) for e in entries)
-    _unique([name for name, _length in loci])
-    return loci
-
-
-def _unique(names: list[str]) -> list[str]:
-    seen = set()
-    for name in names:
-        if name in seen:
-            raise ValueError(f"locus {name!r} is named twice")
-        seen.add(name)
-    return names
-
-
 def _locus_names(text: str) -> list[str]:
     """``--loci``: comma-separated, each name once."""
     names = [name.strip() for name in text.split(",") if name.strip()]
     if not names:
         raise ValueError(f"names no locus: {text!r}")
-    return _unique(names)
-
-
-def _per_locus(values: tuple, loci: tuple) -> tuple:
-    if len(values) != len(loci):
-        raise ValueError(f"expected {len(loci)} values, one per locus, got {len(values)}")
-    return values
-
-
-def _positive_int(value, least: int = 1) -> int:
-    """An integer >= ``least``; a bool and a float with a fraction are not."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"must be an integer, got {value!r}")
-    n = int(value)
-    if n < least:
-        raise ValueError(f"must be >= {least}, got {n}")
-    return n
-
-
-def _non_negative_int(value) -> int:
-    """A seed or a replicate index, as numpy's SeedSequence takes it."""
-    return _positive_int(value, least=0)
-
-
-def _non_negative(value) -> float:
-    x = _finite(value)
-    if x < 0.0:
-        raise ValueError(f"must be >= 0, got {x:g}")
-    return x
-
-
-def _probability(value) -> float:
-    x = _finite(value)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"must be in [0, 1], got {x:g}")
-    return x
-
-
-def _level(value) -> float:
-    """A confidence level, strictly between 0 and 1."""
-    x = _finite(value)
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"must be in (0, 1), got {x:g}")
-    return x
-
-
-def _choice(name: str):
-    def convert(value) -> str:
-        if value not in _CHOICES[name]:
-            raise ValueError(f"must be one of {', '.join(_CHOICES[name])}, got {value!r}")
-        return value
-    return convert
-
-
-# the allowed values of each analysis option that takes a word
-_CHOICES = {
-    "weighting": ("by_st", "by_isolate"),
-    "theta_method": ("length", "pairwise"),
-    "alpha_mode": ("common", "per-locus"),
-    "mode": ("strict", "lenient"),
-}
-
-# one converter per AnalysisOptions field: the flags and the ``analysis``
-# block of an experiment config are both checked with it where parsed
-_OPTIONS = {
-    "p_a": _probability,
-    "draws": _positive_int,
-    "seed": _non_negative_int,
-    "level": _level,
-    **{name: _choice(name) for name in _CHOICES},
-}
-
-
-def _config_seed(cfg, seed_override: int | None) -> int:
-    """``--seed`` when given, else the config's ``seed`` key, 0 by default."""
-    return _field(cfg, "seed", _non_negative_int, 0) if seed_override is None else seed_override
+    return unique(names)
 
 
 def _arg(convert):
@@ -621,39 +455,11 @@ def _arg(convert):
     return parse
 
 
-def _parse_import_spec(spec) -> ImportModel | dict[str, ImportModel]:
-    if "per_locus" in _object(spec):
-        return _field(spec, "per_locus", lambda specs: {
-            name: _field(specs, name, _parse_import_spec) for name in _object(specs)
-        })
-    model = _field(spec, "model", str, None)
-    if model == "geometric":
-        return GeometricImport(mean=_field(spec, "mean", _geometric_mean))
-    if model == "empirical":
-        return EmpiricalImport(pmf=_field(spec, "pmf", _floats))
-    if model == "complete":
-        return CompleteImport(p_a=_field(spec, "p_a", _probability, DEFAULT_PA))
-    raise ConfigError(f"unknown import model {model!r}")
-
-
-def _sim_config_from(cfg: dict, seed_override: int | None) -> SimConfig:
-    """The one parser of a simulation block, for ``simulate`` and for the
-    simulation designs of ``experiment``."""
-    return SimConfig(
-        n_samples=_field(cfg, "n_samples", lambda value: _positive_int(value, least=2)),
-        loci=_field(cfg, "loci", _loci),
-        theta=_field(cfg, "theta", lambda values: tuple(map(_non_negative, values))),
-        lam=_field(cfg, "lambda", lambda values: tuple(map(_non_negative, values))),
-        import_model=_field(cfg, "import", _parse_import_spec),
-        seed=_config_seed(cfg, seed_override),
-    )
-
-
 def cmd_simulate(args) -> int:
     out_dir = _output("--out-dir", args.out_dir, directory=True)
     with _json_file("config", args.config) as cfg:
-        config = _sim_config_from(cfg, args.seed)
-        replicate = _field(cfg, "replicate", _non_negative_int, 0)
+        config = sim_config_from(cfg, args.seed)
+        replicate = read(cfg, "replicate", non_negative_int, 0)
     result = simulate(config, replicate=replicate)
     _write(out_dir / "profiles.tsv", profiles_text(result.dataset))
     for name, _length in config.loci:
@@ -671,46 +477,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _analysis_from_config(sub) -> AnalysisOptions:
-    """The ``analysis`` block: each key is a field name (``pa`` for
-    ``p_a``), read with the field's converter in ``_OPTIONS``. It takes no
-    ``seed``, which each replicate derives from the config's."""
-    if "seed" in _object(sub):
-        raise ConfigError("seed: each replicate derives its analysis seed from the config's 'seed'")
-    return AnalysisOptions(**{
-        f.name: _field(sub, "pa" if f.name == "p_a" else f.name, _OPTIONS[f.name], f.default)
-        for f in fields(AnalysisOptions)
-    })
-
-
-def _design_from(cfg: dict, seed_override: int | None) -> SimDesign | RecoveryDesign:
-    kind = _field(cfg, "design", str)
-    replicates = _field(cfg, "replicates", _positive_int)
-    if kind == "recovery":
-        loci = _field(cfg, "loci", _loci)
-        return RecoveryDesign(
-            replicates=replicates,
-            lam=_field(cfg, "lambda", _non_negative),
-            loci=loci,
-            import_means=_field(cfg, "import_means", lambda v: _import_means(v, loci)),
-            n_pairs=_field(cfg, "n_pairs", _positive_int),
-            seed=_config_seed(cfg, seed_override),
-            level=_field(cfg, "level", _level, _DEFAULTS.level),
-        )
-    if kind not in ("coverage", "type1", "power"):
-        raise ConfigError(f"design: unknown design {kind!r}")
-    return SimDesign(
-        kind,
-        replicates,
-        sim=_sim_config_from(cfg, seed_override),
-        analysis=_field(cfg, "analysis", _analysis_from_config, _DEFAULTS),
-    )
-
-
 def cmd_experiment(args) -> int:
     out_dir = _output("--out-dir", args.out_dir, directory=True)
     with _json_file("config", args.config) as cfg:
-        design = _design_from(cfg, args.seed)
+        design = design_from(cfg, args.seed)
     report = run_experiment(design, workers=args.threads)
     write_json(out_dir / "report.json", _report_doc(report, cfg, args))
     _write_rows(report, out_dir / "replicates.tsv")
@@ -783,18 +553,18 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("simulate", help="clonal-frame simulation to profiles + FASTA")
     sub.add_argument("--config", required=True)
     sub.add_argument("--out-dir", required=True)
-    sub.add_argument("--seed", type=_arg(_non_negative_int), default=None,
+    sub.add_argument("--seed", type=_arg(non_negative_int), default=None,
                      help="override config seed")
     sub.set_defaults(func=cmd_simulate)
 
     sub = subs.add_parser("experiment", help="replicated simulation study with a report")
     sub.add_argument("--config", required=True)
     sub.add_argument("--out-dir", required=True)
-    sub.add_argument("--seed", type=_arg(_non_negative_int), default=None,
+    sub.add_argument("--seed", type=_arg(non_negative_int), default=None,
                      help="override config seed")
     sub.add_argument(
         "--threads",
-        type=_arg(_positive_int),
+        type=_arg(integer),
         default=parallel.usable_cores(),
         help="worker processes for replicates; results do not depend on it",
     )

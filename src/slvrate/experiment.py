@@ -30,6 +30,7 @@ from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
+from .convert import choice, confidence_level, config_loci, integer, non_negative, per_locus, read
 from .errors import DataError, ModelError, NumericsError
 from .import_dist import ImportDistribution, Provenance
 from .joint_inference import JointFit, joint_fit, variation_test
@@ -37,8 +38,8 @@ from .locus_estimator import CompositeLikelihood, LocusFit, fit_all_loci
 from .numerics import SeedDomain, derived_rng, derived_seed
 from .pair_likelihood import PairModel, pmf as model_pmf
 from .parallel import fork_map
-from .pipeline import AnalysisOptions, analyze_dataset
-from .simulate import SimConfig, simulate
+from .pipeline import AnalysisOptions, analysis_from, analyze_dataset
+from .simulate import SimConfig, config_seed, geometric_mean, sim_config_from, simulate
 from .slv import SlvPartition
 
 
@@ -54,12 +55,6 @@ class SimDesign:
     replicates: int
     sim: SimConfig                              # replicate r simulates sim at replicate=r
     analysis: AnalysisOptions = AnalysisOptions()
-
-    def __post_init__(self):
-        if self.kind not in ("coverage", "type1", "power"):
-            raise ValueError(f"unknown design {self.kind!r}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -173,6 +168,17 @@ def geometric_pmf(m: int, mean: float) -> np.ndarray:
     return raw / raw.sum()
 
 
+def _import_means(values, loci) -> tuple[float, ...]:
+    """One geometric mean per locus, none so close to 1 that its pmf on the
+    locus's 1..m underflows to a zero entry."""
+    means = per_locus(geometric_mean, values, loci)
+    for (name, m), mean in zip(loci, means):
+        if not geometric_pmf(m, mean).all():
+            raise ValueError(f"locus {name}: a mean of {mean:g} gives some of the sizes "
+                             f"1..{m} a probability that underflows to 0")
+    return means
+
+
 def recovery_models(design: RecoveryDesign) -> list[PairModel]:
     """The exact models the recovery design both samples from and fits."""
     total = sum(m for _, m in design.loci)
@@ -186,6 +192,25 @@ def recovery_models(design: RecoveryDesign) -> list[PairModel]:
         )
         models.append(PairModel(locus=name, r=m / total, q=q, m=m))
     return models
+
+
+def design_from(cfg: dict, seed_override: int | None) -> SimDesign | RecoveryDesign:
+    """The one reader of an experiment config; a fault is a ConfigError naming its key."""
+    kind = read(cfg, "design", choice("coverage", "type1", "power", "recovery"))
+    replicates = read(cfg, "replicates", integer)
+    if kind != "recovery":
+        return SimDesign(kind, replicates, sim_config_from(cfg, seed_override),
+                         read(cfg, "analysis", analysis_from, AnalysisOptions()))
+    loci = read(cfg, "loci", config_loci)
+    return RecoveryDesign(
+        replicates=replicates,
+        lam=read(cfg, "lambda", non_negative),
+        loci=loci,
+        import_means=read(cfg, "import_means", lambda values: _import_means(values, loci)),
+        n_pairs=read(cfg, "n_pairs", integer),
+        seed=config_seed(cfg, seed_override),
+        level=read(cfg, "level", confidence_level, RecoveryDesign.level),
+    )
 
 
 def _singleton_partition(locus: str, xs: np.ndarray) -> SlvPartition:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParamsError, TooFewUnitsError
+from .convert import checked, choice, finite, integer, non_negative_int, probability, read
+from .errors import ConfigError, InvalidParamsError, TooFewUnitsError
 from .mlst_io import MlstDataset
 from .numerics import SeedDomain, derived_rng
 
@@ -30,6 +31,7 @@ _BLOCK = 1 << 16
 
 DEFAULT_PA = 0.8
 DEFAULT_DRAWS = 100_000
+WEIGHTINGS = choice("by_st", "by_isolate")
 
 
 @dataclass(frozen=True)
@@ -94,19 +96,22 @@ class ImportDistribution:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ImportDistribution":
-        q = np.asarray(doc["q"], dtype=float)
-        total = float(q.sum())
-        if abs(total - 1.0) > 1e-6:
-            raise InvalidParamsError(f"stored pmf sums to {total!r}")
-        q = q / total  # absorb serialization rounding
-        return cls(
-            locus=doc["locus"],
-            m=int(doc["m"]),
-            q=q,
-            provenance=Provenance(
-                p_a=float(doc["p_a"]), draws=int(doc["M"]), seed=int(doc["seed"]), k=int(doc["K"])
-            ),
-        )
+        """A stored ``import-dist`` output, each key read by its converter; a
+        fault is a ConfigError naming the key (``q`` for a pmf ``cls`` rejects)."""
+        q = read(doc, "q", _stored_pmf)
+        locus, m = read(doc, "locus", str), read(doc, "m", integer)
+        provenance = Provenance(read(doc, "p_a", probability), read(doc, "M", integer),
+                                read(doc, "seed", non_negative_int), read(doc, "K", non_negative_int))
+        return checked(ConfigError, "q", cls, locus, m, q, provenance)
+
+
+def _stored_pmf(values) -> np.ndarray:
+    """A stored pmf, rescaled to absorb its serialization rounding."""
+    q = np.asarray(tuple(map(finite, values)), dtype=float)
+    total = float(q.sum())
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"stored pmf sums to {total!r}")
+    return q / total
 
 
 _F32_EXACT = 1 << 24  # float32 holds every integer below this exactly
@@ -172,8 +177,7 @@ def pairwise_diffs(
     ``by_st`` takes each usable sequence type once; ``by_isolate``
     repeats each by its isolate count.
     """
-    if weighting not in ("by_st", "by_isolate"):
-        raise InvalidParamsError(f"weighting must be by_st or by_isolate, got {weighting!r}")
+    checked(InvalidParamsError, "weighting", WEIGHTINGS, weighting)
     ids, dist = allele_distance_matrix(dataset, locus)
     _, alleles, counts = dataset.profile_arrays
     focal_ids = alleles[:, dataset.locus_index(locus)]
@@ -205,12 +209,9 @@ def estimate_import_dist(
     ``binomial`` returns the same draws for an unsigned ``n`` as for an
     int64 one. The pmf is therefore the one int64 draws give.
     """
-    if draws < 1:
-        raise InvalidParamsError(f"draws must be >= 1, got {draws}")
-    if not 0.0 <= p_a <= 1.0:
-        raise InvalidParamsError(f"p_a must be in [0, 1], got {p_a}")
-    if m < 1:
-        raise InvalidParamsError(f"m must be >= 1, got {m}")
+    checked(InvalidParamsError, "draws", integer, draws)
+    checked(InvalidParamsError, "p_a", probability, p_a)
+    checked(InvalidParamsError, "m", integer, m)
     if table.max_diff() > m:
         raise InvalidParamsError(
             f"m={m} is below the largest observed difference {table.max_diff()}"

@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .convert import checked, choice, confidence_level
 from .errors import (
     AlphaUnidentifiableError,
     DegenerateScoresError,
@@ -45,6 +46,8 @@ from .numerics import (
 )
 from .pair_likelihood import PairModel, log_pmf, score_vector
 from .slv import SlvPartition
+
+ALPHA_MODES = choice("common", "per-locus")
 
 
 @dataclass(frozen=True)
@@ -296,8 +299,7 @@ def deviance_ci(
     the lower bound clamps to 0 and the upper is math.inf when the
     deviance never reaches the quantile before the search ceiling.
     """
-    if not 0.0 < level < 1.0:
-        raise InvalidParamsError(f"level must be in (0,1), got {level}")
+    checked(InvalidParamsError, "level", confidence_level, level)
     threshold = chi2_quantile(level, 1)
     root_threshold = math.sqrt(threshold)
     t_max = lam_to_t(DEFAULT_TOL.lambda_max)
@@ -401,8 +403,7 @@ def fit_all_loci(
     (no group bigger than one pair) inherits the cross-locus average,
     or zero when no locus can estimate it.
     """
-    if alpha_mode not in ("common", "per-locus"):
-        raise InvalidParamsError(f"alpha_mode must be common or per-locus, got {alpha_mode!r}")
+    checked(InvalidParamsError, "alpha_mode", ALPHA_MODES, alpha_mode)
     maxima: list[tuple[float, float, bool]] = []
     scores: list[GroupedScores] = []
     for cl in cls:

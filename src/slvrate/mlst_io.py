@@ -27,6 +27,7 @@ Two validation modes:
 
 from __future__ import annotations
 
+import re
 import string
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -36,6 +37,7 @@ from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
+from .convert import checked, choice
 from .errors import (
     DataError,
     DuplicateAlleleError,
@@ -62,7 +64,14 @@ for _i, _b in enumerate(b"ACGT"):
 _DECODE = np.frombuffer(b"ACGT".ljust(256, b"N"), dtype=np.uint8)
 _ASCII_UPPER = str.maketrans(string.ascii_lowercase, string.ascii_uppercase)
 _Arrays = tuple[np.ndarray, np.ndarray, np.ndarray]
-_INT64 = np.iinfo(np.int64)  # every id and count is held as int64
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # every id and count is held as int64
+_DIGITS = re.compile(r"[+-]?[0-9]+")  # int() refuses such a token only for its length
+MODES = choice("strict", "lenient")
+
+
+def _shown(token: str) -> str:
+    """``token`` quoted for a message, cut to its first 40 characters."""
+    return repr(token) if len(token) <= 40 else f"{token[:40]!r}..."
 
 
 @dataclass(frozen=True)
@@ -252,10 +261,11 @@ def parse_profiles(
         tok = fields[idx].strip()
         try:
             value = int(tok)
-        except ValueError:
-            raise NonIntegerAlleleError(f"{what} {tok!r}{where} is not an integer", str(path), lineno)
-        if not _INT64.min <= value <= _INT64.max:
-            raise NonIntegerAlleleError(f"{what} {tok!r}{where} is beyond int64", str(path), lineno)
+        except ValueError:  # raised too for more digits than sys.get_int_max_str_digits()
+            value = _INT64_MAX + 1 if _DIGITS.fullmatch(tok) else None
+        if value is None or not _INT64_MIN <= value <= _INT64_MAX:
+            fault = "is not an integer" if value is None else "is beyond int64"
+            raise NonIntegerAlleleError(f"{what} {_shown(tok)}{where} {fault}", str(path), lineno)
         return value
 
     st_ids: list[int] = []
@@ -323,18 +333,20 @@ def parse_allele_fasta(path: str | Path) -> tuple[_Arrays, dict[int, list[str]]]
             return
         seq = "".join(chunks)
         if not seq:
-            raise EmptySequenceError(f"record {header_tok!r} has no sequence", str(path), header_line)
+            raise EmptySequenceError(f"record {_shown(header_tok)} has no sequence",
+                                     str(path), header_line)
         tail = header_tok.rsplit("_", 1)[-1]
         try:
             aid = int(tail)
         except ValueError:
-            raise MalformedHeaderError(
-                f"header {header_tok!r} has no trailing allele number", str(path), header_line
-            )
-        if aid <= 0:
-            raise MalformedHeaderError(f"allele id must be positive in {header_tok!r}", str(path), header_line)
-        if aid > _INT64.max:
-            raise MalformedHeaderError(f"allele id is beyond int64 in {header_tok!r}", str(path), header_line)
+            if not _DIGITS.fullmatch(tail):
+                raise MalformedHeaderError(f"header {_shown(header_tok)} has no trailing allele "
+                                           "number", str(path), header_line)
+            aid = _INT64_MAX + 1  # more digits than sys.get_int_max_str_digits()
+        if not 0 < aid <= _INT64_MAX:
+            fault = "must be positive" if aid <= 0 else "is beyond int64"
+            raise MalformedHeaderError(f"allele id {fault} in {_shown(header_tok)}",
+                                       str(path), header_line)
         if aid in sequences:
             raise DuplicateAlleleError(f"allele {aid} appears twice", str(path), header_line)
         sequences[aid] = seq
@@ -382,8 +394,7 @@ def build_dataset(
     column order of the profiles' alleles. Returns the dataset and a message
     per lenient-mode repair (none when strict succeeds).
     """
-    if mode not in ("strict", "lenient"):
-        raise ValueError(f"mode must be strict or lenient, got {mode!r}")
+    checked(ValueError, "mode", MODES, mode)
     locus_names = list(alleles_by_locus)
     if len(locus_names) < 2:
         raise TooFewLociError(f"need at least 2 loci, got {len(locus_names)}")

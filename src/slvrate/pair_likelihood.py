@@ -26,10 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .convert import checked, choice
 from .errors import DegenerateRatioError, InvalidParamsError
 from .import_dist import ImportDistribution, pairwise_diffs
 from .mlst_io import MlstDataset
 
+THETA_METHODS = choice("length", "pairwise")
 R_CAP = 0.9  # the model assumes many loci; a single locus carrying more
              # than 90% of the mutation rate is outside its remit
 
@@ -56,9 +58,9 @@ def theta_ratios(dataset: MlstDataset, method: str = "length") -> dict[str, Thet
     constant); ``pairwise`` divides by mean pairwise differences at each
     locus.
     """
-    if method == "length":
+    if checked(InvalidParamsError, "method", THETA_METHODS, method) == "length":
         weights = {meta.name: float(meta.length) for meta in dataset.loci}
-    elif method == "pairwise":
+    else:
         weights = {}
         for meta in dataset.loci:
             table = pairwise_diffs(dataset, meta.name)
@@ -69,8 +71,6 @@ def theta_ratios(dataset: MlstDataset, method: str = "length") -> dict[str, Thet
             if mean <= 0.0:
                 raise DegenerateRatioError(f"locus {meta.name} has zero mean pairwise differences")
             weights[meta.name] = mean
-    else:
-        raise InvalidParamsError(f"method must be length or pairwise, got {method!r}")
     denom = sum(weights.values())
     return {name: ThetaRatio(locus=name, r=w / denom) for name, w in weights.items()}
 

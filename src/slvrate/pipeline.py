@@ -16,38 +16,52 @@ analysis commands pass the usable cores; the default is one process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
-from .errors import TooFewUnitsError
+from .convert import confidence_level, integer, json_object, non_negative_int, probability, read
+from .errors import ConfigError, TooFewUnitsError
 from .import_dist import (
     DEFAULT_DRAWS,
     DEFAULT_PA,
+    WEIGHTINGS,
     ImportDistribution,
     estimate_import_dist,
     pairwise_diffs,
 )
 from .joint_inference import JointFit, VariationTestResult, joint_fit, variation_test
-from .locus_estimator import CompositeLikelihood, LocusFit, fit_all_loci
-from .mlst_io import MlstDataset
+from .locus_estimator import ALPHA_MODES, CompositeLikelihood, LocusFit, fit_all_loci
+from .mlst_io import MODES, MlstDataset
 from .numerics import SeedDomain, derived_seed
-from .pair_likelihood import PairModel, theta_ratios
+from .pair_likelihood import THETA_METHODS, PairModel, theta_ratios
 from .parallel import fork_map
 from .slv import SlvPartition, extract_slv
 
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    """Analysis settings; the one home of their defaults."""
+    """Analysis settings: the one home of their defaults and of the converter
+    that reads each from its flag and its experiment ``analysis`` key."""
 
-    p_a: float = DEFAULT_PA
-    draws: int = DEFAULT_DRAWS
-    seed: int = 0
-    weighting: str = "by_st"
-    theta_method: str = "length"
-    alpha_mode: str = "common"
-    level: float = 0.95
-    mode: str = "strict"
+    p_a: float = field(default=DEFAULT_PA, metadata={"convert": probability})
+    draws: int = field(default=DEFAULT_DRAWS, metadata={"convert": integer})
+    seed: int = field(default=0, metadata={"convert": non_negative_int})
+    weighting: str = field(default="by_st", metadata={"convert": WEIGHTINGS})
+    theta_method: str = field(default="length", metadata={"convert": THETA_METHODS})
+    alpha_mode: str = field(default="common", metadata={"convert": ALPHA_MODES})
+    level: float = field(default=0.95, metadata={"convert": confidence_level})
+    mode: str = field(default="strict", metadata={"convert": MODES})
+
+
+def analysis_from(sub) -> AnalysisOptions:
+    """The ``analysis`` block: each field read by its declared converter from
+    its name (``pa`` for ``p_a``); no ``seed``, as each replicate derives one."""
+    if "seed" in json_object(sub):
+        raise ConfigError("seed: each replicate derives its analysis seed from the config's 'seed'")
+    return AnalysisOptions(**{
+        f.name: read(sub, "pa" if f.name == "p_a" else f.name, f.metadata["convert"], f.default)
+        for f in fields(AnalysisOptions)
+    })
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,19 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidImportModelError, InvalidParamsError
+from .convert import (
+    bounded,
+    checked,
+    config_loci,
+    integer,
+    json_object,
+    non_negative,
+    non_negative_int,
+    per_locus,
+    probability,
+    read,
+)
+from .errors import ConfigError, InvalidImportModelError, InvalidParamsError
 from .import_dist import DEFAULT_PA
 from .mlst_io import LocusMeta, MlstDataset
 from .mlst_io import build_dataset  # noqa: F401  (the benchmark tracer binds simulate.build_dataset)
@@ -51,6 +63,17 @@ from .numerics import SeedDomain, derived_rng
 # -- import models ---------------------------------------------------------------
 
 
+geometric_mean = bounded(lambda x: x >= 1.0, ">= 1")  # of an import size
+
+
+def import_pmf(values) -> tuple[float, ...]:
+    """An empirical import pmf over 1..len: entries >= 0 that sum to 1."""
+    pmf = tuple(map(non_negative, values))
+    if abs(math.fsum(pmf) - 1.0) > 1e-9:
+        raise ValueError(f"sums to {math.fsum(pmf):.12g}, not 1")
+    return pmf
+
+
 @dataclass(frozen=True)
 class GeometricImport:
     """D ~ Geometric (support 1, 2, ...) with the given mean, conditioned on 1..m."""
@@ -58,10 +81,7 @@ class GeometricImport:
     mean: float
 
     def __post_init__(self):
-        if not 1.0 <= self.mean < math.inf:
-            raise InvalidImportModelError(
-                f"geometric mean must be finite and >= 1, got {self.mean}"
-            )
+        checked(InvalidImportModelError, "mean", geometric_mean, self.mean)
 
 
 @dataclass(frozen=True)
@@ -71,11 +91,7 @@ class EmpiricalImport:
     pmf: tuple[float, ...]
 
     def __post_init__(self):
-        arr = np.asarray(self.pmf, dtype=float)
-        if arr.ndim != 1 or arr.size < 1 or not np.all(arr >= 0.0):
-            raise InvalidImportModelError("pmf must be a non-negative vector")
-        if abs(float(arr.sum()) - 1.0) > 1e-9:
-            raise InvalidImportModelError(f"pmf sums to {arr.sum()!r}, not 1")
+        checked(InvalidImportModelError, "pmf", import_pmf, self.pmf)
 
 
 @dataclass(frozen=True)
@@ -87,11 +103,27 @@ class CompleteImport:
     p_a: float = DEFAULT_PA
 
     def __post_init__(self):
-        if not 0.0 <= self.p_a <= 1.0:
-            raise InvalidImportModelError(f"p_a must be in [0,1], got {self.p_a}")
+        checked(InvalidImportModelError, "p_a", probability, self.p_a)
 
 
 ImportModel = Union[GeometricImport, EmpiricalImport, CompleteImport]
+
+
+def covers(model: ImportModel, m: int) -> ImportModel:
+    """``model`` for a locus of ``m`` bases: an empirical pmf covers 1..m."""
+    if isinstance(model, EmpiricalImport) and len(model.pmf) != m:
+        raise ValueError(f"empirical pmf covers 1..{len(model.pmf)}, not 1..{m}")
+    return model
+
+
+def import_models(model, loci: Sequence[tuple[str, int]]):
+    """A config's import model: one for all loci, or a map naming each one."""
+    for name, m in loci:
+        one = model.get(name) if isinstance(model, Mapping) else model
+        if one is None:
+            raise ValueError(f"no import model for locus {name!r}")
+        checked(ValueError, f"locus {name}", covers, one, m)
+    return model
 
 
 def _import_sampler(model: ImportModel, m: int):
@@ -112,10 +144,7 @@ def _import_sampler(model: ImportModel, m: int):
 
         return draw_geometric
     if isinstance(model, EmpiricalImport):
-        if len(model.pmf) != m:
-            raise InvalidImportModelError(
-                f"empirical pmf covers 1..{len(model.pmf)} but locus length is {m}"
-            )
+        checked(InvalidImportModelError, "import", covers, model, m)
         cdf = np.cumsum(np.asarray(model.pmf, dtype=float))
         cdf[-1] = 1.0
 
@@ -152,24 +181,53 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 2:
-            raise InvalidParamsError(f"need n_samples >= 2, got {self.n_samples}")
-        if len(self.loci) < 2:
-            raise InvalidParamsError("need at least 2 loci")
-        if len(self.theta) != len(self.loci) or len(self.lam) != len(self.loci):
-            raise InvalidParamsError("theta and lam must have one entry per locus")
-        if not all(0.0 <= v < math.inf for v in self.theta + self.lam):
-            raise InvalidParamsError("rates must be finite and non-negative")
-        if any(m < 1 for _, m in self.loci):
-            raise InvalidParamsError("locus lengths must be positive")
+        checked(InvalidParamsError, "n_samples", integer, self.n_samples, 2)
+        checked(InvalidParamsError, "theta", per_locus, non_negative, self.theta, self.loci)
+        checked(InvalidParamsError, "lam", per_locus, non_negative, self.lam, self.loci)
+        checked(InvalidImportModelError, "import_model", import_models, self.import_model,
+                self.loci)
 
     def import_for(self, locus: str) -> ImportModel:
-        if isinstance(self.import_model, Mapping):
-            try:
-                return self.import_model[locus]
-            except KeyError:
-                raise InvalidImportModelError(f"no import model for locus {locus!r}")
-        return self.import_model
+        model = self.import_model
+        return model[locus] if isinstance(model, Mapping) else model
+
+
+def config_seed(cfg, seed_override: int | None) -> int:
+    """``--seed`` when given, else the config's ``seed`` key, 0 by default."""
+    return read(cfg, "seed", non_negative_int, 0) if seed_override is None else seed_override
+
+
+def _import_model(spec) -> ImportModel:
+    model = read(spec, "model", str, None)
+    if model == "geometric":
+        return GeometricImport(mean=read(spec, "mean", geometric_mean))
+    if model == "empirical":
+        return EmpiricalImport(pmf=read(spec, "pmf", import_pmf))
+    if model == "complete":
+        return CompleteImport(p_a=read(spec, "p_a", probability, DEFAULT_PA))
+    raise ConfigError(f"unknown import model {model!r}")
+
+
+def _import_spec(spec) -> ImportModel | dict[str, ImportModel]:
+    """A config's ``import``: one model, or ``{"per_locus": {name: model}}``."""
+    if "per_locus" not in json_object(spec):
+        return _import_model(spec)
+    return read(spec, "per_locus", lambda specs: {
+        name: read(specs, name, _import_model) for name in json_object(specs)})
+
+
+def sim_config_from(cfg: dict, seed_override: int | None) -> SimConfig:
+    """The one reader of a simulation config, for ``simulate`` and the
+    simulation designs of ``experiment``; a fault is a ConfigError naming its key."""
+    loci = read(cfg, "loci", config_loci)
+    return SimConfig(
+        n_samples=read(cfg, "n_samples", lambda value: integer(value, least=2)),
+        loci=loci,
+        theta=read(cfg, "theta", lambda values: per_locus(non_negative, values, loci)),
+        lam=read(cfg, "lambda", lambda values: per_locus(non_negative, values, loci)),
+        import_model=read(cfg, "import", lambda spec: import_models(_import_spec(spec), loci)),
+        seed=config_seed(cfg, seed_override),
+    )
 
 
 @dataclass(frozen=True)
@@ -207,8 +265,7 @@ def simulate_coalescent_tree(n: int, rng: np.random.Generator) -> CoalescentTree
     time with rate k(k-1)/2 and merge a uniformly chosen pair."""
     from array import array  # loaded here, as it costs every command ~0.1 MiB of RSS
 
-    if n < 2:
-        raise InvalidParamsError(f"need n >= 2 leaves, got {n}")
+    checked(InvalidParamsError, "n", integer, n, 2)
     n_nodes = 2 * n - 1
     parent = [-1] * n_nodes
     time = [0.0] * n_nodes

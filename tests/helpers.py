@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import re
 from collections import Counter
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -457,6 +458,21 @@ def _in_int64(value: int) -> bool:
     return -(2**63) <= value < 2**63
 
 
+def _quoted(token: str) -> str:
+    """A token as the parsers echo it: quoted, and cut to 40 characters."""
+    return repr(token) if len(token) <= 40 else f"{token[:40]!r}..."
+
+
+def _reference_int(token: str, int64: bool) -> int | None:
+    """``int(token)``, or None for a token that is not an integer. In
+    ``int64`` mode a token of optionally signed ASCII digits that ``int``
+    refuses (more digits than Python's limit) reads as 2**63."""
+    try:
+        return int(token)
+    except ValueError:
+        return 2**63 if int64 and re.fullmatch(r"[+-]?[0-9]+", token) else None
+
+
 def _text_lines(path: Path) -> Iterator[tuple[int, str]]:
     """(line number, line) of a UTF-8 text file, from line 1. A file that
     cannot be opened, or holds bytes that are not UTF-8, is a ParseError
@@ -507,27 +523,27 @@ def reference_parse_profiles(
                     raise MissingColumnError(f"column {needed!r} not in header", str(path), lineno)
             continue
         st_tok = cell(fields, st_column, lineno)
-        try:
-            st_id = int(st_tok)
-        except ValueError:
-            raise NonIntegerAlleleError(f"ST value {st_tok!r} is not an integer", str(path), lineno)
+        st_id = _reference_int(st_tok, int64)
+        if st_id is None:
+            raise NonIntegerAlleleError(f"ST value {_quoted(st_tok)} is not an integer", str(path),
+                                        lineno)
         if int64 and not _in_int64(st_id):
-            raise NonIntegerAlleleError(f"ST value {st_tok!r} is beyond int64", str(path), lineno)
+            raise NonIntegerAlleleError(f"ST value {_quoted(st_tok)} is beyond int64", str(path),
+                                        lineno)
         if st_id in seen:
             raise DuplicateStError(f"duplicate ST {st_id}", str(path), lineno)
         seen.add(st_id)
         allele_ids = []
         for col in locus_columns:
             tok = cell(fields, col, lineno)
-            try:
-                aid = int(tok)
-            except ValueError:
+            aid = _reference_int(tok, int64)
+            if aid is None:
                 raise NonIntegerAlleleError(
-                    f"allele {tok!r} in column {col!r} is not an integer", str(path), lineno
+                    f"allele {_quoted(tok)} in column {col!r} is not an integer", str(path), lineno
                 )
             if int64 and not _in_int64(aid):
                 raise NonIntegerAlleleError(
-                    f"allele {tok!r} in column {col!r} is beyond int64", str(path), lineno
+                    f"allele {_quoted(tok)} in column {col!r} is beyond int64", str(path), lineno
                 )
             if aid <= 0:
                 raise NonIntegerAlleleError(
@@ -537,12 +553,13 @@ def reference_parse_profiles(
         count = 1
         if count_column:
             tok = cell(fields, count_column, lineno)
-            try:
-                count = int(tok)
-            except ValueError:
-                raise NonIntegerAlleleError(f"count {tok!r} is not an integer", str(path), lineno)
+            count = _reference_int(tok, int64)
+            if count is None:
+                raise NonIntegerAlleleError(f"count {_quoted(tok)} is not an integer", str(path),
+                                            lineno)
             if int64 and not _in_int64(count):
-                raise NonIntegerAlleleError(f"count {tok!r} is beyond int64", str(path), lineno)
+                raise NonIntegerAlleleError(f"count {_quoted(tok)} is beyond int64", str(path),
+                                            lineno)
             if count <= 0:
                 raise NonIntegerAlleleError(f"count must be positive, got {count}", str(path), lineno)
         profiles.append(StProfile(st_id=st_id, alleles=tuple(allele_ids), isolate_count=count))
@@ -571,19 +588,18 @@ def reference_parse_allele_fasta(
         if header_tok is None:
             return
         seq = "".join(chunks)
+        shown = _quoted(header_tok)
         if not seq:
-            raise EmptySequenceError(f"record {header_tok!r} has no sequence", str(path), header_line)
-        tail = header_tok.rsplit("_", 1)[-1]
-        try:
-            aid = int(tail)
-        except ValueError:
+            raise EmptySequenceError(f"record {shown} has no sequence", str(path), header_line)
+        aid = _reference_int(header_tok.rsplit("_", 1)[-1], int64)
+        if aid is None:
             raise MalformedHeaderError(
-                f"header {header_tok!r} has no trailing allele number", str(path), header_line
+                f"header {shown} has no trailing allele number", str(path), header_line
             )
         if aid <= 0:
-            raise MalformedHeaderError(f"allele id must be positive in {header_tok!r}", str(path), header_line)
+            raise MalformedHeaderError(f"allele id must be positive in {shown}", str(path), header_line)
         if int64 and not _in_int64(aid):
-            raise MalformedHeaderError(f"allele id is beyond int64 in {header_tok!r}", str(path), header_line)
+            raise MalformedHeaderError(f"allele id is beyond int64 in {shown}", str(path), header_line)
         if aid in seen:
             raise DuplicateAlleleError(f"allele {aid} appears twice", str(path), header_line)
         seen.add(aid)

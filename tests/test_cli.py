@@ -631,6 +631,32 @@ def test_an_id_beyond_int64_is_a_parse_error_naming_its_line(tmp_path, capsys, d
     assert capsys.readouterr().err == f"slvrate: {message} [{path}:{line}]\n"
 
 
+# more digits than Python's int() reads (sys.get_int_max_str_digits(), 4300 by default)
+HUGE = "5" * 5000
+
+
+@pytest.mark.parametrize("damaged, edit, line, message", [
+    ("profiles.tsv", lambda text: text + f"7\t1\t{HUGE}\t1\n", 8,
+     f"NonIntegerAlleleError: allele '{HUGE[:40]}'... in column 'glnA' is beyond int64"),
+    ("profiles.tsv", lambda text: text + f"7\t1\t-{HUGE}\t1\n", 8,
+     f"NonIntegerAlleleError: allele '-{HUGE[:39]}'... in column 'glnA' is beyond int64"),
+    ("profiles.tsv", lambda text: text + f"7\t1\tx{HUGE}\t1\n", 8,
+     f"NonIntegerAlleleError: allele 'x{HUGE[:39]}'... in column 'glnA' is not an integer"),
+    ("aspA.fas", lambda text: text + f">aspA_{HUGE}\nACGT\n", 5,
+     f"MalformedHeaderError: allele id is beyond int64 in 'aspA_{HUGE[:35]}'..."),
+    ("aspA.fas", lambda text: text + f">aspA_{HUGE}x\nACGT\n", 5,
+     f"MalformedHeaderError: header 'aspA_{HUGE[:35]}'... has no trailing allele number"),
+])
+def test_an_id_longer_than_int_reads_is_beyond_int64_in_a_short_line(tmp_path, capsys, damaged,
+                                                                     edit, line, message):
+    data = tmp_path / "data"
+    shutil.copytree(DEMO, data)
+    path = data / damaged
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    assert run("extract", "--profiles", data / "profiles.tsv", "--alleles-dir", data) == 2
+    assert capsys.readouterr().err == f"slvrate: {message} [{path}:{line}]\n"
+
+
 def test_a_directory_in_place_of_a_data_file_is_a_parse_error_naming_it(tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(DEMO, data)

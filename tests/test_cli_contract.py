@@ -140,19 +140,23 @@ SIMULATION = {
                       [{"name": "a", "length": 60}, {"name": "a", "length": 80}],
                       [{"name": "a", "length": 50.7}, LOCI[1]],
                       [{"name": "a", "length": True}, LOCI[1]],
-                      [{"name": "a", "length": 0}, LOCI[1]]],
-             [LOCI[:1], [{"name": "a", "length": 0}, LOCI[1]]]),
-    "theta": ([[3.0, 2.0]], [ABSENT, "x", [[1], 2.0], [NAN, 2.0], [INF, 2.0], [-3.0, 2.0]],
-              [[-1.0, 2.0], [3.0]]),
-    "lambda": ([[1.0, 0.5], [1.0, 1.0]], [ABSENT, "x", [NAN, 1.0], [1.0, INF], [1.0, -0.5]],
+                      [{"name": "a", "length": 0}, LOCI[1]], LOCI[:1]],
+             [[{"name": "a", "length": 0}, LOCI[1]]]),
+    "theta": ([[3.0, 2.0]], [ABSENT, "x", [[1], 2.0], [NAN, 2.0], [INF, 2.0], [-3.0, 2.0], [3.0]],
+              [[-1.0, 2.0]]),
+    "lambda": ([[1.0, 0.5], [1.0, 1.0]],
+               [ABSENT, "x", [NAN, 1.0], [1.0, INF], [1.0, -0.5], [1.0, 0.5, 0.5]],
                [[-1.0, 1.0]]),
     "import": ([{"model": "complete", "p_a": 0.8}, {"model": "geometric", "mean": 5},
                 {"per_locus": {"a": {"model": "geometric", "mean": 3},
                                "b": {"model": "complete"}}}],
                [ABSENT, "complete", 3, {"model": "zz"}, {"model": "geometric", "mean": 0.5},
                 {"model": "geometric", "mean": NAN}, {"model": "complete", "p_a": 2},
-                {"model": "complete", "p_a": NAN}],
-               [{"per_locus": {"a": {"model": "complete"}}}]),
+                {"model": "complete", "p_a": NAN}, {"per_locus": {"a": {"model": "complete"}}},
+                {"model": "empirical", "pmf": [0.5, 0.2, 0.1, 0.1, 0.05]},
+                {"per_locus": {"a": {"model": "empirical", "pmf": [0.2] * 5},
+                               "b": {"model": "complete"}}}],
+               []),
     "seed": ([ABSENT, 0, 3], ["x", [1], -2, NAN, 1.5, True], []),
 }
 CONFIG_FLAGS = {
@@ -182,7 +186,8 @@ CONFIGS = {
         **REPLICATES,
         "lambda": ([1.0, 0.0], [ABSENT, "x", -1, NAN, INF], []),
         "loci": ([[{"name": "a", "length": 120}, {"name": "b", "length": 150}]],
-                 [ABSENT, [{"name": "a", "length": 120}, {"name": "a", "length": 150}]], []),
+                 [ABSENT, [{"name": "a", "length": 120}, {"name": "a", "length": 150}],
+                  [{"name": "a", "length": 120}]], []),
         "import_means": ([[8.0, 10.0]],
                          [ABSENT, "x", [0.5, 10.0], [8.0], [NAN, 10.0], [1.001, 10.0]], []),
         "n_pairs": ([20, 40], [ABSENT, "x", 0, -3, NAN, 20.9, True], []),
@@ -389,3 +394,52 @@ def test_generated_configs_keep_the_contract(inputs, case):
     cfg, argv, named, failing = case
     code = _config_contract(inputs, cfg, argv, named, failing)
     event(f"{argv[0]} exits {code}")
+
+
+# -- faults across keys -------------------------------------------------------------------
+
+SIX_BASES = [{"name": "a", "length": 6}, {"name": "b", "length": 6}]
+SIX_BASE_SIMULATION = {"n_samples": 20, "loci": SIX_BASES, "theta": [1.0, 1.0],
+                       "lambda": [1.0, 1.0], "import": {"model": "complete"}}
+ONE_LOCUS_RECOVERY = {"design": "recovery", "replicates": 2, "lambda": 1.0,
+                      "loci": [{"name": "a", "length": 120}], "import_means": [8.0], "n_pairs": 20}
+
+
+@pytest.mark.parametrize("command, cfg, line", [
+    ("simulate", {**SIX_BASE_SIMULATION, "theta": [1.0]},
+     "theta: expected 2 values, one per locus, got 1"),
+    ("simulate", {**SIX_BASE_SIMULATION, "loci": SIX_BASES[:1]},
+     "loci: need at least 2 loci, got 1"),
+    ("simulate", {**SIX_BASE_SIMULATION,
+                  "import": {"model": "empirical", "pmf": [0.5, 0.2, 0.1, 0.05, 0.05, 0.05]}},
+     "import: pmf: sums to 0.95, not 1"),
+    ("simulate", {**SIX_BASE_SIMULATION, "import": {"model": "empirical", "pmf": [0.2] * 5}},
+     "import: locus a: empirical pmf covers 1..5, not 1..6"),
+    ("simulate", {**SIX_BASE_SIMULATION, "import": {"per_locus": {"a": {"model": "complete"}}}},
+     "import: no import model for locus 'b'"),
+    ("experiment", ONE_LOCUS_RECOVERY, "loci: need at least 2 loci, got 1"),
+])
+def test_a_fault_across_keys_exits_1_before_any_work_naming_its_key(inputs, command, cfg, line):
+    with tempfile.TemporaryDirectory(dir=inputs["root"]) as cwd:
+        config = Path(cwd) / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        code, _out, err = _run([command, "--config", str(config), "--out-dir", "out"], cwd)
+        assert (code, err) == (1, f"slvrate: config {config}: {line}\n")
+        assert not (Path(cwd) / "out").exists()
+
+
+@pytest.mark.parametrize("edits, line", [
+    ({"M": 20.9, "m": 12.7, "K": True}, "m: must be an integer, got 12.7"),
+    ({"M": 20.9}, "M: must be an integer, got 20.9"),
+    ({"K": True}, "K: must be an integer, got True"),
+    ({"seed": 1.5}, "seed: must be an integer, got 1.5"),
+    ({"seed": -1}, "seed: must be >= 0, got -1"),
+])
+def test_a_stored_distribution_s_integer_keys_take_no_fraction_or_bool(inputs, edits, line):
+    stored = inputs["dists"] / "aspA.dist.json"
+    with tempfile.TemporaryDirectory(dir=inputs["root"]) as cwd:
+        edited = Path(cwd) / "aspA.dist.json"
+        edited.write_text(json.dumps({**json.loads(stored.read_text()), **edits}))
+        argv = ["estimate", "--profiles", str(DEMO / "profiles.tsv"), "--alleles-dir", str(DEMO),
+                "--dists", str(edited)]
+        assert _run(argv, cwd)[::2] == (1, f"slvrate: dists {edited}: {line}\n")

@@ -366,7 +366,8 @@ def _expected(reference, path, *args):
       reports a fault in the text before the chunk that holds the bad byte;
     * an ST id, allele id or count that int64 does not hold is a ParseError
       at its line, where the reference reads any integer: the parsers hold
-      them in int64 arrays. So the reference is run in its int64 mode."""
+      them in int64 arrays. So the reference is run in its int64 mode, in
+      which a token of more digits than ``int`` reads is beyond int64 too."""
     try:
         path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as err:
