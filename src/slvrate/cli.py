@@ -231,7 +231,10 @@ def _load_dists(args) -> tuple[dict[str, ImportDistribution], list[Path]] | None
     if not args.dists:
         return None
     spec = Path(args.dists)
-    paths = sorted(spec.glob("*.json")) if spec.is_dir() else [spec]
+    if spec.is_dir():
+        paths = sorted(spec.glob("*.json"))
+    else:
+        paths = [spec]
     if not paths:
         raise ConfigError(f"no import-distribution JSON under {spec}")
     dists = {}
