@@ -66,7 +66,7 @@ from .numerics import SeedDomain, derived_rng
 geometric_mean = bounded(lambda x: x >= 1.0, ">= 1")  # of an import size
 
 
-def import_pmf(values) -> tuple[float, ...]:
+def _import_pmf(values) -> tuple[float, ...]:
     """An empirical import pmf over 1..len: entries >= 0 that sum to 1."""
     pmf = tuple(map(non_negative, values))
     if abs(math.fsum(pmf) - 1.0) > 1e-9:
@@ -91,7 +91,7 @@ class EmpiricalImport:
     pmf: tuple[float, ...]
 
     def __post_init__(self):
-        checked(InvalidImportModelError, "pmf", import_pmf, self.pmf)
+        checked(InvalidImportModelError, "pmf", _import_pmf, self.pmf)
 
 
 @dataclass(frozen=True)
@@ -109,20 +109,20 @@ class CompleteImport:
 ImportModel = Union[GeometricImport, EmpiricalImport, CompleteImport]
 
 
-def covers(model: ImportModel, m: int) -> ImportModel:
+def _covers(model: ImportModel, m: int) -> ImportModel:
     """``model`` for a locus of ``m`` bases: an empirical pmf covers 1..m."""
     if isinstance(model, EmpiricalImport) and len(model.pmf) != m:
         raise ValueError(f"empirical pmf covers 1..{len(model.pmf)}, not 1..{m}")
     return model
 
 
-def import_models(model, loci: Sequence[tuple[str, int]]):
+def _import_models(model, loci: Sequence[tuple[str, int]]):
     """A config's import model: one for all loci, or a map naming each one."""
     for name, m in loci:
         one = model.get(name) if isinstance(model, Mapping) else model
         if one is None:
             raise ValueError(f"no import model for locus {name!r}")
-        checked(ValueError, f"locus {name}", covers, one, m)
+        checked(ValueError, f"locus {name}", _covers, one, m)
     return model
 
 
@@ -144,7 +144,7 @@ def _import_sampler(model: ImportModel, m: int):
 
         return draw_geometric
     if isinstance(model, EmpiricalImport):
-        checked(InvalidImportModelError, "import", covers, model, m)
+        checked(InvalidImportModelError, "import", _covers, model, m)
         cdf = np.cumsum(np.asarray(model.pmf, dtype=float))
         cdf[-1] = 1.0
 
@@ -184,7 +184,7 @@ class SimConfig:
         checked(InvalidParamsError, "n_samples", integer, self.n_samples, 2)
         checked(InvalidParamsError, "theta", per_locus, non_negative, self.theta, self.loci)
         checked(InvalidParamsError, "lam", per_locus, non_negative, self.lam, self.loci)
-        checked(InvalidImportModelError, "import_model", import_models, self.import_model,
+        checked(InvalidImportModelError, "import_model", _import_models, self.import_model,
                 self.loci)
 
     def import_for(self, locus: str) -> ImportModel:
@@ -202,7 +202,7 @@ def _import_model(spec) -> ImportModel:
     if model == "geometric":
         return GeometricImport(mean=read(spec, "mean", geometric_mean))
     if model == "empirical":
-        return EmpiricalImport(pmf=read(spec, "pmf", import_pmf))
+        return EmpiricalImport(pmf=read(spec, "pmf", _import_pmf))
     if model == "complete":
         return CompleteImport(p_a=read(spec, "p_a", probability, DEFAULT_PA))
     raise ConfigError(f"unknown import model {model!r}")
@@ -225,7 +225,7 @@ def sim_config_from(cfg: dict, seed_override: int | None) -> SimConfig:
         loci=loci,
         theta=read(cfg, "theta", lambda values: per_locus(non_negative, values, loci)),
         lam=read(cfg, "lambda", lambda values: per_locus(non_negative, values, loci)),
-        import_model=read(cfg, "import", lambda spec: import_models(_import_spec(spec), loci)),
+        import_model=read(cfg, "import", lambda spec: _import_models(_import_spec(spec), loci)),
         seed=config_seed(cfg, seed_override),
     )
 
