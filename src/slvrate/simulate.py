@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -109,20 +110,14 @@ class CompleteImport:
 ImportModel = Union[GeometricImport, EmpiricalImport, CompleteImport]
 
 
-def _covers(model: ImportModel, m: int) -> ImportModel:
-    """``model`` for a locus of ``m`` bases: an empirical pmf covers 1..m."""
-    if isinstance(model, EmpiricalImport) and len(model.pmf) != m:
-        raise ValueError(f"empirical pmf covers 1..{len(model.pmf)}, not 1..{m}")
-    return model
-
-
 def _import_models(model, loci: Sequence[tuple[str, int]]):
-    """A config's import model: one for all loci, or a map naming each one."""
+    """A config's import model: one for all loci, or a map naming each one,
+    and each a model that can draw for its locus (``_import_sampler``)."""
     for name, m in loci:
         one = model.get(name) if isinstance(model, Mapping) else model
         if one is None:
             raise ValueError(f"no import model for locus {name!r}")
-        checked(ValueError, f"locus {name}", _covers, one, m)
+        checked(ValueError, f"locus {name}", _import_sampler, one, m)
     return model
 
 
@@ -144,7 +139,10 @@ def _import_sampler(model: ImportModel, m: int):
 
         return draw_geometric
     if isinstance(model, EmpiricalImport):
-        checked(InvalidImportModelError, "import", _covers, model, m)
+        if len(model.pmf) != m:
+            raise InvalidImportModelError(
+                f"empirical pmf covers 1..{len(model.pmf)} but locus length is {m}"
+            )
         cdf = np.cumsum(np.asarray(model.pmf, dtype=float))
         cdf[-1] = 1.0
 
@@ -170,6 +168,9 @@ def _import_sampler(model: ImportModel, m: int):
 
 # -- configuration -----------------------------------------------------------------
 
+sample_size = partial(integer, least=2)  # a simulation's n_samples, a tree's leaves
+rates = partial(per_locus, non_negative)  # theta and lambda: one value >= 0 per locus
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -181,9 +182,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        checked(InvalidParamsError, "n_samples", integer, self.n_samples, 2)
-        checked(InvalidParamsError, "theta", per_locus, non_negative, self.theta, self.loci)
-        checked(InvalidParamsError, "lam", per_locus, non_negative, self.lam, self.loci)
+        checked(InvalidParamsError, "n_samples", sample_size, self.n_samples)
+        checked(InvalidParamsError, "theta", rates, self.theta, self.loci)
+        checked(InvalidParamsError, "lam", rates, self.lam, self.loci)
         checked(InvalidImportModelError, "import_model", _import_models, self.import_model,
                 self.loci)
 
@@ -221,10 +222,10 @@ def sim_config_from(cfg: dict, seed_override: int | None) -> SimConfig:
     simulation designs of ``experiment``; a fault is a ConfigError naming its key."""
     loci = read(cfg, "loci", config_loci)
     return SimConfig(
-        n_samples=read(cfg, "n_samples", lambda value: integer(value, least=2)),
+        n_samples=read(cfg, "n_samples", sample_size),
         loci=loci,
-        theta=read(cfg, "theta", lambda values: per_locus(non_negative, values, loci)),
-        lam=read(cfg, "lambda", lambda values: per_locus(non_negative, values, loci)),
+        theta=read(cfg, "theta", lambda values: rates(values, loci)),
+        lam=read(cfg, "lambda", lambda values: rates(values, loci)),
         import_model=read(cfg, "import", lambda spec: _import_models(_import_spec(spec), loci)),
         seed=config_seed(cfg, seed_override),
     )
@@ -265,7 +266,7 @@ def simulate_coalescent_tree(n: int, rng: np.random.Generator) -> CoalescentTree
     time with rate k(k-1)/2 and merge a uniformly chosen pair."""
     from array import array  # loaded here, as it costs every command ~0.1 MiB of RSS
 
-    checked(InvalidParamsError, "n", integer, n, 2)
+    checked(InvalidParamsError, "n", sample_size, n)
     n_nodes = 2 * n - 1
     parent = [-1] * n_nodes
     time = [0.0] * n_nodes

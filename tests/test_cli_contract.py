@@ -414,7 +414,7 @@ ONE_LOCUS_RECOVERY = {"design": "recovery", "replicates": 2, "lambda": 1.0,
                   "import": {"model": "empirical", "pmf": [0.5, 0.2, 0.1, 0.05, 0.05, 0.05]}},
      "import: pmf: sums to 0.95, not 1"),
     ("simulate", {**SIX_BASE_SIMULATION, "import": {"model": "empirical", "pmf": [0.2] * 5}},
-     "import: locus a: empirical pmf covers 1..5, not 1..6"),
+     "import: locus a: empirical pmf covers 1..5 but locus length is 6"),
     ("simulate", {**SIX_BASE_SIMULATION, "import": {"per_locus": {"a": {"model": "complete"}}}},
      "import: no import model for locus 'b'"),
     ("experiment", ONE_LOCUS_RECOVERY, "loci: need at least 2 loci, got 1"),
