@@ -182,16 +182,11 @@ def _import_means(values, loci) -> tuple[float, ...]:
 def recovery_models(design: RecoveryDesign) -> list[PairModel]:
     """The exact models the recovery design both samples from and fits."""
     total = sum(m for _, m in design.loci)
-    models = []
-    for (name, m), mean in zip(design.loci, design.import_means, strict=True):
-        q = ImportDistribution(
-            locus=name,
-            m=m,
-            q=geometric_pmf(m, mean),
-            provenance=Provenance(p_a=1.0, draws=0, seed=design.seed, k=0),
-        )
-        models.append(PairModel(locus=name, r=m / total, q=q, m=m))
-    return models
+    provenance = Provenance(p_a=1.0, draws=0, seed=design.seed, k=0)
+    return [
+        PairModel(m / total, ImportDistribution(name, m, geometric_pmf(m, mean), provenance))
+        for (name, m), mean in zip(design.loci, design.import_means, strict=True)
+    ]
 
 
 def design_from(cfg: dict, seed_override: int | None) -> SimDesign | RecoveryDesign:
@@ -231,11 +226,11 @@ def _run_recovery_replicate(design: RecoveryDesign, models: list[PairModel], rid
     cls = []
     for model in models:
         probs = model_pmf(model, design.lam)
-        xs = rng.choice(np.arange(1, model.m + 1), size=design.n_pairs, p=probs)
-        cls.append(CompositeLikelihood(_singleton_partition(model.locus, xs), model))
+        xs = rng.choice(np.arange(1, model.q.m + 1), size=design.n_pairs, p=probs)
+        cls.append(CompositeLikelihood(_singleton_partition(model.q.locus, xs), model))
     fits = fit_all_loci(cls, level=design.level, alpha_mode="common")
     joint = joint_fit(cls, fits, level=design.level)
-    variation = variation_test(cls, fits, joint)
+    variation = variation_test(fits, joint)
     truth = {fit.locus: design.lam for fit in fits}
     rows = _fit_rows(ridx, fits, truth, joint, design.lam, design.n_pairs * len(models))
     return {"rows": rows, "p_value": variation.p_value, "informative": True}

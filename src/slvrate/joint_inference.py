@@ -130,11 +130,7 @@ def variation_weights(
     return nu1, eta
 
 
-def variation_test(
-    cls: Sequence[CompositeLikelihood],
-    fits: Sequence[LocusFit],
-    joint: JointFit,
-) -> VariationTestResult:
+def variation_test(fits: Sequence[LocusFit], joint: JointFit) -> VariationTestResult:
     """Likelihood-ratio test of a common rate across loci.
 
     ``joint`` is the ``joint_fit`` of the same loci; its constrained
@@ -142,9 +138,7 @@ def variation_test(
     callers should have excluded loci with no SLV pairs (they carry no
     information, which ``variation_weights`` rejects).
     """
-    if len(cls) != len(fits):
-        raise ModelError("per-locus fits do not match likelihood objects")
-    n_loci = len(cls)
+    n_loci = len(fits)
     if n_loci < 2:
         raise TooFewLociError(f"variation test needs >= 2 loci with data, got {n_loci}")
     sum_max = sum(f.cl_max for f in fits)

@@ -90,11 +90,11 @@ class CompositeLikelihood:
 
     def __post_init__(self):
         xs = self.partition.x
-        outside = np.flatnonzero((xs < 1) | (xs > self.model.m))
+        outside = np.flatnonzero((xs < 1) | (xs > self.model.q.m))
         if outside.size:
             raise InvalidParamsError(
                 f"pair {self._pair_label(int(outside[0]))} has x={int(xs[outside[0]])} "
-                f"outside 1..{self.model.m}"
+                f"outside 1..{self.model.q.m}"
             )
         index = xs - 1
         index.flags.writeable = False

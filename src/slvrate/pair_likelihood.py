@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convert import checked, choice
-from .errors import DegenerateRatioError, InvalidParamsError
+from .errors import DegenerateRatioError, InvalidParamsError, TooFewUnitsError
 from .import_dist import ImportDistribution, pairwise_diffs
 from .mlst_io import MlstDataset
 
@@ -36,34 +36,22 @@ R_CAP = 0.9  # the model assumes many loci; a single locus carrying more
              # than 90% of the mutation rate is outside its remit
 
 
-@dataclass(frozen=True)
-class ThetaRatio:
-    locus: str
-    r: float
-
-    def __post_init__(self):
-        if not 0.0 < self.r < 1.0:
-            raise DegenerateRatioError(f"rate share for {self.locus} is {self.r}, not in (0,1)")
-        if self.r > R_CAP:
-            raise DegenerateRatioError(
-                f"rate share for {self.locus} is {self.r:.4f} > {R_CAP}; "
-                "the SLV model needs the focal locus to be a small part of the genome sample"
-            )
-
-
-def theta_ratios(dataset: MlstDataset, method: str = "length") -> dict[str, ThetaRatio]:
+def theta_ratios(dataset: MlstDataset, method: str = "length") -> dict[str, float]:
     """Per-locus share of the total mutation rate.
 
     ``length`` divides by sequence length (mutation rate per base assumed
     constant); ``pairwise`` divides by mean pairwise differences at each
-    locus.
+    locus, so it needs two usable units at every locus.
     """
     if checked(InvalidParamsError, "method", THETA_METHODS, method) == "length":
         weights = {meta.name: float(meta.length) for meta in dataset.loci}
     else:
         weights = {}
         for meta in dataset.loci:
-            table = pairwise_diffs(dataset, meta.name)
+            try:
+                table = pairwise_diffs(dataset, meta.name)
+            except TooFewUnitsError as err:
+                raise TooFewUnitsError(f"pairwise theta ratio: {err} at every locus") from None
             counts = np.bincount(table.allele_index, minlength=table.allele_dist.shape[0])
             total = float(counts @ table.allele_dist @ counts)  # ordered pairs, diagonal is 0
             k = table.k
@@ -72,34 +60,34 @@ def theta_ratios(dataset: MlstDataset, method: str = "length") -> dict[str, Thet
                 raise DegenerateRatioError(f"locus {meta.name} has zero mean pairwise differences")
             weights[meta.name] = mean
     denom = sum(weights.values())
-    return {name: ThetaRatio(locus=name, r=w / denom) for name, w in weights.items()}
+    ratios = {name: w / denom for name, w in weights.items()}
+    for name, r in ratios.items():
+        if r > R_CAP:
+            raise DegenerateRatioError(
+                f"rate share for {name} is {r:.4f} > {R_CAP}; "
+                "the SLV model needs the focal locus to be a small part of the genome sample"
+            )
+    return ratios
 
 
 @dataclass(frozen=True)
 class PairModel:
-    locus: str
+    """The pair likelihood of one locus: its rate share r and its import
+    pmf q, which also names the locus and its length m."""
+
     r: float
     q: ImportDistribution
-    m: int
     # constants of every evaluation, built once in __post_init__
     xs: np.ndarray = field(init=False, repr=False, compare=False)      # x = 1..m as floats
     log_r: float = field(init=False, repr=False, compare=False)
     log_q: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.q.m != self.m:
-            raise InvalidParamsError(
-                f"import pmf supports 1..{self.q.m} but locus length is {self.m}"
-            )
         if not 0.0 < self.r < 1.0:
-            raise DegenerateRatioError(f"r={self.r} out of (0,1)")
-        object.__setattr__(self, "xs", np.arange(1, self.m + 1, dtype=float))
+            raise DegenerateRatioError(f"rate share for {self.q.locus} is {self.r}, not in (0,1)")
+        object.__setattr__(self, "xs", np.arange(1, self.q.m + 1, dtype=float))
         object.__setattr__(self, "log_r", math.log(self.r))
         object.__setattr__(self, "log_q", np.log(self.q.q))
-
-    @classmethod
-    def from_parts(cls, ratio: ThetaRatio, q: ImportDistribution) -> "PairModel":
-        return cls(locus=ratio.locus, r=ratio.r, q=q, m=q.m)
 
 
 def mixture_coeff(r: float, lam: float) -> float:
@@ -117,8 +105,8 @@ def _check_lam(lam: float) -> None:
 
 
 def _check_x(model: PairModel, x: int) -> None:
-    if not 1 <= x <= model.m:
-        raise InvalidParamsError(f"x must be in 1..{model.m}, got {x}")
+    if not 1 <= x <= model.q.m:
+        raise InvalidParamsError(f"x must be in 1..{model.q.m}, got {x}")
 
 
 def _log_mutation_term(model: PairModel, lam: float) -> np.ndarray:
@@ -163,7 +151,7 @@ def score_vector(model: PairModel, lam: float) -> np.ndarray:
     _check_lam(lam)
     log_mut = _log_mutation_term(model, lam)
     c = mixture_coeff(model.r, lam)
-    log_rec = math.log(c) + model.log_q if c > 0.0 else np.full(model.m, -math.inf)
+    log_rec = math.log(c) + model.log_q if c > 0.0 else np.full(model.q.m, -math.inf)
     log_z = _log_normaliser(np.logaddexp(log_mut, log_rec))  # the one pass over log f
     top = np.maximum(log_mut, log_rec)
     wa = np.exp(log_mut - top)

@@ -124,8 +124,7 @@ def build_composite_likelihoods(
         if partition.n_pairs == 0 or meta.name not in dists:
             skipped.append(meta.name)
             continue
-        model = PairModel.from_parts(ratios[meta.name], dists[meta.name])
-        cls.append(CompositeLikelihood(partition, model))
+        cls.append(CompositeLikelihood(partition, PairModel(ratios[meta.name], dists[meta.name])))
     return cls, skipped, partitions
 
 
@@ -164,4 +163,4 @@ def analyze_dataset(
     if len(cls) < 2:
         return result
     joint = joint_fit(cls, fits, level=opts.level)
-    return replace(result, joint=joint, variation=variation_test(cls, fits, joint))
+    return replace(result, joint=joint, variation=variation_test(fits, joint))

@@ -111,13 +111,16 @@ ImportModel = Union[GeometricImport, EmpiricalImport, CompleteImport]
 
 
 def _import_models(model, loci: Sequence[tuple[str, int]]):
-    """A config's import model: one for all loci, or a map naming each one,
-    and each a model that can draw for its locus (``_import_sampler``)."""
+    """A config's import model: one for all loci, or a map naming each one
+    and no other, and each a model that can draw for its locus (``_import_sampler``)."""
     for name, m in loci:
         one = model.get(name) if isinstance(model, Mapping) else model
         if one is None:
             raise ValueError(f"no import model for locus {name!r}")
         checked(ValueError, f"locus {name}", _import_sampler, one, m)
+    for name in model if isinstance(model, Mapping) else ():
+        if name not in dict(loci):
+            raise ValueError(f"import model for unknown locus {name!r}")
     return model
 
 

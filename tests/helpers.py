@@ -125,7 +125,7 @@ def make_q(values, locus="loc"):
 
 def make_model(r, qvals, locus="loc"):
     q = make_q(qvals, locus)
-    return pl.PairModel(locus=locus, r=r, q=q, m=q.m)
+    return pl.PairModel(r=r, q=q)
 
 
 def random_q(m, seed):
@@ -185,15 +185,15 @@ def unnormalized_mass(model, lam, x):
     """f(lam, x) in linear space; fine for moderate x."""
     if not (lam >= 0.0 and math.isfinite(lam)):
         raise InvalidParamsError(f"lam must be finite and >= 0, got {lam}")
-    if not 1 <= x <= model.m:
-        raise InvalidParamsError(f"x must be in 1..{model.m}, got {x}")
+    if not 1 <= x <= model.q.m:
+        raise InvalidParamsError(f"x must be in 1..{model.q.m}, got {x}")
     return (model.r / (1.0 + lam)) ** x + pl.mixture_coeff(model.r, lam) * model.q.q[x - 1]
 
 
 def loglik(model, lam, x):
     """Log pmf of one pair's difference count."""
-    if not 1 <= x <= model.m:
-        raise InvalidParamsError(f"x must be in 1..{model.m}, got {x}")
+    if not 1 <= x <= model.q.m:
+        raise InvalidParamsError(f"x must be in 1..{model.q.m}, got {x}")
     return float(pl.log_pmf(model, lam)[x - 1])
 
 

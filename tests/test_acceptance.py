@@ -109,7 +109,7 @@ def test_criterion_02_likelihood_suite():
     for r in GRID_R:
         for m, seed in ((3, 101), (40, 102), (200, 103)):
             q = random_q(m, seed)
-            model = pl.PairModel(locus="loc", r=r, q=q, m=m)
+            model = pl.PairModel(r=r, q=q)
             for lam in GRID_LAM:
                 logp = pl.log_pmf(model, lam)
                 assert abs(float(np.sum(np.exp(logp))) - 1.0) <= 1e-12

@@ -429,6 +429,27 @@ def test_estimate_pairwise_theta_and_lenient_mode(tmp_path):
     assert len(doc["loci"]) == 2
 
 
+def test_pairwise_theta_names_itself_at_a_locus_with_one_usable_unit(tmp_path, capsys):
+    # locus c refers to a missing allele in STs 2-4, so only ST 1 is usable there
+    (tmp_path / "profiles.tsv").write_text(
+        "ST\ta\tb\tc\n1\t1\t1\t1\n2\t2\t1\t2\n3\t1\t1\t2\n4\t1\t2\t2\n")
+    (tmp_path / "a.fas").write_text(">a_1\nAAAAAAAAAAAA\n>a_2\nCAAAAAAAAAAA\n")
+    (tmp_path / "b.fas").write_text(">b_1\nAAAAAAAAAAAA\n>b_2\nCCAAAAAAAAAA\n")
+    (tmp_path / "c.fas").write_text(">c_1\nAAAAAAAAAAAA\n")
+    argv = ["estimate", "--profiles", tmp_path / "profiles.tsv", "--alleles-dir", tmp_path,
+            "--mode", "lenient", "-M", "2000"]
+    out = tmp_path / "est.json"
+    assert run(*argv, "--theta-ratio", "length", "--out", out) == 0
+    doc = json.loads(out.read_text())
+    assert [fit["locus"] for fit in doc["loci"]] == ["a", "b"]
+    assert doc["skipped_loci"] == ["c"]
+    capsys.readouterr()
+    assert run(*argv, "--theta-ratio", "pairwise", "--out", tmp_path / "pairwise.json") == 2
+    assert capsys.readouterr().err == (
+        "slvrate: TooFewUnitsError: pairwise theta ratio: locus c has 1 usable units; "
+        "need at least 2 at every locus\n")
+
+
 def test_non_ascii_base_is_masked_in_lenient_mode_and_named_in_strict(tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(DEMO, data)

@@ -418,6 +418,10 @@ ONE_LOCUS_RECOVERY = {"design": "recovery", "replicates": 2, "lambda": 1.0,
     ("simulate", {**SIX_BASE_SIMULATION, "import": {"per_locus": {"a": {"model": "complete"}}}},
      "import: no import model for locus 'b'"),
     ("experiment", ONE_LOCUS_RECOVERY, "loci: need at least 2 loci, got 1"),
+    ("simulate", {**SIX_BASE_SIMULATION, "import": {"per_locus": {
+        "a": {"model": "complete"}, "b": {"model": "complete"},
+        "zz": {"model": "geometric", "mean": 3}}}},
+     "import: import model for unknown locus 'zz'"),
 ])
 def test_a_fault_across_keys_exits_1_before_any_work_naming_its_key(inputs, command, cfg, line):
     with tempfile.TemporaryDirectory(dir=inputs["root"]) as cwd:

@@ -51,8 +51,8 @@ def _design_fits(lam, replicate):
     rng = np.random.default_rng([replicate, round(10 * lam)])
     cls = []
     for model in _models(lam):
-        xs = rng.choice(np.arange(1, model.m + 1), size=400, p=pl.pmf(model, lam))
-        cls.append(le.CompositeLikelihood(singleton_partition(model.locus, xs.tolist()), model))
+        xs = rng.choice(np.arange(1, model.q.m + 1), size=400, p=pl.pmf(model, lam))
+        cls.append(le.CompositeLikelihood(singleton_partition(model.q.locus, xs.tolist()), model))
     fits = le.fit_all_loci(cls)
     return cls, fits, ji.joint_fit(cls, fits)
 
@@ -149,7 +149,7 @@ def test_steep_deviance_is_refined_past_ci_t(lam):
     # slack, so the finder must keep shrinking the bracket below ci_t
     model = _models(lam)[0]
     rng = np.random.default_rng([7, round(10 * lam)])
-    xs = rng.choice(np.arange(1, model.m + 1), size=400, p=pl.pmf(model, lam))
+    xs = rng.choice(np.arange(1, model.q.m + 1), size=400, p=pl.pmf(model, lam))
     cl = le.CompositeLikelihood(singleton_partition("g0", xs.tolist()), model)
 
     def steep(value):

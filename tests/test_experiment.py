@@ -93,11 +93,11 @@ def test_recovery_models_match_design():
         seed=0,
     )
     models = ex.recovery_models(design)
-    assert [m.locus for m in models] == ["a", "b"]
+    assert [m.q.locus for m in models] == ["a", "b"]
     assert abs(models[0].r - 0.25) < 1e-12
     assert abs(models[1].r - 0.75) < 1e-12
     for model, mean in zip(models, (6.0, 9.0)):
-        got = float(np.dot(np.arange(1, model.m + 1), model.q.q))
+        got = float(np.dot(np.arange(1, model.q.m + 1), model.q.q))
         assert abs(got - mean) < 0.5  # truncation nudges it slightly
 
 

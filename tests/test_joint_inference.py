@@ -16,7 +16,7 @@ from slvrate.errors import NonFiniteError, NonPositiveInfoError, TooFewLociError
 
 def sampled_cl(locus, lam_true, n, seed, m=25, group_sizes=(1,)):
     q = random_q(m, seed=seed)
-    model = pl.PairModel(locus=locus, r=1.0 / 7.0, q=q, m=m)
+    model = pl.PairModel(r=1.0 / 7.0, q=q)
     probs = pl.pmf(model, lam_true)
     rng = np.random.default_rng(seed)
     groups = []
@@ -123,7 +123,7 @@ def test_variation_test_beyond_sixteen_loci(n_loci):
         _synthetic_fit(f"l{k}", i, i * rng.uniform(1.0, 2.0), -50.0)
         for k, i in enumerate(rng.uniform(0.5, 5.0, size=n_loci))
     ]
-    result = ji.variation_test([None] * n_loci, fits, _synthetic_joint(fits, 9.0))
+    result = ji.variation_test(fits, _synthetic_joint(fits, 9.0))
     assert result.df == n_loci - 1
     assert len(result.eta) == n_loci - 1
     assert np.all(np.isfinite(result.eta)) and math.isfinite(result.nu1)
@@ -137,9 +137,15 @@ def test_variation_test_near_zero_information_locus():
         _synthetic_fit("b", 3.0, 4.5, -40.0),
         _synthetic_fit("c", 2.0, 2.5, -30.0),
     ]
-    result = ji.variation_test([None] * 3, fits, _synthetic_joint(fits, 2.0))
+    result = ji.variation_test(fits, _synthetic_joint(fits, 2.0))
     assert math.isfinite(result.nu1) and math.isfinite(result.p_value)
     assert len(result.eta) == 2 and np.all(np.isfinite(result.eta))
+
+
+def test_variation_test_needs_two_fits():
+    fits = [_synthetic_fit("a", 2.0, 3.0, -20.0)]
+    with pytest.raises(TooFewLociError, match="variation test needs >= 2 loci with data, got 1"):
+        ji.variation_test(fits, _synthetic_joint(fits, 0.0))
 
 
 # -- joint fit ----------------------------------------------------------------
@@ -189,7 +195,7 @@ def test_nu1_is_one_when_j_equals_i():
     # all-pair groups: J == I per locus, so the scaling is exactly 1
     assert all(abs(f.info_i - f.info_j) < 1e-9 for f in fits)
     joint = ji.joint_fit(cls, fits)
-    result = ji.variation_test(cls, fits, joint)
+    result = ji.variation_test(fits, joint)
     assert abs(result.nu1 - 1.0) < 1e-9
     assert np.allclose(result.eta, 1.0, atol=1e-8)
     assert abs(result.lr - result.lr_star) < 1e-8
@@ -200,7 +206,7 @@ def test_identical_loci_give_zero_statistic():
     twin = le.CompositeLikelihood(cl.partition, cl.model)
     fits = le.fit_all_loci([cl, twin])
     joint = ji.joint_fit([cl, twin], fits)
-    result = ji.variation_test([cl, twin], fits, joint)
+    result = ji.variation_test(fits, joint)
     assert result.lr_star < 1e-6
     assert result.p_value > 0.999
 
@@ -212,7 +218,7 @@ def test_trace_equals_eigenvalue_sum():
     ]
     fits = le.fit_all_loci(cls)
     joint = ji.joint_fit(cls, fits)
-    result = ji.variation_test(cls, fits, joint)
+    result = ji.variation_test(fits, joint)
     assert abs(sum(result.eta) - result.nu1 * result.df) < 1e-8
     assert result.df == 4
     assert 0.0 <= result.p_value <= 1.0
@@ -224,14 +230,14 @@ def test_scale_invariance_of_nu1_and_p():
     ]
     fits = le.fit_all_loci(cls)
     joint = ji.joint_fit(cls, fits)
-    result = ji.variation_test(cls, fits, joint)
+    result = ji.variation_test(fits, joint)
     import dataclasses
 
     scaled_fits = [
         dataclasses.replace(f, info_i=f.info_i * 17.0, info_j=f.info_j * 17.0)
         for f in fits
     ]
-    scaled = ji.variation_test(cls, scaled_fits, joint)
+    scaled = ji.variation_test(scaled_fits, joint)
     assert abs(scaled.nu1 - result.nu1) < 1e-10
     assert abs(scaled.lr - result.lr) < 1e-8
     assert abs(scaled.p_value - result.p_value) < 1e-10
@@ -246,7 +252,7 @@ def test_detects_gross_rate_variation():
     ]
     fits = le.fit_all_loci(cls)
     joint = ji.joint_fit(cls, fits)
-    result = ji.variation_test(cls, fits, joint)
+    result = ji.variation_test(fits, joint)
     assert result.p_value < 1e-6
 
 

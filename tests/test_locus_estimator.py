@@ -84,7 +84,7 @@ def test_out_of_range_x_names_the_pair():
 def test_non_finite_score_at_zero_names_the_pair():
     # m = 450, r = 1/7: at lam = 0 the true score exceeds float range from
     # x = 369 on, so a pair there must stop the fit rather than give sigma^2 = inf
-    model = pl.PairModel(locus="loc", r=1.0 / 7.0, q=random_q(450, 11), m=450)
+    model = pl.PairModel(r=1.0 / 7.0, q=random_q(450, 11))
     cl = le.CompositeLikelihood(make_partition("loc", [[3], [20, 400, 370], [450]]), model)
     with pytest.raises(
         NonFiniteError, match=r"locus loc: score at lam=0\.0 is inf for pair \(3,5\) with x=400"
@@ -109,7 +109,7 @@ def test_all_mutation_data_maximizes_at_zero():
     # every pair shows a single difference while imports would bring many:
     # recombination explains nothing, the maximum sits at the boundary
     q = make_q([1e-6] * 10 + [0.2, 0.3, 0.5])
-    model = pl.PairModel(locus="loc", r=0.2, q=q, m=q.m)
+    model = pl.PairModel(r=0.2, q=q)
     cl = le.CompositeLikelihood(singleton_partition("loc", [1] * 20), model)
     lam_hat, cl_max, at_boundary = le.maximize(cl)
     assert lam_hat == 0.0
@@ -123,7 +123,7 @@ def test_all_mutation_data_maximizes_at_zero():
 
 def test_recovers_lambda_from_model_samples():
     q = random_q(30, seed=21)
-    model = pl.PairModel(locus="loc", r=1.0 / 7.0, q=q, m=q.m)
+    model = pl.PairModel(r=1.0 / 7.0, q=q)
     probs = pl.pmf(model, 1.0)
     rng = np.random.default_rng(99)
     xs = rng.choice(np.arange(1, 31), size=10_000, p=probs)
@@ -175,7 +175,7 @@ def test_degenerate_scores_name_the_locus_at_mlst_geometry():
     # at 4 sites has identical scores, whatever lambda-hat is
     q = make_q(np.exp(-np.arange(450) / 12.0), locus="flat")
     flat = le.CompositeLikelihood(
-        make_partition("flat", [[4, 4, 4], [4]]), pl.PairModel("flat", 1.0 / 7.0, q, 450)
+        make_partition("flat", [[4, 4, 4], [4]]), pl.PairModel(1.0 / 7.0, q)
     )
     message = "locus flat: all scores identical"
     with pytest.raises(DegenerateScoresError) as err:
@@ -339,7 +339,7 @@ def test_info_formulas_and_sigma_independence():
 
 def _fitted(seed=3, lam_true=1.0, n=400, gamma_alpha=0.0):
     q = random_q(25, seed=seed)
-    model = pl.PairModel(locus="loc", r=1.0 / 7.0, q=q, m=q.m)
+    model = pl.PairModel(r=1.0 / 7.0, q=q)
     probs = pl.pmf(model, lam_true)
     rng = np.random.default_rng(seed)
     xs = rng.choice(np.arange(1, 26), size=n, p=probs)
@@ -360,7 +360,7 @@ def test_ci_brackets_and_hits_threshold():
 
 def test_ci_lower_clamps_at_zero():
     q = make_q([1e-6] * 10 + [0.2, 0.3, 0.5])
-    model = pl.PairModel(locus="loc", r=0.2, q=q, m=q.m)
+    model = pl.PairModel(r=0.2, q=q)
     cl = le.CompositeLikelihood(singleton_partition("loc", [1] * 20), model)
     lam_hat, cl_max, _ = le.maximize(cl)
     lower, upper = le.deviance_ci(cl.loglik, cl.locus, lam_hat, cl_max, gamma=1.0)
@@ -389,7 +389,7 @@ def test_deviance_nonnegative_and_zero_at_max():
 
 def _grouped_cl(seed=5, lam_true=1.0):
     q = random_q(25, seed=seed)
-    model = pl.PairModel(locus="loc", r=1.0 / 7.0, q=q, m=q.m)
+    model = pl.PairModel(r=1.0 / 7.0, q=q)
     probs = pl.pmf(model, lam_true)
     rng = np.random.default_rng(seed + 1)
     # mixed group sizes: mostly pairs, some triples (3 pairs each)

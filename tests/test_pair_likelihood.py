@@ -40,15 +40,15 @@ def test_theta_ratio_equal_lengths():
     dataset, loci = _dataset_with_lengths([450] * 7)
     ratios = pl.theta_ratios(dataset, "length")
     for locus in loci:
-        assert abs(ratios[locus].r - 1.0 / 7.0) < 1e-15
-    assert abs(sum(t.r for t in ratios.values()) - 1.0) < 1e-12
+        assert abs(ratios[locus] - 1.0 / 7.0) < 1e-15
+    assert abs(sum(ratios.values()) - 1.0) < 1e-12
 
 
 def test_theta_ratio_two_lengths():
     dataset, _ = _dataset_with_lengths([400, 600])
     ratios = pl.theta_ratios(dataset, "length")
-    assert abs(ratios["loc0"].r - 0.4) < 1e-15
-    assert abs(ratios["loc1"].r - 0.6) < 1e-15
+    assert abs(ratios["loc0"] - 0.4) < 1e-15
+    assert abs(ratios["loc1"] - 0.6) < 1e-15
 
 
 def test_theta_ratio_pairwise():
@@ -64,14 +64,22 @@ def test_theta_ratio_pairwise():
     profiles = [StProfile(1, (1, 1, 1)), StProfile(2, (2, 2, 2))]
     dataset, _ = build_from_records(profiles, alleles)
     ratios = pl.theta_ratios(dataset, "pairwise")
-    assert abs(ratios["locA"].r - 0.25) < 1e-12
-    assert abs(ratios["locB"].r - 0.25) < 1e-12
-    assert abs(ratios["locC"].r - 0.5) < 1e-12
+    assert abs(ratios["locA"] - 0.25) < 1e-12
+    assert abs(ratios["locB"] - 0.25) < 1e-12
+    assert abs(ratios["locC"] - 0.5) < 1e-12
 
 
 def test_theta_ratio_cap():
-    with pytest.raises(DegenerateRatioError):
-        pl.ThetaRatio("loc", 0.95)
+    # 950 of 1000 bases: a rate share of 0.95, past the cap of 0.9
+    dataset, _ = _dataset_with_lengths([950, 50])
+    with pytest.raises(DegenerateRatioError, match=r"^rate share for loc0 is 0\.9500 > 0\.9; "):
+        pl.theta_ratios(dataset, "length")
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0, math.nan])
+def test_pair_model_rejects_a_rate_share_outside_zero_one(r):
+    with pytest.raises(DegenerateRatioError, match=rf"^rate share for loc is {r}, not in \(0,1\)$"):
+        pl.PairModel(r, make_q([0.5, 0.5]))
 
 
 # -- mass / pmf ----------------------------------------------------------------
@@ -101,7 +109,7 @@ def test_mass_worked_example():
 
 def test_pmf_tends_to_import_distribution_for_huge_lam():
     q = random_q(12, seed=4)
-    model = pl.PairModel(locus="loc", r=1.0 / 7.0, q=q, m=q.m)
+    model = pl.PairModel(r=1.0 / 7.0, q=q)
     probs = pl.pmf(model, 1e6)
     assert np.max(np.abs(probs - q.q)) < 1e-4
 
@@ -117,7 +125,7 @@ def test_normalization_grid():
     for r in GRID_R:
         for m, seed in ((3, 1), (30, 2), (500, 3)):
             q = random_q(m, seed)
-            model = pl.PairModel(locus="loc", r=r, q=q, m=m)
+            model = pl.PairModel(r=r, q=q)
             for lam in GRID_LAM:
                 total = float(np.sum(np.exp(pl.log_pmf(model, lam))))
                 assert abs(total - 1.0) <= 1e-12
@@ -133,7 +141,7 @@ def test_log_mass_matches_linear_where_linear_is_safe():
 
 def _uncached_log_mass_and_pmf(model, lam):
     """log f and log pmf by the formula with no cached model constants."""
-    xs = np.arange(1, model.m + 1, dtype=float)
+    xs = np.arange(1, model.q.m + 1, dtype=float)
     log_mut = xs * (math.log(model.r) - math.log1p(lam))
     c = pl.mixture_coeff(model.r, lam)
     logf = log_mut if c <= 0.0 else np.logaddexp(log_mut, math.log(c) + np.log(model.q.q))
@@ -143,7 +151,7 @@ def _uncached_log_mass_and_pmf(model, lam):
 
 def test_log_pmf_bit_identical_at_mlst_geometry():
     # the model's cached x grid, log r and log q must not move a single bit
-    model = pl.PairModel(locus="loc", r=1.0 / 7.0, q=random_q(450, 11), m=450)
+    model = pl.PairModel(r=1.0 / 7.0, q=random_q(450, 11))
     for lam in (0.0, 1e-9, 0.2, 1.0, 5.0, 123.4, DEFAULT_TOL.lambda_max):
         logf, logp = _uncached_log_mass_and_pmf(model, lam)
         assert np.array_equal(pl.log_mass_vector(model, lam), logf)
@@ -163,7 +171,7 @@ def test_mixture_coeff_properties():
 
 def test_tv_distance_to_import_nonincreasing():
     q = random_q(40, seed=9)
-    model = pl.PairModel(locus="loc", r=0.2, q=q, m=q.m)
+    model = pl.PairModel(r=0.2, q=q)
     lams = [0.0, 0.05, 0.2, 0.5, 1.0, 3.0, 10.0, 50.0, 300.0]
     tv = [0.5 * float(np.abs(pl.pmf(model, lam) - q.q).sum()) for lam in lams]
     for a, b in zip(tv, tv[1:]):
@@ -194,7 +202,7 @@ def _mp_score_at_zero(model, x):
         c = r / (1 - r) - r / (1 + lam_mp - r)
         masses = [
             (r / (1 + lam_mp)) ** xx + c * mp.mpf(float(model.q.q[xx - 1]))
-            for xx in range(1, model.m + 1)
+            for xx in range(1, model.q.m + 1)
         ]
         return mp.log(masses[x - 1] / mp.fsum(masses))
 
@@ -211,7 +219,7 @@ def test_score_identity_grid():
     for r in GRID_R:
         for m, seed in ((3, 5), (60, 6)):
             q = random_q(m, seed)
-            model = pl.PairModel(locus="loc", r=r, q=q, m=m)
+            model = pl.PairModel(r=r, q=q)
             for lam in GRID_LAM:
                 probs = pl.pmf(model, lam)
                 scores = pl.score_vector(model, lam)
@@ -224,7 +232,7 @@ def test_score_matches_finite_differences_grid():
     for r in GRID_R:
         for m, seed in ((3, 7), (40, 8)):
             q = random_q(m, seed)
-            model = pl.PairModel(locus="loc", r=r, q=q, m=m)
+            model = pl.PairModel(r=r, q=q)
             for lam in [v for v in GRID_LAM if v > 0.0]:
                 scores = pl.score_vector(model, lam)
                 for x in range(1, m + 1, max(1, m // 7)):
@@ -237,7 +245,7 @@ def test_score_at_zero_matches_high_precision_oracle():
     for r in GRID_R:
         for m, seed in ((3, 7), (40, 8)):
             q = random_q(m, seed)
-            model = pl.PairModel(locus="loc", r=r, q=q, m=m)
+            model = pl.PairModel(r=r, q=q)
             scores = pl.score_vector(model, 0.0)
             for x in range(1, m + 1, max(1, m // 5)):
                 ref = _mp_score_at_zero(model, x)
@@ -248,7 +256,7 @@ def test_score_at_zero_matches_high_precision_oracle():
 def test_score_at_zero_at_mlst_geometry():
     # m = 450, r = 1/7: at lam = 0 the mass ratio overflows to inf from
     # x = 369 on while its pmf weight underflows, which once made every score NaN
-    model = pl.PairModel(locus="loc", r=1.0 / 7.0, q=random_q(450, 11), m=450)
+    model = pl.PairModel(r=1.0 / 7.0, q=random_q(450, 11))
     scores = pl.score_vector(model, 0.0)
     assert not np.any(np.isnan(scores))
     assert np.all(np.isfinite(scores[:300]))
@@ -267,7 +275,7 @@ def test_score_worked_example_against_fd():
 def test_score_flat_in_lam_limit():
     # at enormous lam the pmf is pinned to q, so the slope vanishes
     q = make_q([0.05, 0.05, 0.9])
-    model = pl.PairModel(locus="loc", r=0.2, q=q, m=3)
+    model = pl.PairModel(r=0.2, q=q)
     assert abs(pl.score(model, 1e6, 3)) < 1e-5
 
 

@@ -241,6 +241,11 @@ def test_per_locus_import_models():
     assert len(profile_records(res.dataset)) >= 1
     with pytest.raises(InvalidImportModelError):
         small_config(import_model={"l1": sim.GeometricImport(mean=4.0)}).import_for("l2")
+    extra = {"l1": sim.GeometricImport(mean=4.0), "l2": sim.CompleteImport(p_a=0.9),
+             "zz": sim.GeometricImport(mean=3.0)}
+    with pytest.raises(InvalidImportModelError,
+                       match=r"^import_model: import model for unknown locus 'zz'$"):
+        small_config(import_model=extra)
 
 
 # -- golden outputs ------------------------------------------------------------
