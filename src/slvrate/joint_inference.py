@@ -12,13 +12,22 @@ the law of a likelihood-ratio test under a misspecified (composite)
 likelihood (Varin, Reid & Firth, 2011, "An overview of composite
 likelihood methods", Stat. Sinica). Each locus contributes a scalar
 information I_l and score variance J_l, so the weights have a closed form:
-they are the nonzero eigenvalues of diag(J/I) - u u^T with
-u_l = sqrt(J_l / sum(I)), and their mean is
+they are the nonzero eigenvalues of diag(d) - z z^T with d_l = J_l / I_l
+and z_l^2 = J_l / sum(I), and their mean is
 
     nu1 = (sum(J_l / I_l) - sum(J) / sum(I)) / (L - 1).
 
 Dividing the statistic by nu1 and referring it to a chi-squared with L-1
 degrees of freedom gives the reported p-value.
+
+A diagonal matrix minus a rank-one term has its eigenvalues at the roots
+of the secular equation 1 - sum_l z_l^2 / (d_l - mu) = 0, one in each gap
+between the sorted d (Bunch, Nielsen & Sorensen, 1978, Numer. Math. 31).
+With z_l^2 = d_l w_l and w_l = I_l / sum(I), its left side is
+-mu * sum_l w_l / (d_l - mu): the zero root (eigenvector proportional to
+I/sqrt(J)) factors out, and the weights are the roots of
+sum_l w_l / (d_l - mu) = 0. They are found by bisection down to adjacent
+floats, with no call to LAPACK.
 """
 
 from __future__ import annotations
@@ -105,9 +114,11 @@ def variation_weights(
     """Weights of the variation test's chi-squared(1) mixture from per-locus I and J.
 
     Returns ``(nu1, eta)``: the L-1 weights ``eta`` in ascending order and
-    their mean ``nu1``. ``diag(J/I) - u u^T`` is positive semi-definite
-    with exactly one zero eigenvalue (eigenvector proportional to I/sqrt(J)),
-    so dropping the smallest eigenvalue leaves the weights.
+    their mean ``nu1``. The k-th weight is the root of g(mu) = sum(w / (d - mu))
+    between the k-th and (k+1)-th smallest d, where g rises from -inf to
+    +inf. All brackets are halved together until no midpoint lies strictly
+    inside its bracket, so each weight is a float at which g changes sign;
+    a tied pair of ratios is itself a weight and is returned exactly.
     """
     i_arr = np.asarray(info_i, dtype=float)
     j_arr = np.asarray(info_j, dtype=float)
@@ -125,9 +136,18 @@ def variation_weights(
     ratio = j_arr / i_arr
     total_i = float(i_arr.sum())
     nu1 = (float(ratio.sum()) - float(j_arr.sum()) / total_i) / (n_loci - 1)
-    u = np.sqrt(j_arr / total_i)
-    eta = np.linalg.eigvalsh(np.diag(ratio) - np.outer(u, u))[1:]
-    return nu1, eta
+    order = np.argsort(ratio)
+    d, w = ratio[order], (i_arr / total_i)[order]
+    lo, hi = d[:-1].copy(), d[1:].copy()
+    while True:
+        mid = 0.5 * (lo + hi)
+        inside = np.flatnonzero((lo < mid) & (mid < hi))
+        if inside.size == 0:
+            return nu1, mid
+        m = mid[inside]
+        above = (w / (d - m[:, None])).sum(axis=1) < 0.0
+        lo[inside[above]] = m[above]
+        hi[inside[~above]] = m[~above]
 
 
 def variation_test(fits: Sequence[LocusFit], joint: JointFit) -> VariationTestResult:

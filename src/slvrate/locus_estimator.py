@@ -33,6 +33,7 @@ from .errors import (
     DegenerateScoresError,
     EmptyPartitionError,
     InvalidParamsError,
+    ModelError,
     NonFiniteError,
     NonMonotoneDevianceError,
 )
@@ -83,12 +84,18 @@ class GroupedScores:
 @dataclass(frozen=True)
 class CompositeLikelihood:
     """Per-pair log-likelihood of one locus, each pair weighted by its
-    partition weight ``partition.w``."""
+    partition weight ``partition.w``. The partition and the model's import
+    pmf must be of the same locus."""
 
     partition: SlvPartition
     model: PairModel
 
     def __post_init__(self):
+        if self.partition.locus != self.model.q.locus:
+            raise ModelError(
+                f"partition of locus {self.partition.locus!r} paired with the import pmf "
+                f"of locus {self.model.q.locus!r}"
+            )
         xs = self.partition.x
         outside = np.flatnonzero((xs < 1) | (xs > self.model.q.m))
         if outside.size:

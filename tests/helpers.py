@@ -128,9 +128,9 @@ def make_model(r, qvals, locus="loc"):
     return pl.PairModel(r=r, q=q)
 
 
-def random_q(m, seed):
+def random_q(m, seed, locus="loc"):
     rng = np.random.default_rng(seed)
-    return make_q(rng.random(m) + 0.01)
+    return make_q(rng.random(m) + 0.01, locus)
 
 
 def partition_from_groups(locus, groups):

@@ -2,20 +2,23 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
 from helpers import make_partition, random_q
 
+from slvrate import experiment as ex
 from slvrate import joint_inference as ji
 from slvrate import locus_estimator as le
 from slvrate import pair_likelihood as pl
+from slvrate import pipeline as pp
 from slvrate.errors import NonFiniteError, NonPositiveInfoError, TooFewLociError
 
 
 def sampled_cl(locus, lam_true, n, seed, m=25, group_sizes=(1,)):
-    q = random_q(m, seed=seed)
+    q = random_q(m, seed=seed, locus=locus)
     model = pl.PairModel(r=1.0 / 7.0, q=q)
     probs = pl.pmf(model, lam_true)
     rng = np.random.default_rng(seed)
@@ -83,6 +86,87 @@ def test_variation_weights_reject_bad_values():
         ji.variation_weights([1.0, math.inf], [1.0, 1.0])
     with pytest.raises(NonFiniteError):
         ji.variation_weights([1.0, 1.0], [math.nan, 1.0])
+
+
+def _spread_case(rng, n_loci, kind):
+    """Per-locus (I, J): I log-uniform on 1e-3..1e3, J/I on 1e-6..1e6. ``ties``
+    copies a third of the loci with both values scaled by a power of two
+    (the same ratio, exactly); ``near_ties`` copies them with J one ulp up."""
+    info_i = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n_loci))
+    info_j = info_i * np.exp(rng.uniform(math.log(1e-6), math.log(1e6), n_loci))
+    src = rng.integers(0, n_loci, n_loci // 3)
+    dst = (src + 1 + rng.integers(0, n_loci - 1, src.size)) % n_loci
+    if kind == "ties":
+        scale = 2.0 ** rng.integers(-3, 4, src.size)
+        info_i[dst], info_j[dst] = info_i[src] * scale, info_j[src] * scale
+    elif kind == "near_ties":
+        info_i[dst], info_j[dst] = info_i[src], np.nextafter(info_j[src], np.inf)
+    return info_i, info_j
+
+
+def _oracle_weights(info_i, info_j):
+    """The L-1 largest eigenvalues of diag(J/I) - z z^T, z_l^2 = J_l/sum(I),
+    built from the float inputs and solved by mpmath at 50 digits."""
+    i_mp = [mpmath.mpf(float(v)) for v in info_i]
+    j_mp = [mpmath.mpf(float(v)) for v in info_j]
+    total = mpmath.fsum(i_mp)
+    z = [mpmath.sqrt(j / total) for j in j_mp]
+    n_loci = len(i_mp)
+    mat = mpmath.matrix(n_loci, n_loci)
+    for a in range(n_loci):
+        for b in range(n_loci):
+            mat[a, b] = -z[a] * z[b]
+        mat[a, a] += j_mp[a] / i_mp[a]
+    return sorted(mpmath.eigsy(mat, eigvals_only=True))[1:]
+
+
+@pytest.mark.parametrize("n_loci", [*range(2, 13), 16, 20, 25, 32, 40, 50, 60])
+def test_variation_weights_match_a_50_digit_oracle(n_loci):
+    rng = np.random.default_rng(n_loci)
+    kind = ("spread", "ties", "near_ties")[n_loci % 3]
+    info_i, info_j = _spread_case(rng, n_loci, kind)
+    _, eta = ji.variation_weights(info_i, info_j)
+    with mpmath.workdps(50):
+        ref = _oracle_weights(info_i, info_j)
+        worst = max(abs(mpmath.mpf(float(e)) - r) / r for e, r in zip(eta, ref))
+    assert eta.shape == (n_loci - 1,)
+    assert float(worst) <= 1e-13
+
+
+def test_two_loci_weight_is_the_trace():
+    # at L = 2 the one weight is d1 + d2 - z1^2 - z2^2
+    rng = np.random.default_rng(2)
+    for _ in range(40):
+        info_i, info_j = _spread_case(rng, 2, "spread")
+        _, eta = ji.variation_weights(info_i, info_j)
+        with mpmath.workdps(50):
+            i_mp = [mpmath.mpf(float(v)) for v in info_i]
+            j_mp = [mpmath.mpf(float(v)) for v in info_j]
+            ref = j_mp[0] / i_mp[0] + j_mp[1] / i_mp[1] - (j_mp[0] + j_mp[1]) / (i_mp[0] + i_mp[1])
+            assert float(abs(mpmath.mpf(float(eta[0])) - ref) / ref) <= 1e-13
+
+
+def test_all_tied_ratios_are_every_weight_exactly():
+    rng = np.random.default_rng(3)
+    for n_loci in (2, 3, 7, 30):
+        base_i, base_j = rng.uniform(0.1, 10.0, size=2)
+        scale = 2.0 ** rng.integers(-20, 21, n_loci)
+        info_i, info_j = base_i * scale, base_j * scale
+        ratio = info_j[0] / info_i[0]
+        assert np.all(info_j / info_i == ratio)
+        _, eta = ji.variation_weights(info_i, info_j)
+        assert eta.shape == (n_loci - 1,) and np.all(eta == ratio)
+
+
+def test_weights_ascend_and_interlace_with_the_ratios():
+    rng = np.random.default_rng(5)
+    for n_loci in range(2, 40):
+        for kind in ("spread", "ties", "near_ties"):
+            info_i, info_j = _spread_case(rng, n_loci, kind)
+            _, eta = ji.variation_weights(info_i, info_j)
+            d = np.sort(info_j / info_i)
+            assert np.all(np.diff(eta) >= 0.0)
+            assert np.all(d[:-1] <= eta) and np.all(eta <= d[1:])
 
 
 def _synthetic_fit(locus, info_i, info_j, cl_max):
@@ -260,3 +344,34 @@ def test_chi2_upper_tail_values():
     assert ji.chi2_sf(0.0, 3) == 1.0
     assert abs(ji.chi2_sf(3.8415, 1) - 0.05) < 1e-4
     assert abs(ji.chi2_sf(12.592, 6) - 0.05) < 1e-4
+
+
+# -- no LAPACK -------------------------------------------------------------------
+
+
+@pytest.fixture
+def linalg_refused(monkeypatch):
+    """Every public ``numpy.linalg`` function raises when called."""
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"numpy.linalg.{name} was called")
+
+        return call
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse(name))
+
+
+def test_analysis_and_experiment_run_without_numpy_linalg(linalg_refused, demo_dataset):
+    with pytest.raises(AssertionError, match="numpy.linalg.eigvalsh was called"):
+        np.linalg.eigvalsh(np.eye(2))
+    result = pp.analyze_dataset(demo_dataset, pp.AnalysisOptions(draws=5000, seed=3))
+    assert result.variation is not None
+    design = ex.RecoveryDesign(
+        replicates=2, lam=1.0, loci=(("a", 150), ("b", 180), ("c", 210)),
+        import_means=(8.0, 10.0, 12.0), n_pairs=80, seed=5,
+    )
+    report = ex.run_experiment(design)
+    assert report.failed_replicates == {} and report.excluded_replicates == 0

@@ -14,6 +14,7 @@ from slvrate.errors import (
     DegenerateScoresError,
     EmptyPartitionError,
     InvalidParamsError,
+    ModelError,
     NonFiniteError,
 )
 from slvrate.numerics import DEFAULT_TOL, chi2_quantile, lam_to_t, t_to_lam
@@ -79,6 +80,13 @@ def test_out_of_range_x_names_the_pair():
         le.CompositeLikelihood(make_partition("loc", [[1], [2, 3, 4], [5]]), model)
     with pytest.raises(InvalidParamsError, match=r"pair \(1,2\) has x=0 outside 1\.\.3"):
         le.CompositeLikelihood(singleton_partition("loc", [0, 2]), model)
+
+
+def test_partition_and_pmf_of_different_loci_are_refused():
+    q = make_q([0.2, 0.3, 0.5])
+    assert q.locus == "loc"
+    with pytest.raises(ModelError, match=r"locus 'gltA' paired with the import pmf of locus 'loc'"):
+        le.CompositeLikelihood(singleton_partition("gltA", [1, 2, 3]), pl.PairModel(0.2, q))
 
 
 def test_non_finite_score_at_zero_names_the_pair():
@@ -438,7 +446,7 @@ def test_fit_all_loci_per_locus_mode():
 
 
 def test_fit_all_loci_singleton_locus_inherits_common():
-    singleton_model = make_model(0.2, list(range(1, 26))[::-1])
+    singleton_model = make_model(0.2, list(range(1, 26))[::-1], locus="solo")
     lonely = le.CompositeLikelihood(
         singleton_partition("solo", [3, 8, 2, 14, 5, 9, 1, 1, 2, 6]), singleton_model
     )
