@@ -115,6 +115,7 @@ def _stored_pmf(values) -> np.ndarray:
 
 
 _F32_EXACT = 1 << 24  # float32 holds every integer below this exactly
+_ROWS = 256  # alleles per row block of the Gram products
 
 
 def allele_distance_matrix(dataset: MlstDataset, locus: str) -> tuple[list[int], np.ndarray]:
@@ -132,13 +133,16 @@ def allele_distance_matrix(dataset: MlstDataset, locus: str) -> tuple[list[int],
     BLAS matmuls: every term is 0 or 1, so every partial sum is an integer
     no larger than the locus length m and is exact while m < 2**24. The
     result is therefore bit-exact whatever the BLAS blocking or thread
-    count; longer loci raise InvalidParamsError. One (A, m) indicator
-    buffer and one (A, A) product buffer are reused across the products.
+    count; longer loci raise InvalidParamsError.
 
     The distances are returned as ``np.min_scalar_type(m)``: uint8 below
-    m = 256, uint16 below 65 536. Every entry is an integer in 0..m, so
-    the cast is exact, and an MLST locus's (A, A) matrix takes a quarter
-    of the bytes of an int64 one.
+    m = 256, uint16 below 65 536. The products accumulate in that matrix
+    itself, one block of 256 rows at a time and only on and above the
+    diagonal; the strict upper triangle is then mirrored below it. Every
+    running value is an integer in 0..m, so each cast is exact. Besides
+    the result, which takes 2 A**2 bytes at m >= 256, the kernel holds one
+    (A, m) float32 indicator, one (256, A) float32 block and the (A, m)
+    uint8 codes of the alleles it compares.
     """
     meta = dataset.locus_meta(locus)
     all_ids, lengths, codes = dataset.allele_codes[locus]
@@ -155,18 +159,37 @@ def allele_distance_matrix(dataset: MlstDataset, locus: str) -> tuple[list[int],
     stack = codes[modal, : meta.length]
     n = len(ids)
     hot = np.empty(stack.shape, dtype=np.float32)
-    prod = np.empty((n, n), dtype=np.float32)
+    block = np.empty(min(n, _ROWS) * n, dtype=np.float32)
     if (stack == 255).any():
+        out = np.empty((n, n), dtype=dtype)
         np.not_equal(stack, 255, out=hot)
-        acc = np.matmul(hot, hot.T)
+        for s, prod in _upper_blocks(hot, block):
+            np.copyto(out[s : s + len(prod), s:], prod, casting="unsafe")
     else:
-        acc = np.full((n, n), meta.length, dtype=np.float32)
+        out = np.full((n, n), meta.length, dtype=dtype)
     for base in range(4):
         np.equal(stack, base, out=hot)
-        np.matmul(hot, hot.T, out=prod)
-        acc -= prod
-    del hot, prod  # free before the cast to keep peak memory flat
-    return ids, acc.astype(dtype)
+        for s, prod in _upper_blocks(hot, block):
+            upper = out[s : s + len(prod), s:]
+            np.subtract(upper, prod, out=upper, casting="unsafe")
+    for s in range(_ROWS, n, _ROWS):
+        out[s:, s - _ROWS : s] = out[s - _ROWS : s, s:].T
+    return ids, out
+
+
+def _upper_blocks(hot: np.ndarray, block: np.ndarray):
+    """Yield (s, hot[s:s+_ROWS] @ hot[s:].T) for each row block of ``hot``,
+    each product written into the flat buffer ``block``. The block's
+    diagonal square is its own ``syrk`` product, so the FLOPs stay those
+    of one ``hot @ hot.T``."""
+    n = len(hot)
+    for s in range(0, n, _ROWS):
+        rows = hot[s : s + _ROWS]
+        k = len(rows)
+        prod = block[: k * (n - s)].reshape(k, n - s)
+        np.matmul(rows, rows.T, out=prod[:, :k])
+        np.matmul(rows, hot[s + k :].T, out=prod[:, k:])
+        yield s, prod
 
 
 def pairwise_diffs(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -83,11 +84,10 @@ def _per_row_reference(stack):
     )
 
 
-def _mlst_scale_codes(masked):
+def _mlst_scale_codes(masked, n=520, m=450):
     # the benchmark's N = 50 000 geometry: ~500 alleles of a 450 bp locus,
     # descended from one ancestor so distances spread over 0..~60
     rng = np.random.default_rng(12)
-    n, m = 520, 450
     codes = np.tile(rng.integers(0, 4, size=m, dtype=np.uint8), (n, 1))
     hits = rng.random((n, m)) < rng.uniform(0.0, 0.08, size=(n, 1))
     codes[hits] = rng.integers(0, 4, size=int(hits.sum()), dtype=np.uint8)
@@ -114,6 +114,52 @@ def test_allele_distance_matrix_at_mlst_scale(masked):
     assert dist.max() > 40
 
 
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("m, dtype", [(120, np.uint8), (450, np.uint16)])
+@pytest.mark.parametrize(
+    "n", [1, 2, imp._ROWS - 1, imp._ROWS, imp._ROWS + 1, imp._ROWS + 44, 2 * imp._ROWS + 1]
+)
+def test_allele_distance_matrix_across_row_blocks(n, m, dtype, masked):
+    # the products run in blocks of imp._ROWS alleles: part of one block, one
+    # block, a block and one or a few rows, and two blocks and one row
+    codes = _mlst_scale_codes(masked, n, m)
+    if masked:
+        codes[0, 0] = 255  # at least one masked code, whatever n
+    # lenient, as one allele leaves the second sequence type's allele unknown
+    dataset, _ = _one_locus_dataset(_sequences(codes), mode="lenient")
+    ids, dist = imp.allele_distance_matrix(dataset, "locA")
+    assert ids == list(range(1, n + 1))
+    assert dist.dtype == dtype
+    assert np.array_equal(dist, dist.T)
+    assert not np.any(np.diag(dist))
+    assert np.array_equal(dist, _per_row_reference(codes))
+
+
+def test_allele_distance_matrix_without_modal_length_alleles():
+    dataset, _ = _one_locus_dataset(["ACGT", "ACGA"])
+    loci = (mlst_io.LocusMeta("locA", 300), *dataset.loci[1:])
+    ids, dist = imp.allele_distance_matrix(dataclasses.replace(dataset, loci=loci), "locA")
+    assert ids == []
+    assert dist.shape == (0, 0)
+    assert dist.dtype == np.uint16
+
+
+def test_allele_distance_matrix_memory_at_2000_alleles():
+    # the result and one (A, m) float32 indicator, with room for the (A, m)
+    # code copy and one (256, A) float32 block; two (A, A) float32
+    # buffers, as the products once took, would not fit
+    n, m = 2000, 450
+    dataset, _ = _one_locus_dataset(_sequences(_mlst_scale_codes(False, n, m)))
+    tracemalloc.start()
+    try:
+        ids, dist = imp.allele_distance_matrix(dataset, "locA")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.shape == (n, n) and dist.dtype == np.uint16
+    assert peak < 1.5 * (dist.nbytes + 4 * n * m)
+
+
 def test_allele_distance_matrix_refuses_loci_beyond_float32_exactness(monkeypatch):
     dataset, _ = _one_locus_dataset(["ACGT", "ACGA"])
     monkeypatch.setattr(imp, "_F32_EXACT", 5)
@@ -127,6 +173,8 @@ def test_import_stage_memory_at_mlst_scale():
     # the (A, A) distance matrix is held through all the sampling, so its
     # dtype sets much of the stage's peak: an int64 matrix took the traced
     # peak to ~3.9 MiB here, against ~3.2 MiB for uint16 with int32 draws
+    # and two (A, A) float32 Gram buffers, and ~2.2 MiB once the products
+    # accumulate in the uint16 matrix
     sequences = _sequences(_mlst_scale_codes(masked=False))
     n_sts = 2300
     alleles = {
@@ -150,7 +198,7 @@ def test_import_stage_memory_at_mlst_scale():
     assert table.allele_dist.dtype == np.uint16
     assert table.allele_index.dtype == np.int32
     assert dist.q.sum() == pytest.approx(1.0)
-    assert peak < 3.6 * 2**20
+    assert peak < 2.6 * 2**20
 
 
 def test_pairwise_diffs_two_sts():
