@@ -12,12 +12,19 @@ seeds reproduces the output byte for byte.
 
 from __future__ import annotations
 
+import sys
+
+# Before hashlib and numpy load: without _hashlib, hashlib, hmac and numpy.random's
+# secrets fall back to CPython's built-in SHA-256 and compare_digest, the same digests,
+# so the CLI process never maps OpenSSL's libcrypto (~3.4 MiB resident). Importers of
+# the library, and processes that loaded _hashlib first, keep OpenSSL.
+sys.modules.setdefault("_hashlib", None)
+
 import argparse
 import gc
 import hashlib
 import json
 import math
-import sys
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path

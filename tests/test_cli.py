@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import gc
+import hashlib
 import json
 import math
 import os
@@ -241,23 +242,75 @@ def test_analysis_outputs_do_not_depend_on_the_usable_cores(tmp_path, monkeypatc
     assert outputs[3] == outputs[1]
 
 
-def test_a_fresh_interpreter_writes_what_an_in_process_run_writes(tmp_path):
-    # only a fresh interpreter runs main's start-up and the interpreter's exit
-    argv = ["test-variation", *map(str, dataset_args()), "-M", "2000"]
-    fresh, here = tmp_path / "fresh", tmp_path / "here"
-    fresh.mkdir()
-    here.mkdir()
+def fresh_python(code, *argv):
+    """Run ``code`` in a fresh interpreter that imports slvrate from this checkout."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src") + (os.pathsep + path if path else ""))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from slvrate.cli import main; sys.exit(main())", *argv,
-         "--out", str(fresh / "var.json"), "--forest-out", str(fresh / "forest.tsv")],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
+    return subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_a_fresh_interpreter_writes_what_an_in_process_run_writes(tmp_path):
+    # only a fresh interpreter runs main's start-up and the interpreter's exit; the
+    # "openssl" run loads OpenSSL's _hashlib before the CLI can keep it out
+    argv = ["test-variation", *map(str, dataset_args()), "-M", "2000"]
+    runs = {"fresh": "import sys; from slvrate.cli import main; sys.exit(main())",
+            "openssl": "import hashlib, sys; from slvrate.cli import main; sys.exit(main())"}
+    for name, code in runs.items():
+        out = tmp_path / name
+        proc = fresh_python(code, *argv, "--out", out / "var.json", "--forest-out", out / "forest.tsv")
+        assert proc.returncode == 0, proc.stderr
+    here = tmp_path / "here"
     assert run(*argv, "--out", here / "var.json", "--forest-out", here / "forest.tsv") == 0
     for name in ("var.json", "forest.tsv"):
-        assert (fresh / name).read_bytes() == (here / name).read_bytes()
+        assert (tmp_path / "fresh" / name).read_bytes() == (here / name).read_bytes()
+        assert (tmp_path / "openssl" / name).read_bytes() == (here / name).read_bytes()
+    inputs = json.loads((here / "var.json").read_text())["meta"]["inputs"]
+    assert len(inputs) == 4
+    for path, digest in inputs.items():
+        assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# what a CLI process holds of OpenSSL once main returns: whether _hashlib is blocked,
+# and the libcrypto mappings (None where there is no /proc/self/maps)
+_OPENSSL_PROBE = """
+import json, os, sys
+from slvrate.cli import main
+code = main()
+maps = "/proc/self/maps"
+libcrypto = [line.split()[-1] for line in open(maps) if "libcrypto" in line] if os.path.exists(maps) else None
+print(json.dumps({"code": code, "blocked": "_hashlib" in sys.modules and sys.modules["_hashlib"] is None,
+                  "libcrypto": libcrypto}))
+"""
+
+
+@pytest.mark.parametrize("command", ["experiment", "test-variation"])
+def test_a_cli_process_never_loads_openssl(tmp_path, command):
+    # the only hash the CLI takes is SHA-256, which CPython builds in
+    if command == "experiment":  # forks a replicate worker
+        cfg = {"design": "recovery", "replicates": 2, "lambda": 1.0,
+               "loci": [{"name": "a", "length": 120}, {"name": "b", "length": 150}],
+               "import_means": [8.0, 10.0], "n_pairs": 80, "seed": 5}
+        (tmp_path / "exp.json").write_text(json.dumps(cfg))
+        argv = ["experiment", "--config", tmp_path / "exp.json", "--out-dir", tmp_path / "out",
+                "--threads", "2"]
+    else:
+        argv = ["test-variation", *dataset_args(), "-M", "2000", "--out", tmp_path / "var.json"]
+    proc = fresh_python(_OPENSSL_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["code"] == 0
+    assert probe["blocked"]
+    if probe["libcrypto"] is not None:
+        assert probe["libcrypto"] == []
+
+
+def test_importing_the_library_keeps_openssl():
+    if fresh_python("import _hashlib").returncode != 0:
+        pytest.skip("this interpreter is built without OpenSSL's _hashlib")
+    proc = fresh_python("import sys, slvrate.pipeline, hashlib; print(sys.modules['_hashlib'].__name__)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["_hashlib"]
 
 
 def test_only_the_first_main_call_in_a_process_freezes_the_heap():

@@ -12,12 +12,18 @@ it to the constructor or hashing it in a test does not count: a value
 that nothing reads belongs in no record. The rule goes by name, so a field
 passes whenever any attribute of that name is read (``args.config`` once
 hid an unread ``SimResult.config``).
+
+The package hashes with SHA-256 alone, and imports no module that needs
+OpenSSL: the CLI keeps OpenSSL's ``_hashlib`` out of its process, where an
+OpenSSL-only algorithm such as ``hashlib.new("ripemd160")`` would fail.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "slvrate"
 
@@ -110,6 +116,33 @@ def unread_fields() -> list[str]:
     )
 
 
+# modules that load OpenSSL's libcrypto, or that hmac and secrets load it through
+OPENSSL_MODULES = {"_hashlib", "hmac", "secrets", "ssl"}
+
+
+def openssl_uses(tree: ast.Module) -> list[str]:
+    """Imports of an OpenSSL module, and hashlib constructors other than sha256."""
+    hashlib_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "hashlib"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name in OPENSSL_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module in OPENSSL_MODULES:
+                found.append(node.module)
+            elif node.module == "hashlib":
+                found += [f"hashlib.{alias.name}" for alias in node.names if alias.name != "sha256"]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name) and node.func.value.id in hashlib_names
+              and node.func.attr != "sha256"):
+            found.append(f"hashlib.{node.func.attr}")
+    return found
+
+
 def test_every_definition_is_used_in_the_package():
     assert [name for name in unused_definitions() if name not in ALLOWED] == []
 
@@ -124,3 +157,20 @@ def test_every_record_field_is_read_in_the_package():
 
 def test_the_field_allowlist_names_live_unread_fields_only():
     assert ALLOWED_FIELDS <= set(unread_fields())
+
+
+def test_the_package_hashes_with_sha256_alone_and_imports_no_openssl_module():
+    assert [f"{module}: {use}" for module, tree in _trees().items() for use in openssl_uses(tree)] == []
+
+
+@pytest.mark.parametrize("source, uses", [
+    ("import hashlib\nhashlib.sha256(b'')", []),
+    ("import hashlib\nhashlib.new('ripemd160')", ["hashlib.new"]),
+    ("import hashlib as h\nh.pbkdf2_hmac('sha256', b'', b'', 1)", ["hashlib.pbkdf2_hmac"]),
+    ("from hashlib import sha256, md5", ["hashlib.md5"]),
+    ("import hmac, ssl", ["hmac", "ssl"]),
+    ("from secrets import token_hex", ["secrets"]),
+    ("import _hashlib", ["_hashlib"]),
+])
+def test_the_openssl_rule_names_each_use(source, uses):
+    assert openssl_uses(ast.parse(source)) == uses
