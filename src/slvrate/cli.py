@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 from . import __version__, parallel
 from .convert import integer, json_object, non_negative_int, read, unique
-from .errors import ConfigError, SlvRateError, TooFewUnitsError
+from .errors import ConfigError, SlvRateError
 from .experiment import ExperimentReport, design_from, run_experiment
 from .import_dist import ImportDistribution
 from .joint_inference import JointFit, VariationTestResult, joint_fit
@@ -234,7 +234,9 @@ def _add_option(sub: argparse.ArgumentParser, *flags: str, dest: str, **kwargs) 
                      metavar="{" + ",".join(choices) + "}" if choices else None, **kwargs)
 
 
-def _load_dists(args) -> tuple[dict[str, ImportDistribution], list[Path]] | None:
+def _load_dists(args, dataset) -> tuple[dict[str, ImportDistribution], list[Path]] | None:
+    """The stored import distributions ``--dists`` names: at most one file
+    per locus, each with ``m`` the length of its locus in ``dataset``."""
     if not args.dists:
         return None
     spec = Path(args.dists)
@@ -244,11 +246,16 @@ def _load_dists(args) -> tuple[dict[str, ImportDistribution], list[Path]] | None
         paths = [spec]
     if not paths:
         raise ConfigError(f"no import-distribution JSON under {spec}")
-    dists = {}
+    dists, source = {}, {}
     for path in paths:
         with _json_file("dists", path) as doc:
             dist = ImportDistribution.from_json_dict(doc)
-        dists[dist.locus] = dist
+            if dist.locus in dataset.locus_names and dist.m != dataset.locus_meta(dist.locus).length:
+                raise ConfigError(f"m: {dist.m}, but locus {dist.locus!r} is "
+                                  f"{dataset.locus_meta(dist.locus).length} bases long")
+        if dist.locus in source:
+            raise ConfigError(f"dists {source[dist.locus]} and {path} both hold locus {dist.locus!r}")
+        dists[dist.locus], source[dist.locus] = dist, path
     return dists, paths
 
 
@@ -343,12 +350,9 @@ def cmd_import_dist(args) -> int:
     if args.locus == "all":
         dists = build_import_dists(dataset, opts, workers=parallel.usable_cores())
     else:
-        try:
-            dists = {args.locus: locus_import_dist(dataset, opts, dataset.locus_index(args.locus))}
-        except TooFewUnitsError:
-            dists = {}
+        dists = {args.locus: locus_import_dist(dataset, opts, dataset.locus_index(args.locus))}
     for name in wanted:
-        if name not in dists:
+        if dists.get(name) is None:
             raise ConfigError(f"locus {name!r} unavailable (fewer than 2 usable units)")
     config = {name: value for name, value in asdict(opts).items() if name in vars(args)}
     for name in wanted:
@@ -363,13 +367,20 @@ def _analyze(args, step):
     command's dataset and optional stored import distributions, estimating
     missing import distributions on every usable core."""
     dataset, _repairs, inputs = _load_dataset(args)
-    loaded = _load_dists(args)
+    loaded = _load_dists(args, dataset)
     opts = _analysis_options(args)
     dists = None
     if loaded is not None:
         dists, dist_paths = loaded
         inputs = inputs + dist_paths
     return step(dataset, opts, dists=dists, workers=parallel.usable_cores()), opts, inputs
+
+
+def _too_few_loci(what: str, result) -> SlvRateError:
+    return SlvRateError(
+        f"{what} needs >= 2 informative loci; "
+        f"got {len(result.locus_fits)} (skipped: {', '.join(result.skipped_loci) or 'none'})"
+    )
 
 
 def cmd_estimate(args) -> int:
@@ -388,10 +399,7 @@ def cmd_joint(args) -> int:
     out = _output("--out", args.out)
     result, opts, inputs = _analyze(args, fit_loci)
     if len(result.likelihoods) < 2:
-        raise SlvRateError(
-            f"joint estimate needs >= 2 informative loci; "
-            f"got {len(result.locus_fits)} (skipped: {', '.join(result.skipped_loci) or 'none'})"
-        )
+        raise _too_few_loci("joint estimate", result)
     joint = joint_fit(result.likelihoods, result.locus_fits, level=opts.level)
     doc = {"meta": _meta("joint", asdict(opts), inputs), **_joint_doc(joint)}
     write_json(out, doc)
@@ -403,10 +411,7 @@ def cmd_test_variation(args) -> int:
     forest_out = _output("--forest-out", args.forest_out)
     result, opts, inputs = _analyze(args, analyze_dataset)
     if result.variation is None:
-        raise SlvRateError(
-            f"variation test needs >= 2 informative loci; "
-            f"got {len(result.locus_fits)} (skipped: {', '.join(result.skipped_loci) or 'none'})"
-        )
+        raise _too_few_loci("variation test", result)
     doc = {
         "meta": _meta("test-variation", asdict(opts), inputs),
         **_variation_doc(result.variation),

@@ -145,8 +145,8 @@ def allele_distance_matrix(dataset: MlstDataset, locus: str) -> tuple[list[int],
     uint8 codes of the alleles it compares.
     """
     meta = dataset.locus_meta(locus)
-    all_ids, lengths, codes = dataset.allele_codes[locus]
-    modal = lengths == meta.length
+    all_ids, _lengths, codes = dataset.allele_codes[locus]
+    modal = dataset.modal_alleles(locus)
     ids = all_ids[modal].tolist()
     dtype = np.min_scalar_type(meta.length)
     if not ids:
@@ -203,11 +203,10 @@ def pairwise_diffs(
     checked(InvalidParamsError, "weighting", WEIGHTINGS, weighting)
     ids, dist = allele_distance_matrix(dataset, locus)
     _, alleles, counts = dataset.profile_arrays
-    focal_ids = alleles[:, dataset.locus_index(locus)]
-    pos = np.searchsorted(ids, focal_ids)
-    keep = dataset.usable_mask(locus) & np.isin(focal_ids, ids)
+    keep = dataset.usable_mask(locus)
+    pos = np.searchsorted(ids, alleles[keep, dataset.locus_index(locus)])
     copies = counts[keep] if weighting == "by_isolate" else 1
-    index = np.repeat(pos[keep].astype(np.int32), copies)
+    index = np.repeat(pos.astype(np.int32), copies)
     if len(index) < 2:
         raise TooFewUnitsError(f"locus {locus} has {len(index)} usable units; need at least 2")
     return PairwiseDiffTable(locus=locus, allele_index=index, allele_dist=dist)

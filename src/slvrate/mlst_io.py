@@ -20,9 +20,12 @@ Two validation modes:
 
 * ``strict`` rejects anything suspect (missing alleles, off-length
   sequences, non-ACGT characters, duplicate allele vectors).
-* ``lenient`` keeps going: a sequence type missing usable data at a locus
-  is excluded from analyses focused on that locus, ambiguous bases are
-  masked out of Hamming comparisons, and every repair is reported.
+* ``lenient`` keeps going: ambiguous bases are masked out of Hamming
+  comparisons, a sequence type that repeats another's allele vector is
+  dropped, and every repair is reported. A locus's analyses use a sequence
+  type only where its allele is held and has the locus's modal length
+  (``MlstDataset.usable_mask``), so one whose allele is missing or
+  off-length there is left out of them.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import re
 import string
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence, TextIO
@@ -101,8 +104,9 @@ def _ascii(sequence: str) -> bytes:
 class MlstDataset:
     """An immutable dataset, built whole, as arrays only: ``__post_init__``
     makes the arrays it is given read-only, so a ``dataclasses.replace``
-    copy holds its own fields' views. Datasets compare by identity, as
-    arrays have no truth value."""
+    copy holds its own fields' views. What the analyses read besides the
+    arrays (rest labels, usable STs) is derived from them. Datasets compare
+    by identity, as arrays have no truth value."""
 
     loci: tuple[LocusMeta, ...]
     # locus name -> (ids, lengths, codes) of its alleles in id order, loci in
@@ -114,8 +118,6 @@ class MlstDataset:
     # arrays, one row each (``build_dataset`` puts them in ST order);
     # ``alleles`` is (STs, loci), its columns in ``loci`` order
     profile_arrays: _Arrays
-    # st_ids that cannot be analysed with the given locus as the focal one
-    excluded_at: Mapping[str, frozenset[int]] = field(default_factory=dict)
 
     def __post_init__(self):
         for arrays in (self.profile_arrays, *self.allele_codes.values()):
@@ -143,9 +145,11 @@ class MlstDataset:
 
         Exact and O(n L log n) for n STs and L loci in all: label column f
         pairs the dense label of the loci before f with that of the loci
-        after it, and both chains are built one locus at a time.
+        after it, and both chains are built one locus at a time. Two STs
+        that share an allele vector raise DuplicateVectorError, naming the
+        first row that repeats an earlier one, and that earlier row.
         """
-        alleles = self.profile_arrays[1]
+        st_ids, alleles, _counts = self.profile_arrays
         n, n_loci = alleles.shape
         ranks = [np.unique(col, return_inverse=True)[1] for col in alleles.T]
 
@@ -156,13 +160,27 @@ class MlstDataset:
             return labels
 
         before, after = chain(ranks), chain(ranks[::-1])
+        whole = before[-1]  # the dense label of the whole allele vector
+        if whole.max(initial=-1) + 1 < n:
+            first = np.unique(whole, return_index=True)[1][whole]
+            row = np.flatnonzero(first != np.arange(n))[0]
+            raise DuplicateVectorError(
+                f"ST {st_ids[row]} and ST {st_ids[first[row]]} share an allele vector"
+            )
         return _frozen(np.stack(
             [before[f] * n + after[n_loci - 1 - f] for f in range(n_loci)], axis=1
         ))
 
+    def modal_alleles(self, locus: str) -> np.ndarray:
+        """Per allele of ``locus``, in ``allele_codes`` order: is its length
+        the locus's modal length?"""
+        return self.allele_codes[locus][1] == self.locus_meta(locus).length
+
     def usable_mask(self, locus: str) -> np.ndarray:
-        """Per profile row: may the ST be analysed with ``locus`` as focal?"""
-        return ~np.isin(self.profile_arrays[0], list(self.excluded_at.get(locus, ())))
+        """Per profile row: may the ST be analysed with ``locus`` as focal,
+        that is, is its allele there held and of the locus's modal length?"""
+        ids = self.allele_codes[locus][0][self.modal_alleles(locus)]
+        return np.isin(self.profile_arrays[1][:, self.locus_index(locus)], ids)
 
 
 def _code_matrix(ids: Sequence[int], sequences: Sequence[str]) -> _Arrays:
@@ -404,7 +422,6 @@ def build_dataset(
     messages: list[str] = []
     allele_codes: dict[str, _Arrays] = {}
     modal_len: dict[str, int] = {}
-    usable: dict[str, np.ndarray] = {}  # the ids of the alleles of modal length
 
     def repair(fault: DataError, message: str) -> None:
         """Strict mode raises ``fault``; lenient mode reports the repair."""
@@ -434,7 +451,6 @@ def build_dataset(
                 repair(DataError(f"allele {name}_{aid} contains non-ACGT characters {ambiguous[aid]}"),
                        f"locus {name}: allele {aid} has ambiguous bases {ambiguous[aid]}; "
                        "positions masked in comparisons")
-        usable[name] = ids[~off]
 
     # per-profile checks, in ST order; a repeated ST ends them in either mode
     st_ids, alleles, counts = _sorted_by(*profiles)
@@ -465,15 +481,10 @@ def build_dataset(
     kept = ~dropped
     if kept.sum() < 2:
         raise TooFewStsError(f"only {kept.sum()} sequence types survive validation")
-    excluded = {
-        name: frozenset(st_ids[kept & ~np.isin(alleles[:, j], usable[name])].tolist())
-        for j, name in enumerate(locus_names)
-    }
     dataset = MlstDataset(
         loci=tuple(LocusMeta(name=name, length=modal_len[name]) for name in locus_names),
         allele_codes=allele_codes,
         profile_arrays=(st_ids[kept], alleles[kept], counts[kept]),
-        excluded_at={name: ids for name, ids in excluded.items() if ids},
     )
     return dataset, tuple(messages)
 

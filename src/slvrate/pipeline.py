@@ -17,6 +17,7 @@ analysis commands pass the usable cores; the default is one process.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import Mapping
 
 from .convert import confidence_level, integer, json_object, non_negative_int, probability, read
@@ -76,12 +77,15 @@ class AnalysisResult:
 
 def locus_import_dist(
     dataset: MlstDataset, opts: AnalysisOptions, index: int
-) -> ImportDistribution:
+) -> ImportDistribution | None:
     """The import pmf of the locus at ``index`` in the dataset, from the
     seed derived for that index, so that it does not depend on which other
-    loci are estimated. TooFewUnitsError when it has under two usable units."""
+    loci are estimated; None when it has under two usable units."""
     meta = dataset.loci[index]
-    table = pairwise_diffs(dataset, meta.name, weighting=opts.weighting)
+    try:
+        table = pairwise_diffs(dataset, meta.name, weighting=opts.weighting)
+    except TooFewUnitsError:
+        return None
     return estimate_import_dist(
         table,
         m=meta.length,
@@ -97,14 +101,7 @@ def build_import_dists(
     """Estimate the import pmf for every locus with at least two usable
     units, with the loci split across ``workers`` processes. When loci
     fail, the first failing locus's error is raised."""
-
-    def locus_dist(index: int) -> ImportDistribution | None:
-        try:
-            return locus_import_dist(dataset, opts, index)
-        except TooFewUnitsError:
-            return None
-
-    dists = fork_map(locus_dist, len(dataset.loci), workers)
+    dists = fork_map(partial(locus_import_dist, dataset, opts), len(dataset.loci), workers)
     return {meta.name: dist for meta, dist in zip(dataset.loci, dists) if dist is not None}
 
 

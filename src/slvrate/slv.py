@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, LengthMismatchError, ZeroDifferencePairError
+from .errors import ZeroDifferencePairError
 from .mlst_io import MlstDataset, _frozen
 from .mlst_io import hamming  # noqa: F401  (the benchmark tracer binds slv.hamming)
 
@@ -118,9 +118,11 @@ def extract_slv(dataset: MlstDataset, locus: str, mode: str = "strict") -> SlvPa
     Grouping is by exact match of the allele-id vector at all non-focal
     loci (pubmlst semantics: allele ids are the curated identity).
     Nucleotide difference counts come from the focal-locus sequences.
-    Sequence types without usable focal-locus data are left out. Output
-    ordering is deterministic: groups by ascending smallest member, pairs
-    by (group_id, st_a, st_b).
+    Sequence types without usable focal-locus data are left out
+    (``MlstDataset.usable_mask``). A pair of distinct alleles with no
+    difference raises ZeroDifferencePairError in strict mode; lenient mode
+    logs a warning and drops it. Output ordering is deterministic: groups
+    by ascending smallest member, pairs by (group_id, st_a, st_b).
     """
     focal = dataset.locus_index(locus)
     st_ids, alleles, _counts = dataset.profile_arrays
@@ -133,12 +135,7 @@ def extract_slv(dataset: MlstDataset, locus: str, mode: str = "strict") -> SlvPa
     allele_a, allele_b = member_allele[a], member_allele[b]
 
     # x as in mlst_io.hamming: mismatches at positions valid on both sides
-    ids, lengths, codes = dataset.allele_codes[locus]
-    absent = np.flatnonzero(~np.isin(member_allele, ids))
-    if absent.size:
-        i = absent[0]
-        raise DataError(f"locus {locus}: ST {member_st[i]} references allele {member_allele[i]}, "
-                        "which the dataset does not hold")
+    ids, _lengths, codes = dataset.allele_codes[locus]
     row = np.searchsorted(ids, member_allele)
     row_a, row_b = row[a], row[b]
     x = np.empty(len(a), dtype=np.int64)
@@ -146,36 +143,13 @@ def extract_slv(dataset: MlstDataset, locus: str, mode: str = "strict") -> SlvPa
         ca, cb = codes[row_a[lo : lo + _PAIR_BATCH]], codes[row_b[lo : lo + _PAIR_BATCH]]
         x[lo : lo + _PAIR_BATCH] = np.count_nonzero((ca != cb) & (ca != 255) & (cb != 255), axis=1)
 
-    def zero_message(i: int) -> str:
-        return (
-            f"locus {locus}: alleles {allele_a[i]} and {allele_b[i]} "
-            f"have distinct ids but identical sequences (STs {st_a[i]}, {st_b[i]})"
-        )
-
-    # faults surface in the order a pair-by-pair pass meets them: a group
-    # that repeats a focal allele before its first pair, then each pair
-    off_length = lengths[row_a] != lengths[row_b]
-    zero = (x == 0) & ~off_length
-    fault = np.flatnonzero(off_length | (zero & (mode == "strict")))
-    stop = int(fault[0]) if fault.size else len(a)
-    repeat = np.flatnonzero(np.bincount(gid[allele_a == allele_b], minlength=len(sizes)))
-    repeat_at = int(np.searchsorted(gid, repeat[0])) if repeat.size else len(a) + 1
-    for i in np.flatnonzero(zero[: min(stop, repeat_at)]).tolist():
-        logger.warning("%s; pair dropped", zero_message(i))
-    if repeat_at <= stop:
-        first = int(sizes[: repeat[0]].sum())
-        group = member_st[first : first + sizes[repeat[0]]].tolist()
-        raise DataError(
-            f"locus {locus}: sequence types {group} repeat a focal allele; "
-            "allele vectors are not unique"
-        )
-    if stop < len(a):
-        if off_length[stop]:
-            raise LengthMismatchError(
-                f"{locus}_{allele_a[stop]} and {locus}_{allele_b[stop]} differ in length "
-                f"({lengths[row_a[stop]]} vs {lengths[row_b[stop]]})"
-            )
-        raise ZeroDifferencePairError(zero_message(stop))
+    zero = x == 0
+    for i in np.flatnonzero(zero).tolist():
+        message = (f"locus {locus}: alleles {allele_a[i]} and {allele_b[i]} "
+                   f"have distinct ids but identical sequences (STs {st_a[i]}, {st_b[i]})")
+        if mode == "strict":
+            raise ZeroDifferencePairError(message)
+        logger.warning("%s; pair dropped", message)
     return SlvPartition(
         locus=locus,
         st_a=st_a[~zero],

@@ -113,8 +113,12 @@ def same_alleles(a, b):
 
 
 def usable_at(dataset, locus, st_id):
-    """Whether the ST can be analysed with ``locus`` as the focal locus."""
-    return st_id not in dataset.excluded_at.get(locus, frozenset())
+    """Whether the ST can be analysed with ``locus`` as the focal locus:
+    whether the allele record it names there exists and has the locus's
+    modal length."""
+    prof = next(p for p in profile_records(dataset) if p.st_id == st_id)
+    rec = allele(dataset, locus, prof.alleles[dataset.locus_index(locus)])
+    return rec is not None and len(rec.sequence) == dataset.locus_meta(locus).length
 
 
 def make_q(values, locus="loc"):
@@ -219,12 +223,19 @@ def reference_slv(dataset, locus, mode, warnings):
 
     Returns a dict of int64 arrays (st_a, st_b, x, group_id, group_size).
     The message of every zero-difference pair lenient mode drops is
-    appended to ``warnings`` as it is met, also when a later pair or
-    group then raises.
+    appended to ``warnings``. The first profile that repeats an earlier
+    one's allele vector raises, whether or not either is usable.
     """
     focal = dataset.locus_index(locus)
     classes = {}
     profiles = profile_records(dataset)
+    first_with = {}
+    for prof in profiles:
+        if prof.alleles in first_with:
+            raise DuplicateVectorError(
+                f"ST {prof.st_id} and ST {first_with[prof.alleles]} share an allele vector"
+            )
+        first_with[prof.alleles] = prof.st_id
     for prof in profiles:
         if usable_at(dataset, locus, prof.st_id):
             reduced = prof.alleles[:focal] + prof.alleles[focal + 1 :]
@@ -233,12 +244,6 @@ def reference_slv(dataset, locus, mode, warnings):
     groups = sorted((sorted(sts) for sts in classes.values() if len(sts) >= 2), key=lambda g: g[0])
     cols = {"st_a": [], "st_b": [], "x": [], "group_id": []}
     for gid, members in enumerate(groups):
-        focal_ids = [allele_of[st] for st in members]
-        if len(set(focal_ids)) != len(focal_ids):
-            raise DataError(
-                f"locus {locus}: sequence types {members} repeat a focal allele; "
-                "allele vectors are not unique"
-            )
         for st_a, st_b in itertools.combinations(members, 2):
             x = mlst_io.hamming(
                 allele(dataset, locus, allele_of[st_a]), allele(dataset, locus, allele_of[st_b])
@@ -269,7 +274,7 @@ def reference_units(dataset, locus, weighting="by_st"):
     units, index = [], []
     for prof in profile_records(dataset):
         aid = prof.alleles[focal]
-        if aid in ids and usable_at(dataset, locus, prof.st_id):
+        if usable_at(dataset, locus, prof.st_id):
             copies = prof.isolate_count if weighting == "by_isolate" else 1
             units += [prof.st_id] * copies
             index += [ids.index(aid)] * copies
@@ -315,15 +320,14 @@ def random_inputs(rng, damaged_alleles=True):
 def random_lenient_dataset(rng):
     """A small lenient dataset that exercises every extraction path: that
     of ``random_inputs``, whose zero-difference pairs, off-length alleles
-    and missing alleles (both excluded at that locus) extraction meets.
+    and missing alleles (both left out at that locus) extraction meets.
     Its profiles are shuffled out of ST order.
     Sometimes a second ST repeats a profile's allele vector, which only a
-    dataset assembled without ``build_dataset`` can hold; it is excluded
-    only where an allele is missing, so its off-length alleles stay in
-    play. Returns None when fewer than two STs survive validation.
+    dataset assembled without ``build_dataset`` can hold, and which
+    extraction refuses. Returns None when fewer than two STs survive
+    validation.
     """
     profiles, alleles = random_inputs(rng)
-    loci = list(alleles)
     n_sts = len(profiles)
     try:
         dataset, _ = build_from_records(profiles, alleles, mode="lenient")
@@ -331,20 +335,17 @@ def random_lenient_dataset(rng):
         return None
     profiles = profile_records(dataset)
     profiles = [profiles[i] for i in rng.permutation(len(profiles))]
-    excluded = dict(dataset.excluded_at)
     if rng.random() < 0.2:
         twin = profiles[int(rng.integers(len(profiles)))]
-        st_id = 3 * n_sts + 1
-        profiles.append(StProfile(st_id, twin.alleles, twin.isolate_count))
-        for locus, aid in zip(loci, twin.alleles):
-            if allele(dataset, locus, aid) is None:
-                excluded[locus] = excluded[locus] | {st_id}
-    return dataclasses.replace(dataset, profile_arrays=profile_arrays(profiles), excluded_at=excluded)
+        profiles.append(StProfile(3 * n_sts + 1, twin.alleles, twin.isolate_count))
+    return with_profiles(dataset, profiles)
 
 
 def reference_build_dataset(profiles, alleles_by_locus, mode="strict"):
     """Reference for ``mlst_io.build_dataset``: the dataset assembled from
-    profile and allele records, each record checked in turn."""
+    profile and allele records, each record checked in turn, its repair
+    messages, and per locus which of its profile rows may be analysed there
+    (neither missing nor off-length)."""
     if mode not in ("strict", "lenient"):
         raise ValueError(f"mode must be strict or lenient, got {mode!r}")
     locus_names = list(alleles_by_locus)
@@ -436,18 +437,20 @@ def reference_build_dataset(profiles, alleles_by_locus, mode="strict"):
         loci=tuple(mlst_io.LocusMeta(name=name, length=modal_len[name]) for name in locus_names),
         allele_codes={name: locus_arrays(by_id.values())[0] for name, by_id in alleles.items()},
         profile_arrays=profile_arrays(kept),
-        excluded_at={name: frozenset(ids) for name, ids in excluded.items() if ids},
     )
-    return dataset, tuple(messages)
+    usable = {name: [prof.st_id not in excluded[name] for prof in kept] for name in locus_names}
+    return dataset, tuple(messages), usable
 
 
-def dataset_summary(dataset):
-    """Everything a dataset holds, as plain values that compare with ==."""
+def dataset_summary(dataset, usable=None):
+    """Everything a dataset holds, as plain values that compare with ==, and
+    per locus which profile rows may be analysed there: ``usable``, else
+    the dataset's own ``usable_mask``."""
     return (
         dataset.loci,
         {locus: [arr.tolist() for arr in arrays] for locus, arrays in dataset.allele_codes.items()},
         [arr.tolist() for arr in dataset.profile_arrays],
-        dict(dataset.excluded_at),
+        usable or {locus: dataset.usable_mask(locus).tolist() for locus in dataset.locus_names},
     )
 
 

@@ -14,10 +14,13 @@ from pathlib import Path
 import pytest
 from conftest import DEMO, REPO
 
+from helpers import make_model, singleton_partition
 from slvrate import cli, experiment, parallel, pipeline
+from slvrate import locus_estimator as le
 from slvrate.cli import main, render_json
 from slvrate.errors import DegenerateScoresError
 from slvrate.mlst_io import parse_allele_fasta
+from slvrate.numerics import DEFAULT_TOL
 
 
 def run(*argv):
@@ -195,6 +198,36 @@ def test_estimate_consumes_dist_files(tmp_path):
         lo, hi = entry["ci"]
         assert lo <= entry["lambda_hat"]
         assert hi == "inf" or entry["lambda_hat"] <= hi
+
+
+def test_boundary_flags_name_the_edge_a_fit_sits_on(tmp_path):
+    out = tmp_path / "est.json"
+    assert run("estimate", *dataset_args(), "--out", out) == 0
+    fits = {entry["locus"]: entry for entry in json.loads(out.read_text())["loci"]}
+    assert fits["glnA"]["lambda_hat"] == 0 and fits["glnA"]["boundary_flags"] == ["lower"]
+    assert fits["gltA"]["lambda_hat"] > 0 and fits["gltA"]["boundary_flags"] == []
+    # three singleton pairs of many differences under a flat import pmf:
+    # the maximum sits at the search ceiling
+    cl = le.CompositeLikelihood(singleton_partition("loc", [9, 14, 20]), make_model(1 / 7, [1.0] * 30))
+    [fit] = le.fit_all_loci([cl])
+    assert fit.at_boundary and fit.lam_hat >= 0.99 * DEFAULT_TOL.lambda_max
+    assert cli._fit_doc(fit)["boundary_flags"] == ["upper"]
+
+
+def test_too_few_usable_units_or_informative_loci_are_named(tmp_path, capsys):
+    # gltA keeps only allele 5, which ST 1 alone names: one usable unit there
+    data = tmp_path / "data"
+    shutil.copytree(DEMO, data)
+    (data / "gltA.fas").write_text(">" + (DEMO / "gltA.fas").read_text().split(">")[-1])
+    ds = ["--profiles", data / "profiles.tsv", "--alleles-dir", data, "--mode", "lenient", "-M", "500"]
+    for locus in ("gltA", "all"):
+        assert run("import-dist", *ds, "--locus", locus, "--out", tmp_path / locus) == 1
+        assert capsys.readouterr().err == "slvrate: locus 'gltA' unavailable (fewer than 2 usable units)\n"
+    for command, what in (("joint", "joint estimate"), ("test-variation", "variation test")):
+        assert run(command, *ds) == 2
+        assert capsys.readouterr().err == (
+            f"slvrate: SlvRateError: {what} needs >= 2 informative loci; got 1 (skipped: aspA, gltA)\n"
+        )
 
 
 def test_joint_and_variation(tmp_path):

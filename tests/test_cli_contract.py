@@ -432,6 +432,28 @@ def test_a_fault_across_keys_exits_1_before_any_work_naming_its_key(inputs, comm
         assert not (Path(cwd) / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "joint", "test-variation"])
+def test_stored_distributions_fit_their_loci_one_file_each(inputs, command):
+    # a file's m must be its locus's length, and a second file of a locus
+    # must not replace the first: either exits 1 before any fit
+    stored = inputs["dists"] / "gltA.dist.json"
+    doc = json.loads(stored.read_text())
+    with tempfile.TemporaryDirectory(dir=inputs["root"]) as cwd:
+        longer = Path(cwd) / "gltA.dist.json"
+        longer.write_text(json.dumps({**doc, "m": 17, "q": [1 / 17] * 17}))
+        twice = Path(cwd) / "twice"
+        twice.mkdir()
+        for name in ("a.json", "b.json"):
+            shutil.copy(stored, twice / name)
+        argv = [command, "--profiles", str(DEMO / "profiles.tsv"), "--alleles-dir", str(DEMO),
+                "--out", "out.json", "--dists"]
+        assert _run([*argv, str(longer)], cwd)[::2] == (
+            1, f"slvrate: dists {longer}: m: 17, but locus 'gltA' is 12 bases long\n")
+        assert _run([*argv, str(twice)], cwd)[::2] == (
+            1, f"slvrate: dists {twice / 'a.json'} and {twice / 'b.json'} both hold locus 'gltA'\n")
+        assert not (Path(cwd) / "out.json").exists()
+
+
 @pytest.mark.parametrize("edits, line", [
     ({"M": 20.9, "m": 12.7, "K": True}, "m: must be an integer, got 12.7"),
     ({"M": 20.9}, "M: must be an integer, got 20.9"),

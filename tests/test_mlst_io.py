@@ -417,10 +417,18 @@ def test_a_replaced_dataset_holds_the_views_of_its_new_fields(demo_dataset):
     assert ids.tolist() == [*gln, 9]
     assert lengths[-1] == 4 and (codes[0] == 3).all()
     assert ds.allele_codes["glnA"][0].tolist() == list(gln)
-    # excluded_at
+    # usable STs follow the alleles: ST 4 alone names gltA_2, which is
+    # then cut short or left out
     assert ds.usable_mask("gltA").all()
-    masked = dataclasses.replace(ds, excluded_at={"gltA": frozenset({4})})
-    assert masked.usable_mask("gltA").tolist() == [True, True, True, False, True, True]
+    glt = allele_records(ds, "gltA")
+    short = {**glt, 2: mlst_io.AlleleSequence("gltA", 2, glt[2].sequence[:-1])}
+    gone = {aid: rec for aid, rec in glt.items() if aid != 2}
+    for records in (short, gone):
+        masked = dataclasses.replace(
+            ds, allele_codes={**ds.allele_codes, "gltA": locus_arrays(records.values())[0]}
+        )
+        assert masked.usable_mask("gltA").tolist() == [True, True, True, False, True, True]
+        assert masked.usable_mask("glnA").all()
     for arr in (*more.profile_arrays, *more.allele_codes["glnA"], more.rest_labels):
         assert not arr.flags.writeable
 
@@ -442,13 +450,13 @@ def _write_inputs(directory, profiles, alleles, rng):
 
 
 def _built(build, profiles, alleles, mode):
-    """The dataset and repair messages of a build, or the type, text and
-    line of its first error."""
+    """The dataset, with its usable rows per locus, and repair messages of a
+    build, or the type, text and line of its first error."""
     try:
-        dataset, messages = build(profiles, alleles, mode)
+        dataset, messages, *usable = build(profiles, alleles, mode)
     except (DataError, ParseError) as err:
         return type(err), str(err), getattr(err, "line", None)
-    return dataset_summary(dataset), messages
+    return dataset_summary(dataset, *usable), messages
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

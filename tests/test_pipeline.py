@@ -91,8 +91,9 @@ def test_locus_without_pairs_reduces_test_df():
 
 @pytest.fixture(scope="module")
 def four_loci():
-    """Four simulated loci; at ``few`` every ST but one is excluded, so it
-    has one usable unit and no import distribution."""
+    """Four simulated loci; at ``few`` every ST but one names an allele the
+    dataset does not hold, so it has one usable unit and no import
+    distribution."""
     cfg = sim.SimConfig(
         n_samples=300,
         loci=(("a", 300), ("b", 300), ("c", 300), ("few", 300)),
@@ -102,8 +103,14 @@ def four_loci():
         seed=21,
     )
     dataset = sim.simulate(cfg).dataset
-    st_ids = dataset.profile_arrays[0].tolist()
-    return dataclasses.replace(dataset, excluded_at={"few": frozenset(st_ids[1:])})
+    st_ids, alleles, counts = dataset.profile_arrays
+    few = alleles[:, 3]
+    ids, held_by = np.unique(few, return_counts=True)
+    # every allele id but one, which a single ST names, is moved past the
+    # ids the dataset holds: one to one, so the other loci keep their groups
+    moved = np.where(few == ids[held_by == 1][0], few, few + 10**9)
+    alleles = np.column_stack([alleles[:, :3], moved])
+    return dataclasses.replace(dataset, profile_arrays=(st_ids, alleles, counts))
 
 
 @pytest.mark.parametrize("workers", [2, 3, 9])
@@ -112,6 +119,7 @@ def test_import_dists_and_fits_do_not_depend_on_the_worker_count(four_loci, work
     serial = pp.build_import_dists(four_loci, opts)
     forked = pp.build_import_dists(four_loci, opts, workers=workers)
     assert list(forked) == list(serial) == ["a", "b", "c"]
+    assert pp.locus_import_dist(four_loci, opts, 3) is None
     for name, dist in serial.items():
         assert np.array_equal(forked[name].q, dist.q)
         assert forked[name].provenance == dist.provenance

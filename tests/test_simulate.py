@@ -379,7 +379,8 @@ def test_assembled_dataset_matches_the_validated_one(tmp_path, name):
     assert repairs == ()
     assert rebuilt.loci == dataset.loci
     assert profile_records(rebuilt) == profile_records(dataset)
-    assert rebuilt.excluded_at == dataset.excluded_at
+    for locus in dataset.locus_names:
+        assert rebuilt.usable_mask(locus).all() and dataset.usable_mask(locus).all()
     assert same_alleles(rebuilt, dataset)
 
 

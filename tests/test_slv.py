@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slvrate import mlst_io, slv
-from slvrate.errors import DataError, LengthMismatchError, ZeroDifferencePairError
+from slvrate.errors import DataError, DuplicateVectorError, ZeroDifferencePairError
 
 from helpers import (
     StProfile,
@@ -370,25 +370,28 @@ def test_typed_errors_keep_their_messages():
     with pytest.raises(ZeroDifferencePairError) as err:
         slv.extract_slv(dataset, "locA", mode="strict")
     assert str(err.value) == zero
-    # ST 5 repeats ST 3's allele vector: its group fails before any of its
-    # pairs, after lenient mode has dropped group 0's pair
-    twin = with_profiles(dataset, [*profile_records(dataset), StProfile(5, (3, 2))])
-    with _Messages() as seen, pytest.raises(DataError) as err:
-        slv.extract_slv(twin, "locA", mode="lenient")
-    assert str(err.value) == (
-        "locus locA: sequence types [3, 4, 5] repeat a focal allele; allele vectors are not unique"
-    )
+    with _Messages() as seen:
+        part = slv.extract_slv(dataset, "locA", mode="lenient")
     assert seen == [f"{zero}; pair dropped"]
+    assert _rows(part) == [(3, 4, 1)] and part.group_size.tolist() == [2, 2]
+    # ST 5 repeats ST 3's allele vector: refused at every locus and in
+    # either mode, before any pair
+    twin = with_profiles(dataset, [*profile_records(dataset), StProfile(5, (3, 2))])
+    for locus, mode in itertools.product(("locA", "locB"), ("strict", "lenient")):
+        with _Messages() as seen, pytest.raises(DuplicateVectorError) as err:
+            slv.extract_slv(twin, locus, mode=mode)
+        assert str(err.value) == "ST 5 and ST 3 share an allele vector"
+        assert seen == []
+    # an ST whose focal allele is off-length (ST 4) or not held (ST 6) is
+    # left out of the groups at that locus
     short = dataclasses.replace(
         dataset,
         allele_codes={**dataset.allele_codes, "locA": locus_arrays(
             {**allele_records(dataset, "locA"), 4: mlst_io.AlleleSequence("locA", 4, "ACG")}.values()
         )[0]},
     )
-    with pytest.raises(LengthMismatchError) as err:
-        slv.extract_slv(short, "locA", mode="lenient")
-    assert str(err.value) == "locA_3 and locA_4 differ in length (4 vs 3)"
     stray = with_profiles(dataset, [*profile_records(dataset), StProfile(6, (9, 2))])
-    with pytest.raises(DataError) as err:
-        slv.extract_slv(stray, "locA", mode="lenient")
-    assert str(err.value) == "locus locA: ST 6 references allele 9, which the dataset does not hold"
+    for left_out, groups in ((short, [2]), (stray, [2, 2])):
+        part = slv.extract_slv(left_out, "locA", mode="lenient")
+        assert _rows(part) == ([] if left_out is short else [(3, 4, 1)])
+        assert part.group_size.tolist() == groups
