@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -114,6 +115,57 @@ def test_metric_helpers():
     assert abs(rmse.value - 1.0) < 1e-12
     empty = ex._mean_metric([])
     assert math.isnan(empty.value)
+
+
+
+def _fit(locus, lam_hat, ci_lower, ci_upper, n_pairs=5):
+    return SimpleNamespace(locus=locus, lam_hat=lam_hat, ci_lower=ci_lower, ci_upper=ci_upper,
+                           gamma=1.5, n_pairs=n_pairs, at_boundary=False)
+
+
+def _sim_output(ridx, fits, truth, joint, common, p_value, n_sts, n_slv, skipped):
+    return {"rows": ex._fit_rows(ridx, fits, truth, joint, common, n_slv), "p_value": p_value,
+            "n_sts": n_sts, "n_slv": n_slv, "informative": joint is not None,
+            "skipped_loci": skipped}
+
+
+def test_collect_aggregates_the_informative_replicates_that_finished():
+    outputs = [
+        {"error": DegenerateScoresError("locus a: all scores identical")},
+        # one locus with pairs: no joint fit, so no p-value, and left out
+        _sim_output(1, [_fit("a", 9.0, 8.0, 10.0)], {"a": 1.0}, None, 1.0, math.nan, 9, 2, 2),
+        # a common rate of 1, which only locus b's interval misses
+        _sim_output(2, [_fit("a", 1.5, 0.5, 2.5), _fit("b", 0.5, 0.6, 0.9)],
+                    {"a": 1.0, "b": 1.0}, _fit("_all_", 1.2, 0.8, 1.6), 1.0, 0.01, 20, 7, 1),
+        # rates differ, so the joint row has no true rate and counts in no metric
+        _sim_output(3, [_fit("a", 2.5, 1.9, 3.0), _fit("b", 0.25, 0.1, 0.3)],
+                    {"a": 2.0, "b": 0.5}, _fit("_all_", 1.0, 0.5, 1.5), math.nan, 0.2, 30, 11, 0),
+    ]
+    report = ex._collect("power", 0.95, outputs)
+    assert report.design == "power" and report.replicates == 4
+    assert report.failed_replicates == {"DegenerateScoresError": 1}
+    assert report.excluded_replicates == 1
+    assert report.rows == (*outputs[2]["rows"], *outputs[3]["rows"])
+    assert [row["covered"] for row in report.rows] == [1, 0, 1, 1, 0, ""]
+    nan = math.nan
+    expected = {  # locus errors 0.5, -0.5, 0.5, -0.25; the one joint error 0.2
+        "individual_bias": (0.0625, math.sqrt(0.796875 / 3) / 2),
+        # delta method: the standard error of the mean square over twice the RMSE
+        "individual_rmse": (math.sqrt(0.203125), 0.046875 / (2 * math.sqrt(0.203125))),
+        "individual_coverage": (0.5, 0.25),
+        "joint_bias": (0.2, nan),
+        "joint_rmse": (0.2, nan),
+        "joint_coverage": (1.0, 0.0),
+        "rejection_rate": (0.5, math.sqrt(0.125)),
+        "mean_sts": (25.0, 5.0),
+        "mean_slvs": (9.0, 2.0),
+        "mean_skipped_loci": (0.5, 0.5),
+    }
+    assert list(report.metrics) == list(expected)
+    for name, (value, mc_stderr) in expected.items():
+        got = report.metrics[name]
+        assert got.value == pytest.approx(value, rel=1e-12, abs=1e-15), name
+        assert got.mc_stderr == pytest.approx(mc_stderr, rel=1e-12, nan_ok=True), name
 
 
 def _failing_on(calls_to_fail, original):
