@@ -33,9 +33,9 @@ from typing import Mapping, Sequence
 from . import __version__, parallel
 from .convert import integer, json_object, non_negative_int, read, unique
 from .errors import ConfigError, SlvRateError
-from .experiment import ExperimentReport, design_from, run_experiment
+from .experiment import ROW_COLUMNS, ExperimentReport, design_from, run_experiment
 from .import_dist import ImportDistribution
-from .joint_inference import JointFit, VariationTestResult, joint_fit
+from .joint_inference import JointFit, joint_fit
 from .locus_estimator import LocusFit
 from .mlst_io import (
     allele_fasta_text,
@@ -48,6 +48,7 @@ from .mlst_io import (
 from .numerics import DEFAULT_TOL
 from .pipeline import (
     AnalysisOptions,
+    AnalysisResult,
     analyze_dataset,
     build_import_dists,
     fit_loci,
@@ -236,7 +237,7 @@ def _add_option(sub: argparse.ArgumentParser, *flags: str, dest: str, **kwargs) 
 
 def _load_dists(args, dataset) -> tuple[dict[str, ImportDistribution], list[Path]] | None:
     """The stored import distributions ``--dists`` names: at most one file
-    per locus, each with ``m`` the length of its locus in ``dataset``."""
+    per locus of ``dataset``, each with ``m`` the length of its locus."""
     if not args.dists:
         return None
     spec = Path(args.dists)
@@ -250,7 +251,10 @@ def _load_dists(args, dataset) -> tuple[dict[str, ImportDistribution], list[Path
     for path in paths:
         with _json_file("dists", path) as doc:
             dist = ImportDistribution.from_json_dict(doc)
-            if dist.locus in dataset.locus_names and dist.m != dataset.locus_meta(dist.locus).length:
+            if dist.locus not in dataset.locus_names:
+                raise ConfigError(f"unknown locus {dist.locus!r}; "
+                                  f"loci are {', '.join(dataset.locus_names)}")
+            if dist.m != dataset.locus_meta(dist.locus).length:
                 raise ConfigError(f"m: {dist.m}, but locus {dist.locus!r} is "
                                   f"{dataset.locus_meta(dist.locus).length} bases long")
         if dist.locus in source:
@@ -301,16 +305,17 @@ def _joint_doc(joint: JointFit) -> dict:
     }
 
 
-def _variation_doc(result: VariationTestResult) -> dict:
+def _variation_doc(result: AnalysisResult) -> dict:
+    variation = result.variation
     return {
-        "lr_star": result.lr_star,
-        "nu1": result.nu1,
-        "lr": result.lr,
-        "df": result.df,
-        "p_value": result.p_value,
-        "eta": list(result.eta),
-        "per_locus_lambda": list(result.per_locus_lambda),
-        "joint_lambda": result.joint_lambda,
+        "lr_star": variation.lr_star,
+        "nu1": variation.nu1,
+        "lr": variation.lr,
+        "df": variation.df,
+        "p_value": variation.p_value,
+        "eta": list(variation.eta),
+        "per_locus_lambda": [fit.lam_hat for fit in result.locus_fits],
+        "joint_lambda": result.joint.lam_hat,
     }
 
 
@@ -414,7 +419,7 @@ def cmd_test_variation(args) -> int:
         raise _too_few_loci("variation test", result)
     doc = {
         "meta": _meta("test-variation", asdict(opts), inputs),
-        **_variation_doc(result.variation),
+        **_variation_doc(result),
     }
     write_json(out, doc)
     if forest_out:
@@ -522,11 +527,9 @@ def _report_doc(report: ExperimentReport, cfg: dict, args) -> dict:
 
 
 def _write_rows(report: ExperimentReport, path: Path) -> None:
-    cols = ["replicate", "kind", "locus", "lam_true", "lam_hat", "ci_lo", "ci_hi",
-            "covered", "gamma", "n_pairs", "boundary"]
-    lines = ["\t".join(cols)]
+    lines = ["\t".join(ROW_COLUMNS)]
     for row in report.rows:
-        values = (row.get(col, "") for col in cols)
+        values = (row[col] for col in ROW_COLUMNS)
         lines.append("\t".join(format(v, ".10g") if isinstance(v, float) else str(v)
                                for v in values))
     _write(path, "\n".join(lines) + "\n")

@@ -108,6 +108,11 @@ def _rmse_metric(errors: Sequence[float]) -> MetricValue:
     return MetricValue(rmse, se)
 
 
+# the columns of a fit row, in the order replicates.tsv writes them
+ROW_COLUMNS = ("replicate", "kind", "locus", "lam_true", "lam_hat", "ci_lo", "ci_hi",
+               "covered", "gamma", "n_pairs", "boundary")
+
+
 def _fit_rows(
     ridx: int,
     fits: Sequence[LocusFit],
@@ -122,21 +127,11 @@ def _fit_rows(
     if joint is not None:
         entries.append(("joint", "_all_", joint_truth, joint, joint_pairs))
     return [
-        {
-            "replicate": ridx,
-            "kind": kind,
-            "locus": locus,
-            "lam_true": lam_true,
-            "lam_hat": fit.lam_hat,
-            "ci_lo": fit.ci_lower,
-            "ci_hi": fit.ci_upper,
-            "covered": (
-                "" if math.isnan(lam_true) else int(fit.ci_lower <= lam_true <= fit.ci_upper)
-            ),
-            "gamma": fit.gamma,
-            "n_pairs": n_pairs,
-            "boundary": int(fit.at_boundary),
-        }
+        dict(zip(ROW_COLUMNS, (
+            ridx, kind, locus, lam_true, fit.lam_hat, fit.ci_lower, fit.ci_upper,
+            "" if math.isnan(lam_true) else int(fit.ci_lower <= lam_true <= fit.ci_upper),
+            fit.gamma, n_pairs, int(fit.at_boundary),
+        ), strict=True))
         for kind, locus, lam_true, fit, n_pairs in entries
     ]
 
@@ -147,7 +142,7 @@ def _run_sim_replicate(design: SimDesign, ridx: int) -> dict:
     opts = replace(design.analysis, seed=derived_seed(sim.seed, SeedDomain.ANALYSIS_SEED, ridx))
     analysis = analyze_dataset(result.dataset, opts)
     truth = {name: lam for (name, _), lam in zip(sim.loci, sim.lam)}
-    n_slv = sum(p.n_pairs for p in analysis.partitions.values())
+    n_slv = sum(cl.n_pairs for cl in analysis.likelihoods)
     common = sim.lam[0] if len(set(sim.lam)) == 1 else math.nan
     rows = _fit_rows(ridx, analysis.locus_fits, truth, analysis.joint, common, n_slv)
     return {
@@ -237,64 +232,31 @@ def _run_recovery_replicate(design: RecoveryDesign, models: list[PairModel], rid
 
 
 def _collect(design_kind: str, level: float, replicate_outputs: list[dict]) -> ExperimentReport:
-    """Aggregate the replicates that finished; an output holding an
-    ``error`` is counted under its type and adds nothing else."""
-    rows: list[dict] = []
-    locus_errs: list[float] = []
-    locus_cov: list[bool] = []
-    joint_errs: list[float] = []
-    joint_cov: list[bool] = []
-    p_values: list[float] = []
-    sts: list[float] = []
-    slvs: list[float] = []
-    excluded = 0
-    failed: Counter = Counter()
-    for out in replicate_outputs:
-        if "error" in out:
-            failed[type(out["error"]).__name__] += 1
-            continue
-        if not out.get("informative", False):
-            excluded += 1
-            continue
-        rows.extend(out["rows"])
-        for row in out["rows"]:
-            if math.isnan(row["lam_true"]):
-                continue
-            err = row["lam_hat"] - row["lam_true"]
-            if row["kind"] == "locus":
-                locus_errs.append(err)
-                locus_cov.append(bool(row["covered"]))
-            else:
-                joint_errs.append(err)
-                joint_cov.append(bool(row["covered"]))
-        if not math.isnan(out.get("p_value", math.nan)):
-            p_values.append(out["p_value"])
-        if "n_sts" in out:
-            sts.append(out["n_sts"])
-            slvs.append(out["n_slv"])
-    metrics: dict[str, MetricValue] = {
-        "individual_bias": _mean_metric(locus_errs),
-        "individual_rmse": _rmse_metric(locus_errs),
-        "individual_coverage": _rate_metric(locus_cov),
-        "joint_bias": _mean_metric(joint_errs),
-        "joint_rmse": _rmse_metric(joint_errs),
-        "joint_coverage": _rate_metric(joint_cov),
-    }
+    """Aggregate the replicates that finished with a joint fit; an output
+    holding an ``error`` is counted under its type and adds nothing else."""
+    failed = Counter(type(out["error"]).__name__ for out in replicate_outputs if "error" in out)
+    kept = [out for out in replicate_outputs if out.get("informative")]
+    rows = [row for out in kept for row in out["rows"]]
+    metrics: dict[str, MetricValue] = {}
+    for kind, name in (("locus", "individual"), ("joint", "joint")):
+        scored = [row for row in rows if row["kind"] == kind and not math.isnan(row["lam_true"])]
+        errs = [row["lam_hat"] - row["lam_true"] for row in scored]
+        metrics[f"{name}_bias"] = _mean_metric(errs)
+        metrics[f"{name}_rmse"] = _rmse_metric(errs)
+        metrics[f"{name}_coverage"] = _rate_metric([bool(row["covered"]) for row in scored])
+    p_values = [out["p_value"] for out in kept if not math.isnan(out["p_value"])]
     if p_values:
-        alpha = 1.0 - level
-        metrics["rejection_rate"] = _rate_metric([p < alpha for p in p_values])
-    if sts:
-        metrics["mean_sts"] = _mean_metric(sts)
-        metrics["mean_slvs"] = _mean_metric(slvs)
-        metrics["mean_skipped_loci"] = _mean_metric(
-            [out.get("skipped_loci", 0) for out in replicate_outputs if out.get("informative")]
-        )
+        metrics["rejection_rate"] = _rate_metric([p < 1.0 - level for p in p_values])
+    if kept and "n_sts" in kept[0]:  # simulation designs only
+        for key, name in (("n_sts", "mean_sts"), ("n_slv", "mean_slvs"),
+                          ("skipped_loci", "mean_skipped_loci")):
+            metrics[name] = _mean_metric([out[key] for out in kept])
     return ExperimentReport(
         design=design_kind,
         replicates=len(replicate_outputs),
         metrics=metrics,
         rows=tuple(rows),
-        excluded_replicates=excluded,
+        excluded_replicates=len(replicate_outputs) - sum(failed.values()) - len(kept),
         failed_replicates=dict(failed),
     )
 

@@ -104,8 +104,6 @@ class VariationTestResult:
     df: int
     p_value: float
     eta: tuple[float, ...]            # eigenvalue diagnostics
-    per_locus_lambda: tuple[float, ...]
-    joint_lambda: float
 
 
 def variation_weights(
@@ -179,6 +177,4 @@ def variation_test(fits: Sequence[LocusFit], joint: JointFit) -> VariationTestRe
         df=n_loci - 1,
         p_value=chi2_sf(lr, n_loci - 1),
         eta=tuple(float(v) for v in eta),
-        per_locus_lambda=tuple(f.lam_hat for f in fits),
-        joint_lambda=joint.lam_hat,
     )

@@ -36,7 +36,7 @@ from .mlst_io import MODES, MlstDataset
 from .numerics import SeedDomain, derived_seed
 from .pair_likelihood import THETA_METHODS, PairModel, theta_ratios
 from .parallel import fork_map
-from .slv import SlvPartition, extract_slv
+from .slv import extract_slv
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,7 @@ class AnalysisResult:
     joint: JointFit | None
     variation: VariationTestResult | None
     skipped_loci: tuple[str, ...]
-    partitions: Mapping[str, SlvPartition] = field(default_factory=dict)
-    likelihoods: tuple[CompositeLikelihood, ...] = ()   # one per fitted locus
+    likelihoods: tuple[CompositeLikelihood, ...]   # one per fitted locus
 
 
 def locus_import_dist(
@@ -105,44 +104,35 @@ def build_import_dists(
     return {meta.name: dist for meta, dist in zip(dataset.loci, dists) if dist is not None}
 
 
-def build_composite_likelihoods(
-    dataset: MlstDataset,
-    dists: Mapping[str, ImportDistribution],
-    opts: AnalysisOptions,
-) -> tuple[list[CompositeLikelihood], list[str], dict[str, SlvPartition]]:
-    """One composite likelihood per informative locus, plus skipped loci."""
-    ratios = theta_ratios(dataset, opts.theta_method)
-    cls: list[CompositeLikelihood] = []
-    skipped: list[str] = []
-    partitions: dict[str, SlvPartition] = {}
-    for meta in dataset.loci:
-        partition = extract_slv(dataset, meta.name, mode=opts.mode)
-        partitions[meta.name] = partition
-        if partition.n_pairs == 0 or meta.name not in dists:
-            skipped.append(meta.name)
-            continue
-        cls.append(CompositeLikelihood(partition, PairModel(ratios[meta.name], dists[meta.name])))
-    return cls, skipped, partitions
-
-
 def fit_loci(
     dataset: MlstDataset,
     opts: AnalysisOptions = AnalysisOptions(),
     dists: Mapping[str, ImportDistribution] | None = None,
     workers: int = 1,
 ) -> AnalysisResult:
-    """Per-locus fits only; ``joint`` and ``variation`` are left None.
-    ``workers`` processes estimate the import pmfs when ``dists`` is None."""
+    """Per-locus fits of the loci with SLV pairs; ``joint`` and ``variation``
+    are left None. ``workers`` processes estimate the import pmfs when
+    ``dists`` is None; given ``dists`` must hold every locus with pairs."""
     if dists is None:
         dists = build_import_dists(dataset, opts, workers)
-    cls, skipped, partitions = build_composite_likelihoods(dataset, dists, opts)
+    ratios = theta_ratios(dataset, opts.theta_method)
+    cls: list[CompositeLikelihood] = []
+    skipped: list[str] = []
+    for meta in dataset.loci:
+        partition = extract_slv(dataset, meta.name, mode=opts.mode)
+        if partition.n_pairs == 0:
+            skipped.append(meta.name)
+        elif meta.name not in dists:
+            raise ConfigError(f"dists: locus {meta.name!r} has {partition.n_pairs} SLV pair(s) "
+                              "but no import distribution")
+        else:
+            cls.append(CompositeLikelihood(partition, PairModel(ratios[meta.name], dists[meta.name])))
     fits = fit_all_loci(cls, level=opts.level, alpha_mode=opts.alpha_mode)
     return AnalysisResult(
         locus_fits=tuple(fits),
         joint=None,
         variation=None,
         skipped_loci=tuple(skipped),
-        partitions=partitions,
         likelihoods=tuple(cls),
     )
 

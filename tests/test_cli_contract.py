@@ -454,6 +454,26 @@ def test_stored_distributions_fit_their_loci_one_file_each(inputs, command):
         assert not (Path(cwd) / "out.json").exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "joint", "test-variation"])
+def test_stored_distributions_cover_every_locus_with_pairs_and_no_other(inputs, command):
+    # glnA has one SLV pair and no file, and no locus of the dataset is 'zz':
+    # either exits 1, naming the locus, and writes nothing
+    stored = inputs["dists"] / "gltA.dist.json"
+    with tempfile.TemporaryDirectory(dir=inputs["root"]) as cwd:
+        only_glta = Path(cwd) / "only-gltA"
+        only_glta.mkdir()
+        shutil.copy(stored, only_glta)
+        foreign = Path(cwd) / "zz.dist.json"
+        foreign.write_text(json.dumps({**json.loads(stored.read_text()), "locus": "zz"}))
+        argv = [command, "--profiles", str(DEMO / "profiles.tsv"), "--alleles-dir", str(DEMO),
+                "--out", "out.json", "--dists"]
+        assert _run([*argv, str(only_glta)], cwd)[::2] == (
+            1, "slvrate: dists: locus 'glnA' has 1 SLV pair(s) but no import distribution\n")
+        assert _run([*argv, str(foreign)], cwd)[::2] == (
+            1, f"slvrate: dists {foreign}: unknown locus 'zz'; loci are aspA, glnA, gltA\n")
+        assert not (Path(cwd) / "out.json").exists()
+
+
 @pytest.mark.parametrize("edits, line", [
     ({"M": 20.9, "m": 12.7, "K": True}, "m: must be an integer, got 12.7"),
     ({"M": 20.9}, "M: must be an integer, got 20.9"),

@@ -117,7 +117,6 @@ def test_metric_helpers():
     assert math.isnan(empty.value)
 
 
-
 def _fit(locus, lam_hat, ci_lower, ci_upper, n_pairs=5):
     return SimpleNamespace(locus=locus, lam_hat=lam_hat, ci_lower=ci_lower, ci_upper=ci_upper,
                            gamma=1.5, n_pairs=n_pairs, at_boundary=False)
